@@ -12,8 +12,6 @@ guards.  All numeric output is exact rational text; no floats anywhere.
 Guards can be raised per invocation with --max-bruteforce,
 --max-hull-dim and --max-hull-points or the matching environment
 variables OMEGA_MAX_BRUTEFORCE, OMEGA_MAX_HULL_DIM, OMEGA_MAX_HULL_POINTS.
---jobs (env OMEGA_JOBS) is validated and accepted; execution is
-sequential either way, so output bytes do not depend on it.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ _ENV_DEFAULTS = (
     ("max_bruteforce", "OMEGA_MAX_BRUTEFORCE", DEFAULT_BRUTEFORCE_BOUND),
     ("max_hull_dim", "OMEGA_MAX_HULL_DIM", DEFAULT_HULL_MAX_DIM),
     ("max_hull_points", "OMEGA_MAX_HULL_POINTS", DEFAULT_HULL_MAX_POINTS),
-    ("jobs", "OMEGA_JOBS", 1),
 )
 
 
@@ -54,9 +51,6 @@ def _add_common(sub):
     sub.add_argument("--max-hull-points", type=int, default=None,
                      help="override the hull point-count bound "
                           "(default %d)" % DEFAULT_HULL_MAX_POINTS)
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="worker count; accepted and validated, execution "
-                          "is sequential and output does not depend on it")
 
 
 def _settle_guards(args):

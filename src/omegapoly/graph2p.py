@@ -287,7 +287,8 @@ def solve_2sat(c: Cnf2) -> Assignment | None:
         # implication order and is safe to set true
         choice.append(1 if pos < neg else 2)
     result = Assignment(tuple(choice))
-    assert _satisfies(c, result)
+    if not _satisfies(c, result):
+        raise RuntimeError("2SAT assignment %s violates a clause" % (result,))
     return result
 
 
@@ -296,7 +297,8 @@ def find_clique(g: Graph2P) -> Assignment | None:
     result = solve_2sat(to_2cnf(g))
     if result is None:
         return None
-    assert is_clique(g, result)
+    if not is_clique(g, result):
+        raise RuntimeError("2SAT answer %s is not a clique" % (result,))
     return result
 
 

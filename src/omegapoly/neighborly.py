@@ -60,6 +60,23 @@ def evaluate_alpha(alpha: dict[AlphaKey, int], a: Assignment) -> int:
     return total
 
 
+def _evaluations(alpha: dict[AlphaKey, int], n: int, a: Assignment,
+                 b: Assignment) -> tuple[int | None, int | None, int | None]:
+    """F(a), F(b) and the minimum of F over every other vertex, found by
+    evaluating alpha on all 2^n vertices (None where there is no vertex)."""
+    f_a = f_b = min_other = None
+    for choice in itertools.product((1, 2), repeat=n):
+        z = Assignment(choice)
+        val = evaluate_alpha(alpha, z)
+        if z == a:
+            f_a = val
+        elif z == b:
+            f_b = val
+        elif min_other is None or val < min_other:
+            min_other = val
+    return f_a, f_b, min_other
+
+
 def _marked_edges(a: Assignment, b: Assignment):
     istar = next(i for i in range(1, a.n + 1) if a.rho(i) != b.rho(i))
     jstar = 1 if istar != 1 else 2
@@ -96,22 +113,12 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
         else:
             alpha[(i, j, p, q)] = 0
 
-    f_a = evaluate_alpha(alpha, a)
-    f_b = evaluate_alpha(alpha, b)
-    min_other = None
-    for choice in itertools.product((1, 2), repeat=n):
-        z = Assignment(choice)
-        if z == a or z == b:
-            continue
-        val = evaluate_alpha(alpha, z)
-        if min_other is None or val < min_other:
-            min_other = val
-    if f_a != 1 or f_b != 1 or (min_other is not None and min_other < 2):
+    f_a, f_b, min_other = _evaluations(alpha, n, a, b)
+    if f_a != 1 or f_b != 1 or min_other < 2:
         raise RuntimeError(
             "certificate construction failed for %s, %s: F(a)=%d F(b)=%d "
-            "min_other=%s" % (a, b, f_a, f_b, min_other))
-    return EdgeCertificate(n, a, b, mark_a, mark_b, alpha, f_a, f_b,
-                           min_other if min_other is not None else 2)
+            "min_other=%d" % (a, b, f_a, f_b, min_other))
+    return EdgeCertificate(n, a, b, mark_a, mark_b, alpha, f_a, f_b, min_other)
 
 
 def verify_certificate(c: EdgeCertificate,
@@ -120,15 +127,8 @@ def verify_certificate(c: EdgeCertificate,
     check_bruteforce(c.n, bound, "verify_certificate")
     if c.a == c.b or c.a.n != c.n or c.b.n != c.n:
         return False
-    for choice in itertools.product((1, 2), repeat=c.n):
-        z = Assignment(choice)
-        val = evaluate_alpha(c.alpha, z)
-        if z == c.a or z == c.b:
-            if val != 1:
-                return False
-        elif val < 2:
-            return False
-    return True
+    f_a, f_b, min_other = _evaluations(c.alpha, c.n, c.a, c.b)
+    return f_a == 1 and f_b == 1 and (min_other is None or min_other >= 2)
 
 
 def edges_via_hull(n: int) -> int:
@@ -144,7 +144,9 @@ def edges_via_hull(n: int) -> int:
     for i, j in itertools.combinations(range(len(vrep.points)), 2):
         verdict = polyhedra.is_face(vrep, (i, j))
         if verdict.kind in ("facet", "proper_face"):
-            assert verdict.dimension == 1
+            if verdict.dimension != 1:
+                raise RuntimeError("pair %d, %d spans a face of dimension %s"
+                                   % (i, j, verdict.dimension))
             count += 1
     return count
 

@@ -216,7 +216,9 @@ def _transport(a: Assignment, b: Assignment, cls: PairClass) -> Symmetry:
     # the representative a is all ones, so part t swaps exactly when a(t) = 2
     swaps = tuple(a.rho(t) == 2 for t in range(1, 4))
     g = Symmetry(tuple(perm), swaps)
-    assert apply_to_assignment(g, _REP_A) == a
+    if apply_to_assignment(g, _REP_A) != a:
+        raise RuntimeError("transport does not carry the representative onto %s"
+                           % (a,))
     return g
 
 
@@ -244,7 +246,9 @@ def _case_form(a: Assignment, b: Assignment, expected_kind: str,
         raise ValueError("pair %s, %s is %s, not %s"
                          % (a, b, cls.kind, expected_kind))
     g = _transport(a, b, cls)
-    assert apply_to_assignment(g, rep_b) == b
+    if apply_to_assignment(g, rep_b) != b:
+        raise RuntimeError("transport does not carry the representative onto %s"
+                           % (b,))
     return _fold_to_upper(apply_to_form(g, rep_form), 3)
 
 

@@ -216,7 +216,8 @@ def lift_point(r: ReducedPoint) -> OmegaPoint:
                 put(i, j, p, q, val)
                 put(j, i, q, p, val)
     out = OmegaPoint(n, tuple(coords))
-    assert check_equalities(out).ok
+    if not check_equalities(out).ok:
+        raise RuntimeError("lifted point violates the equalities")
     return out
 
 

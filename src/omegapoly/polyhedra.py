@@ -101,6 +101,20 @@ class HRep:
 
 # --- exact linear algebra -----------------------------------------------
 
+def _eliminate(mat: list[list[Fraction]], r: int, c: int) -> None:
+    """Gauss-Jordan step: scale row r to a 1 in column c, then clear
+    column c from every other row.  The one elimination loop here; RREF
+    and every simplex pivot go through it."""
+    piv = mat[r][c]
+    if piv != 1:
+        mat[r] = [x / piv for x in mat[r]]
+    prow = mat[r]
+    for i, row in enumerate(mat):
+        f = row[c]
+        if i != r and f != 0:
+            mat[i] = [a - f * b for a, b in zip(row, prow)]
+
+
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns the nonzero rows and pivot columns.
 
@@ -120,12 +134,7 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        piv = mat[r][c]
-        mat[r] = [x / piv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        _eliminate(mat, r, c)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -146,24 +155,6 @@ def affine_rank(v: VRep) -> int:
     base = v.points[0]
     rows = [[x - b for x, b in zip(p, base)] for p in v.points[1:]]
     return matrix_rank(rows) if rows else 0
-
-
-def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular square system exactly."""
-    m = len(mat)
-    aug = [list(mat[i]) + [rhs[i]] for i in range(m)]
-    for c in range(m):
-        pr = next((i for i in range(c, m) if aug[i][c] != 0), None)
-        if pr is None:
-            raise ValueError("singular system")
-        aug[c], aug[pr] = aug[pr], aug[c]
-        piv = aug[c][c]
-        aug[c] = [x / piv for x in aug[c]]
-        for i in range(m):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return [aug[i][m] for i in range(m)]
 
 
 def _primitive_ints(vec: Sequence) -> tuple[int, ...]:
@@ -376,6 +367,10 @@ class LpResult:
 
     with dual[i] <= 0 on inequalities when maximizing and dual[i] >= 0
     when minimizing.  lp_solve checks these identities before returning.
+
+    The multipliers are read off the final simplex tableau.  Where the
+    optimal dual is not unique they may differ from those of releases
+    that re-solved for them, but they always satisfy the identities.
     """
 
     status: str
@@ -384,64 +379,37 @@ class LpResult:
     dual: Vector | None = None
 
 
-def _price_out(tableau, basis, cost, red):
-    """Reset red to z - c for the given cost vector."""
-    ncols = len(red)
-    for j in range(ncols):
-        red[j] = -cost[j] if j < len(cost) else _ZERO
-    red[-1] = _ZERO
+def _price_out(tableau, basis, cost):
+    """Reset the objective row (the tableau's last row) to z - c."""
+    tableau[-1] = [-x for x in cost] + [_ZERO] * (len(tableau[-1]) - len(cost))
     for i, bv in enumerate(basis):
-        cb = cost[bv]
-        if cb != 0:
-            row = tableau[i]
-            for j in range(ncols):
-                red[j] += cb * row[j]
+        _eliminate(tableau, i, bv)
 
 
-def _simplex_iterate(tableau, basis, red, allowed):
+def _simplex_iterate(tableau, basis, allowed):
     """Run primal simplex to optimality; returns False on unbounded.
 
     Entering and leaving follow Bland's rule (smallest improving column,
     ratio ties broken by smallest basic variable), which cannot cycle.
     """
-    m = len(tableau)
     while True:
-        enter = None
-        for j in allowed:
-            if red[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in allowed if tableau[-1][j] < 0), None)
         if enter is None:
             return True
         leave = None
         best = None
-        for i in range(m):
+        for i, bv in enumerate(basis):
             coef = tableau[i][enter]
             if coef > 0:
                 ratio = tableau[i][-1] / coef
                 if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
+                        ratio == best and bv < basis[leave]):
                     best = ratio
                     leave = i
         if leave is None:
             return False
-        _pivot(tableau, basis, red, leave, enter)
-
-
-def _pivot(tableau, basis, red, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [x / piv for x in tableau[row]]
-    prow = tableau[row]
-    for i in range(len(tableau)):
-        if i != row:
-            f = tableau[i][col]
-            if f != 0:
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
-    f = red[col]
-    if f != 0:
-        for j in range(len(red)):
-            red[j] -= f * prow[j]
-    basis[row] = col
+        _eliminate(tableau, leave, enter)
+        basis[leave] = enter
 
 
 def lp_solve(objective: LinearForm, constraints: HRep,
@@ -468,61 +436,48 @@ def lp_solve(objective: LinearForm, constraints: HRep,
         cost2[k] = obj[k]
         cost2[d + k] = -obj[k]
 
-    rows: list[list[Fraction]] = []
+    # rows are x+ | x- | surplus | artificial | rhs, flipped to rhs >= 0;
+    # the last row is the objective row z - c
+    tableau: list[list[Fraction]] = []
     signs: list[int] = []
     for i, f in enumerate(forms):
-        row = [_ZERO] * nreal
+        row = [_ZERO] * (nreal + m + 1)
         for k in range(d):
             row[k] = f.coeffs[k]
             row[d + k] = -f.coeffs[k]
         if i < n_ineq:
             row[2 * d + i] = Fraction(-1)
-        rhs = f.rhs
-        if rhs < 0:
+        row[-1] = f.rhs
+        if f.rhs < 0:
             row = [-x for x in row]
-            rhs = -rhs
             signs.append(-1)
         else:
             signs.append(1)
-        rows.append(row + [rhs])
-    base_rows = [list(r) for r in rows]  # pristine copy for the dual solve
+        row[nreal + i] = _ONE
+        tableau.append(row)
+    tableau.append([_ZERO] * (nreal + m + 1))
 
-    # phase 1: artificial basis
-    ncols = nreal + m + 1
-    tableau = []
-    for i, row in enumerate(rows):
-        full = row[:-1] + [_ZERO] * m + [row[-1]]
-        full[nreal + i] = _ONE
-        tableau.append(full)
+    # phase 1: artificial basis, maximize minus the sum of artificials
     basis = [nreal + i for i in range(m)]
-    cost1 = [_ZERO] * (nreal + m)
-    for i in range(m):
-        cost1[nreal + i] = Fraction(-1)
-    red = [_ZERO] * ncols
-    _price_out(tableau, basis, cost1, red)
-    ok = _simplex_iterate(tableau, basis, red, range(nreal + m))
-    assert ok, "phase 1 is bounded by construction"
-    if red[-1] != 0:  # red[-1] = z = -(sum of artificials) at optimum
+    _price_out(tableau, basis, [_ZERO] * nreal + [Fraction(-1)] * m)
+    if not _simplex_iterate(tableau, basis, range(nreal + m)):
+        raise RuntimeError("phase 1 came out unbounded, which its "
+                           "construction rules out")
+    if tableau[-1][-1] != 0:  # z = -(sum of artificials) at optimum
         return LpResult(status="infeasible")
 
-    # drive leftover artificials out of the basis, dropping redundant rows
-    keep = list(range(m))
-    i = 0
-    while i < len(tableau):
+    # drive leftover artificials out of the basis; a row with no real
+    # entry left is redundant and keeps its artificial basic at zero
+    for i in range(m):
         if basis[i] >= nreal:
             col = next((j for j in range(nreal) if tableau[i][j] != 0), None)
-            if col is None:
-                del tableau[i]
-                del basis[i]
-                del keep[i]
-                continue
-            _pivot(tableau, basis, red, i, col)
-        i += 1
+            if col is not None:
+                _eliminate(tableau, i, col)
+                basis[i] = col
 
     # phase 2
-    _price_out(tableau, basis, cost2, red)
-    ok = _simplex_iterate(tableau, basis, red, range(nreal))
-    if not ok:
+    _price_out(tableau, basis, cost2)
+    if not _simplex_iterate(tableau, basis, range(nreal)):
         return LpResult(status="unbounded")
 
     values = [_ZERO] * nreal
@@ -532,22 +487,17 @@ def lp_solve(objective: LinearForm, constraints: HRep,
     argument = tuple(values[k] - values[d + k] for k in range(d))
     optimum_max = Fraction(_dot(obj, argument))
 
-    # dual multipliers: solve y . A_B = c_B on the kept rows, then undo
-    # the sign flips; dropped redundant rows get multiplier zero
-    mm = len(basis)
-    mat = [[base_rows[keep[i]][basis[j]] for i in range(mm)] for j in range(mm)]
-    rhsv = [cost2[basis[j]] for j in range(mm)]
-    y = _solve_square(mat, rhsv) if mm else []
-    dual = [_ZERO] * m
-    for i in range(mm):
-        dual[keep[i]] = signs[keep[i]] * y[i]
+    # the objective row's artificial columns hold y = c_B B^-1; undo the
+    # sign flips to get one multiplier per original constraint
+    dual = [signs[i] * tableau[-1][nreal + i] for i in range(m)]
 
     for k in range(d):
-        total = sum(dual[i] * forms[i].coeffs[k] for i in range(m))
-        assert total == obj[k], "dual stationarity failed"
-    assert sum(dual[i] * forms[i].rhs for i in range(m)) == optimum_max, \
-        "strong duality failed"
-    assert all(dual[i] <= 0 for i in range(n_ineq)), "dual sign failed"
+        if sum(dual[i] * forms[i].coeffs[k] for i in range(m)) != obj[k]:
+            raise RuntimeError("dual stationarity failed")
+    if sum(dual[i] * forms[i].rhs for i in range(m)) != optimum_max:
+        raise RuntimeError("strong duality failed")
+    if any(dual[i] > 0 for i in range(n_ineq)):
+        raise RuntimeError("dual sign failed")
 
     if sense == "max":
         return LpResult("optimal", optimum_max, argument, tuple(dual))
@@ -613,7 +563,9 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     ineqs.append(LinearForm((_ZERO,) * d + (Fraction(-1),), Fraction(-1)))
     objective = LinearForm((_ZERO,) * d + (_ONE,), _ZERO)
     res = lp_solve(objective, HRep(d + 1, tuple(ineqs), tuple(eqs)), "max")
-    assert res.status == "optimal", "face LP is feasible and bounded"
+    if res.status != "optimal":
+        raise RuntimeError("face LP came out %s; it is feasible and bounded "
+                           "by construction" % (res.status,))
 
     f = res.argument[:d]
     rhs = Fraction(_dot(f, s0))

@@ -9,7 +9,7 @@ from omegapoly.cli import main
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     for name in ("OMEGA_MAX_BRUTEFORCE", "OMEGA_MAX_HULL_DIM",
-                 "OMEGA_MAX_HULL_POINTS", "OMEGA_JOBS"):
+                 "OMEGA_MAX_HULL_POINTS"):
         monkeypatch.delenv(name, raising=False)
 
 
@@ -33,8 +33,8 @@ def test_vertices_full_and_reduced(capsys):
     assert lines[-1] == "2,2 0 0 0"
 
 
-def test_verify_passes_and_is_jobs_independent(capsys):
-    code, out1, err = run(capsys, "verify", "--n", "3", "--jobs", "1")
+def test_verify_passes_and_is_reproducible(capsys):
+    code, out1, err = run(capsys, "verify", "--n", "3")
     assert code == 0 and err == ""
     assert "overall: PASS" in out1
     for row in ("vertex equalities", "dimension", "independent family",
@@ -42,9 +42,9 @@ def test_verify_passes_and_is_jobs_independent(capsys):
         assert row in out1
     assert "FAIL" not in out1
 
-    code, out4, _ = run(capsys, "verify", "--n", "3", "--jobs", "4")
+    code, out2, _ = run(capsys, "verify", "--n", "3")
     assert code == 0
-    assert out4 == out1
+    assert out2 == out1
 
     # the case-analysis row only exists for three parts
     code, out, _ = run(capsys, "verify", "--n", "2")
@@ -211,12 +211,6 @@ def test_env_defaults_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("OMEGA_MAX_HULL_DIM", "banana")
     code, _, err = run(capsys, "hull", "--n", "2")
     assert code == 2 and "not an integer" in err
-
-
-def test_jobs_validation(capsys):
-    code, _, err = run(capsys, "verify", "--n", "2", "--jobs", "0")
-    assert code == 2
-    assert "jobs" in err
 
 
 def test_usage_errors(capsys):

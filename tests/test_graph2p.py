@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,23 @@ def test_dimacs_parse_errors():
         g2.cnf_from_dimacs("p dnf 2 1\n1 -2 0\n")
     with pytest.raises(ValueError):
         g2.cnf_from_dimacs("")
+
+
+def test_clique_check_survives_python_O():
+    # -O strips assert statements; the check after solving must still run
+    script = """
+import sys
+from omegapoly import graph2p as g2
+g = g2.without_edges(g2.complete_graph(2), [((1, 1), (2, 1))])
+g2.solve_2sat = lambda c: g2.Assignment((1, 1))
+try:
+    g2.find_clique(g)
+except RuntimeError as exc:
+    print(sys.flags.optimize, exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 2SAT answer 1,1 is not a clique\n"

@@ -190,14 +190,39 @@ def test_lp_statuses():
     assert res.status == "optimal" and res.optimum == 0
 
 
+def assert_dual_identities(res, objective, h, sense):
+    forms = h.inequalities + h.equalities
+    assert len(res.dual) == len(forms)
+    for k in range(h.dim):
+        assert sum(y * f.coeffs[k] for y, f in zip(res.dual, forms)) \
+            == objective.coeffs[k]
+    assert sum(y * f.rhs for y, f in zip(res.dual, forms)) == res.optimum
+    sign = -1 if sense == "max" else 1
+    assert all(sign * y >= 0 for y in res.dual[:len(h.inequalities)])
+
+
 def test_lp_with_equalities_and_redundancy():
-    h = ph.HRep(2, (ph.linear_form([1, 0], 0), ph.linear_form([0, 1], 0)),
+    nonneg = (ph.linear_form([1, 0], 0), ph.linear_form([0, 1], 0))
+    objective = ph.linear_form([1, -1], 0)
+    h = ph.HRep(2, nonneg,
                 (ph.linear_form([1, 1], 1), ph.linear_form([2, 2], 2)))
-    res = ph.lp_solve(ph.linear_form([1, -1], 0), h, "max")
-    assert res.status == "optimal"
-    assert res.optimum == 1
-    assert res.argument == (1, 0)
-    assert len(res.dual) == 4
+    for sense, optimum, argument in (("max", 1, (1, 0)), ("min", -1, (0, 1))):
+        res = ph.lp_solve(objective, h, sense)
+        assert res.status == "optimal"
+        assert res.optimum == optimum
+        assert res.argument == argument
+        assert_dual_identities(res, objective, h, sense)
+    # the redundant equality comes first: 4x + 2y = 2 is twice 2x = 0
+    # plus 2y = 2
+    h = ph.HRep(2, nonneg,
+                (ph.linear_form([4, 2], 2), ph.linear_form([2, 0], 0),
+                 ph.linear_form([0, 2], 2)))
+    for sense in ("max", "min"):
+        res = ph.lp_solve(objective, h, sense)
+        assert res.status == "optimal"
+        assert res.optimum == -1
+        assert res.argument == (0, 1)
+        assert_dual_identities(res, objective, h, sense)
     h = ph.HRep(2, (), (ph.linear_form([1, 1], 1), ph.linear_form([1, 1], 3)))
     assert ph.lp_solve(ph.linear_form([1, 0], 0), h).status == "infeasible"
 
@@ -268,6 +293,14 @@ def test_midpoint_of_a_segment_is_not_a_face():
     assert verdict.kind == "not_face"
     assert verdict.evaluations is not None
     assert len(verdict.evaluations) == 3
+
+
+def test_not_face_whose_lp_has_dependent_equalities():
+    # 13 of the 16 vertices of the 4-cube: the 12 subset equalities of the
+    # face LP are dependent, and the verdict must still come back
+    v = ph.regular_polytope("cube", 4)
+    subset = (0, 1, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15)
+    assert ph.is_face(v, subset).kind == "not_face"
 
 
 @pytest.mark.parametrize("kind,d", [("cube", 3), ("cube", 4),
