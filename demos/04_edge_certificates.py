@@ -38,7 +38,7 @@ for n in (2, 3, 4, 5):
         assert c.f_a == 1 and c.f_b == 1 and c.min_other >= 2
     print("n = %d: certified all %4d pairs" % (n, len(pairs)))
 
-# the geometric cross-check asks the LP face test instead
+# the geometric cross-check reads the facet incidence instead
 print("\n1-faces counted geometrically:",
       {n: edges_via_hull(n) for n in (2, 3)})
 

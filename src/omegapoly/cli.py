@@ -275,6 +275,14 @@ def _cmd_clique_solve(args) -> int:
     return 0
 
 
+def _json_fields(obj, *keys):
+    """The values of keys in a JSON object; ValueError names a missing one."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError('JSON input lacks "%s"' % (key,))
+    return [obj[key] for key in keys]
+
+
 def _cmd_convert(args) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -283,16 +291,18 @@ def _cmd_convert(args) -> int:
         obj = json.loads(text)
         kind = obj.get("kind")
         if kind == "V":
-            vrep = polyhedra.VRep(obj["dim"],
-                                  [[c for c in row] for row in obj["points"]])
+            dim, points = _json_fields(obj, "dim", "points")
+            vrep = polyhedra.VRep(dim, [[c for c in row] for row in points])
             sys.stdout.write(polyhedra.vrep_to_text(vrep))
         elif kind == "H":
-            ineqs = tuple(polyhedra.linear_form(e["coeffs"], e["rhs"])
-                          for e in obj["inequalities"])
-            eqs = tuple(polyhedra.linear_form(e["coeffs"], e["rhs"])
-                        for e in obj["equalities"])
+            dim, ineq_objs, eq_objs = _json_fields(
+                obj, "dim", "inequalities", "equalities")
+            ineqs = tuple(polyhedra.linear_form(*_json_fields(e, "coeffs", "rhs"))
+                          for e in ineq_objs)
+            eqs = tuple(polyhedra.linear_form(*_json_fields(e, "coeffs", "rhs"))
+                        for e in eq_objs)
             sys.stdout.write(polyhedra.hrep_to_text(
-                polyhedra.HRep(obj["dim"], ineqs, eqs)))
+                polyhedra.HRep(dim, ineqs, eqs)))
         else:
             raise ValueError('JSON needs "kind": "V" or "H"')
     elif stripped.startswith("V-representation"):

@@ -311,6 +311,9 @@ def graph_to_dict(g: Graph2P) -> dict:
 
 
 def graph_from_dict(obj: dict) -> Graph2P:
+    if not isinstance(obj, dict) or not {"n", "missing_edges"} <= obj.keys():
+        raise ValueError('graph JSON needs an object with "n" and '
+                         '"missing_edges"')
     n = obj["n"]
     if not isinstance(n, int):
         raise ValueError("n must be an integer")

@@ -132,21 +132,28 @@ def verify_certificate(c: EdgeCertificate,
 
 
 def edges_via_hull(n: int) -> int:
-    """Count vertex pairs that are 1-faces, by supporting-hyperplane LPs.
+    """Count vertex pairs that are 1-faces, from the facet incidence.
 
-    Independent of the certificate route: works on the reduced vertex
-    set and asks polyhedra.is_face about every pair.
+    Independent of the certificate route: converts the reduced vertex
+    set to facets and reads which vertices each facet is tight on.  The
+    smallest face holding two vertices is the intersection of the facets
+    holding both, so the pair is an edge iff that intersection holds no
+    third vertex.
     """
     if not 2 <= n <= 4:
         raise ValueError("geometric edge count is supported for n = 2..4")
     vrep = omega_core.reduced_vertex_vrep(n)
+    hrep = polyhedra.convex_hull_facets(vrep)
+    masks = polyhedra.tight_masks(hrep.inequalities, vrep)
+    everything = (1 << len(vrep.points)) - 1
     count = 0
     for i, j in itertools.combinations(range(len(vrep.points)), 2):
-        verdict = polyhedra.is_face(vrep, (i, j))
-        if verdict.kind in ("facet", "proper_face"):
-            if verdict.dimension != 1:
-                raise RuntimeError("pair %d, %d spans a face of dimension %s"
-                                   % (i, j, verdict.dimension))
+        pair = (1 << i) | (1 << j)
+        face = everything
+        for mask in masks:
+            if mask & pair == pair:
+                face &= mask
+        if face == pair:
             count += 1
     return count
 

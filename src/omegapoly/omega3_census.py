@@ -380,8 +380,11 @@ def facet_census(n: int, include_orbits: bool = True,
                  allow_large: bool = False) -> CensusReport:
     """Full facet description of the reduced polytope for small n.
 
-    n up to 4 is quick; n = 5 runs double description in dimension 15 and
-    must be requested explicitly via allow_large.
+    Facets come from double description, and which vertices each facet
+    holds is read off integer tight-set bitmasks (polyhedra.tight_masks).
+    n up to 4 takes milliseconds; n = 5 runs double description in
+    dimension 15, takes a few tenths of a second, and must be requested
+    explicitly via allow_large.
     """
     if n < 2:
         raise ValueError("census needs n >= 2")
@@ -402,11 +405,12 @@ def facet_census(n: int, include_orbits: bool = True,
 
     records = []
     incidence = [0] * len(assigns)
-    for form in hrep.inequalities:
+    for form, mask in zip(hrep.inequalities,
+                          polyhedra.tight_masks(hrep.inequalities, vrep)):
         tight = []
-        for k, p in enumerate(vrep.points):
-            if form.slack(p) == 0:
-                tight.append(assigns[k])
+        for k, a in enumerate(assigns):
+            if mask >> k & 1:
+                tight.append(a)
                 incidence[k] += 1
         records.append(FacetRecord(form, tuple(tight), len(tight)))
 

@@ -1,8 +1,9 @@
 """Exact rational polyhedral geometry.
 
-Everything here runs on fractions.Fraction; there is no floating point
-anywhere, so ranks, facet lists, optima and face verdicts are exact and
-reproducible bit for bit.
+Everything here is exact: values are fractions.Fraction, and the double
+description and incidence kernels scale them to plain integer vectors.
+There is no floating point anywhere, so ranks, facet lists, optima and
+face verdicts are exact and reproducible bit for bit.
 
 Contents: affine rank, vertex-to-facet conversion by double description,
 a two-phase primal simplex with dual extraction, supporting-hyperplane
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .guards import (DEFAULT_HULL_MAX_DIM, DEFAULT_HULL_MAX_POINTS,
@@ -157,19 +158,23 @@ def affine_rank(v: VRep) -> int:
     return matrix_rank(rows) if rows else 0
 
 
+def _clear_denominators(vec: Sequence) -> tuple[list[int], int]:
+    """Integers P and d > 0 with vec = P / d, for int or Fraction entries."""
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def _coprime(vec: Sequence[int]) -> tuple[int, ...]:
+    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
+    g = gcd(*vec)
+    if g > 1:
+        return tuple(x // g for x in vec)
+    return tuple(vec)
+
+
 def _primitive_ints(vec: Sequence) -> tuple[int, ...]:
     """Scale a rational vector by a positive rational to coprime integers."""
-    fracs = [Fraction(x) for x in vec]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    return _coprime(_clear_denominators(vec)[0])
 
 
 def _normalize_inequality(coeffs: Sequence, rhs) -> LinearForm:
@@ -230,12 +235,23 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]) -> list[tuple[int, ...
     Incremental double description.  Starts from the full space as
     lineality, eliminates one lineality vector per independent constraint,
     then splits rays with the usual positive/zero/negative step, keeping
-    only adjacent pairs (Fukuda-Prodon combinatorial test on tight sets).
-    The final cone must be pointed, which holds whenever the constraint
-    normals span Q^m; the caller guarantees that.
+    only adjacent pairs (Fukuda-Prodon, "Double description method
+    revisited", 1996).  The final cone must be pointed, which holds
+    whenever the constraint normals span Q^m; the caller guarantees that.
 
-    Rays and constraints are primitive integer vectors so every dot
-    product stays in plain int arithmetic.
+    Each ray carries the bitmask of processed constraints it is tight on,
+    and these masks are exact zero sets: lineality vectors stay orthogonal
+    to every processed constraint, so eliminating one changes no earlier
+    slack, and a ray made from a plus/minus pair is a positive combination
+    of two rays with nonnegative slacks, so it is tight exactly where both
+    are.  Two rays are adjacent iff their common zero set has rank
+    cone_dim - 2, where cone_dim = m - len(lineality).  Pairs with fewer
+    than cone_dim - 2 common zeros fail that at once and are skipped
+    before the combinatorial test, which scans every other ray for one
+    whose mask contains the common set.
+
+    Rays and constraints are primitive integer vectors, so every dot
+    product and combination stays in plain int arithmetic.
     """
     lineality: list[tuple[int, ...]] = [
         tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
@@ -254,16 +270,14 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]) -> list[tuple[int, ...
             for u in lineality:
                 du = _dot(a, u)
                 if du != 0:
-                    u = _primitive_ints(tuple(dv * ux - du * vx
-                                              for ux, vx in zip(u, v)))
+                    u = _coprime([dv * ux - du * vx for ux, vx in zip(u, v)])
                 new_lin.append(u)
             lineality = new_lin
             new_rays = []
             for r, mask in rays:
                 dr = _dot(a, r)
                 if dr != 0:
-                    r = _primitive_ints(tuple(dv * rx - dr * vx
-                                              for rx, vx in zip(r, v)))
+                    r = _coprime([dv * rx - dr * vx for rx, vx in zip(r, v)])
                 new_rays.append((r, mask | bit))
             # v itself was orthogonal to every earlier constraint, so it
             # is tight on all of them and strictly feasible on this one
@@ -287,9 +301,12 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]) -> list[tuple[int, ...
             continue
         survivors = [(r, mask) for (r, mask, _) in plus] + zero
         blockers = rays  # masks before this step, extra bits are harmless
+        need = m - len(lineality) - 2
         for rp, mp, tp in plus:
             for rn, mn, tn in minus:
                 common = mp & mn
+                if common.bit_count() < need:
+                    continue
                 adjacent = True
                 for ro, mo in blockers:
                     if ro is rp or ro is rn:
@@ -299,8 +316,7 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]) -> list[tuple[int, ...
                         break
                 if not adjacent:
                     continue
-                w = _primitive_ints(tuple(tp * nx - tn * px
-                                          for px, nx in zip(rp, rn)))
+                w = _coprime([tp * nx - tn * px for px, nx in zip(rp, rn)])
                 survivors.append((w, common | bit))
         rays = survivors
 
@@ -350,6 +366,29 @@ def convex_hull_facets(v: VRep,
         ineqs.append(_normalize_inequality(coeffs, rhs))
     ineqs.sort(key=_form_key)
     return HRep(v.dim, tuple(ineqs), equalities)
+
+
+def tight_masks(forms: Iterable[LinearForm], v: VRep) -> list[int]:
+    """For each form, the bitmask of the points of v it is tight on.
+
+    Bit k is set iff coeffs . points[k] == rhs.  Each form is scaled to
+    integers (c, rhs) and each point written as P / d with integer P, so
+    the test c . P == rhs * d is exact and runs on plain ints.
+    """
+    points = [_clear_denominators(p) for p in v.points]
+    masks = []
+    for f in forms:
+        if len(f.coeffs) != v.dim:
+            raise ValueError("form has dimension %d, points have %d"
+                             % (len(f.coeffs), v.dim))
+        ints, _ = _clear_denominators((*f.coeffs, f.rhs))
+        coeffs, rhs = ints[:-1], ints[-1]
+        mask = 0
+        for k, (p, d) in enumerate(points):
+            if _dot(coeffs, p) == rhs * d:
+                mask |= 1 << k
+        masks.append(mask)
+    return masks
 
 
 # --- linear programming --------------------------------------------------
@@ -642,7 +681,7 @@ def _parse_block(text: str, expected_header: str):
     i = 1
     while i < len(lines) and lines[i] != "begin":
         toks = lines[i].split()
-        if toks[0] == "linearity":
+        if toks[0] == "linearity" and len(toks) >= 2:
             count = int(toks[1])
             linearity = [int(t) for t in toks[2:]]
             if len(linearity) != count:
@@ -652,16 +691,27 @@ def _parse_block(text: str, expected_header: str):
         i += 1
     if i == len(lines):
         raise ValueError("missing begin")
-    header = lines[i + 1].split()
+    header = lines[i + 1].split() if i + 1 < len(lines) else []
+    if len(header) < 2:
+        raise ValueError("missing size line after begin")
     nrows, ncols = int(header[0]), int(header[1])
+    if nrows < 0 or ncols < 1:
+        raise ValueError("bad size %d x %d" % (nrows, ncols))
+    body = lines[i + 2:]
+    if len(body) <= nrows:
+        raise ValueError("block is cut short: %d rows and an end line "
+                         "expected after the size line" % (nrows,))
     rows = []
     for k in range(nrows):
-        toks = lines[i + 2 + k].split()
+        toks = body[k].split()
         if len(toks) != ncols:
             raise ValueError("row %d has %d entries, want %d"
                              % (k + 1, len(toks), ncols))
-        rows.append([Fraction(t) for t in toks])
-    if lines[i + 2 + nrows] != "end":
+        try:
+            rows.append([Fraction(t) for t in toks])
+        except ZeroDivisionError:
+            raise ValueError("row %d has a zero denominator" % (k + 1,))
+    if body[nrows] != "end":
         raise ValueError("missing end")
     return rows, ncols - 1, linearity
 

@@ -2,6 +2,7 @@
 throughout, every tolerance zero.  Each test ends with a single printed
 PASS line so a -s run reads as a checklist."""
 
+import hashlib
 import itertools
 import json
 import random
@@ -241,3 +242,22 @@ def test_verify_output_is_reproducible(capsys):
     assert out1 == out2
     assert "overall: PASS" in out1
     ok("determinism: verify --n 3 is byte-identical over two runs")
+
+
+# sha256 of the stdout of the two largest exact outputs; a change here is
+# a change to published results, not a refactoring
+PINNED_STDOUT = {
+    ("census", "--n", "5", "--allow-large", "--orbits"):
+        "1693ceeea5c976ae41a6d5e244f8b029aaaba113fcd04efbc8e25857bd13faa4",
+    ("hull", "--n", "5"):
+        "7848549040fe169f58e07bed4c635141d5362f5dc10088cc4e277e08d9e9174a",
+}
+
+
+def test_five_part_census_and_hull_are_byte_identical(capsys):
+    for argv, digest in PINNED_STDOUT.items():
+        assert cli.main(list(argv)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+    ok("pinned: census --n 5 --orbits (368 facets) and hull --n 5 stdout "
+       "match their sha256 digests")

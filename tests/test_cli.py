@@ -184,6 +184,36 @@ def test_convert_round_trip(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("command,text", [
+    pytest.param("convert", "V-representation\nbegin\n3 3 rational\n1 0 0\n",
+                 id="cdd-cut-after-first-row"),
+    pytest.param("convert", "V-representation\nbegin\n",
+                 id="cdd-no-size-line"),
+    pytest.param("convert", "H-representation\nlinearity\nbegin\n"
+                            "1 2 rational\n0 1\nend\n",
+                 id="cdd-bare-linearity"),
+    pytest.param("convert", "V-representation\nbegin\n1 2 rational\n"
+                            "1 1/0\nend\n",
+                 id="cdd-zero-denominator"),
+    pytest.param("convert", '{"kind": "V", "points": [[1, 0]]}',
+                 id="json-v-no-dim"),
+    pytest.param("convert", '{"kind": "H", "inequalities": [], '
+                            '"equalities": []}',
+                 id="json-h-no-dim"),
+    pytest.param("convert", '{"kind": "H", "dim": 1, "inequalities": '
+                            '[{"coeffs": [1]}], "equalities": []}',
+                 id="json-h-no-rhs"),
+    pytest.param("clique-solve", '{"n": 2}', id="graph-no-missing-edges"),
+])
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="ascii")
+    flag = "--graph" if command == "clique-solve" else "--input"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_guard_trips_name_their_override(capsys):
     code, _, err = run(capsys, "census", "--n", "5")
     assert code == 2

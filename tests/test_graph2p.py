@@ -204,8 +204,10 @@ def test_graph_json_round_trip():
     obj = g2.graph_to_dict(g)
     assert obj["n"] == 3
     assert [[1, 1], [2, 1]] in obj["missing_edges"]
-    with pytest.raises(ValueError):
-        g2.graph_from_dict({"n": "3", "missing_edges": []})
+    for bad in ({"n": "3", "missing_edges": []}, {"n": 2},
+                {"missing_edges": []}, [2, []]):
+        with pytest.raises(ValueError):
+            g2.graph_from_dict(bad)
 
 
 def test_dimacs_round_trip():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from omegapoly import neighborly as nb
+from omegapoly import polyhedra
 from omegapoly.graph2p import Assignment, VertexRef
 from omegapoly.guards import ScaleGuardError
 
@@ -96,6 +97,16 @@ def test_geometric_edge_count_two_parts():
     assert nb.edges_via_hull(2) == 6
     with pytest.raises(ValueError):
         nb.edges_via_hull(5)
+
+
+@pytest.mark.parametrize("kind,d,edges", [("cube", 3, 12), ("cross", 3, 12),
+                                          ("cube", 4, 32), ("cross", 4, 24)])
+def test_geometric_edge_count_finds_non_edges(monkeypatch, kind, d, edges):
+    # the reduced polytopes are 2-neighborly, so use fixtures whose
+    # diagonals are not edges to see the incidence test say no
+    v = polyhedra.regular_polytope(kind, d)
+    monkeypatch.setattr(nb.omega_core, "reduced_vertex_vrep", lambda n: v)
+    assert nb.edges_via_hull(3) == edges
 
 
 def test_certificate_json_round_trip():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegapoly import polyhedra as ph
 from omegapoly.guards import ScaleGuardError
@@ -143,6 +144,109 @@ def test_hull_inequalities_are_canonical_integers():
         assert g == 1
     keys = [(f.coeffs, f.rhs) for f in h.inequalities]
     assert keys == sorted(keys)
+
+
+def _null_space(rows, ncols):
+    """Basis of {x : row . x = 0 for every row}, by its own elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            x = [Fraction(0)] * ncols
+            x[fc] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                x[pc] = -mat[r][fc]
+            basis.append(x)
+    return basis
+
+
+def _brute_force_facets(points):
+    """Tight sets of the facets of conv(points): try the hyperplane through
+    every k-subset, k the affine dimension, and keep the one-sided ones
+    whose tight set has affine dimension k - 1."""
+    d = len(points[0])
+    k = ph.affine_rank(ph.VRep(d, points))
+    if k == 0:
+        return set()
+    facets = set()
+    for sub in itertools.combinations(range(len(points)), k):
+        rows = [list(points[i]) + [-1] for i in sub]
+        for form in _null_space(rows, d + 1):
+            vals = [sum(c * x for c, x in zip(form, p)) - form[-1]
+                    for p in points]
+            if all(v == 0 for v in vals):
+                continue  # an equality of the affine hull
+            if all(v >= 0 for v in vals) or all(v <= 0 for v in vals):
+                tight = [i for i, v in enumerate(vals) if v == 0]
+                if ph.affine_rank(ph.VRep(d, [points[i] for i in tight])) == k - 1:
+                    facets.add(frozenset(tight))
+            break  # the forms through sub agree up to scale off the hull
+    return facets
+
+
+@st.composite
+def _affine_point_sets(draw):
+    """1 to 9 distinct integer points in Q^d, d = 2..4, drawn from an affine
+    subspace of dimension r <= d, so that many sets are flat."""
+    d = draw(st.integers(2, 4))
+    r = draw(st.integers(1, d))
+    coord = st.integers(-2, 2)
+    base = draw(st.lists(coord, min_size=d, max_size=d))
+    dirs = draw(st.lists(st.lists(coord, min_size=d, max_size=d),
+                         min_size=r, max_size=r))
+    mults = draw(st.lists(st.lists(coord, min_size=r, max_size=r),
+                          min_size=1, max_size=8))
+    if len(mults) >= 2 and draw(st.booleans()):
+        # a third point on the line of the first two, beyond the second:
+        # double description then splits rays while lineality is left
+        mults.insert(2, [2 * b - a for a, b in zip(mults[0], mults[1])])
+    points = [tuple(base[j] + sum(m[t] * dirs[t][j] for t in range(r))
+                    for j in range(d)) for m in mults]
+    return d, list(dict.fromkeys(points))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_affine_point_sets())
+def test_hull_matches_brute_force_facets(case):
+    d, points = case
+    v = ph.VRep(d, points)
+    h = ph.convex_hull_facets(v)
+    k = ph.affine_rank(v)
+    assert len(h.equalities) == d - k
+    for p in v.points:
+        assert h.holds(p)
+    tight_sets = [frozenset(i for i, p in enumerate(v.points)
+                            if f.slack(p) == 0) for f in h.inequalities]
+    assert len(set(tight_sets)) == len(tight_sets)
+    assert set(tight_sets) == _brute_force_facets(v.points)
+
+
+def test_tight_masks_match_slack_on_rational_input():
+    pts = [(0, 0), (frac(1, 2), 0), (0, frac(1, 3)), (frac(1, 4), frac(1, 6))]
+    v = ph.VRep(2, pts)
+    forms = list(ph.convex_hull_facets(v).inequalities)
+    forms.append(ph.linear_form((frac(2, 3), 1), frac(1, 3)))
+    masks = ph.tight_masks(forms, v)
+    for form, mask in zip(forms, masks):
+        assert mask == sum(1 << k for k, p in enumerate(v.points)
+                           if form.slack(p) == 0)
+    # the hypotenuse holds the two far corners and the midpoint
+    assert masks[-1] == 0b1110
+    with pytest.raises(ValueError):
+        ph.tight_masks([ph.linear_form((1, 0, 0), 0)], v)
 
 
 def test_hull_scale_guards():
