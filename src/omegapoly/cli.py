@@ -12,6 +12,9 @@ guards.  All numeric output is exact rational text; no floats anywhere.
 Guards can be raised per invocation with --max-bruteforce,
 --max-hull-dim and --max-hull-points or the matching environment
 variables OMEGA_MAX_BRUTEFORCE, OMEGA_MAX_HULL_DIM, OMEGA_MAX_HULL_POINTS.
+A subcommand accepts only the guards it reads: hull all three; vertices,
+verify, edge-cert and clique-solve only --max-bruteforce; census,
+face-test and convert none.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import itertools
 import json
 import os
 import sys
+from fractions import Fraction
 
 from . import graph2p, neighborly, omega3_census, omega_core, polyhedra
 from .graph2p import assignment_from_text
@@ -34,28 +38,32 @@ _GUARD_HINTS = {
     "census": "--allow-large",
 }
 
-_ENV_DEFAULTS = (
-    ("max_bruteforce", "OMEGA_MAX_BRUTEFORCE", DEFAULT_BRUTEFORCE_BOUND),
-    ("max_hull_dim", "OMEGA_MAX_HULL_DIM", DEFAULT_HULL_MAX_DIM),
-    ("max_hull_points", "OMEGA_MAX_HULL_POINTS", DEFAULT_HULL_MAX_POINTS),
-)
+# attribute -> (environment variable, default, what it bounds)
+_GUARDS = {
+    "max_bruteforce": ("OMEGA_MAX_BRUTEFORCE", DEFAULT_BRUTEFORCE_BOUND,
+                       "the brute-force part bound"),
+    "max_hull_dim": ("OMEGA_MAX_HULL_DIM", DEFAULT_HULL_MAX_DIM,
+                     "the hull dimension bound"),
+    "max_hull_points": ("OMEGA_MAX_HULL_POINTS", DEFAULT_HULL_MAX_POINTS,
+                        "the hull point-count bound"),
+}
 
 
-def _add_common(sub):
-    sub.add_argument("--max-bruteforce", type=int, default=None,
-                     help="override the brute-force part bound "
-                          "(default %d)" % DEFAULT_BRUTEFORCE_BOUND)
-    sub.add_argument("--max-hull-dim", type=int, default=None,
-                     help="override the hull dimension bound "
-                          "(default %d)" % DEFAULT_HULL_MAX_DIM)
-    sub.add_argument("--max-hull-points", type=int, default=None,
-                     help="override the hull point-count bound "
-                          "(default %d)" % DEFAULT_HULL_MAX_POINTS)
+def _add_guards(sub, *attrs):
+    """Give sub a --max-... flag for each guard it reads, and only those."""
+    for attr in attrs:
+        _, default, what = _GUARDS[attr]
+        sub.add_argument("--" + attr.replace("_", "-"), type=int,
+                         default=None,
+                         help="override %s (default %d)" % (what, default))
+    sub.set_defaults(guards=attrs)
 
 
 def _settle_guards(args):
-    for attr, env, default in _ENV_DEFAULTS:
-        val = getattr(args, attr, None)
+    """Resolve each guard the subcommand reads: flag, then environment."""
+    for attr in getattr(args, "guards", ()):
+        env, default, _ = _GUARDS[attr]
+        val = getattr(args, attr)
         if val is None:
             raw = os.environ.get(env)
             if raw is None:
@@ -81,18 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reduced", action="store_true",
                    help="print the n(n+1)/2 reduced coordinates instead of "
                         "the full 4n^2")
-    _add_common(s)
+    _add_guards(s, "max_bruteforce")
     s.set_defaults(func=_cmd_vertices)
 
     s = subs.add_parser("verify", help="run the bundled checks for one n")
     s.add_argument("--n", type=int, required=True)
-    _add_common(s)
+    _add_guards(s, "max_bruteforce")
     s.set_defaults(func=_cmd_verify)
 
     s = subs.add_parser("hull", help="facets of the reduced polytope as "
                                      "H-representation text")
     s.add_argument("--n", type=int, required=True)
-    _add_common(s)
+    _add_guards(s, "max_bruteforce", "max_hull_dim", "max_hull_points")
     s.set_defaults(func=_cmd_hull)
 
     s = subs.add_parser("census", help="facet census as JSON")
@@ -101,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include facet orbits under the symmetry group")
     s.add_argument("--allow-large", action="store_true",
                    help="permit the n = 5 census")
-    _add_common(s)
     s.set_defaults(func=_cmd_census)
 
     s = subs.add_parser("edge-cert",
@@ -109,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--a", required=True, help='assignment like "1,2,1"')
     s.add_argument("--b", required=True, help='assignment like "2,1,1"')
-    _add_common(s)
+    _add_guards(s, "max_bruteforce")
     s.set_defaults(func=_cmd_edge_cert)
 
     s = subs.add_parser("face-test",
@@ -117,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--exclude", nargs=2, required=True,
                    metavar=("A", "B"), help="the two excluded assignments")
-    _add_common(s)
     s.set_defaults(func=_cmd_face_test)
 
     s = subs.add_parser("clique-solve", help="find or list cliques of a "
@@ -125,13 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph", required=True, help="path to graph JSON")
     s.add_argument("--enumerate", action="store_true",
                    help="list every clique instead of finding one")
-    _add_common(s)
+    _add_guards(s, "max_bruteforce")
     s.set_defaults(func=_cmd_clique_solve)
 
     s = subs.add_parser("convert", help="convert cdd-style text to JSON "
                                         "and back")
     s.add_argument("--input", required=True, help="path to the file")
-    _add_common(s)
     s.set_defaults(func=_cmd_convert)
 
     return parser
@@ -283,6 +288,40 @@ def _json_fields(obj, *keys):
     return [obj[key] for key in keys]
 
 
+def _json_dim(obj) -> int:
+    (dim,) = _json_fields(obj, "dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValueError('"dim" must be a positive integer')
+    return dim
+
+
+def _json_list(obj, key) -> list:
+    (rows,) = _json_fields(obj, key)
+    if not isinstance(rows, list):
+        raise ValueError('"%s" must be a list' % (key,))
+    return rows
+
+
+def _json_number(x, what: str) -> Fraction:
+    """An exact number from JSON: an int, a float or a fraction string."""
+    try:
+        return Fraction(x)
+    except (TypeError, OverflowError):
+        raise ValueError("%s holds %s, not a number" % (what, json.dumps(x)))
+
+
+def _json_vector(row, dim: int, what: str) -> list[Fraction]:
+    if not isinstance(row, list) or len(row) != dim:
+        raise ValueError("%s must be a list of %d numbers" % (what, dim))
+    return [_json_number(x, what) for x in row]
+
+
+def _json_form(obj, dim: int) -> polyhedra.LinearForm:
+    coeffs, rhs = _json_fields(obj, "coeffs", "rhs")
+    return polyhedra.linear_form(_json_vector(coeffs, dim, '"coeffs"'),
+                                 _json_number(rhs, '"rhs"'))
+
+
 def _cmd_convert(args) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
         text = fh.read()
@@ -291,16 +330,17 @@ def _cmd_convert(args) -> int:
         obj = json.loads(text)
         kind = obj.get("kind")
         if kind == "V":
-            dim, points = _json_fields(obj, "dim", "points")
-            vrep = polyhedra.VRep(dim, [[c for c in row] for row in points])
-            sys.stdout.write(polyhedra.vrep_to_text(vrep))
+            dim = _json_dim(obj)
+            points = [_json_vector(row, dim, "a point")
+                      for row in _json_list(obj, "points")]
+            sys.stdout.write(polyhedra.vrep_to_text(
+                polyhedra.VRep(dim, points)))
         elif kind == "H":
-            dim, ineq_objs, eq_objs = _json_fields(
-                obj, "dim", "inequalities", "equalities")
-            ineqs = tuple(polyhedra.linear_form(*_json_fields(e, "coeffs", "rhs"))
-                          for e in ineq_objs)
-            eqs = tuple(polyhedra.linear_form(*_json_fields(e, "coeffs", "rhs"))
-                        for e in eq_objs)
+            dim = _json_dim(obj)
+            ineqs = tuple(_json_form(e, dim)
+                          for e in _json_list(obj, "inequalities"))
+            eqs = tuple(_json_form(e, dim)
+                        for e in _json_list(obj, "equalities"))
             sys.stdout.write(polyhedra.hrep_to_text(
                 polyhedra.HRep(dim, ineqs, eqs)))
         else:

@@ -13,6 +13,11 @@ rho(i) = p and rho(j) = q, which is the two-literal clause
     (not x_i if p = 1 else x_i)  or  (not x_j if q = 1 else x_j)
 
 so models of the 2CNF are precisely the cliques.
+
+A Graph2P is stored as its complement, the set of missing cross-part
+edges.  That is what the 2CNF, the DIMACS text and the graph JSON all
+list, so parsing a graph and solving it never builds the 4 * C(n, 2)
+present edges; only the edges property does, on request.
 """
 
 from __future__ import annotations
@@ -83,64 +88,82 @@ def _canonical_edge(u, v, n: int) -> Edge:
     return (u, v) if u.part < v.part else (v, u)
 
 
-class Graph2P:
-    """Immutable n-partite graph, two vertices per part, cross-part edges only."""
+def _cross_pairs(n: int):
+    """Every cross-part vertex pair, canonical, in (i, j, p, q) order."""
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        for p in (1, 2):
+            for q in (1, 2):
+                yield (VertexRef(i, p), VertexRef(j, q))
 
-    def __init__(self, n: int, edges: Iterable = ()):
+
+def _pair_order(e: Edge) -> tuple[int, int, int, int]:
+    """Sort key giving the (i, j, p, q) order of _cross_pairs."""
+    u, v = e
+    return (u.part, v.part, u.pos, v.pos)
+
+
+class Graph2P:
+    """Immutable n-partite graph, two vertices per part, cross-part edges only.
+
+    The graph is stored as its complement: missing is the frozenset of
+    canonical cross-part pairs that are not edges.  Every consumer reads
+    the missing edges (one 2SAT clause each, one row of the graph JSON),
+    and the graphs of interest are dense, so the complement is the small
+    side.  The constructor is keyword-only so that nobody can pass the
+    present edges where the missing ones are meant.
+    """
+
+    def __init__(self, n: int, *, missing: Iterable = ()):
         if n < 1:
             raise ValueError("need at least one part")
         self.n = n
-        self.edges = frozenset(_canonical_edge(u, v, n) for (u, v) in edges)
+        self.missing = frozenset(_canonical_edge(u, v, n) for (u, v) in missing)
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        """The present edges, rebuilt from missing on every access."""
+        return frozenset(e for e in _cross_pairs(self.n)
+                         if e not in self.missing)
 
     def __eq__(self, other):
         return (isinstance(other, Graph2P)
-                and self.n == other.n and self.edges == other.edges)
+                and self.n == other.n and self.missing == other.missing)
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash((self.n, self.missing))
 
     def __repr__(self):
-        return "Graph2P(n=%d, edges=%d)" % (self.n, len(self.edges))
+        present = 2 * self.n * (self.n - 1) - len(self.missing)
+        return "Graph2P(n=%d, edges=%d)" % (self.n, present)
 
     def has_edge(self, u, v) -> bool:
-        return _canonical_edge(u, v, self.n) in self.edges
+        return _canonical_edge(u, v, self.n) not in self.missing
 
     def missing_edges(self) -> list[Edge]:
-        """Cross-part vertex pairs that are not edges, in sorted order."""
-        out = []
-        for i, j in itertools.combinations(range(1, self.n + 1), 2):
-            for p in (1, 2):
-                for q in (1, 2):
-                    e = (VertexRef(i, p), VertexRef(j, q))
-                    if e not in self.edges:
-                        out.append(e)
-        return out
+        """Cross-part vertex pairs that are not edges, in (i, j, p, q) order."""
+        return sorted(self.missing, key=_pair_order)
 
 
 def complete_graph(n: int) -> Graph2P:
     """All 4 * C(n, 2) cross-part edges present."""
-    edges = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        for p in (1, 2):
-            for q in (1, 2):
-                edges.append((VertexRef(i, p), VertexRef(j, q)))
-    return Graph2P(n, edges)
+    return Graph2P(n)
 
 
 def without_edges(g: Graph2P, missing: Iterable) -> Graph2P:
     """Copy of g with the given edges removed."""
-    gone = {_canonical_edge(u, v, g.n) for (u, v) in missing}
-    return Graph2P(g.n, g.edges - gone)
+    return Graph2P(g.n, missing=itertools.chain(g.missing, missing))
 
 
 def is_clique(g: Graph2P, a: Assignment) -> bool:
-    """Does picking vertex (k, a.rho(k)) from every part induce a clique?"""
+    """Does picking vertex (k, a.rho(k)) from every part induce a clique?
+
+    It does unless some missing edge joins two picked vertices.
+    """
     if a.n != g.n:
         raise ValueError("assignment has %d parts, graph has %d" % (a.n, g.n))
-    for i, j in itertools.combinations(range(1, g.n + 1), 2):
-        if (VertexRef(i, a.rho(i)), VertexRef(j, a.rho(j))) not in g.edges:
-            return False
-    return True
+    rho = a.choice
+    return not any(rho[u.part - 1] == u.pos and rho[v.part - 1] == v.pos
+                   for (u, v) in g.missing)
 
 
 def enumerate_cliques(g: Graph2P,
@@ -315,10 +338,24 @@ def graph_from_dict(obj: dict) -> Graph2P:
         raise ValueError('graph JSON needs an object with "n" and '
                          '"missing_edges"')
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise ValueError("n must be an integer")
-    missing = [((u[0], u[1]), (v[0], v[1])) for (u, v) in obj["missing_edges"]]
-    return without_edges(complete_graph(n), missing)
+    rows = obj["missing_edges"]
+    if not isinstance(rows, list) or not all(_is_edge_row(r) for r in rows):
+        raise ValueError('"missing_edges" must be a list of '
+                         '[[part, pos], [part, pos]] integer pairs')
+    return Graph2P(n, missing=rows)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_edge_row(row) -> bool:
+    """Is row a [[part, pos], [part, pos]] with integer entries?"""
+    return (isinstance(row, (list, tuple)) and len(row) == 2
+            and all(isinstance(w, (list, tuple)) and len(w) == 2
+                    and all(_is_int(x) for x in w) for w in row))
 
 
 def graph_to_json(g: Graph2P) -> str:

@@ -239,19 +239,6 @@ def _fold_to_upper(f: LinearForm, n: int) -> LinearForm:
     return LinearForm(tuple(coeffs), f.rhs)
 
 
-def _case_form(a: Assignment, b: Assignment, expected_kind: str,
-               rep_form: LinearForm, rep_b: Assignment) -> LinearForm:
-    cls = classify_pair(a, b)
-    if cls.kind != expected_kind:
-        raise ValueError("pair %s, %s is %s, not %s"
-                         % (a, b, cls.kind, expected_kind))
-    g = _transport(a, b, cls)
-    if apply_to_assignment(g, rep_b) != b:
-        raise RuntimeError("transport does not carry the representative onto %s"
-                           % (b,))
-    return _fold_to_upper(apply_to_form(g, rep_form), 3)
-
-
 def _pair_evaluations(form: LinearForm, a: Assignment, b: Assignment):
     """Form values at the excluded two and at the six remaining vertices."""
     excluded = []
@@ -273,49 +260,6 @@ def _six_face_verdict(a: Assignment, b: Assignment) -> FaceVerdict:
     return polyhedra.is_face(vrep, subset)
 
 
-def case_disjoint_form(a: Assignment, b: Assignment) -> LinearForm:
-    """Facet equation missing a fully disjoint pair: the six edge
-    coordinates internal to either clique sum to 1 on the other six
-    vertices and to 3 on each of the excluded two."""
-    form = _case_form(a, b, "disjoint", _rep_disjoint_form(), _REP_B_DISJOINT)
-    excluded, others = _pair_evaluations(form, a, b)
-    if sorted(excluded) != [3, 3] or any(v != 1 for v in others):
-        raise RuntimeError("disjoint form failed evaluation for %s, %s" % (a, b))
-    verdict = _six_face_verdict(a, b)
-    if verdict.kind != "facet":
-        raise RuntimeError("six vertices opposite %s, %s are not a facet" % (a, b))
-    return form
-
-
-def case_shared_edge_form(a: Assignment, b: Assignment) -> LinearForm:
-    """Single edge coordinate that vanishes on exactly the other six
-    vertices when the pair agrees on two parts."""
-    form = _case_form(a, b, "shared_edge", _rep_shared_edge_form(),
-                      _REP_B_SHARED_EDGE)
-    excluded, others = _pair_evaluations(form, a, b)
-    if sorted(excluded) != [1, 1] or any(v != 0 for v in others):
-        raise RuntimeError("shared-edge form failed evaluation for %s, %s"
-                           % (a, b))
-    return form
-
-
-def case_shared_vertex_witness(a: Assignment, b: Assignment) -> LinearForm:
-    """Witness that the six vertices opposite a one-part-agreeing pair are
-    no face: the form holds the six at 1 while the excluded pair lands on
-    0 and 2, one on each side."""
-    form = _case_form(a, b, "shared_vertex", _rep_shared_vertex_witness(),
-                      _REP_B_SHARED_VERTEX)
-    excluded, others = _pair_evaluations(form, a, b)
-    if sorted(excluded) != [0, 2] or any(v != 1 for v in others):
-        raise RuntimeError("shared-vertex witness failed evaluation for %s, %s"
-                           % (a, b))
-    verdict = _six_face_verdict(a, b)
-    if verdict.kind != "not_face":
-        raise RuntimeError("six vertices opposite %s, %s unexpectedly form "
-                           "a face" % (a, b))
-    return form
-
-
 @dataclass(frozen=True)
 class CaseReport:
     """Everything the case analysis produces for one vertex pair."""
@@ -327,18 +271,68 @@ class CaseReport:
     other_values: tuple[Fraction, ...]
 
 
+# kind -> (representative form, representative b, name in messages,
+#          values at the excluded pair, value at the other six, verdict)
+_CASES = {
+    "disjoint": (_rep_disjoint_form, _REP_B_DISJOINT, "disjoint form",
+                 [3, 3], 1, "facet"),
+    "shared_edge": (_rep_shared_edge_form, _REP_B_SHARED_EDGE,
+                    "shared-edge form", [1, 1], 0, "facet"),
+    "shared_vertex": (_rep_shared_vertex_witness, _REP_B_SHARED_VERTEX,
+                      "shared-vertex witness", [0, 2], 1, "not_face"),
+}
+
+
+def _run_case(a: Assignment, b: Assignment, kind: str) -> CaseReport:
+    """Transport the class representative onto (a, b) and check it.
+
+    The form's values on all eight vertices and the face LP on the six
+    others are computed once each and checked against the case claims.
+    """
+    rep_form, rep_b, name, want_excluded, want_other, want_verdict = \
+        _CASES[kind]
+    cls = classify_pair(a, b)
+    if cls.kind != kind:
+        raise ValueError("pair %s, %s is %s, not %s" % (a, b, cls.kind, kind))
+    g = _transport(a, b, cls)
+    if apply_to_assignment(g, rep_b) != b:
+        raise RuntimeError("transport does not carry the representative onto %s"
+                           % (b,))
+    form = _fold_to_upper(apply_to_form(g, rep_form()), 3)
+    excluded, others = _pair_evaluations(form, a, b)
+    if sorted(excluded) != want_excluded or any(v != want_other
+                                                for v in others):
+        raise RuntimeError("%s failed evaluation for %s, %s" % (name, a, b))
+    verdict = _six_face_verdict(a, b)
+    if verdict.kind != want_verdict:
+        raise RuntimeError("six vertices opposite %s, %s: %s, expected %s"
+                           % (a, b, verdict.kind, want_verdict))
+    return CaseReport(cls, form, verdict, tuple(excluded), tuple(others))
+
+
+def case_disjoint_form(a: Assignment, b: Assignment) -> LinearForm:
+    """Facet equation missing a fully disjoint pair: the six edge
+    coordinates internal to either clique sum to 1 on the other six
+    vertices and to 3 on each of the excluded two."""
+    return _run_case(a, b, "disjoint").form
+
+
+def case_shared_edge_form(a: Assignment, b: Assignment) -> LinearForm:
+    """Single edge coordinate that vanishes on exactly the other six
+    vertices when the pair agrees on two parts; those six are a facet."""
+    return _run_case(a, b, "shared_edge").form
+
+
+def case_shared_vertex_witness(a: Assignment, b: Assignment) -> LinearForm:
+    """Witness that the six vertices opposite a one-part-agreeing pair are
+    no face: the form holds the six at 1 while the excluded pair lands on
+    0 and 2, one on each side."""
+    return _run_case(a, b, "shared_vertex").form
+
+
 def analyze_pair(a: Assignment, b: Assignment) -> CaseReport:
     """Run the right case for the pair and bundle form, verdict, values."""
-    cls = classify_pair(a, b)
-    if cls.kind == "disjoint":
-        form = case_disjoint_form(a, b)
-    elif cls.kind == "shared_edge":
-        form = case_shared_edge_form(a, b)
-    else:
-        form = case_shared_vertex_witness(a, b)
-    excluded, others = _pair_evaluations(form, a, b)
-    verdict = _six_face_verdict(a, b)
-    return CaseReport(cls, form, verdict, tuple(excluded), tuple(others))
+    return _run_case(a, b, classify_pair(a, b).kind)
 
 
 # --- facet census ------------------------------------------------------------

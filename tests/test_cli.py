@@ -3,7 +3,7 @@ import json
 import pytest
 
 from omegapoly import graph2p, neighborly, polyhedra
-from omegapoly.cli import main
+from omegapoly.cli import build_parser, main
 
 
 @pytest.fixture(autouse=True)
@@ -203,7 +203,37 @@ def test_convert_round_trip(tmp_path, capsys):
     pytest.param("convert", '{"kind": "H", "dim": 1, "inequalities": '
                             '[{"coeffs": [1]}], "equalities": []}',
                  id="json-h-no-rhs"),
+    pytest.param("convert", '{"kind": "V", "dim": "2", "points": [[1, 0]]}',
+                 id="json-v-string-dim"),
+    pytest.param("convert", '{"kind": "V", "dim": 2, "points": [5]}',
+                 id="json-v-scalar-point"),
+    pytest.param("convert", '{"kind": "V", "dim": 2, "points": 5}',
+                 id="json-v-scalar-points"),
+    pytest.param("convert", '{"kind": "V", "dim": 2, "points": [[1, null]]}',
+                 id="json-v-null-coordinate"),
+    pytest.param("convert", '{"kind": "H", "dim": "2", "inequalities": [], '
+                            '"equalities": []}',
+                 id="json-h-string-dim"),
+    pytest.param("convert", '{"kind": "H", "dim": 2, "inequalities": '
+                            '[{"coeffs": 5, "rhs": 0}], "equalities": []}',
+                 id="json-h-scalar-coeffs"),
+    pytest.param("convert", '{"kind": "H", "dim": 2, "inequalities": '
+                            '[{"coeffs": [1, 0], "rhs": [0]}], '
+                            '"equalities": []}',
+                 id="json-h-list-rhs"),
+    pytest.param("convert", '{"kind": "H", "dim": 2, "inequalities": 5, '
+                            '"equalities": []}',
+                 id="json-h-scalar-inequalities"),
     pytest.param("clique-solve", '{"n": 2}', id="graph-no-missing-edges"),
+    pytest.param("clique-solve", '{"n": 2, "missing_edges": [[1, 2]]}',
+                 id="graph-edge-of-ints"),
+    pytest.param("clique-solve", '{"n": 2, "missing_edges": [[[1, 1], [2]]]}',
+                 id="graph-short-vertex"),
+    pytest.param("clique-solve", '{"n": 2, "missing_edges": 5}',
+                 id="graph-scalar-missing-edges"),
+    pytest.param("clique-solve",
+                 '{"n": 2, "missing_edges": [[[1, 1], [2, "1"]]]}',
+                 id="graph-string-pos"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
     path = tmp_path / "input"
@@ -227,6 +257,33 @@ def test_guard_trips_name_their_override(capsys):
     code, _, err = run(capsys, "hull", "--n", "2", "--max-hull-dim", "2")
     assert code == 2
     assert "--max-hull-dim" in err
+
+
+def test_each_subcommand_takes_only_the_guards_it_reads(capsys,
+                                                        monkeypatch):
+    code, _, err = run(capsys, "census", "--n", "3", "--max-hull-dim", "3")
+    assert code == 2 and "--max-hull-dim" in err
+    code, _, _ = run(capsys, "clique-solve", "--graph", "g.json",
+                     "--max-hull-points", "9")
+    assert code == 2
+    # census reads no guard, so a bad guard variable cannot break it
+    monkeypatch.setenv("OMEGA_MAX_HULL_DIM", "x")
+    code, out, _ = run(capsys, "census", "--n", "3")
+    assert code == 0 and json.loads(out)["facet_count"] == 16
+    flags = {name: sorted(a.dest for a in sub._actions
+                          if a.dest.startswith("max_"))
+             for name, sub in _subcommands().items()}
+    assert flags == {
+        "vertices": ["max_bruteforce"], "verify": ["max_bruteforce"],
+        "hull": ["max_bruteforce", "max_hull_dim", "max_hull_points"],
+        "census": [], "edge-cert": ["max_bruteforce"], "face-test": [],
+        "clique-solve": ["max_bruteforce"], "convert": []}
+
+
+def _subcommands():
+    parser = build_parser()
+    (action,) = [a for a in parser._actions if a.dest == "command"]
+    return action.choices
 
 
 def test_env_defaults_and_flag_precedence(capsys, monkeypatch):

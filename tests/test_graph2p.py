@@ -1,4 +1,8 @@
+import contextlib
+import hashlib
+import io
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -8,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from omegapoly import graph2p as g2
+from omegapoly.cli import main
 from omegapoly.guards import ScaleGuardError
 
 
@@ -45,6 +50,29 @@ def test_complete_graph_shape():
         g2.Assignment((1,)), g2.Assignment((2,))]
     with pytest.raises(ValueError):
         g2.Graph2P(0)
+
+
+def test_edges_and_missing_edges_partition_the_cross_pairs():
+    g = g2.without_edges(g2.complete_graph(4), [
+        ((1, 1), (2, 1)), ((3, 2), (1, 2)), ((4, 1), (3, 1))])
+    cross = [(g2.VertexRef(i, p), g2.VertexRef(j, q))
+             for i, j in itertools.combinations(range(1, 5), 2)
+             for p in (1, 2) for q in (1, 2)]
+    missing = g.missing_edges()
+    assert missing == [e for e in cross if e in g.missing]
+    assert g.edges.isdisjoint(missing)
+    assert g.edges | set(missing) == set(cross)
+    assert [e for e in cross if not g.has_edge(*e)] == missing
+    assert repr(g) == "Graph2P(n=4, edges=21)"
+
+
+def test_graph_is_built_from_its_missing_edges_only():
+    g = g2.Graph2P(3, missing=[((2, 1), (1, 1))])
+    assert g.missing == {(g2.VertexRef(1, 1), g2.VertexRef(2, 1))}
+    assert g == g2.without_edges(g2.complete_graph(3), [((1, 1), (2, 1))])
+    # a positional edge list is refused instead of being read as missing
+    with pytest.raises(TypeError):
+        g2.Graph2P(3, [((1, 1), (2, 1))])
 
 
 def test_edge_validation():
@@ -205,7 +233,11 @@ def test_graph_json_round_trip():
     assert obj["n"] == 3
     assert [[1, 1], [2, 1]] in obj["missing_edges"]
     for bad in ({"n": "3", "missing_edges": []}, {"n": 2},
-                {"missing_edges": []}, [2, []]):
+                {"missing_edges": []}, [2, []],
+                {"n": 2, "missing_edges": [[1, 2]]},
+                {"n": 2, "missing_edges": [[[1, 1], [2]]]},
+                {"n": 2, "missing_edges": 5},
+                {"n": 2, "missing_edges": [[[1, 1], [2, True]]]}):
         with pytest.raises(ValueError):
             g2.graph_from_dict(bad)
 
@@ -256,3 +288,55 @@ except RuntimeError as exc:
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 2SAT answer 1,1 is not a clique\n"
+
+
+# Seeded graphs shaped like the benchmark's: about 3n missing edges, a
+# planted clique when satisfiable, two fully severed parts when not.
+PIN_SIZES = (2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 48, 64)
+# sha256 of the outputs below, taken before Graph2P stored missing edges
+PIN_DIGEST = "f75b198723d9046d5d2dba0cb769128f45721f03fcb287bd9ac5f2357fd988a7"
+
+
+def _seeded_missing(rng, n, satisfiable):
+    hidden = [rng.choice((1, 2)) for _ in range(n + 1)]
+    missing = set()
+    if not satisfiable:
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        missing.update(((i, p), (j, q)) for p in (1, 2) for q in (1, 2))
+    while len(missing) < min(3 * n, n * (n - 1)):
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        p, q = rng.choice((1, 2)), rng.choice((1, 2))
+        if satisfiable and p == hidden[i] and q == hidden[j]:
+            continue
+        missing.add(((i, p), (j, q)))
+    return missing
+
+
+def _cli_stdout(*argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(list(argv))
+    assert code == 0
+    return buf.getvalue()
+
+
+def test_graph_outputs_are_pinned(tmp_path):
+    chunks = []
+    for seed, n, satisfiable in itertools.product((1, 2, 3), PIN_SIZES,
+                                                  (True, False)):
+        missing = _seeded_missing(random.Random(seed * 1000 + n), n,
+                                  satisfiable)
+        path = tmp_path / ("g%d_%d_%d.json" % (seed, n, satisfiable))
+        path.write_text(json.dumps({"n": n, "missing_edges": [
+            [list(u), list(v)] for u, v in sorted(missing)]}),
+            encoding="ascii")
+        chunks.append(_cli_stdout("clique-solve", "--graph", str(path)))
+        if n <= 8:
+            chunks.append(_cli_stdout("clique-solve", "--graph", str(path),
+                                      "--enumerate"))
+        g = g2.graph_from_json(path.read_text(encoding="ascii"))
+        chunks.append(g2.graph_to_json(g))
+        chunks.append(g2.cnf_to_dimacs(g2.to_2cnf(g)))
+    assert chunks.count("no clique\n") == 3 * len(PIN_SIZES)
+    digest = hashlib.sha256("\x00".join(chunks).encode()).hexdigest()
+    assert digest == PIN_DIGEST

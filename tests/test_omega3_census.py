@@ -173,6 +173,20 @@ def test_analyze_pair_verdicts_by_class():
             assert report.verdict.kind == "not_face"
 
 
+def test_analyze_pair_solves_one_face_lp_per_pair(monkeypatch):
+    calls = []
+    real = ph.is_face
+
+    def counting(vrep, subset):
+        calls.append(tuple(subset))
+        return real(vrep, subset)
+
+    monkeypatch.setattr(ph, "is_face", counting)
+    for a, b in pairs3():
+        o3.analyze_pair(a, b)
+    assert len(calls) == 28 and len(set(calls)) == 28
+
+
 def test_case_functions_reject_wrong_classes():
     a = Assignment((1, 1, 1))
     with pytest.raises(ValueError):
