@@ -303,11 +303,17 @@ def _json_list(obj, key) -> list:
 
 
 def _json_number(x, what: str) -> Fraction:
-    """An exact number from JSON: an int, a float or a fraction string."""
-    try:
-        return Fraction(x)
-    except (TypeError, OverflowError):
-        raise ValueError("%s holds %s, not a number" % (what, json.dumps(x)))
+    """An exact number from JSON: an int or a fraction string like "-3/4".
+
+    Floats and bools are refused, since neither is exact input here.
+    """
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("%s holds %s, not an int or a fraction string"
+                     % (what, json.dumps(x)))
 
 
 def _json_vector(row, dim: int, what: str) -> list[Fraction]:

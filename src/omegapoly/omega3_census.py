@@ -2,9 +2,10 @@
 
 Relabeling the n parts and swapping the two vertices inside any part
 give a symmetry group of order n! * 2^n acting on assignments, on the
-full coordinate space and on linear forms.  Every question about a pair
-of distinct vertices therefore reduces to one representative per orbit;
-for n = 3 the orbit of a pair is determined by how many parts agree:
+full coordinate space and on linear forms.  The group preserves how
+many parts a pair agrees on, and reaches every pair with the same
+count, so for n = 3 a pair of distinct vertices falls into one of three
+classes, and the class decides what the other six vertices are:
 
     0 agreeing parts  ->  "disjoint":       the pair misses a facet that
                           contains the other six vertices (a six-term
@@ -15,6 +16,10 @@ for n = 3 the orbit of a pair is determined by how many parts agree:
                           not a face at all; a four-term witness form
                           separates the excluded pair (values 0 and 2)
                           across the hyperplane holding the six at 1
+
+Each case form is written straight from the pair, and every pair is
+checked on its own: the form on all eight vertices, and a face LP on
+the six.
 
 facet_census converts the reduced vertex set to facets by double
 description and reports counts, per-facet vertex counts, the constant
@@ -166,77 +171,46 @@ def classify_pair(a: Assignment, b: Assignment) -> PairClass:
     return PairClass(kind, agree)
 
 
-def _full_form(n: int, entries: dict, rhs) -> LinearForm:
-    coeffs = [_ZERO] * coord_count(n)
-    for (i, j, p, q), w in entries.items():
-        coeffs[coord_index(n, i, j, p, q)] = Fraction(w)
-    return LinearForm(tuple(coeffs), Fraction(rhs))
+def _case_form(a: Assignment, cls: PairClass) -> LinearForm:
+    """The case form for a pair of class cls, written from a alone.
 
+    x(t) = a(t) and y(t) = 3 - a(t); each term X[i,j,p,q] with i > j is
+    written as X[j,i,q,p], since block symmetry makes the two equal on
+    the polytope.  The form is the edge sum of both cliques (disjoint),
+    the edge of a inside the agreeing parts (shared edge), or for part i
+    agreeing and j < k the other two, the witness
 
-# orbit representatives for the three cases, all with a = (1,1,1)
-_REP_A = Assignment((1, 1, 1))
-_REP_B_DISJOINT = Assignment((2, 2, 2))
-_REP_B_SHARED_EDGE = Assignment((1, 1, 2))        # agrees on parts 1, 2
-_REP_B_SHARED_VERTEX = Assignment((1, 2, 2))      # agrees on part 1
+        X[i,j,y,y] + X[i,k,x,y] + X[i,j,x,y] + X[i,j,y,x],
 
+    which at z is [z_i != a_i] + [z_i = a_i] * #{t in j, k: z_t != a_t}:
+    0 at a, 2 at b and 1 on the other six.
+    """
+    def x(t):
+        return a.rho(t)
 
-def _rep_disjoint_form() -> LinearForm:
-    entries = {}
-    for (i, j) in ((1, 2), (1, 3), (2, 3)):
-        entries[(i, j, 1, 1)] = 1   # edges internal to the all-ones clique
-        entries[(i, j, 2, 2)] = 1   # edges internal to the all-twos clique
-    return _full_form(3, entries, 1)
+    def y(t):
+        return 3 - a.rho(t)
 
-
-def _rep_shared_edge_form() -> LinearForm:
-    return _full_form(3, {(1, 2, 1, 1): 1}, 0)
-
-
-def _rep_shared_vertex_witness() -> LinearForm:
-    entries = {(1, 2, 2, 2): 1, (1, 3, 1, 2): 1,
-               (1, 2, 1, 2): 1, (1, 2, 2, 1): 1}
-    return _full_form(3, entries, 1)
-
-
-def _transport(a: Assignment, b: Assignment, cls: PairClass) -> Symmetry:
-    """The symmetry carrying the class representative pair onto (a, b)."""
     if cls.kind == "disjoint":
-        order = (1, 2, 3)
+        terms = [(i, j, f(i), f(j)) for (i, j) in ((1, 2), (1, 3), (2, 3))
+                 for f in (x, y)]
+        rhs = _ONE
     elif cls.kind == "shared_edge":
         i, j = cls.parts
-        k = next(t for t in (1, 2, 3) if t not in cls.parts)
-        order = (i, j, k)
+        terms = [(i, j, x(i), x(j))]
+        rhs = _ZERO
     else:
-        i = cls.parts[0]
+        (i,) = cls.parts
         j, k = (t for t in (1, 2, 3) if t != i)
-        order = (i, j, k)
-    perm = [0, 0, 0]
-    for src, dst in enumerate(order, start=1):
-        perm[src - 1] = dst
-    # the representative a is all ones, so part t swaps exactly when a(t) = 2
-    swaps = tuple(a.rho(t) == 2 for t in range(1, 4))
-    g = Symmetry(tuple(perm), swaps)
-    if apply_to_assignment(g, _REP_A) != a:
-        raise RuntimeError("transport does not carry the representative onto %s"
-                           % (a,))
-    return g
-
-
-def _fold_to_upper(f: LinearForm, n: int) -> LinearForm:
-    """Move off-diagonal coefficients onto the i < j side.
-
-    Block symmetry makes X[j,i,q,p] equal X[i,j,p,q] on the polytope, so
-    folding never changes values there, and it keeps transported forms in
-    the same shape as the written-out representatives.
-    """
-    coeffs = list(f.coeffs)
-    for (i, j, p, q) in coord_tuples(n):
+        terms = [(i, j, y(i), y(j)), (i, k, x(i), y(k)),
+                 (i, j, x(i), y(j)), (i, j, y(i), x(j))]
+        rhs = _ONE
+    coeffs = [_ZERO] * coord_count(3)
+    for (i, j, p, q) in terms:
         if i > j:
-            lo = coord_index(n, j, i, q, p)
-            hi = coord_index(n, i, j, p, q)
-            coeffs[lo] += coeffs[hi]
-            coeffs[hi] = _ZERO
-    return LinearForm(tuple(coeffs), f.rhs)
+            i, j, p, q = j, i, q, p
+        coeffs[coord_index(3, i, j, p, q)] = _ONE
+    return LinearForm(tuple(coeffs), rhs)
 
 
 def _pair_evaluations(form: LinearForm, a: Assignment, b: Assignment):
@@ -271,34 +245,27 @@ class CaseReport:
     other_values: tuple[Fraction, ...]
 
 
-# kind -> (representative form, representative b, name in messages,
-#          values at the excluded pair, value at the other six, verdict)
+# kind -> (name in messages, values at the excluded pair, value at the
+#          other six, verdict)
 _CASES = {
-    "disjoint": (_rep_disjoint_form, _REP_B_DISJOINT, "disjoint form",
-                 [3, 3], 1, "facet"),
-    "shared_edge": (_rep_shared_edge_form, _REP_B_SHARED_EDGE,
-                    "shared-edge form", [1, 1], 0, "facet"),
-    "shared_vertex": (_rep_shared_vertex_witness, _REP_B_SHARED_VERTEX,
-                      "shared-vertex witness", [0, 2], 1, "not_face"),
+    "disjoint": ("disjoint form", [3, 3], 1, "facet"),
+    "shared_edge": ("shared-edge form", [1, 1], 0, "facet"),
+    "shared_vertex": ("shared-vertex witness", [0, 2], 1, "not_face"),
 }
 
 
 def _run_case(a: Assignment, b: Assignment, kind: str) -> CaseReport:
-    """Transport the class representative onto (a, b) and check it.
+    """Write the case form for (a, b) and check it.
 
     The form's values on all eight vertices and the face LP on the six
-    others are computed once each and checked against the case claims.
+    others are computed once each and checked against the case claims;
+    those two checks are what establish the case.
     """
-    rep_form, rep_b, name, want_excluded, want_other, want_verdict = \
-        _CASES[kind]
+    name, want_excluded, want_other, want_verdict = _CASES[kind]
     cls = classify_pair(a, b)
     if cls.kind != kind:
         raise ValueError("pair %s, %s is %s, not %s" % (a, b, cls.kind, kind))
-    g = _transport(a, b, cls)
-    if apply_to_assignment(g, rep_b) != b:
-        raise RuntimeError("transport does not carry the representative onto %s"
-                           % (b,))
-    form = _fold_to_upper(apply_to_form(g, rep_form()), 3)
+    form = _case_form(a, cls)
     excluded, others = _pair_evaluations(form, a, b)
     if sorted(excluded) != want_excluded or any(v != want_other
                                                 for v in others):

@@ -695,8 +695,9 @@ def _parse_block(text: str, expected_header: str):
     if len(header) < 2:
         raise ValueError("missing size line after begin")
     nrows, ncols = int(header[0]), int(header[1])
-    if nrows < 0 or ncols < 1:
-        raise ValueError("bad size %d x %d" % (nrows, ncols))
+    if nrows < 0 or ncols < 2:
+        raise ValueError("bad size %d x %d: a row needs its leading entry "
+                         "and at least one coordinate" % (nrows, ncols))
     body = lines[i + 2:]
     if len(body) <= nrows:
         raise ValueError("block is cut short: %d rows and an end line "

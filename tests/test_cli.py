@@ -1,8 +1,14 @@
+import contextlib
+import hashlib
+import io
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omegapoly import graph2p, neighborly, polyhedra
+from omegapoly import graph2p, neighborly, omega_core, polyhedra
 from omegapoly.cli import build_parser, main
 
 
@@ -103,6 +109,23 @@ def test_face_test_disjoint_and_shared_vertex(capsys):
     assert sorted(obj["excluded_values"]) == ["0", "2"]
 
 
+# sha256 of the concatenated face-test stdout for all 28 three-part pairs,
+# in itertools.combinations(all_assignments(3), 2) order
+FACE_TEST_ALL_PAIRS = \
+    "133e79685e8f553e6763802a0ca8714c09a55aa541c03c1205aefc24a03cf907"
+
+
+def test_face_test_all_pairs_are_byte_identical(capsys):
+    outs = []
+    for a, b in itertools.combinations(omega_core.all_assignments(3), 2):
+        code, out, _ = run(capsys, "face-test", "--n", "3",
+                           "--exclude", str(a), str(b))
+        assert code == 0
+        outs.append(out)
+    digest = hashlib.sha256("".join(outs).encode("ascii")).hexdigest()
+    assert digest == FACE_TEST_ALL_PAIRS
+
+
 def test_face_test_usage_errors(capsys):
     code, _, err = run(capsys, "face-test", "--n", "2",
                        "--exclude", "1,1", "2,2")
@@ -184,6 +207,57 @@ def test_convert_round_trip(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+_rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@st.composite
+def _vreps(draw):
+    d = draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[_rational] * d), max_size=6,
+                           unique=True))
+    return polyhedra.VRep(d, points)
+
+
+@st.composite
+def _hreps(draw):
+    d = draw(st.integers(1, 4))
+    form = st.builds(polyhedra.linear_form, st.lists(_rational, min_size=d,
+                                                     max_size=d), _rational)
+    return polyhedra.HRep(d, tuple(draw(st.lists(form, max_size=5))),
+                          tuple(draw(st.lists(form, max_size=3))))
+
+
+def _convert(tmp, text):
+    """stdout of a successful convert run on text."""
+    tmp.write_text(text, encoding="ascii")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["convert", "--input", str(tmp)]) == 0
+    return out.getvalue()
+
+
+def _assert_round_trips(rep, to_text, from_text, tmp_path_factory):
+    text = to_text(rep)
+    assert from_text(text) == rep
+    tmp = tmp_path_factory.mktemp("convert") / "input"
+    as_json = _convert(tmp, text)
+    assert _convert(tmp, as_json) == text
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_vreps())
+def test_random_vrep_survives_text_and_convert(tmp_path_factory, v):
+    _assert_round_trips(v, polyhedra.vrep_to_text, polyhedra.vrep_from_text,
+                        tmp_path_factory)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_hreps())
+def test_random_hrep_survives_text_and_convert(tmp_path_factory, h):
+    _assert_round_trips(h, polyhedra.hrep_to_text, polyhedra.hrep_from_text,
+                        tmp_path_factory)
+
+
 @pytest.mark.parametrize("command,text", [
     pytest.param("convert", "V-representation\nbegin\n3 3 rational\n1 0 0\n",
                  id="cdd-cut-after-first-row"),
@@ -224,6 +298,14 @@ def test_convert_round_trip(tmp_path, capsys):
     pytest.param("convert", '{"kind": "H", "dim": 2, "inequalities": 5, '
                             '"equalities": []}',
                  id="json-h-scalar-inequalities"),
+    pytest.param("convert", "H-representation\nbegin\n1 1 rational\n5\nend\n",
+                 id="cdd-h-no-coordinates"),
+    pytest.param("convert", '{"kind": "V", "dim": 1, "points": [[0.1]]}',
+                 id="json-v-float-coordinate"),
+    pytest.param("convert", '{"kind": "V", "dim": 1, "points": [[true]]}',
+                 id="json-v-bool-coordinate"),
+    pytest.param("convert", '{"kind": "V", "dim": 1, "points": [["1/0"]]}',
+                 id="json-v-zero-denominator"),
     pytest.param("clique-solve", '{"n": 2}', id="graph-no-missing-edges"),
     pytest.param("clique-solve", '{"n": 2, "missing_edges": [[1, 2]]}',
                  id="graph-edge-of-ints"),

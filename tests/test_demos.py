@@ -1,5 +1,7 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree, and its
+stdout is byte-identical to the pinned output."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +12,25 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout; a change here is a change to published
+# results, not a refactoring, and a demo missing here fails its test
+DEMO_STDOUT = {
+    "01_cliques_and_2sat.py":
+        "aadee777f4f77511076ff1cf65d56db290c0e772fa5cf74663a43e2b6d6e941f",
+    "02_vertices_and_equalities.py":
+        "bf6eb1309602d6ef41037da0f11a402e4b276ac14a8554c492c2cf1acc55ef05",
+    "03_dimension_and_family.py":
+        "efacf1759bf336b5394ed295c9d142ece9f3d6d7a7ddee7ca886ef304908376a",
+    "04_edge_certificates.py":
+        "026a16afceb44f565d2dbca8c33b4e36b7fc4ca334e6b4499ec2ed157ce392d0",
+    "05_three_part_faces.py":
+        "fd869387fbfeba48460e09dec9a3c3810cd5b1e6c3fb1627e8792e60d27cdae8",
+    "06_facet_census.py":
+        "e4ae47e8d304e7c3ae2b77e8277b1b0b0978356fc29604271d8df7071c5b1200",
+    "07_hull_playground.py":
+        "cedb91dccdc176839f1ebe4fbb613253840eea110870452930e45d4106fa1125",
+}
+
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_exits_cleanly(demo):
@@ -17,3 +38,5 @@ def test_demo_exits_cleanly(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(proc.stdout.encode("ascii")).hexdigest()
+    assert digest == DEMO_STDOUT[demo]

@@ -348,6 +348,22 @@ def test_lp_matches_vertex_enumeration_on_the_cube():
         assert res.optimum == min(obj.value(p) for p in v.points)
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_affine_point_sets(), st.data())
+def test_lp_over_the_hull_matches_the_points(case, data):
+    d, points = case
+    v = ph.VRep(d, points)
+    h = ph.convex_hull_facets(v)
+    obj = ph.linear_form(data.draw(st.lists(st.integers(-5, 5), min_size=d,
+                                            max_size=d)), 0)
+    values = [obj.value(p) for p in v.points]
+    for sense, best in (("max", max(values)), ("min", min(values))):
+        res = ph.lp_solve(obj, h, sense)
+        assert res.status == "optimal"
+        assert res.optimum == best
+        assert h.holds(res.argument)
+
+
 def test_lp_fractional_answer_is_exact():
     # max y subject to y <= x/3, y <= (1 - x)/7
     h = ph.HRep(2, (ph.linear_form([frac(1, 3), -1], 0),
