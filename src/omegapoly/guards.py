@@ -13,8 +13,10 @@ DEFAULT_HULL_MAX_POINTS = 64
 class ScaleGuardError(ValueError):
     """An operation was asked to run past its configured size guard.
 
-    guard names which limit tripped: "bruteforce", "hull-dim" or
-    "hull-points".  The driver uses it to point at the override flag.
+    guard names which limit tripped: "bruteforce", "hull-dim",
+    "hull-points", "census" (n = 5 without allow_large) or "census-max"
+    (n > 5, which nothing overrides).  The command line uses it to point
+    at the override flag where there is one.
     """
 
     def __init__(self, guard: str, limit: int, requested: int, message: str):

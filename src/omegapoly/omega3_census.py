@@ -345,17 +345,20 @@ def facet_census(n: int, include_orbits: bool = True,
     holds is read off integer tight-set bitmasks (polyhedra.tight_masks).
     n up to 4 takes milliseconds; n = 5 runs double description in
     dimension 15, takes a few tenths of a second, and must be requested
-    explicitly via allow_large.
+    explicitly via allow_large.  n > 5 is refused with or without it.
     """
     if n < 2:
         raise ValueError("census needs n >= 2")
-    limit = CENSUS_OPTIN_MAX if allow_large else CENSUS_DEFAULT_MAX
-    if n > limit:
+    if n > CENSUS_OPTIN_MAX:
         raise ScaleGuardError(
-            "census", limit, n,
-            "census for %d parts exceeds bound %d%s"
-            % (n, limit,
-               "" if allow_large else " (pass allow_large for n = 5)"))
+            "census-max", CENSUS_OPTIN_MAX, n,
+            "census for %d parts is out of reach: n = %d is the largest "
+            "census" % (n, CENSUS_OPTIN_MAX))
+    if n > CENSUS_DEFAULT_MAX and not allow_large:
+        raise ScaleGuardError(
+            "census", CENSUS_DEFAULT_MAX, n,
+            "census for %d parts exceeds bound %d (pass allow_large for "
+            "n = 5)" % (n, CENSUS_DEFAULT_MAX))
 
     assigns = omega_core.all_assignments(n)
     vrep = omega_core.reduced_vertex_vrep(n)

@@ -1,9 +1,11 @@
 """Exact rational polyhedral geometry.
 
 Everything here is exact: values are fractions.Fraction, and the double
-description and incidence kernels scale them to plain integer vectors.
-There is no floating point anywhere, so ranks, facet lists, optima and
-face verdicts are exact and reproducible bit for bit.
+description, incidence, RREF and simplex kernels scale them to plain
+integers (RREF and the simplex share one fraction-free pivot, with one
+common denominator per matrix).  There is no floating point anywhere, so
+ranks, facet lists, optima and face verdicts are exact and reproducible
+bit for bit.
 
 Contents: affine rank, vertex-to-facet conversion by double description,
 a two-phase primal simplex with dual extraction, supporting-hyperplane
@@ -102,60 +104,59 @@ class HRep:
 
 # --- exact linear algebra -----------------------------------------------
 
-def _eliminate(mat: list[list[Fraction]], r: int, c: int) -> None:
-    """Gauss-Jordan step: scale row r to a 1 in column c, then clear
-    column c from every other row.  The one elimination loop here; RREF
-    and every simplex pivot go through it."""
-    piv = mat[r][c]
-    if piv != 1:
-        mat[r] = [x / piv for x in mat[r]]
-    prow = mat[r]
-    for i, row in enumerate(mat):
+def _int_pivot(tab: list[list[int]], den: int, r: int, c: int) -> int:
+    """Fraction-free Gauss-Jordan pivot on entry (r, c) of tab / den, the
+    one elimination step here (RREF and every simplex pivot); returns the
+    new common denominator p = |tab[r][c]|.
+
+    Row r is kept, negated if its pivot entry is negative, and every other
+    row i becomes (row_i * p - row_i[c] * row_r) / den.  From an integer
+    matrix with den = 1, den stays the absolute determinant of the pivot
+    columns, which are den times unit vectors, and every division is exact
+    (Bareiss; the integer pivoting of Avis's lrs).
+    """
+    if tab[r][c] < 0:
+        tab[r] = [-x for x in tab[r]]
+    prow = tab[r]
+    p = prow[c]
+    for i, row in enumerate(tab):
         f = row[c]
-        if i != r and f != 0:
-            mat[i] = [a - f * b for a, b in zip(row, prow)]
+        if i != r and (f or p != den):
+            tab[i] = [(a * p - f * b) // den for a, b in zip(row, prow)]
+    return p
 
 
 def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns the nonzero rows and pivot columns.
 
     RREF is unique for a given row space, which keeps everything built on
-    it (ranks, affine hulls, null space bases) canonical.
+    it (ranks, affine hulls, null space bases) canonical.  It is computed
+    with _int_pivot on the rows scaled to integers by one common factor.
     """
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pr = i
-                break
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    mat = [[x.numerator * (scale // x.denominator) for x in row]
+           for row in rows]
+    den, pivots = 1, []
+    for c in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        _eliminate(mat, r, c)
+        den = _int_pivot(mat, den, r, c)
         pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    return [[Fraction(x, den) for x in row]
+            for row in mat[:len(pivots)]], pivots
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:
-    frows = [[Fraction(x) for x in row] for row in rows]
-    if not frows:
-        return 0
-    _, pivots = _rref(frows)
-    return len(pivots)
+    return len(_rref([[Fraction(x) for x in row] for row in rows])[1])
 
 
 def affine_rank(v: VRep) -> int:
     """Dimension of the affine hull of the points."""
     base = v.points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in v.points[1:]]
-    return matrix_rank(rows) if rows else 0
+    return matrix_rank([[x - b for x, b in zip(p, base)] for p in v.points[1:]])
 
 
 def _clear_denominators(vec: Sequence) -> tuple[list[int], int]:
@@ -189,11 +190,10 @@ def _normalize_inequality(coeffs: Sequence, rhs) -> LinearForm:
 
 def _normalize_equality(coeffs: Sequence, rhs) -> LinearForm:
     """Coprime integers with the first nonzero coefficient positive."""
-    prim = list(_primitive_ints(tuple(coeffs) + (Fraction(rhs),)))
-    lead = next((x for x in prim[:-1] if x != 0), 0)
-    if lead < 0:
-        prim = [-x for x in prim]
-    return LinearForm(tuple(Fraction(c) for c in prim[:-1]), Fraction(prim[-1]))
+    f = _normalize_inequality(coeffs, rhs)
+    if next((x for x in f.coeffs if x != 0), 0) < 0:
+        return LinearForm(tuple(-x for x in f.coeffs), -f.rhs)
+    return f
 
 
 def _form_key(f: LinearForm):
@@ -203,28 +203,23 @@ def _form_key(f: LinearForm):
 # --- affine hull ---------------------------------------------------------
 
 def _affine_hull(points: Sequence[Vector]):
-    """RREF basis of the direction space plus canonical hull equalities.
-
-    Returns (pivot columns, rref rows, equalities).  Because the basis is
-    a full RREF, the reduced coordinate of a direction vector t is simply
-    t restricted to the pivot columns.
+    """Pivot columns of the RREF of the direction space, and the canonical
+    hull equalities.  Because the basis is a full RREF, the reduced
+    coordinate of a direction vector t is simply t restricted to the
+    pivot columns.
     """
     base = points[0]
     d = len(base)
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    rref, pivots = _rref(rows) if rows else ([], [])
-    pivset = set(pivots)
-    free_cols = [c for c in range(d) if c not in pivset]
+    rref, pivots = _rref([[x - b for x, b in zip(p, base)] for p in points[1:]])
     equalities = []
-    for fc in free_cols:
+    for fc in sorted(set(range(d)) - set(pivots)):
         coeffs = [_ZERO] * d
         coeffs[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            coeffs[pc] = -rref[r][fc]
-        rhs = _dot(coeffs, base)
-        equalities.append(_normalize_equality(coeffs, rhs))
+        for row, pc in zip(rref, pivots):
+            coeffs[pc] = -row[fc]
+        equalities.append(_normalize_equality(coeffs, _dot(coeffs, base)))
     equalities.sort(key=_form_key)
-    return pivots, rref, tuple(equalities)
+    return pivots, tuple(equalities)
 
 
 # --- double description --------------------------------------------------
@@ -343,7 +338,7 @@ def convex_hull_facets(v: VRep,
             "hull-points", max_points, len(v.points),
             "hull of %d points exceeds bound %d" % (len(v.points), max_points))
 
-    pivots, _, equalities = _affine_hull(v.points)
+    pivots, equalities = _affine_hull(v.points)
     k = len(pivots)
     if k == 0:
         # a single point: the equalities already pin it down
@@ -410,45 +405,57 @@ class LpResult:
     The multipliers are read off the final simplex tableau.  Where the
     optimal dual is not unique they may differ from those of releases
     that re-solved for them, but they always satisfy the identities.
+
+    pivots counts the simplex pivots as (phase 1, phase 2); phase 1
+    includes driving leftover artificials out of the basis.
     """
 
     status: str
     optimum: Fraction | None = None
     argument: Vector | None = None
     dual: Vector | None = None
+    pivots: tuple[int, int] | None = None
 
 
-def _price_out(tableau, basis, cost):
-    """Reset the objective row (the tableau's last row) to z - c."""
-    tableau[-1] = [-x for x in cost] + [_ZERO] * (len(tableau[-1]) - len(cost))
+def _price_out(tab, den, basis, cost):
+    """Reset the objective row (the tableau's last row) to den * (z - c).
+    Basic columns are den times unit vectors, so each division is exact."""
+    obj = [-x * den for x in cost] + [0] * (len(tab[-1]) - len(cost))
     for i, bv in enumerate(basis):
-        _eliminate(tableau, i, bv)
+        f = obj[bv] // den
+        if f:
+            obj = [a - f * b for a, b in zip(obj, tab[i])]
+    tab[-1] = obj
 
 
-def _simplex_iterate(tableau, basis, allowed):
-    """Run primal simplex to optimality; returns False on unbounded.
+def _simplex_iterate(tab, den, basis, allowed):
+    """Run primal simplex to optimality on the integer tableau tab / den.
 
-    Entering and leaving follow Bland's rule (smallest improving column,
-    ratio ties broken by smallest basic variable), which cannot cycle.
+    Returns (den, pivots made, False if unbounded).  Entering and leaving
+    follow Bland's rule (smallest improving column, ratio ties broken by
+    smallest basic variable), which cannot cycle.  Ratios rhs / coef with
+    coef > 0 are compared by cross-multiplying.
     """
+    pivots = 0
     while True:
-        enter = next((j for j in allowed if tableau[-1][j] < 0), None)
+        enter = next((j for j in allowed if tab[-1][j] < 0), None)
         if enter is None:
-            return True
+            return den, pivots, True
         leave = None
-        best = None
         for i, bv in enumerate(basis):
-            coef = tableau[i][enter]
-            if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (
-                        ratio == best and bv < basis[leave]):
-                    best = ratio
-                    leave = i
+            coef = tab[i][enter]
+            if coef <= 0:
+                continue
+            if leave is not None:
+                cmp = tab[i][-1] * tab[leave][enter] - tab[leave][-1] * coef
+                if cmp > 0 or (cmp == 0 and bv > basis[leave]):
+                    continue
+            leave = i
         if leave is None:
-            return False
-        _eliminate(tableau, leave, enter)
+            return den, pivots, False
+        den = _int_pivot(tab, den, leave, enter)
         basis[leave] = enter
+        pivots += 1
 
 
 def lp_solve(objective: LinearForm, constraints: HRep,
@@ -457,6 +464,12 @@ def lp_solve(objective: LinearForm, constraints: HRep,
 
     Maximizes or minimizes objective.coeffs . x subject to the HRep.
     The objective rhs is ignored.  See LpResult for the dual convention.
+
+    The tableau is integer over one common denominator (_int_pivot).
+    Constraint rows, surplus columns included, are scaled by L, the lcm
+    of their denominators, and the objective by cden, the lcm of its own:
+    uniform positive scalings, so Bland's rule takes the pivots a Fraction
+    tableau takes.  Only the argument, optimum and duals are Fractions.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -470,65 +483,63 @@ def lp_solve(objective: LinearForm, constraints: HRep,
     n_ineq = len(constraints.inequalities)
     m = len(forms)
     nreal = 2 * d + n_ineq  # x+ | x- | surplus
-    cost2 = [_ZERO] * nreal
-    for k in range(d):
-        cost2[k] = obj[k]
-        cost2[d + k] = -obj[k]
+    cints, cden = _clear_denominators(obj)
+    cost2 = cints + [-x for x in cints] + [0] * n_ineq
+    scale = lcm(*(x.denominator for f in forms for x in (*f.coeffs, f.rhs)))
 
     # rows are x+ | x- | surplus | artificial | rhs, flipped to rhs >= 0;
-    # the last row is the objective row z - c
-    tableau: list[list[Fraction]] = []
+    # the last row is the objective row den * (z - c)
+    tab: list[list[int]] = []
     signs: list[int] = []
     for i, f in enumerate(forms):
-        row = [_ZERO] * (nreal + m + 1)
-        for k in range(d):
-            row[k] = f.coeffs[k]
-            row[d + k] = -f.coeffs[k]
+        *coeffs, rhs = [x.numerator * (scale // x.denominator)
+                        for x in (*f.coeffs, f.rhs)]
+        sign = -1 if rhs < 0 else 1
+        row = ([sign * x for x in coeffs] + [-sign * x for x in coeffs]
+               + [0] * (n_ineq + m) + [sign * rhs])
         if i < n_ineq:
-            row[2 * d + i] = Fraction(-1)
-        row[-1] = f.rhs
-        if f.rhs < 0:
-            row = [-x for x in row]
-            signs.append(-1)
-        else:
-            signs.append(1)
-        row[nreal + i] = _ONE
-        tableau.append(row)
-    tableau.append([_ZERO] * (nreal + m + 1))
+            row[2 * d + i] = -sign * scale
+        row[nreal + i] = 1
+        signs.append(sign)
+        tab.append(row)
+    tab.append([0] * (nreal + m + 1))
 
     # phase 1: artificial basis, maximize minus the sum of artificials
     basis = [nreal + i for i in range(m)]
-    _price_out(tableau, basis, [_ZERO] * nreal + [Fraction(-1)] * m)
-    if not _simplex_iterate(tableau, basis, range(nreal + m)):
+    _price_out(tab, 1, basis, [0] * nreal + [-1] * m)
+    den, phase1, bounded = _simplex_iterate(tab, 1, basis, range(nreal + m))
+    if not bounded:
         raise RuntimeError("phase 1 came out unbounded, which its "
                            "construction rules out")
-    if tableau[-1][-1] != 0:  # z = -(sum of artificials) at optimum
-        return LpResult(status="infeasible")
+    if tab[-1][-1] != 0:  # z = -(sum of artificials) at optimum
+        return LpResult(status="infeasible", pivots=(phase1, 0))
 
     # drive leftover artificials out of the basis; a row with no real
     # entry left is redundant and keeps its artificial basic at zero
     for i in range(m):
         if basis[i] >= nreal:
-            col = next((j for j in range(nreal) if tableau[i][j] != 0), None)
+            col = next((j for j in range(nreal) if tab[i][j] != 0), None)
             if col is not None:
-                _eliminate(tableau, i, col)
+                den = _int_pivot(tab, den, i, col)
                 basis[i] = col
+                phase1 += 1
 
     # phase 2
-    _price_out(tableau, basis, cost2)
-    if not _simplex_iterate(tableau, basis, range(nreal)):
-        return LpResult(status="unbounded")
+    _price_out(tab, den, basis, cost2)
+    den, phase2, bounded = _simplex_iterate(tab, den, basis, range(nreal))
+    if not bounded:
+        return LpResult(status="unbounded", pivots=(phase1, phase2))
 
-    values = [_ZERO] * nreal
-    for i, bv in enumerate(basis):
-        if bv < nreal:
-            values[bv] = tableau[i][-1]
-    argument = tuple(values[k] - values[d + k] for k in range(d))
+    values = dict(zip(basis, (row[-1] for row in tab)))
+    argument = tuple(Fraction(values.get(k, 0) - values.get(d + k, 0), den)
+                     for k in range(d))
     optimum_max = Fraction(_dot(obj, argument))
 
-    # the objective row's artificial columns hold y = c_B B^-1; undo the
-    # sign flips to get one multiplier per original constraint
-    dual = [signs[i] * tableau[-1][nreal + i] for i in range(m)]
+    # the objective row's artificial columns hold den * cden / L times
+    # y = c_B B^-1; undo the scalings and the sign flips to get one
+    # multiplier per original constraint
+    dual = [Fraction(signs[i] * tab[-1][nreal + i] * scale, den * cden)
+            for i in range(m)]
 
     for k in range(d):
         if sum(dual[i] * forms[i].coeffs[k] for i in range(m)) != obj[k]:
@@ -538,10 +549,9 @@ def lp_solve(objective: LinearForm, constraints: HRep,
     if any(dual[i] > 0 for i in range(n_ineq)):
         raise RuntimeError("dual sign failed")
 
-    if sense == "max":
-        return LpResult("optimal", optimum_max, argument, tuple(dual))
-    return LpResult("optimal", -optimum_max, argument,
-                    tuple(-x for x in dual))
+    flip = 1 if sense == "max" else -1
+    return LpResult("optimal", flip * optimum_max, argument,
+                    tuple(flip * y for y in dual), (phase1, phase2))
 
 
 # --- face tests -----------------------------------------------------------
@@ -589,16 +599,10 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     d = v.dim
     inside = set(idx)
     s0 = v.points[idx[0]]
-    eqs = []
-    for i in idx[1:]:
-        diff = tuple(a - b for a, b in zip(v.points[i], s0))
-        eqs.append(LinearForm(diff + (_ZERO,), _ZERO))
-    ineqs = []
-    for i in range(npts):
-        if i in inside:
-            continue
-        diff = tuple(a - b for a, b in zip(v.points[i], s0))
-        ineqs.append(LinearForm(diff + (Fraction(-1),), _ZERO))
+    diffs = [tuple(a - b for a, b in zip(p, s0)) for p in v.points]
+    eqs = [LinearForm(diffs[i] + (_ZERO,), _ZERO) for i in idx[1:]]
+    ineqs = [LinearForm(diffs[i] + (Fraction(-1),), _ZERO)
+             for i in range(npts) if i not in inside]
     ineqs.append(LinearForm((_ZERO,) * d + (Fraction(-1),), Fraction(-1)))
     objective = LinearForm((_ZERO,) * d + (_ONE,), _ZERO)
     res = lp_solve(objective, HRep(d + 1, tuple(ineqs), tuple(eqs)), "max")
@@ -609,14 +613,11 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     f = res.argument[:d]
     rhs = Fraction(_dot(f, s0))
     if res.optimum > 0:
-        form = _normalize_inequality(f, rhs)
         sub_dim = affine_rank(VRep(d, [v.points[i] for i in idx]))
-        whole_dim = affine_rank(v)
-        kind = "facet" if sub_dim == whole_dim - 1 else "proper_face"
-        return FaceVerdict(kind=kind, form=form, dimension=sub_dim)
-    witness = LinearForm(f, rhs)
+        kind = "facet" if sub_dim == affine_rank(v) - 1 else "proper_face"
+        return FaceVerdict(kind, _normalize_inequality(f, rhs), sub_dim)
     evals = tuple(Fraction(_dot(f, p)) for p in v.points)
-    return FaceVerdict(kind="not_face", form=witness, evaluations=evals)
+    return FaceVerdict("not_face", LinearForm(f, rhs), evaluations=evals)
 
 
 # --- fixtures -------------------------------------------------------------
@@ -640,15 +641,11 @@ def regular_polytope(kind: str, d: int) -> VRep:
 
 # --- cdd-style text -------------------------------------------------------
 
-def _format_frac(x: Fraction) -> str:
-    return str(x)
-
-
 def vrep_to_text(v: VRep) -> str:
     lines = ["V-representation", "begin",
              "%d %d rational" % (len(v.points), v.dim + 1)]
     for p in v.points:
-        lines.append(" ".join(["1"] + [_format_frac(x) for x in p]))
+        lines.append(" ".join(["1"] + [str(x) for x in p]))
     lines.append("end")
     return "\n".join(lines) + "\n"
 
@@ -666,7 +663,7 @@ def hrep_to_text(h: HRep) -> str:
     lines.append("begin")
     lines.append("%d %d rational" % (neq + len(h.inequalities), h.dim + 1))
     for f in list(h.equalities) + list(h.inequalities):
-        row = [_format_frac(-f.rhs)] + [_format_frac(c) for c in f.coeffs]
+        row = [str(-f.rhs)] + [str(c) for c in f.coeffs]
         lines.append(" ".join(row))
     lines.append("end")
     return "\n".join(lines) + "\n"

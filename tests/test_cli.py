@@ -341,6 +341,15 @@ def test_guard_trips_name_their_override(capsys):
     assert "--max-hull-dim" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--allow-large",)])
+def test_census_past_five_parts_names_no_override(capsys, extra):
+    # no flag reaches n = 6, so the message must not point at one
+    code, out, err = run(capsys, "census", "--n", "6", *extra)
+    assert code == 2 and out == ""
+    assert err == ("error: census for 6 parts is out of reach: n = 5 is "
+                   "the largest census\n")
+
+
 def test_each_subcommand_takes_only_the_guards_it_reads(capsys,
                                                         monkeypatch):
     code, _, err = run(capsys, "census", "--n", "3", "--max-hull-dim", "3")

@@ -1,5 +1,5 @@
 """Every demo script runs to completion against the source tree, and its
-stdout is byte-identical to the pinned output."""
+stdout is byte-identical to the pinned output, with and without -O."""
 
 import hashlib
 import os
@@ -40,3 +40,20 @@ def test_demo_exits_cleanly(demo):
     assert proc.returncode == 0, proc.stderr
     digest = hashlib.sha256(proc.stdout.encode("ascii")).hexdigest()
     assert digest == DEMO_STDOUT[demo]
+
+
+@pytest.mark.parametrize("argv", [
+    [str(ROOT / "demos" / "07_hull_playground.py")],
+    ["-m", "omegapoly.cli", "face-test", "--n", "3",
+     "--exclude", "1,1,1", "2,2,2"],
+], ids=["demo-07", "face-test"])
+def test_stdout_is_the_same_under_python_O(argv):
+    # -O strips assert statements; no check or output may rest on them
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]

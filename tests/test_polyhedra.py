@@ -1,6 +1,11 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,8 +151,10 @@ def test_hull_inequalities_are_canonical_integers():
     assert keys == sorted(keys)
 
 
-def _null_space(rows, ncols):
-    """Basis of {x : row . x = 0 for every row}, by its own elimination."""
+def _fraction_rref(rows, ncols):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan, kept here
+    as a reference independent of the library's integer kernel; returns
+    the nonzero rows and the pivot columns."""
     mat = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     for c in range(ncols):
@@ -162,6 +169,12 @@ def _null_space(rows, ncols):
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
+    return mat[:len(pivots)], pivots
+
+
+def _null_space(rows, ncols):
+    """Basis of {x : row . x = 0 for every row}, by its own elimination."""
+    mat, pivots = _fraction_rref(rows, ncols)
     basis = []
     for fc in range(ncols):
         if fc not in pivots:
@@ -171,6 +184,43 @@ def _null_space(rows, ncols):
                 x[pc] = -mat[r][fc]
             basis.append(x)
     return basis
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def _rational_matrices(draw):
+    """0 to 6 rows of 1 to 6 rational columns, with zero rows and rows that
+    are rational combinations of earlier ones mixed in."""
+    ncols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(Fraction(0)), _RATIONAL)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("random", "zero", "combination")))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combination" and rows:
+            mults = draw(st.lists(_RATIONAL, min_size=len(rows),
+                                  max_size=len(rows)))
+            rows.append([sum(m * row[k] for m, row in zip(mults, rows))
+                         for k in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols,
+                                      max_size=ncols)))
+    return ncols, rows
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_rational_matrices())
+def test_rref_matches_fraction_gauss_jordan(case):
+    ncols, rows = case
+    expected = _fraction_rref(rows, ncols)
+    got = ph._rref(rows)
+    assert got == expected
+    assert ph.matrix_rank(rows) == len(expected[1])
+    for row in got[0]:
+        assert all(isinstance(x, Fraction) for x in row)
 
 
 def _brute_force_facets(points):
@@ -362,6 +412,117 @@ def test_lp_over_the_hull_matches_the_points(case, data):
         assert res.status == "optimal"
         assert res.optimum == best
         assert h.holds(res.argument)
+
+
+def _seeded_lp(rng):
+    """A random LP in dimension 1-4 with small rational data: some rows
+    sparse, most of them through or around one seeded point so that many
+    LPs are feasible, some with an equality repeated at a rational
+    multiple, and some boxed so that most of those are bounded."""
+    d = rng.randint(1, 4)
+    point = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)]
+
+    def q():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def form(slack):
+        coeffs = [q() for _ in range(d)]
+        if rng.random() < 0.15:
+            return ph.linear_form(coeffs, q())
+        return ph.linear_form(coeffs, sum(c * x for c, x in zip(coeffs, point))
+                              - slack)
+
+    ineqs = [form(rng.randint(0, 2)) for _ in range(rng.randint(0, 4))]
+    eqs = [form(0) for _ in range(rng.randint(0, 2))]
+    if eqs and rng.random() < 0.4:
+        f = rng.choice(eqs)
+        s = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3))
+        eqs.insert(rng.randint(0, len(eqs)),
+                   ph.LinearForm(tuple(s * c for c in f.coeffs), s * f.rhs))
+    if rng.random() < 0.5:
+        bound = rng.randint(3, 5)
+        for k in range(d):
+            unit = [0] * d
+            unit[k] = 1
+            ineqs.append(ph.linear_form(unit, -bound))
+            ineqs.append(ph.linear_form([-x for x in unit], -bound))
+    return form(0), ph.HRep(d, tuple(ineqs), tuple(eqs))
+
+
+# sha256 over repr((status, optimum, argument, dual)) of the 800 solves
+# below, taken from the Fraction tableau before the integer kernel
+LP_PIN_DIGEST = ("75efe472fa2def995ae1a3ef6aed0ab2"
+                 "f502e96f6441a58637a4b7768d5290c4")
+
+
+def test_lp_results_are_pinned():
+    rng = random.Random(20261018)
+    h = hashlib.sha256()
+    statuses = set()
+    for _ in range(400):
+        objective, hrep = _seeded_lp(rng)
+        for sense in ("max", "min"):
+            res = ph.lp_solve(objective, hrep, sense)
+            statuses.add(res.status)
+            h.update(repr((res.status, res.optimum, res.argument,
+                           res.dual)).encode("ascii"))
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert h.hexdigest() == LP_PIN_DIGEST
+
+
+def test_lp_pivot_counts(monkeypatch):
+    # phase 1 already ends at (1, 1), the maximizer, so maximizing takes
+    # no phase 2 pivot and minimizing does
+    objective = ph.linear_form([1, 1], 0)
+    assert ph.lp_solve(objective, square_hrep(), "max").pivots == (4, 0)
+    assert ph.lp_solve(objective, square_hrep(), "min").pivots == (4, 4)
+    h = ph.HRep(1, (ph.linear_form([1], 2), ph.linear_form([-1], -1)), ())
+    res = ph.lp_solve(ph.linear_form([1], 0), h)
+    assert res.status == "infeasible" and res.pivots[1] == 0
+    assert ph.LpResult("infeasible").pivots is None
+    # the one face LP behind a square facet of the 3-cube
+    results = []
+    solve = ph.lp_solve
+
+    def recording_solve(*args):
+        results.append(solve(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ph, "lp_solve", recording_solve)
+    verdict = ph.is_face(ph.regular_polytope("cube", 3), [0, 1, 2, 3])
+    assert verdict.kind == "facet"
+    assert [r.pivots for r in results] == [(7, 0)]
+
+
+def test_dual_checks_survive_python_O():
+    # one dual entry read off the final tableau is put off by one; the
+    # checks that follow must refuse it even when asserts are stripped
+    script = """
+import sys
+from omegapoly import polyhedra as ph
+iterate = ph._simplex_iterate
+def off_by_one(tab, den, basis, allowed):
+    den, pivots, bounded = iterate(tab, den, basis, allowed)
+    if len(allowed) == len(tab[0]) - 1 - len(basis):  # phase 2
+        tab[-1][len(allowed)] += den
+    return den, pivots, bounded
+ph._simplex_iterate = off_by_one
+square = ph.HRep(2, (ph.linear_form([1, 0], 0), ph.linear_form([0, 1], 0),
+                     ph.linear_form([-1, 0], -1), ph.linear_form([0, -1], -1)),
+                 ())
+try:
+    print(ph.lp_solve(ph.linear_form([1, 1], 0), square))
+except RuntimeError as exc:
+    print(sys.flags.optimize, exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 dual stationarity failed\n"
 
 
 def test_lp_fractional_answer_is_exact():
