@@ -1,11 +1,13 @@
 """Exact rational polyhedral geometry.
 
 Everything here is exact: values are fractions.Fraction, and the double
-description, incidence, RREF and simplex kernels scale them to plain
-integers (RREF and the simplex share one fraction-free pivot, with one
-common denominator per matrix).  There is no floating point anywhere, so
-ranks, facet lists, optima and face verdicts are exact and reproducible
-bit for bit.
+description, incidence, rank, RREF and simplex kernels scale them to
+plain integers (RREF and the simplex share one fraction-free pivot, with
+one common denominator per matrix).  The simplex is one integer core,
+_int_lp, that also checks its duals on integers; lp_solve and is_face
+both call it and make Fractions only for what they return.  There is no
+floating point anywhere, so ranks, facet lists, optima and face verdicts
+are exact and reproducible bit for bit.
 
 Contents: affine rank, vertex-to-facet conversion by double description,
 a two-phase primal simplex with dual extraction, supporting-hyperplane
@@ -97,6 +99,14 @@ class HRep:
     inequalities: tuple[LinearForm, ...]
     equalities: tuple[LinearForm, ...]
 
+    def __post_init__(self):
+        for kind, forms in (("inequality", self.inequalities),
+                            ("equality", self.equalities)):
+            for k, f in enumerate(forms):
+                if len(f.coeffs) != self.dim:
+                    raise ValueError("%s %d has %d coefficients, not %d"
+                                     % (kind, k, len(f.coeffs), self.dim))
+
     def holds(self, point: Sequence) -> bool:
         return (all(f.slack(point) >= 0 for f in self.inequalities)
                 and all(f.slack(point) == 0 for f in self.equalities))
@@ -126,16 +136,26 @@ def _int_pivot(tab: list[list[int]], den: int, r: int, c: int) -> int:
     return p
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns.
+def _clear_matrix(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
+    """Integer rows M and D > 0 with rows = M / D, one D for all of them,
+    for int or Fraction entries."""
+    rows = list(rows)
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in rows], den
 
-    RREF is unique for a given row space, which keeps everything built on
-    it (ranks, affine hulls, null space bases) canonical.  It is computed
-    with _int_pivot on the rows scaled to integers by one common factor.
-    """
-    scale = lcm(*(x.denominator for row in rows for x in row))
-    mat = [[x.numerator * (scale // x.denominator) for x in row]
-           for row in rows]
+
+def _clear_denominators(vec: Sequence) -> tuple[list[int], int]:
+    """Integers P and d > 0 with vec = P / d, for int or Fraction entries."""
+    ints, den = _clear_matrix([vec])
+    return ints[0], den
+
+
+def _int_rref(rows: Iterable[list[int]]
+              ) -> tuple[list[list[int]], int, list[int]]:
+    """RREF of an integer matrix as M / den; returns the nonzero rows of
+    M, den and the pivot columns.  The given row lists are not changed."""
+    mat = list(rows)
     den, pivots = 1, []
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
@@ -145,24 +165,36 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         mat[r], mat[pr] = mat[pr], mat[r]
         den = _int_pivot(mat, den, r, c)
         pivots.append(c)
-    return [[Fraction(x, den) for x in row]
-            for row in mat[:len(pivots)]], pivots
+    return mat[:len(pivots)], den, pivots
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns the nonzero rows and pivot columns.
+
+    RREF is unique for a given row space, which keeps everything built on
+    it (ranks, affine hulls, null space bases) canonical.  It is computed
+    with _int_pivot on the rows scaled to integers by one common factor.
+    """
+    mat, den, pivots = _int_rref(_clear_matrix(rows)[0])
+    return [[Fraction(x, den) for x in row] for row in mat], pivots
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:
     return len(_rref([[Fraction(x) for x in row] for row in rows])[1])
 
 
+def _int_affine_rank(points: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine hull of integer points, by integer RREF of
+    their differences from the first."""
+    base = points[0]
+    return len(_int_rref([[x - b for x, b in zip(p, base)]
+                          for p in points[1:]])[2])
+
+
 def affine_rank(v: VRep) -> int:
-    """Dimension of the affine hull of the points."""
-    base = v.points[0]
-    return matrix_rank([[x - b for x, b in zip(p, base)] for p in v.points[1:]])
-
-
-def _clear_denominators(vec: Sequence) -> tuple[list[int], int]:
-    """Integers P and d > 0 with vec = P / d, for int or Fraction entries."""
-    den = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec], den
+    """Dimension of the affine hull of the points, computed on the points
+    scaled to integers over one common denominator."""
+    return _int_affine_rank(_clear_matrix(v.points)[0])
 
 
 def _coprime(vec: Sequence[int]) -> tuple[int, ...]:
@@ -178,14 +210,19 @@ def _primitive_ints(vec: Sequence) -> tuple[int, ...]:
     return _coprime(_clear_denominators(vec)[0])
 
 
+def _coprime_form(ints: Sequence[int]) -> LinearForm:
+    """The form [coeffs..., rhs] = ints divided by the gcd of its entries."""
+    prim = _coprime(ints)
+    return LinearForm(tuple(Fraction(c) for c in prim[:-1]), Fraction(prim[-1]))
+
+
 def _normalize_inequality(coeffs: Sequence, rhs) -> LinearForm:
     """Canonical representative under positive scaling: coprime integers.
 
     Only positive scaling is allowed, otherwise the sense of >= flips,
     so the leading sign stays whatever it is.
     """
-    prim = _primitive_ints(tuple(coeffs) + (Fraction(rhs),))
-    return LinearForm(tuple(Fraction(c) for c in prim[:-1]), Fraction(prim[-1]))
+    return _coprime_form(_clear_denominators((*coeffs, Fraction(rhs)))[0])
 
 
 def _normalize_equality(coeffs: Sequence, rhs) -> LinearForm:
@@ -400,7 +437,8 @@ class LpResult:
         sum_i dual[i] * rhs_i    = optimum
 
     with dual[i] <= 0 on inequalities when maximizing and dual[i] >= 0
-    when minimizing.  lp_solve checks these identities before returning.
+    when minimizing.  The integer core checks these identities, scaled
+    to integers, before lp_solve builds the Fractions.
 
     The multipliers are read off the final simplex tableau.  Where the
     optimal dual is not unique they may differ from those of releases
@@ -458,47 +496,36 @@ def _simplex_iterate(tab, den, basis, allowed):
         pivots += 1
 
 
-def lp_solve(objective: LinearForm, constraints: HRep,
-             sense: str = "max") -> LpResult:
-    """Exact two-phase simplex over the rationals on free variables.
+def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
+    """Maximize cost . x over free x in Q^d, all in integers.
 
-    Maximizes or minimizes objective.coeffs . x subject to the HRep.
-    The objective rhs is ignored.  See LpResult for the dual convention.
+    rows are [coeffs..., rhs] with d coefficients: the first n_ineq mean
+    coeffs . x >= rhs, the rest coeffs . x = rhs.  Two-phase simplex with
+    Bland's rule on the integer tableau tab / den (_int_pivot).  Scaling
+    all rows by one positive factor, or the cost by one, leaves Bland's
+    pivots and the argument unchanged (the multipliers scale with the
+    cost and inversely with the rows), so callers clear denominators that
+    way.  Each surplus column is -1 whatever the row's scale: a positive
+    column scaling, which leaves Bland's choices unchanged as well.
 
-    The tableau is integer over one common denominator (_int_pivot).
-    Constraint rows, surplus columns included, are scaled by L, the lcm
-    of their denominators, and the objective by cden, the lcm of its own:
-    uniform positive scalings, so Bland's rule takes the pivots a Fraction
-    tableau takes.  Only the argument, optimum and duals are Fractions.
+    Returns (status, (phase 1 pivots, phase 2 pivots), den, x, y).  For
+    an optimal solve x / den is the argument and y / den the multipliers
+    of the rows (see LpResult); the three dual identities are checked on
+    these numerators before returning.  Otherwise den, x and y are None.
     """
-    if sense not in ("max", "min"):
-        raise ValueError("sense must be 'max' or 'min'")
-    d = constraints.dim
-    if len(objective.coeffs) != d:
-        raise ValueError("objective has dimension %d, constraints %d"
-                         % (len(objective.coeffs), d))
-    obj = objective.coeffs if sense == "max" else tuple(-c for c in objective.coeffs)
-
-    forms = list(constraints.inequalities) + list(constraints.equalities)
-    n_ineq = len(constraints.inequalities)
-    m = len(forms)
+    d, m = len(cost), len(rows)
     nreal = 2 * d + n_ineq  # x+ | x- | surplus
-    cints, cden = _clear_denominators(obj)
-    cost2 = cints + [-x for x in cints] + [0] * n_ineq
-    scale = lcm(*(x.denominator for f in forms for x in (*f.coeffs, f.rhs)))
 
     # rows are x+ | x- | surplus | artificial | rhs, flipped to rhs >= 0;
     # the last row is the objective row den * (z - c)
     tab: list[list[int]] = []
     signs: list[int] = []
-    for i, f in enumerate(forms):
-        *coeffs, rhs = [x.numerator * (scale // x.denominator)
-                        for x in (*f.coeffs, f.rhs)]
+    for i, (*coeffs, rhs) in enumerate(rows):
         sign = -1 if rhs < 0 else 1
         row = ([sign * x for x in coeffs] + [-sign * x for x in coeffs]
                + [0] * (n_ineq + m) + [sign * rhs])
         if i < n_ineq:
-            row[2 * d + i] = -sign * scale
+            row[2 * d + i] = -sign
         row[nreal + i] = 1
         signs.append(sign)
         tab.append(row)
@@ -512,7 +539,7 @@ def lp_solve(objective: LinearForm, constraints: HRep,
         raise RuntimeError("phase 1 came out unbounded, which its "
                            "construction rules out")
     if tab[-1][-1] != 0:  # z = -(sum of artificials) at optimum
-        return LpResult(status="infeasible", pivots=(phase1, 0))
+        return "infeasible", (phase1, 0), None, None, None
 
     # drive leftover artificials out of the basis; a row with no real
     # entry left is redundant and keeps its artificial basic at zero
@@ -525,33 +552,60 @@ def lp_solve(objective: LinearForm, constraints: HRep,
                 phase1 += 1
 
     # phase 2
-    _price_out(tab, den, basis, cost2)
+    _price_out(tab, den, basis, cost + [-c for c in cost] + [0] * n_ineq)
     den, phase2, bounded = _simplex_iterate(tab, den, basis, range(nreal))
     if not bounded:
-        return LpResult(status="unbounded", pivots=(phase1, phase2))
+        return "unbounded", (phase1, phase2), None, None, None
 
     values = dict(zip(basis, (row[-1] for row in tab)))
-    argument = tuple(Fraction(values.get(k, 0) - values.get(d + k, 0), den)
-                     for k in range(d))
-    optimum_max = Fraction(_dot(obj, argument))
-
-    # the objective row's artificial columns hold den * cden / L times
-    # y = c_B B^-1; undo the scalings and the sign flips to get one
-    # multiplier per original constraint
-    dual = [Fraction(signs[i] * tab[-1][nreal + i] * scale, den * cden)
-            for i in range(m)]
+    x = [values.get(k, 0) - values.get(d + k, 0) for k in range(d)]
+    # the objective row's artificial columns hold den * c_B B^-1; with the
+    # sign flips undone, y / den is the multiplier of each row
+    y = [signs[i] * tab[-1][nreal + i] for i in range(m)]
 
     for k in range(d):
-        if sum(dual[i] * forms[i].coeffs[k] for i in range(m)) != obj[k]:
+        if sum(y[i] * rows[i][k] for i in range(m)) != cost[k] * den:
             raise RuntimeError("dual stationarity failed")
-    if sum(dual[i] * forms[i].rhs for i in range(m)) != optimum_max:
+    if sum(y[i] * rows[i][-1] for i in range(m)) != _dot(cost, x):
         raise RuntimeError("strong duality failed")
-    if any(dual[i] > 0 for i in range(n_ineq)):
+    if any(y[i] > 0 for i in range(n_ineq)):
         raise RuntimeError("dual sign failed")
+    return "optimal", (phase1, phase2), den, x, y
 
+
+def lp_solve(objective: LinearForm, constraints: HRep,
+             sense: str = "max") -> LpResult:
+    """Exact two-phase simplex over the rationals on free variables.
+
+    Maximizes or minimizes objective.coeffs . x subject to the HRep.
+    The objective rhs is ignored.  See LpResult for the dual convention.
+
+    The Fraction boundary of _int_lp: the constraints are scaled to
+    integers by L, the lcm of their denominators, and the objective by
+    cden, the lcm of its own, so Bland's rule takes the pivots a Fraction
+    tableau takes.  Fractions are built only for the argument, the
+    optimum and the duals.
+    """
+    if sense not in ("max", "min"):
+        raise ValueError("sense must be 'max' or 'min'")
+    d = constraints.dim
+    if len(objective.coeffs) != d:
+        raise ValueError("objective has dimension %d, constraints %d"
+                         % (len(objective.coeffs), d))
     flip = 1 if sense == "max" else -1
-    return LpResult("optimal", flip * optimum_max, argument,
-                    tuple(flip * y for y in dual), (phase1, phase2))
+    cost, cden = _clear_denominators([flip * c for c in objective.coeffs])
+    rows, scale = _clear_matrix(
+        (*f.coeffs, f.rhs)
+        for f in (*constraints.inequalities, *constraints.equalities))
+    status, pivots, den, x, y = _int_lp(cost, rows,
+                                        len(constraints.inequalities))
+    if status != "optimal":
+        return LpResult(status, pivots=pivots)
+    # y / den are the multipliers of the scaled problem; undo the scalings
+    return LpResult("optimal", Fraction(flip * _dot(cost, x), den * cden),
+                    tuple(Fraction(xk, den) for xk in x),
+                    tuple(Fraction(flip * yi * scale, den * cden) for yi in y),
+                    pivots)
 
 
 # --- face tests -----------------------------------------------------------
@@ -580,11 +634,20 @@ class FaceVerdict:
 def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     """Decide whether the given point indices form a face of conv(points).
 
-    Looks for a hyperplane through the subset with every other point
-    strictly on the positive side, maximizing the smallest slack (capped
-    at 1, which scaling makes harmless).  A positive optimum certifies a
-    face; optimum zero certifies there is none and the failed separator
-    with its evaluations is returned as the witness.
+    Looks for a hyperplane f . x = f . s0 through the subset (s0 its first
+    point) with every other point strictly on the positive side,
+    maximizing the smallest slack t (capped at 1, which scaling makes
+    harmless).  A positive optimum certifies a face; optimum zero
+    certifies there is none and the failed separator with its
+    evaluations is returned as the witness.
+
+    The points are written once as integers Q / D over one common D, and
+    the LP rows come straight from integer differences: (Q_i - Q_s0) . f
+    - D t >= 0 for each point outside, -D t >= -D for the cap and
+    (Q_i - Q_s0) . f = 0 for each other point of the subset.  That is the
+    Fraction LP scaled by D, so _int_lp takes the pivots it would.
+    Fractions are built only for the returned form and evaluations, and
+    the ranks are integer RREFs.
     """
     idx = sorted(set(subset))
     npts = len(v.points)
@@ -597,27 +660,29 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
         return FaceVerdict(kind="whole_polytope", dimension=affine_rank(v))
 
     d = v.dim
+    pts, D = _clear_matrix(v.points)
+    s0 = pts[idx[0]]
+    diffs = [[a - b for a, b in zip(p, s0)] for p in pts]
     inside = set(idx)
-    s0 = v.points[idx[0]]
-    diffs = [tuple(a - b for a, b in zip(p, s0)) for p in v.points]
-    eqs = [LinearForm(diffs[i] + (_ZERO,), _ZERO) for i in idx[1:]]
-    ineqs = [LinearForm(diffs[i] + (Fraction(-1),), _ZERO)
-             for i in range(npts) if i not in inside]
-    ineqs.append(LinearForm((_ZERO,) * d + (Fraction(-1),), Fraction(-1)))
-    objective = LinearForm((_ZERO,) * d + (_ONE,), _ZERO)
-    res = lp_solve(objective, HRep(d + 1, tuple(ineqs), tuple(eqs)), "max")
-    if res.status != "optimal":
+    rows = [diffs[i] + [-D, 0] for i in range(npts) if i not in inside]
+    rows.append([0] * d + [-D, -D])
+    n_ineq = len(rows)
+    rows += [diffs[i] + [0, 0] for i in idx[1:]]
+    status, _, den, x, _ = _int_lp([0] * d + [1], rows, n_ineq)
+    if status != "optimal":
         raise RuntimeError("face LP came out %s; it is feasible and bounded "
-                           "by construction" % (res.status,))
+                           "by construction" % (status,))
 
-    f = res.argument[:d]
-    rhs = Fraction(_dot(f, s0))
-    if res.optimum > 0:
-        sub_dim = affine_rank(VRep(d, [v.points[i] for i in idx]))
-        kind = "facet" if sub_dim == affine_rank(v) - 1 else "proper_face"
-        return FaceVerdict(kind, _normalize_inequality(f, rhs), sub_dim)
-    evals = tuple(Fraction(_dot(f, p)) for p in v.points)
-    return FaceVerdict("not_face", LinearForm(f, rhs), evaluations=evals)
+    f = x[:d]  # the separator is f / den, its rhs f . s0 / (den D)
+    if x[d] > 0:
+        sub_dim = _int_affine_rank([pts[i] for i in idx])
+        whole = _int_affine_rank(pts)
+        kind = "facet" if sub_dim == whole - 1 else "proper_face"
+        form = _coprime_form([c * D for c in f] + [_dot(f, s0)])
+        return FaceVerdict(kind, form, sub_dim)
+    evals = tuple(Fraction(_dot(f, p), den * D) for p in pts)
+    form = LinearForm(tuple(Fraction(c, den) for c in f), evals[idx[0]])
+    return FaceVerdict("not_face", form, evaluations=evals)
 
 
 # --- fixtures -------------------------------------------------------------

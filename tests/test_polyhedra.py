@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegapoly import polyhedra as ph
+from omegapoly import omega_core, polyhedra as ph
 from omegapoly.guards import ScaleGuardError
 
 
@@ -482,24 +482,25 @@ def test_lp_pivot_counts(monkeypatch):
     res = ph.lp_solve(ph.linear_form([1], 0), h)
     assert res.status == "infeasible" and res.pivots[1] == 0
     assert ph.LpResult("infeasible").pivots is None
-    # the one face LP behind a square facet of the 3-cube
-    results = []
-    solve = ph.lp_solve
+    # the one face LP behind a square facet of the 3-cube, which is_face
+    # hands to the integer LP core directly
+    pivots = []
+    core = ph._int_lp
 
-    def recording_solve(*args):
-        results.append(solve(*args))
-        return results[-1]
+    def recording_core(*args):
+        result = core(*args)
+        pivots.append(result[1])
+        return result
 
-    monkeypatch.setattr(ph, "lp_solve", recording_solve)
+    monkeypatch.setattr(ph, "_int_lp", recording_core)
     verdict = ph.is_face(ph.regular_polytope("cube", 3), [0, 1, 2, 3])
     assert verdict.kind == "facet"
-    assert [r.pivots for r in results] == [(7, 0)]
+    assert pivots == [(7, 0)]
 
 
-def test_dual_checks_survive_python_O():
-    # one dual entry read off the final tableau is put off by one; the
-    # checks that follow must refuse it even when asserts are stripped
-    script = """
+# one dual numerator read off the final tableau is put off by one; the
+# checks that follow must refuse it even when asserts are stripped
+_OFF_BY_ONE_DUAL = """
 import sys
 from omegapoly import polyhedra as ph
 iterate = ph._simplex_iterate
@@ -509,20 +510,45 @@ def off_by_one(tab, den, basis, allowed):
         tab[-1][len(allowed)] += den
     return den, pivots, bounded
 ph._simplex_iterate = off_by_one
-square = ph.HRep(2, (ph.linear_form([1, 0], 0), ph.linear_form([0, 1], 0),
-                     ph.linear_form([-1, 0], -1), ph.linear_form([0, -1], -1)),
-                 ())
 try:
-    print(ph.lp_solve(ph.linear_form([1, 1], 0), square))
+    print(%s)
 except RuntimeError as exc:
     print(sys.flags.optimize, exc)
 """
+
+
+def _run_optimized(call):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
+    script = _OFF_BY_ONE_DUAL % call
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 dual stationarity failed\n"
+    return proc.stdout
+
+
+def test_dual_checks_survive_python_O():
+    square = ("ph.HRep(2, (ph.linear_form([1, 0], 0), "
+              "ph.linear_form([0, 1], 0), ph.linear_form([-1, 0], -1), "
+              "ph.linear_form([0, -1], -1)), ())")
+    call = "ph.lp_solve(ph.linear_form([1, 1], 0), %s)" % square
+    assert _run_optimized(call) == "1 dual stationarity failed\n"
+
+
+def test_dual_checks_survive_python_O_through_is_face():
+    # is_face builds its LP on integers and calls the core directly; the
+    # first dual belongs to an outside point's row, which has a t entry
+    call = "ph.is_face(ph.regular_polytope('cube', 3), [0, 1, 2, 3])"
+    assert _run_optimized(call) == "1 dual stationarity failed\n"
+
+
+def test_hrep_rejects_forms_of_the_wrong_dimension():
+    good, short = ph.linear_form([1, 0], 0), ph.linear_form([1], 0)
+    with pytest.raises(ValueError, match="inequality 1 has 1 coeff"):
+        ph.HRep(2, (good, short), ())
+    with pytest.raises(ValueError, match="equality 0 has 3 coeff"):
+        ph.HRep(2, (good,), (ph.linear_form([1, 0, 0], 0),))
+    assert ph.HRep(2, (good,), (good,)).holds((0, 5))
 
 
 def test_lp_fractional_answer_is_exact():
@@ -622,6 +648,53 @@ def test_positive_verdict_forms_support_exactly():
                 s = verdict.form.slack(p)
                 assert s >= 0
                 assert (s == 0) == (k in sub)
+
+
+def _face_pin_queries():
+    """Seeded is_face queries: cubes, cross-polytopes and simplices in
+    dimensions 2-4, each coordinate scaled and shifted by non-integer
+    rationals, on random subsets and on their hull's facet sets; then all
+    28 n = 3 pair complements and every second n = 4 pair complement."""
+    rng = random.Random(20261019)
+    for kind in ("cube", "cross", "simplex"):
+        for d in (2, 3, 4):
+            scale = [Fraction(rng.choice((-5, -2, 3, 7)),
+                              rng.choice((2, 3, 4))) for _ in range(d)]
+            shift = [Fraction(rng.randint(-9, 9), rng.choice((2, 5, 6)))
+                     for _ in range(d)]
+            v = ph.VRep(d, [[s * x + t for x, s, t in zip(p, scale, shift)]
+                            for p in ph.regular_polytope(kind, d).points])
+            npts = len(v.points)
+            for _ in range(8):
+                yield v, rng.sample(range(npts), rng.randint(1, npts - 1))
+            for form in ph.convex_hull_facets(v).inequalities[:3]:
+                tight = [k for k, p in enumerate(v.points)
+                         if form.slack(p) == 0]
+                yield v, tight
+                yield v, tight[1:]
+    for n in (3, 4):
+        v = omega_core.reduced_vertex_vrep(n)
+        pairs = list(itertools.combinations(range(2 ** n), 2))
+        for a, b in pairs if n == 3 else pairs[::2]:
+            yield v, [k for k in range(2 ** n) if k not in (a, b)]
+
+
+# sha256 over repr((kind, dimension, form, evaluations)) of the verdicts of
+# _face_pin_queries, taken from the face LP built on Fraction forms
+FACE_PIN_DIGEST = ("278e5269d9607f95aecf2fbbd3f579e3"
+                   "7f9671470db9f724e93ac3e61c151694")
+
+
+def test_is_face_verdicts_are_pinned():
+    h = hashlib.sha256()
+    kinds = set()
+    for v, subset in _face_pin_queries():
+        verdict = ph.is_face(v, subset)
+        kinds.add(verdict.kind)
+        h.update(repr((verdict.kind, verdict.dimension, verdict.form,
+                       verdict.evaluations)).encode("ascii"))
+    assert kinds == {"facet", "proper_face", "not_face"}
+    assert h.hexdigest() == FACE_PIN_DIGEST
 
 
 # --- text format ---------------------------------------------------------------
