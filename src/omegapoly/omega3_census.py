@@ -344,8 +344,8 @@ def facet_census(n: int, include_orbits: bool = True,
     Facets come from double description, and which vertices each facet
     holds is read off integer tight-set bitmasks (polyhedra.tight_masks).
     n up to 4 takes milliseconds; n = 5 runs double description in
-    dimension 15, takes a few tenths of a second, and must be requested
-    explicitly via allow_large.  n > 5 is refused with or without it.
+    dimension 15, takes about 0.15 s, and must be requested explicitly
+    via allow_large.  n > 5 is refused with or without it.
     """
     if n < 2:
         raise ValueError("census needs n >= 2")
@@ -369,8 +369,8 @@ def facet_census(n: int, include_orbits: bool = True,
 
     records = []
     incidence = [0] * len(assigns)
-    for form, mask in zip(hrep.inequalities,
-                          polyhedra.tight_masks(hrep.inequalities, vrep)):
+    masks = polyhedra.tight_masks(hrep.inequalities, vrep)
+    for form, mask in zip(hrep.inequalities, masks):
         tight = []
         for k, a in enumerate(assigns):
             if mask >> k & 1:
@@ -383,41 +383,48 @@ def facet_census(n: int, include_orbits: bool = True,
         raise RuntimeError("per-vertex facet incidence is not constant: %r"
                            % (sorted(counts),))
 
-    orbits = _facet_orbits(n, records, assigns) if include_orbits else None
+    orbits = _facet_orbits(n, masks, assigns) if include_orbits else None
     return CensusReport(n, tuple(records), len(records), counts.pop(), orbits)
 
 
-def _facet_orbits(n, records, assigns):
+def _facet_orbits(n, masks, assigns):
+    """Orbits of the facets, given as tight-set bitmasks over assigns,
+    under the generators of _orbit_generators.
+
+    Each generator is a permutation of the vertex indices, stored as the
+    bit of each vertex's image; a facet's image under it is the facet
+    whose tight mask is the image of its mask.  Facets are visited in
+    index order, so each orbit's representative is its first member.
+    """
     index_of = {a: k for k, a in enumerate(assigns)}
-    facet_of_tight = {frozenset(index_of[a] for a in rec.tight): k
-                      for k, rec in enumerate(records)}
-    gens = _orbit_generators(n)
-    gen_maps = []
-    for g in gens:
-        gen_maps.append(tuple(index_of[apply_to_assignment(g, a)]
-                              for a in assigns))
-    seen = [False] * len(records)
+    gen_bits = [[1 << index_of[apply_to_assignment(g, a)] for a in assigns]
+                for g in _orbit_generators(n)]
+    facet_of_mask = {mask: k for k, mask in enumerate(masks)}
+    seen = [False] * len(masks)
     orbits = []
-    for start in range(len(records)):
+    for start, start_mask in enumerate(masks):
         if seen[start]:
             continue
-        frontier = [frozenset(index_of[a] for a in records[start].tight)]
-        members = {start}
         seen[start] = True
+        size = 1
+        frontier = [start_mask]
         while frontier:
-            tight = frontier.pop()
-            for gm in gen_maps:
-                image = frozenset(gm[k] for k in tight)
-                k = facet_of_tight.get(image)
+            mask = frontier.pop()
+            for bits in gen_bits:
+                image, rest = 0, mask
+                while rest:
+                    low = rest & -rest
+                    image |= bits[low.bit_length() - 1]
+                    rest ^= low
+                k = facet_of_mask.get(image)
                 if k is None:
                     raise RuntimeError("symmetry image of a facet is not a "
                                        "facet; census is inconsistent")
                 if not seen[k]:
                     seen[k] = True
-                    members.add(k)
+                    size += 1
                     frontier.append(image)
-        orbits.append(OrbitRecord(len(members), min(members)))
-    orbits.sort(key=lambda o: o.representative)
+        orbits.append(OrbitRecord(size, start))
     return tuple(orbits)
 
 

@@ -1,13 +1,14 @@
 """Exact rational polyhedral geometry.
 
-Everything here is exact: values are fractions.Fraction, and the double
-description, incidence, rank, RREF and simplex kernels scale them to
-plain integers (RREF and the simplex share one fraction-free pivot, with
-one common denominator per matrix).  The simplex is one integer core,
-_int_lp, that also checks its duals on integers; lp_solve and is_face
-both call it and make Fractions only for what they return.  There is no
-floating point anywhere, so ranks, facet lists, optima and face verdicts
-are exact and reproducible bit for bit.
+Everything here is exact: values are fractions.Fraction, and the convex
+hull (affine hull, double description and facet assembly), incidence,
+rank, RREF and simplex kernels scale them to plain integers (RREF and
+the simplex share one fraction-free pivot, with one common denominator
+per matrix).  The simplex is one integer core, _int_lp, that also
+checks its duals on integers; lp_solve and is_face both call it and
+make Fractions only for what they return, as convex_hull_facets does.
+There is no floating point anywhere, so ranks, facet lists, optima and
+face verdicts are exact and reproducible bit for bit.
 
 Contents: affine rank, vertex-to-facet conversion by double description,
 a two-phase primal simplex with dual extraction, supporting-hyperplane
@@ -27,9 +28,6 @@ from .guards import (DEFAULT_HULL_MAX_DIM, DEFAULT_HULL_MAX_POINTS,
                      ScaleGuardError)
 
 Vector = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac_vector(xs: Iterable) -> Vector:
@@ -205,15 +203,14 @@ def _coprime(vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _primitive_ints(vec: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector by a positive rational to coprime integers."""
-    return _coprime(_clear_denominators(vec)[0])
+def _int_form(ints: Sequence[int]) -> LinearForm:
+    """The form [coeffs..., rhs] = ints, as Fractions."""
+    return LinearForm(tuple(map(Fraction, ints[:-1])), Fraction(ints[-1]))
 
 
 def _coprime_form(ints: Sequence[int]) -> LinearForm:
     """The form [coeffs..., rhs] = ints divided by the gcd of its entries."""
-    prim = _coprime(ints)
-    return LinearForm(tuple(Fraction(c) for c in prim[:-1]), Fraction(prim[-1]))
+    return _int_form(_coprime(ints))
 
 
 def _normalize_inequality(coeffs: Sequence, rhs) -> LinearForm:
@@ -223,40 +220,6 @@ def _normalize_inequality(coeffs: Sequence, rhs) -> LinearForm:
     so the leading sign stays whatever it is.
     """
     return _coprime_form(_clear_denominators((*coeffs, Fraction(rhs)))[0])
-
-
-def _normalize_equality(coeffs: Sequence, rhs) -> LinearForm:
-    """Coprime integers with the first nonzero coefficient positive."""
-    f = _normalize_inequality(coeffs, rhs)
-    if next((x for x in f.coeffs if x != 0), 0) < 0:
-        return LinearForm(tuple(-x for x in f.coeffs), -f.rhs)
-    return f
-
-
-def _form_key(f: LinearForm):
-    return (f.coeffs, f.rhs)
-
-
-# --- affine hull ---------------------------------------------------------
-
-def _affine_hull(points: Sequence[Vector]):
-    """Pivot columns of the RREF of the direction space, and the canonical
-    hull equalities.  Because the basis is a full RREF, the reduced
-    coordinate of a direction vector t is simply t restricted to the
-    pivot columns.
-    """
-    base = points[0]
-    d = len(base)
-    rref, pivots = _rref([[x - b for x, b in zip(p, base)] for p in points[1:]])
-    equalities = []
-    for fc in sorted(set(range(d)) - set(pivots)):
-        coeffs = [_ZERO] * d
-        coeffs[fc] = _ONE
-        for row, pc in zip(rref, pivots):
-            coeffs[pc] = -row[fc]
-        equalities.append(_normalize_equality(coeffs, _dot(coeffs, base)))
-    equalities.sort(key=_form_key)
-    return pivots, tuple(equalities)
 
 
 # --- double description --------------------------------------------------
@@ -277,10 +240,16 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]) -> list[tuple[int, ...
     slack, and a ray made from a plus/minus pair is a positive combination
     of two rays with nonnegative slacks, so it is tight exactly where both
     are.  Two rays are adjacent iff their common zero set has rank
-    cone_dim - 2, where cone_dim = m - len(lineality).  Pairs with fewer
-    than cone_dim - 2 common zeros fail that at once and are skipped
-    before the combinatorial test, which scans every other ray for one
-    whose mask contains the common set.
+    cone_dim - 2, where cone_dim = m - len(lineality), which holds iff no
+    third ray is tight on the whole common set.
+
+    The adjacency test runs on the transpose of the masks.  At each split
+    step, cols[c] is the bitset of the positions of the rays tight on
+    processed constraint c.  A pair with fewer than cone_dim - 2 common
+    zeros is skipped at once; otherwise the AND of cols[c] over the common
+    zeros is the set of rays tight on all of them, which always holds the
+    pair itself, and the pair is adjacent iff it holds nothing else.  The
+    AND stops as soon as only the pair is left.
 
     Rays and constraints are primitive integer vectors, so every dot
     product and combination stays in plain int arithmetic.
@@ -317,36 +286,42 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]) -> list[tuple[int, ...
             rays = new_rays
             continue
 
-        plus: list[tuple[tuple[int, ...], int, int]] = []
+        plus: list[tuple[tuple[int, ...], int, int, int]] = []
         zero: list[tuple[tuple[int, ...], int]] = []
-        minus: list[tuple[tuple[int, ...], int, int]] = []
-        for r, mask in rays:
+        minus: list[tuple[tuple[int, ...], int, int, int]] = []
+        for pos, (r, mask) in enumerate(rays):
             t = _dot(a, r)
             if t > 0:
-                plus.append((r, mask, t))
+                plus.append((r, mask, t, 1 << pos))
             elif t < 0:
-                minus.append((r, mask, t))
+                minus.append((r, mask, t, 1 << pos))
             else:
                 zero.append((r, mask | bit))
+        survivors = [(r, mask) for (r, mask, _, _) in plus] + zero
         if not minus:
-            rays = [(r, mask) for (r, mask, _) in plus] + zero
+            rays = survivors
             continue
-        survivors = [(r, mask) for (r, mask, _) in plus] + zero
-        blockers = rays  # masks before this step, extra bits are harmless
+        cols = [0] * idx  # cols[c]: positions of the rays tight on c
+        for pos, (_, mask) in enumerate(rays):
+            while mask:
+                low = mask & -mask
+                cols[low.bit_length() - 1] |= 1 << pos
+                mask ^= low
         need = m - len(lineality) - 2
-        for rp, mp, tp in plus:
-            for rn, mn, tn in minus:
+        everyone = (1 << len(rays)) - 1
+        for rp, mp, tp, bp in plus:
+            for rn, mn, tn, bn in minus:
                 common = mp & mn
                 if common.bit_count() < need:
                     continue
-                adjacent = True
-                for ro, mo in blockers:
-                    if ro is rp or ro is rn:
-                        continue
-                    if (mo & common) == common:
-                        adjacent = False
-                        break
-                if not adjacent:
+                pair = bp | bn
+                tight = everyone
+                rest = common
+                while rest and tight != pair:
+                    low = rest & -rest
+                    tight &= cols[low.bit_length() - 1]
+                    rest ^= low
+                if tight != pair:
                     continue
                 w = _coprime([tp * nx - tn * px for px, nx in zip(rp, rn)])
                 survivors.append((w, common | bit))
@@ -365,6 +340,17 @@ def convex_hull_facets(v: VRep,
     Output is the canonical affine hull equalities plus exactly one
     canonically scaled inequality per facet, sorted, so equal point sets
     always produce byte-identical results regardless of input order.
+    Forms are coprime integers; an equality's first nonzero coefficient
+    is positive.
+
+    Runs on integers from input to output: the points are written once
+    as P / D over one common D, the affine hull is the integer RREF of
+    the differences P_i - P_0 (its pivots and null vectors are those of
+    the rational differences), and the double description runs on
+    (D, (P_i - P_0) at the pivots).  A ray (b, c) gives the facet
+    c . x >= c . x_0 - b in the pivot coordinates, scaled by D to
+    (c D at the pivots, c . P_0 - b D).  Fractions are built only for
+    the returned forms.
     """
     if v.dim > max_dim:
         raise ScaleGuardError(
@@ -375,29 +361,38 @@ def convex_hull_facets(v: VRep,
             "hull-points", max_points, len(v.points),
             "hull of %d points exceeds bound %d" % (len(v.points), max_points))
 
-    pivots, equalities = _affine_hull(v.points)
-    k = len(pivots)
-    if k == 0:
-        # a single point: the equalities already pin it down
-        return HRep(v.dim, (), equalities)
+    d = v.dim
+    pts, D = _clear_matrix(v.points)
+    base = pts[0]
+    diffs = [[x - b for x, b in zip(p, base)] for p in pts]
+    rref, den, pivots = _int_rref(diffs[1:])
 
-    base = v.points[0]
-    cons = []
-    for p in v.points:
-        u = tuple(p[c] - base[c] for c in pivots)
-        cons.append(_primitive_ints((1,) + u))
-    rays = _dd_extreme_rays(k + 1, cons)
+    # the RREF is M / den, so the null vector with 1 at free column fc
+    # is den there and -M[row][fc] at the pivots, over den
+    equalities = []
+    for fc in sorted(set(range(d)) - set(pivots)):
+        coeffs = [0] * d
+        coeffs[fc] = den
+        for row, pc in zip(rref, pivots):
+            coeffs[pc] = -row[fc]
+        eq = _coprime([D * c for c in coeffs] + [_dot(coeffs, base)])
+        if next(c for c in eq if c) < 0:
+            eq = tuple(-x for x in eq)
+        equalities.append(eq)
+    equalities.sort()
 
     ineqs = []
-    for ray in rays:
-        b, c = ray[0], ray[1:]
-        coeffs = [_ZERO] * v.dim
-        for j, pc in enumerate(pivots):
-            coeffs[pc] = Fraction(c[j])
-        rhs = _dot(coeffs, base) - b
-        ineqs.append(_normalize_inequality(coeffs, rhs))
-    ineqs.sort(key=_form_key)
-    return HRep(v.dim, tuple(ineqs), equalities)
+    if pivots:
+        cons = [_coprime([D] + [diff[c] for c in pivots]) for diff in diffs]
+        base_piv = [base[c] for c in pivots]
+        for b, *c in _dd_extreme_rays(len(pivots) + 1, cons):
+            coeffs = [0] * d
+            for cj, pc in zip(c, pivots):
+                coeffs[pc] = cj * D
+            ineqs.append(_coprime(coeffs + [_dot(c, base_piv) - b * D]))
+        ineqs.sort()
+    return HRep(d, tuple(map(_int_form, ineqs)),
+                tuple(map(_int_form, equalities)))
 
 
 def tight_masks(forms: Iterable[LinearForm], v: VRep) -> list[int]:
@@ -617,8 +612,11 @@ class FaceVerdict:
     kind is one of "facet", "proper_face", "not_face", "empty",
     "whole_polytope".  For the first two, form supports the polytope with
     equality exactly on the subset and dimension is the face dimension.
-    For "not_face", form is the best separating attempt found and
-    evaluations lists its value on every input point in order.
+    For "not_face", form is the face LP's last iterate and evaluations
+    lists its value on every input point in order.  That form certifies
+    nothing: the LP stops at optimum 0, and in practice its last iterate
+    is then the zero form, with every evaluation 0.  The verdict itself
+    rests on the exact optimum being 0, not on the form.
     """
 
     kind: str
@@ -637,9 +635,10 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     Looks for a hyperplane f . x = f . s0 through the subset (s0 its first
     point) with every other point strictly on the positive side,
     maximizing the smallest slack t (capped at 1, which scaling makes
-    harmless).  A positive optimum certifies a face; optimum zero
-    certifies there is none and the failed separator with its
-    evaluations is returned as the witness.
+    harmless).  A positive optimum certifies a face.  Optimum zero means
+    there is none; the form returned with "not_face" is then only the
+    LP's last iterate (in practice the zero form), with its evaluations,
+    and is no certificate of anything.
 
     The points are written once as integers Q / D over one common D, and
     the LP rows come straight from integer differences: (Q_i - Q_s0) . f

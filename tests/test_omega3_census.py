@@ -225,6 +225,19 @@ def test_census_three_parts():
         assert tight == set(rec.tight)
 
 
+def test_facet_orbits_refuse_a_missing_image():
+    # orbits are found on tight bitmasks; with one facet left out, a
+    # symmetry image of another facet has no mask to land on
+    vrep = oc.reduced_vertex_vrep(3)
+    report = o3.facet_census(3)
+    masks = ph.tight_masks([rec.form for rec in report.facets], vrep)
+    orbits = o3._facet_orbits(3, masks, all3())
+    assert orbits == report.orbits
+    assert [(o.size, o.representative) for o in orbits] == [(12, 0), (4, 2)]
+    with pytest.raises(RuntimeError, match="not a facet"):
+        o3._facet_orbits(3, masks[1:], all3())
+
+
 def test_census_orbits_optional():
     report = o3.facet_census(2, include_orbits=False)
     assert report.orbits is None

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegapoly import omega_core, polyhedra as ph
+from omegapoly import omega3_census, omega_core, polyhedra as ph
 from omegapoly.guards import ScaleGuardError
 
 
@@ -248,9 +248,12 @@ def _brute_force_facets(points):
 
 
 @st.composite
-def _affine_point_sets(draw):
+def _affine_point_sets(draw, rational=False):
     """1 to 9 distinct integer points in Q^d, d = 2..4, drawn from an affine
-    subspace of dimension r <= d, so that many sets are flat."""
+    subspace of dimension r <= d, so that many sets are flat.  With
+    rational=True every coordinate is then scaled and shifted by its own
+    rational, so the points (and the base point of a flat set) need not
+    be integers."""
     d = draw(st.integers(2, 4))
     r = draw(st.integers(1, d))
     coord = st.integers(-2, 2)
@@ -265,13 +268,17 @@ def _affine_point_sets(draw):
         mults.insert(2, [2 * b - a for a, b in zip(mults[0], mults[1])])
     points = [tuple(base[j] + sum(m[t] * dirs[t][j] for t in range(r))
                     for j in range(d)) for m in mults]
+    if rational:
+        nonzero = st.sampled_from((-3, -2, -1, 1, 2, 3))
+        scale = draw(st.lists(st.builds(Fraction, nonzero, st.integers(1, 4)),
+                              min_size=d, max_size=d))
+        shift = draw(st.lists(_RATIONAL, min_size=d, max_size=d))
+        points = [tuple(s * x + t for x, s, t in zip(p, scale, shift))
+                  for p in points]
     return d, list(dict.fromkeys(points))
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(_affine_point_sets())
-def test_hull_matches_brute_force_facets(case):
-    d, points = case
+def _check_hull_against_brute_force(d, points):
     v = ph.VRep(d, points)
     h = ph.convex_hull_facets(v)
     k = ph.affine_rank(v)
@@ -282,6 +289,68 @@ def test_hull_matches_brute_force_facets(case):
                             if f.slack(p) == 0) for f in h.inequalities]
     assert len(set(tight_sets)) == len(tight_sets)
     assert set(tight_sets) == _brute_force_facets(v.points)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_affine_point_sets())
+def test_hull_matches_brute_force_facets(case):
+    _check_hull_against_brute_force(*case)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_affine_point_sets(rational=True))
+def test_hull_matches_brute_force_facets_on_rational_points(case):
+    # the points are P / D with D > 1 in general, so the hull is built
+    # from cleared integer points and must still land on the same facets
+    _check_hull_against_brute_force(*case)
+
+
+def _hull_pin_inputs():
+    """Seeded rational point sets in dimensions 2-5, many of them flat,
+    with every coordinate scaled by a rational and shifted by a
+    non-integer one, so that flat sets too have non-integer points;
+    then the ridge hulls of the n = 5 census, one per orbit
+    representative: the hull of the vertices tight on that facet."""
+    rng = random.Random(20261020)
+    for _ in range(150):
+        d = rng.randint(2, 5)
+        r = d if rng.random() < 0.67 else rng.randint(1, d - 1)
+        dirs = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(r)]
+        scale = [Fraction(rng.choice((-5, -1, 3, 7)), rng.choice((2, 3, 4)))
+                 for _ in range(d)]
+        shift = [Fraction(rng.choice((-7, -1, 1, 5)), rng.choice((2, 3, 6)))
+                 for _ in range(d)]
+        points = {}
+        for _ in range(rng.randint(1, 12)):
+            m = [rng.randint(-2, 2) for _ in range(r)]
+            p = tuple(s * sum(m[t] * dirs[t][j] for t in range(r)) + off
+                      for j, (s, off) in enumerate(zip(scale, shift)))
+            points[p] = None
+        yield ph.VRep(d, list(points))
+    vrep = omega_core.reduced_vertex_vrep(5)
+    report = omega3_census.facet_census(5, allow_large=True)
+    masks = ph.tight_masks([rec.form for rec in report.facets], vrep)
+    for orbit in report.orbits:
+        mask = masks[orbit.representative]
+        yield ph.VRep(vrep.dim, [p for k, p in enumerate(vrep.points)
+                                 if mask >> k & 1])
+
+
+# sha256 over hrep_to_text of the hulls of _hull_pin_inputs, taken from
+# the hull built on Fraction affine hulls and forms
+HULL_PIN_DIGEST = ("ea9f2ec755ca40f7e4fde6c4b90fed09"
+                   "2198163e1a9598d4287fab35af7838ac")
+
+
+def test_hull_outputs_are_pinned():
+    h = hashlib.sha256()
+    flat = 0
+    for v in _hull_pin_inputs():
+        hrep = ph.convex_hull_facets(v)
+        flat += bool(hrep.equalities)
+        h.update(ph.hrep_to_text(hrep).encode("ascii"))
+    assert flat > 40
+    assert h.hexdigest() == HULL_PIN_DIGEST
 
 
 def test_tight_masks_match_slack_on_rational_input():
