@@ -22,12 +22,10 @@ from .omega_core import (EqualityReport, OmegaPoint, ReducedPoint,
                          point_from_json, point_to_json, reduce_point,
                          reduced_vertex, reduced_vertex_vrep,
                          vertex_from_assignment)
-from .omega3_census import (CaseReport, CensusReport, PairClass, Symmetry,
-                            all_symmetries, analyze_pair, apply_to_assignment,
-                            apply_to_form, apply_to_point, case_disjoint_form,
-                            case_shared_edge_form, case_shared_vertex_witness,
-                            census_to_json, classify_pair, facet_census,
-                            form_to_reduced)
+from .omega3_census import (CaseReport, CensusReport, PairClass, analyze_pair,
+                            case_disjoint_form, case_shared_edge_form,
+                            case_shared_vertex_witness, census_to_json,
+                            classify_pair, facet_census)
 from .polyhedra import (FaceVerdict, HRep, LinearForm, LpResult, VRep,
                         affine_rank, convex_hull_facets, hrep_from_text,
                         hrep_to_text, is_face, linear_form, lp_solve,
@@ -39,20 +37,17 @@ __all__ = [
     "Assignment", "CaseReport", "CensusReport", "Cnf2", "EdgeCertificate",
     "EqualityReport", "FaceVerdict", "Graph2P", "HRep", "LinearForm",
     "LpResult", "OmegaPoint", "PairClass", "ReducedPoint", "ScaleGuardError",
-    "Symmetry", "VRep", "VertexRef", "affine_rank", "all_assignments",
-    "all_symmetries", "all_vertices", "analyze_pair", "apply_to_assignment",
-    "apply_to_form", "apply_to_point", "assignment_from_text",
-    "case_disjoint_form", "case_shared_edge_form",
-    "case_shared_vertex_witness", "census_to_json", "certificate_from_json",
-    "certificate_to_json", "check_equalities", "classify_pair",
-    "cnf_from_dimacs", "cnf_to_dimacs", "complete_graph",
+    "VRep", "VertexRef", "affine_rank", "all_assignments", "all_vertices",
+    "analyze_pair", "assignment_from_text", "case_disjoint_form",
+    "case_shared_edge_form", "case_shared_vertex_witness", "census_to_json",
+    "certificate_from_json", "certificate_to_json", "check_equalities",
+    "classify_pair", "cnf_from_dimacs", "cnf_to_dimacs", "complete_graph",
     "convex_hull_facets", "edge_certificate", "edges_via_hull",
-    "enumerate_cliques", "facet_census", "find_clique", "form_to_reduced",
-    "graph_from_json", "graph_to_json", "hrep_from_text", "hrep_to_text",
-    "independent_family", "is_clique", "is_face", "lift_point", "linear_form",
-    "lp_solve", "omega_dimension", "point_from_json", "point_to_json",
-    "reduce_point", "reduced_vertex", "reduced_vertex_vrep",
-    "regular_polytope", "solve_2sat", "to_2cnf", "verify_certificate",
-    "vertex_from_assignment", "vrep_from_text", "vrep_to_text",
-    "without_edges",
+    "enumerate_cliques", "facet_census", "find_clique", "graph_from_json",
+    "graph_to_json", "hrep_from_text", "hrep_to_text", "independent_family",
+    "is_clique", "is_face", "lift_point", "linear_form", "lp_solve",
+    "omega_dimension", "point_from_json", "point_to_json", "reduce_point",
+    "reduced_vertex", "reduced_vertex_vrep", "regular_polytope", "solve_2sat",
+    "to_2cnf", "verify_certificate", "vertex_from_assignment",
+    "vrep_from_text", "vrep_to_text", "without_edges",
 ]

@@ -280,52 +280,23 @@ def _cmd_clique_solve(args) -> int:
     return 0
 
 
-def _json_fields(obj, *keys):
-    """The values of keys in a JSON object; ValueError names a missing one."""
-    for key in keys:
-        if not isinstance(obj, dict) or key not in obj:
-            raise ValueError('JSON input lacks "%s"' % (key,))
-    return [obj[key] for key in keys]
-
-
-def _json_dim(obj) -> int:
-    (dim,) = _json_fields(obj, "dim")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError('"dim" must be a positive integer')
-    return dim
-
-
 def _json_list(obj, key) -> list:
-    (rows,) = _json_fields(obj, key)
+    (rows,) = polyhedra.json_fields(obj, key)
     if not isinstance(rows, list):
         raise ValueError('"%s" must be a list' % (key,))
     return rows
 
 
-def _json_number(x, what: str) -> Fraction:
-    """An exact number from JSON: an int or a fraction string like "-3/4".
-
-    Floats and bools are refused, since neither is exact input here.
-    """
-    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError("%s holds %s, not an int or a fraction string"
-                     % (what, json.dumps(x)))
-
-
 def _json_vector(row, dim: int, what: str) -> list[Fraction]:
     if not isinstance(row, list) or len(row) != dim:
         raise ValueError("%s must be a list of %d numbers" % (what, dim))
-    return [_json_number(x, what) for x in row]
+    return [polyhedra.json_number(x, what) for x in row]
 
 
 def _json_form(obj, dim: int) -> polyhedra.LinearForm:
-    coeffs, rhs = _json_fields(obj, "coeffs", "rhs")
+    coeffs, rhs = polyhedra.json_fields(obj, "coeffs", "rhs")
     return polyhedra.linear_form(_json_vector(coeffs, dim, '"coeffs"'),
-                                 _json_number(rhs, '"rhs"'))
+                                 polyhedra.json_number(rhs, '"rhs"'))
 
 
 def _cmd_convert(args) -> int:
@@ -336,13 +307,13 @@ def _cmd_convert(args) -> int:
         obj = json.loads(text)
         kind = obj.get("kind")
         if kind == "V":
-            dim = _json_dim(obj)
+            dim = polyhedra.json_positive_int(obj, "dim")
             points = [_json_vector(row, dim, "a point")
                       for row in _json_list(obj, "points")]
             sys.stdout.write(polyhedra.vrep_to_text(
                 polyhedra.VRep(dim, points)))
         elif kind == "H":
-            dim = _json_dim(obj)
+            dim = polyhedra.json_positive_int(obj, "dim")
             ineqs = tuple(_json_form(e, dim)
                           for e in _json_list(obj, "inequalities"))
             eqs = tuple(_json_form(e, dim)

@@ -1,11 +1,11 @@
 """Vertex-pair case analysis for three parts, and facet censuses.
 
 Relabeling the n parts and swapping the two vertices inside any part
-give a symmetry group of order n! * 2^n acting on assignments, on the
-full coordinate space and on linear forms.  The group preserves how
-many parts a pair agrees on, and reaches every pair with the same
-count, so for n = 3 a pair of distinct vertices falls into one of three
-classes, and the class decides what the other six vertices are:
+give a symmetry group of order n! * 2^n.  It acts on the vertices only,
+as permutations of the vertex indices.  The group preserves how many
+parts a pair agrees on, and reaches every pair with the same count, so
+for n = 3 a pair of distinct vertices falls into one of three classes,
+and the class decides what the other six vertices are:
 
     0 agreeing parts  ->  "disjoint":       the pair misses a facet that
                           contains the other six vertices (a six-term
@@ -28,7 +28,6 @@ per-vertex incidence, and facet orbits under the symmetry group.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,7 @@ from fractions import Fraction
 from .graph2p import Assignment
 from .guards import ScaleGuardError
 from . import omega_core, polyhedra
-from .omega_core import coord_count, coord_index, coord_tuples
+from .omega_core import coord_count, coord_index
 from .polyhedra import FaceVerdict, HRep, LinearForm, VRep
 
 _ZERO = Fraction(0)
@@ -44,109 +43,6 @@ _ONE = Fraction(1)
 
 CENSUS_DEFAULT_MAX = 4
 CENSUS_OPTIN_MAX = 5
-
-
-# --- symmetry group ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class Symmetry:
-    """Relabel parts by perm, then swap positions where swaps says so.
-
-    perm lists the images of parts 1..n; swaps[k] applies to the part
-    labeled k+1 after relabeling.  On assignments:
-
-        (g . a)(k) = s_k(a(perm^{-1}(k)))
-
-    where s_k exchanges 1 and 2 when swaps[k-1] is true.
-    """
-
-    perm: tuple[int, ...]
-    swaps: tuple[bool, ...]
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise ValueError("perm %r is not a permutation of 1..%d"
-                             % (self.perm, n))
-        if len(self.swaps) != n:
-            raise ValueError("need one swap flag per part")
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-
-def identity_symmetry(n: int) -> Symmetry:
-    return Symmetry(tuple(range(1, n + 1)), (False,) * n)
-
-
-def all_symmetries(n: int, limit: int = 6) -> list[Symmetry]:
-    """The whole group, n! * 2^n elements, in lexicographic order."""
-    if n > limit:
-        raise ScaleGuardError(
-            "bruteforce", limit, n,
-            "enumerating the symmetry group for %d parts is too large" % (n,))
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for swaps in itertools.product((False, True), repeat=n):
-            out.append(Symmetry(perm, swaps))
-    return out
-
-
-def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for k, v in enumerate(perm, start=1):
-        inv[v - 1] = k
-    return tuple(inv)
-
-
-def _swap(pos: int, flag: bool) -> int:
-    return (3 - pos) if flag else pos
-
-
-def apply_to_assignment(g: Symmetry, a: Assignment) -> Assignment:
-    if a.n != g.n:
-        raise ValueError("assignment has %d parts, symmetry has %d"
-                         % (a.n, g.n))
-    inv = _inverse_perm(g.perm)
-    choice = tuple(_swap(a.rho(inv[k - 1]), g.swaps[k - 1])
-                   for k in range(1, g.n + 1))
-    return Assignment(choice)
-
-
-def _permuted_index_map(g: Symmetry):
-    """Shared index permutation for points and forms.
-
-    Both transform by reading the source value at (perm^{-1}(i),
-    perm^{-1}(j), s_i(p), s_j(q)); the swaps are involutions, which is
-    why one map serves both directions.
-    """
-    n = g.n
-    inv = _inverse_perm(g.perm)
-    mapping = []
-    for (i, j, p, q) in coord_tuples(n):
-        src = coord_index(n, inv[i - 1], inv[j - 1],
-                          _swap(p, g.swaps[i - 1]), _swap(q, g.swaps[j - 1]))
-        mapping.append(src)
-    return mapping
-
-
-def apply_to_point(g: Symmetry, x: omega_core.OmegaPoint) -> omega_core.OmegaPoint:
-    if x.n != g.n:
-        raise ValueError("point has %d parts, symmetry has %d" % (x.n, g.n))
-    mapping = _permuted_index_map(g)
-    return omega_core.OmegaPoint(g.n, tuple(x.coords[s] for s in mapping))
-
-
-def apply_to_form(g: Symmetry, f: LinearForm) -> LinearForm:
-    """Transport a full-space form so that values on transported points match:
-    (g . f)(g . x) = f(x)."""
-    n = g.n
-    if len(f.coeffs) != coord_count(n):
-        raise ValueError("form has %d coefficients, expected %d"
-                         % (len(f.coeffs), coord_count(n)))
-    mapping = _permuted_index_map(g)
-    return LinearForm(tuple(f.coeffs[s] for s in mapping), f.rhs)
 
 
 # --- pair classification ----------------------------------------------------
@@ -326,14 +222,18 @@ class CensusReport:
     orbits: tuple[OrbitRecord, ...] | None
 
 
-def _orbit_generators(n: int) -> list[Symmetry]:
+def _orbit_generators(n: int) -> list[tuple[int, ...]]:
+    """Generators of the symmetry group as permutations of the vertex
+    indices of all_assignments(n), where vertex k has part i at position 2
+    iff bit n - i of k is set.  Transposing parts t and t + 1 swaps bits
+    n - t and n - t - 1; the last generator swaps the two vertices of
+    part 1, flipping bit n - 1."""
     gens = []
-    for t in range(1, n):  # adjacent part transpositions
-        perm = list(range(1, n + 1))
-        perm[t - 1], perm[t] = perm[t], perm[t - 1]
-        gens.append(Symmetry(tuple(perm), (False,) * n))
-    swaps = tuple(k == 0 for k in range(n))  # swap inside part 1
-    gens.append(Symmetry(tuple(range(1, n + 1)), swaps))
+    for t in range(1, n):
+        hi, lo = 1 << (n - t), 1 << (n - t - 1)
+        gens.append(tuple(k ^ (hi | lo) if bool(k & hi) != bool(k & lo)
+                          else k for k in range(1 << n)))
+    gens.append(tuple(k ^ (1 << (n - 1)) for k in range(1 << n)))
     return gens
 
 
@@ -383,22 +283,20 @@ def facet_census(n: int, include_orbits: bool = True,
         raise RuntimeError("per-vertex facet incidence is not constant: %r"
                            % (sorted(counts),))
 
-    orbits = _facet_orbits(n, masks, assigns) if include_orbits else None
+    orbits = _facet_orbits(n, masks) if include_orbits else None
     return CensusReport(n, tuple(records), len(records), counts.pop(), orbits)
 
 
-def _facet_orbits(n, masks, assigns):
-    """Orbits of the facets, given as tight-set bitmasks over assigns,
-    under the generators of _orbit_generators.
+def _facet_orbits(n, masks):
+    """Orbits of the facets, given as tight-set bitmasks over the vertex
+    indices, under the generators of _orbit_generators.
 
-    Each generator is a permutation of the vertex indices, stored as the
-    bit of each vertex's image; a facet's image under it is the facet
-    whose tight mask is the image of its mask.  Facets are visited in
-    index order, so each orbit's representative is its first member.
+    Each generator is stored as the bit of each vertex's image; a facet's
+    image under it is the facet whose tight mask is the image of its
+    mask.  Facets are visited in index order, so each orbit's
+    representative is its first member.
     """
-    index_of = {a: k for k, a in enumerate(assigns)}
-    gen_bits = [[1 << index_of[apply_to_assignment(g, a)] for a in assigns]
-                for g in _orbit_generators(n)]
+    gen_bits = [[1 << image for image in g] for g in _orbit_generators(n)]
     facet_of_mask = {mask: k for k, mask in enumerate(masks)}
     seen = [False] * len(masks)
     orbits = []
@@ -426,26 +324,6 @@ def _facet_orbits(n, masks, assigns):
                     frontier.append(image)
         orbits.append(OrbitRecord(size, start))
     return tuple(orbits)
-
-
-def form_to_reduced(form: LinearForm, n: int) -> LinearForm:
-    """Restrict a full-space form to the reduced coordinates.
-
-    The lift is affine, so probing it at zero and at the unit reduced
-    points recovers the composed form exactly.
-    """
-    if len(form.coeffs) != coord_count(n):
-        raise ValueError("form has %d coefficients, expected %d"
-                         % (len(form.coeffs), coord_count(n)))
-    k = omega_core.reduced_count(n)
-    zero = omega_core.ReducedPoint(n, (_ZERO,) * k)
-    base = form.value(omega_core.lift_point(zero).coords)
-    coeffs = []
-    for m in range(k):
-        unit = omega_core.ReducedPoint(
-            n, tuple(_ONE if t == m else _ZERO for t in range(k)))
-        coeffs.append(form.value(omega_core.lift_point(unit).coords) - base)
-    return LinearForm(tuple(coeffs), form.rhs - base)
 
 
 # --- serialization ------------------------------------------------------------

@@ -281,15 +281,22 @@ def point_from_dict(obj: dict) -> OmegaPoint:
 
 
 def reduced_from_dict(obj: dict) -> ReducedPoint:
-    n = obj["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("bad part count %r" % (n,))
-    raw = obj["reduced"]
+    """Read {"n": n, "reduced": {"i,j": value}} by the rules of convert:
+    n is a positive int and every value an int or a fraction string."""
+    n = polyhedra.json_positive_int(obj, "n")
+    (raw,) = polyhedra.json_fields(obj, "reduced")
+    if not isinstance(raw, dict):
+        raise ValueError('"reduced" must be an object')
     y = [_ZERO] * reduced_count(n)
     seen = set()
     for key, val in raw.items():
-        i, j = (int(t) for t in key.split(","))
-        y[reduced_index(n, i, j)] = Fraction(val)
+        try:
+            i, j = (int(t) for t in key.split(","))
+        except ValueError:
+            raise ValueError('reduced key "%s" is not "i,j"'
+                             % (key,)) from None
+        y[reduced_index(n, i, j)] = polyhedra.json_number(
+            val, 'reduced "%s"' % (key,))
         seen.add((i, j))
     missing = [ij for ij in reduced_pairs(n) if ij not in seen]
     if missing:

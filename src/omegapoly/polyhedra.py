@@ -12,13 +12,15 @@ face verdicts are exact and reproducible bit for bit.
 
 Contents: affine rank, vertex-to-facet conversion by double description,
 a two-phase primal simplex with dual extraction, supporting-hyperplane
-face tests, the three regular polytope families used as fixtures, and a
-small cdd-style text format for V- and H-representations.
+face tests, the three regular polytope families used as fixtures, a
+small cdd-style text format for V- and H-representations, and the rules
+for exact numbers read from JSON.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -192,6 +194,8 @@ def _int_affine_rank(points: Sequence[Sequence[int]]) -> int:
 def affine_rank(v: VRep) -> int:
     """Dimension of the affine hull of the points, computed on the points
     scaled to integers over one common denominator."""
+    if not v.points:
+        raise ValueError("affine rank of an empty point set")
     return _int_affine_rank(_clear_matrix(v.points)[0])
 
 
@@ -360,6 +364,8 @@ def convex_hull_facets(v: VRep,
         raise ScaleGuardError(
             "hull-points", max_points, len(v.points),
             "hull of %d points exceeds bound %d" % (len(v.points), max_points))
+    if not v.points:
+        raise ValueError("convex hull of an empty point set")
 
     d = v.dim
     pts, D = _clear_matrix(v.points)
@@ -806,3 +812,34 @@ def hrep_from_text(text: str) -> HRep:
         else:
             ineqs.append(form)
     return HRep(dim, tuple(ineqs), tuple(eqs))
+
+
+# --- exact JSON input -----------------------------------------------------
+
+def json_fields(obj, *keys):
+    """The values of keys in a JSON object; ValueError names a missing one."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError('JSON input lacks "%s"' % (key,))
+    return [obj[key] for key in keys]
+
+
+def json_positive_int(obj, key: str) -> int:
+    (x,) = json_fields(obj, key)
+    if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+        raise ValueError('"%s" must be a positive integer' % (key,))
+    return x
+
+
+def json_number(x, what: str) -> Fraction:
+    """An exact number from JSON: an int or a fraction string like "-3/4".
+
+    Floats and bools are refused, since neither is exact input here.
+    """
+    if isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("%s holds %s, not an int or a fraction string"
+                     % (what, json.dumps(x)))

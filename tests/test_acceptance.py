@@ -65,23 +65,30 @@ def test_two_part_polytope_is_a_simplex():
     ok("two parts: 4 reduced vertices give exactly 4 facets in dimension 3")
 
 
-def _fold_to_upper(form):
-    """Move each X[i,j,p,q] with i > j onto X[j,i,q,p], which equals it on
-    the polytope, so transported forms compare with written ones."""
-    coeffs = list(form.coeffs)
-    for (i, j, p, q) in omega_core.coord_tuples(3):
-        if i > j:
-            hi = omega_core.coord_index(3, i, j, p, q)
-            coeffs[omega_core.coord_index(3, j, i, q, p)] += coeffs[hi]
-            coeffs[hi] = 0
-    return polyhedra.LinearForm(tuple(coeffs), form.rhs)
+def _index_group(n):
+    """The symmetry group as tuples of vertex indices: the closure of the
+    census generators."""
+    gens = omega3_census._orbit_generators(n)
+    identity = tuple(range(2 ** n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            hg = tuple(h[k] for k in g)
+            if hg not in group:
+                group.add(hg)
+                frontier.append(hg)
+    return group
 
 
 def test_three_part_case_analysis_all_pairs():
-    group = omega3_census.all_symmetries(3)
+    group = _index_group(3)
+    assigns = omega_core.all_assignments(3)
+    index_of = {a: k for k, a in enumerate(assigns)}
+    vertices = [omega_core.vertex_from_assignment(3, a) for a in assigns]
     counts = {"disjoint": 0, "shared_edge": 0, "shared_vertex": 0}
     facet_forms = {}
-    for a, b in itertools.combinations(omega_core.all_assignments(3), 2):
+    for a, b in itertools.combinations(assigns, 2):
         report = omega3_census.analyze_pair(a, b)
         kind = report.pair_class.kind
         counts[kind] += 1
@@ -106,18 +113,35 @@ def test_three_part_case_analysis_all_pairs():
             # (equally valid) witness
             continue
         facet_forms[frozenset((a, b))] = report.form
-    # the two facet forms are written from the pair, and the group carries
-    # each onto the one written for the image pair
+    # the two facet forms are written from the pair on the upper
+    # coordinates X[i,j,p,q], i < j, and the group carries each onto the
+    # one written for the image pair: a vertex permutation g moves each
+    # upper coordinate to the one whose 0/1 column over the vertices is
+    # its column permuted by g, so the image takes at vertex g[k] the
+    # value the form takes at vertex k
+    upper = [c for c, (i, j, _, _) in enumerate(omega_core.coord_tuples(3))
+             if i < j]
+    column = {c: tuple(v.coords[c] for v in vertices) for c in upper}
+    coord_of = {col: c for c, col in column.items()}
+    assert len(coord_of) == 12
+    for form in facet_forms.values():
+        assert all(x == 0 for c, x in enumerate(form.coeffs)
+                   if c not in column)
     transported = 0
     for g in group:
+        inverse = sorted(range(8), key=g.__getitem__)
+        move = {c: coord_of[tuple(col[k] for k in inverse)]
+                for c, col in column.items()}
         for pair, form in facet_forms.items():
-            image = frozenset(omega3_census.apply_to_assignment(g, z)
-                              for z in pair)
-            assert _fold_to_upper(omega3_census.apply_to_form(g, form)) \
+            coeffs = [Fraction(0)] * len(form.coeffs)
+            for c, m in move.items():
+                coeffs[m] = form.coeffs[c]
+            image = frozenset(assigns[g[index_of[z]]] for z in pair)
+            assert polyhedra.LinearForm(tuple(coeffs), form.rhs) \
                 == facet_forms[image]
             transported += 1
     assert counts == {"disjoint": 4, "shared_edge": 12, "shared_vertex": 12}
-    assert transported == 16 * len(group)
+    assert len(group) == 48 and transported == 16 * 48
     ok("three-part cases: 4 disjoint facets, 12 vanishing-coordinate "
        "facets, 12 non-faces with 0/2/1 witnesses; %d facet forms match "
        "their group images" % transported)
@@ -267,9 +291,16 @@ def test_verify_output_is_reproducible(capsys):
     ok("determinism: verify --n 3 is byte-identical over two runs")
 
 
-# sha256 of the stdout of the two largest exact outputs; a change here is
-# a change to published results, not a refactoring
+# sha256 of the stdout of the census orbits of every size and of the
+# largest hull; a change here is a change to published results, not a
+# refactoring
 PINNED_STDOUT = {
+    ("census", "--n", "2", "--orbits"):
+        "a78bc4448dd8453e6a48979d58d248ee22b697af2d67e36bea7977cddd690698",
+    ("census", "--n", "3", "--orbits"):
+        "9c56dadb210d2fef5bfc8fecceac2303c34b86272ebc6b6fc40c9b0c407f5f54",
+    ("census", "--n", "4", "--orbits"):
+        "7bc340aae90924f12b6f621e44ece3ed40bf110f7866c1e6dcf5f21ed2307f0d",
     ("census", "--n", "5", "--allow-large", "--orbits"):
         "1693ceeea5c976ae41a6d5e244f8b029aaaba113fcd04efbc8e25857bd13faa4",
     ("hull", "--n", "5"):
@@ -282,5 +313,5 @@ def test_five_part_census_and_hull_are_byte_identical(capsys):
         assert cli.main(list(argv)) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
-    ok("pinned: census --n 5 --orbits (368 facets) and hull --n 5 stdout "
-       "match their sha256 digests")
+    ok("pinned: census --n 2..5 --orbits and hull --n 5 stdout match "
+       "their sha256 digests")

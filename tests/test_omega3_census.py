@@ -1,9 +1,9 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
+import omegapoly
 from omegapoly import omega3_census as o3
 from omegapoly import omega_core as oc
 from omegapoly import polyhedra as ph
@@ -21,63 +21,54 @@ def pairs3():
 
 # --- symmetries ----------------------------------------------------------
 
-def test_symmetry_group_size_and_validation():
-    group = o3.all_symmetries(3)
-    assert len(group) == 48
-    assert len(set(group)) == 48
-    assert o3.identity_symmetry(3) in group
-    with pytest.raises(ValueError):
-        o3.Symmetry((1, 1, 2), (False,) * 3)
-    with pytest.raises(ValueError):
-        o3.Symmetry((1, 2), (False,))
-    with pytest.raises(ScaleGuardError):
-        o3.all_symmetries(7)
+def closure(gens):
+    """Every product of the generators, as tuples of vertex indices."""
+    identity = tuple(range(len(gens[0])))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            hg = tuple(h[k] for k in g)
+            if hg not in group:
+                group.add(hg)
+                frontier.append(hg)
+    return group
+
+
+def test_symmetry_group_on_vertex_indices():
+    for n, order in ((2, 8), (3, 48), (4, 384), (5, 3840)):
+        gens = o3._orbit_generators(n)
+        for g in gens:
+            assert sorted(g) == list(range(2 ** n))
+            assert all(g[g[k]] == k for k in range(2 ** n))
+        assert len(closure(gens)) == order
 
 
 def test_symmetries_act_bijectively_on_assignments():
-    whole = set(all3())
-    for g in o3.all_symmetries(3):
-        image = {o3.apply_to_assignment(g, a) for a in whole}
-        assert image == whole
+    # the index generators are the part transpositions and the part-1
+    # swap, read on the assignments themselves
+    for n in range(2, 6):
+        whole = oc.all_assignments(n)
+        *transpositions, swap = o3._orbit_generators(n)
+        for t, g in enumerate(transpositions, start=1):
+            for k, a in enumerate(whole):
+                rho = list(a.choice)
+                rho[t - 1], rho[t] = rho[t], rho[t - 1]
+                assert whole[g[k]] == Assignment(tuple(rho))
+        for k, a in enumerate(whole):
+            assert whole[swap[k]] == Assignment((3 - a.rho(1),) + a.choice[1:])
 
 
-def test_point_action_matches_assignment_action():
-    for g in o3.all_symmetries(3):
-        for a in all3():
-            lhs = o3.apply_to_point(g, oc.vertex_from_assignment(3, a))
-            rhs = oc.vertex_from_assignment(3, o3.apply_to_assignment(g, a))
-            assert lhs == rhs
-
-
-def test_form_transport_preserves_values():
-    rng = random.Random(31)
-    group = o3.all_symmetries(3)
-    points = [oc.vertex_from_assignment(3, a) for a in all3()]
-    for _ in range(12):
-        f = ph.LinearForm(tuple(Fraction(rng.randint(-4, 4))
-                                for _ in range(oc.coord_count(3))),
-                          Fraction(rng.randint(-3, 3)))
-        g = rng.choice(group)
-        gf = o3.apply_to_form(g, f)
-        for x in points:
-            gx = o3.apply_to_point(g, x)
-            assert gf.value(gx.coords) == f.value(x.coords)
-
-
-def test_identity_symmetry_is_neutral():
-    e = o3.identity_symmetry(3)
-    for a in all3():
-        assert o3.apply_to_assignment(e, a) == a
-    x = oc.vertex_from_assignment(3, Assignment((1, 2, 1)))
-    assert o3.apply_to_point(e, x) == x
-
-
-def test_action_shape_errors():
-    g = o3.identity_symmetry(3)
-    with pytest.raises(ValueError):
-        o3.apply_to_assignment(g, Assignment((1, 2)))
-    with pytest.raises(ValueError):
-        o3.apply_to_form(g, ph.linear_form([1, 0], 0))
+def test_package_exports_resolve():
+    names = omegapoly.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert getattr(omegapoly, name) is not None
+    gone = {"Symmetry", "identity_symmetry", "all_symmetries",
+            "apply_to_assignment", "apply_to_point", "apply_to_form",
+            "form_to_reduced"}
+    for module in (omegapoly, o3):
+        assert not gone & set(dir(module))
 
 
 # --- pair classification ----------------------------------------------------
@@ -231,11 +222,11 @@ def test_facet_orbits_refuse_a_missing_image():
     vrep = oc.reduced_vertex_vrep(3)
     report = o3.facet_census(3)
     masks = ph.tight_masks([rec.form for rec in report.facets], vrep)
-    orbits = o3._facet_orbits(3, masks, all3())
+    orbits = o3._facet_orbits(3, masks)
     assert orbits == report.orbits
     assert [(o.size, o.representative) for o in orbits] == [(12, 0), (4, 2)]
     with pytest.raises(RuntimeError, match="not a facet"):
-        o3._facet_orbits(3, masks[1:], all3())
+        o3._facet_orbits(3, masks[1:])
 
 
 def test_census_orbits_optional():
@@ -243,6 +234,25 @@ def test_census_orbits_optional():
     assert report.orbits is None
     obj = o3.census_to_dict(report)
     assert "orbits" not in obj
+
+
+def to_reduced(form):
+    """The reduced-space form that agrees with a full-space form on the
+    polytope, read off its values on independent_family(3): the all-twos
+    vertex gives the constant c0, the vertex with part i alone at 1 gives
+    c0 + c_ii, and the one with parts i and j at 1 gives
+    c0 + c_ii + c_jj + c_ij."""
+    fam = oc.independent_family(3)
+    vals = [form.value(oc.vertex_from_assignment(3, a).coords) for a in fam]
+    c0 = vals[0]
+    coeffs = [None] * oc.reduced_count(3)
+    for i in range(1, 4):
+        coeffs[oc.reduced_index(3, i, i)] = vals[i] - c0
+    for (i, j), val in zip(itertools.combinations(range(1, 4), 2), vals[4:]):
+        coeffs[oc.reduced_index(3, i, j)] = (
+            val - c0 - coeffs[oc.reduced_index(3, i, i)]
+            - coeffs[oc.reduced_index(3, j, j)])
+    return ph.LinearForm(tuple(coeffs), form.rhs - c0)
 
 
 def test_census_forms_match_the_case_analysis():
@@ -258,7 +268,7 @@ def test_census_forms_match_the_case_analysis():
             full = o3.case_shared_edge_form(a, b)
         else:
             continue
-        red = o3.form_to_reduced(full, 3)
+        red = to_reduced(full)
         norm = ph._normalize_inequality(red.coeffs, red.rhs)
         case_forms.add((norm.coeffs, norm.rhs))
 
@@ -303,16 +313,3 @@ def test_census_json_layout():
         assert len(rec["coeffs"]) == 3
         Fraction(rec["rhs"])  # parses
     assert obj["orbits"] == [{"size": 4, "representative": 0}]
-
-
-def test_form_to_reduced_preserves_slack():
-    rng = random.Random(77)
-    full = o3.case_disjoint_form(Assignment((1, 1, 1)), Assignment((2, 2, 2)))
-    red = o3.form_to_reduced(full, 3)
-    for _ in range(10):
-        y = oc.ReducedPoint(3, tuple(Fraction(rng.randint(-5, 5), 3)
-                                     for _ in range(6)))
-        lifted = oc.lift_point(y)
-        assert red.slack(y.y) == full.slack(lifted.coords)
-    with pytest.raises(ValueError):
-        o3.form_to_reduced(ph.linear_form([1, 0], 0), 3)

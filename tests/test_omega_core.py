@@ -177,3 +177,29 @@ def test_reduced_from_dict_validation():
     with pytest.raises(ValueError):
         oc.reduced_from_dict({"n": 2, "reduced": {"1,1": "1", "2,1": "0",
                                                   "2,2": "0"}})
+    # the rules of convert: numbers are ints or fraction strings, n is a
+    # positive int, and a missing key or a malformed "i,j" is one line
+    good = {"1,1": "1/10", "1,2": 0, "2,2": "-3"}
+    assert oc.reduced_from_dict({"n": 2, "reduced": good}).y == (
+        Fraction(1, 10), 0, -3)
+    bad = [
+        ({"n": 2, "reduced": dict(good, **{"1,1": 0.1})}, "0.1"),
+        ({"n": 2, "reduced": dict(good, **{"1,1": True})}, "true"),
+        ({"n": 2, "reduced": dict(good, **{"1,1": "1/0"})}, "1/0"),
+        ({"n": 2, "reduced": dict(good, **{"1,1": [1]})}, "1"),
+        ({"n": True, "reduced": {"1,1": "1"}}, '"n"'),
+        ({"n": 2.0, "reduced": good}, '"n"'),
+        ({"n": 2}, '"reduced"'),
+        ({"reduced": good}, '"n"'),
+        ([], '"n"'),
+        ({"n": 2, "reduced": [["1,1", "1"]]}, '"reduced"'),
+        ({"n": 2, "reduced": dict(good, **{"1": "0"})}, '"1"'),
+        ({"n": 2, "reduced": dict(good, **{"1,2,2": "0"})}, '"1,2,2"'),
+        ({"n": 2, "reduced": dict(good, **{"a,b": "0"})}, '"a,b"'),
+        ({"n": 2, "reduced": dict(good, **{"1,3": "0"})}, "1 <= i <= j"),
+    ]
+    for obj, word in bad:
+        with pytest.raises(ValueError) as err:
+            oc.reduced_from_dict(obj)
+        msg = str(err.value)
+        assert word in msg and "\n" not in msg

@@ -27,6 +27,15 @@ def test_affine_rank_basics():
     assert ph.affine_rank(ph.VRep(2, [(0, 0), (2, 2), (1, 1)])) == 1
 
 
+def test_empty_point_set_is_refused():
+    # no points has no affine hull; both say so in one line
+    empty = ph.VRep(2, [])
+    with pytest.raises(ValueError, match="empty point set"):
+        ph.affine_rank(empty)
+    with pytest.raises(ValueError, match="empty point set"):
+        ph.convex_hull_facets(empty)
+
+
 def test_matrix_rank():
     assert ph.matrix_rank([[1, 2], [2, 4]]) == 1
     assert ph.matrix_rank([[1, 0], [0, 1]]) == 2
