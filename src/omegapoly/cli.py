@@ -15,11 +15,16 @@ variables OMEGA_MAX_BRUTEFORCE, OMEGA_MAX_HULL_DIM, OMEGA_MAX_HULL_POINTS.
 A subcommand accepts only the guards it reads: hull all three; vertices,
 verify, edge-cert and clique-solve only --max-bruteforce; census,
 face-test and convert none.
+
+main may be called any number of times in one process.  The parser is
+built on the first call and reused; every call parses into a fresh
+namespace and reads its guards, flag first and then environment, anew.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -342,10 +347,19 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use.
+
+    Parsing leaves it as it was: each call gets a fresh namespace, and
+    guards are settled on that namespace, not on the parser.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

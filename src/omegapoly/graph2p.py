@@ -76,16 +76,22 @@ def assignment_from_text(text: str) -> Assignment:
 
 
 def _canonical_edge(u, v, n: int) -> Edge:
-    u = VertexRef(*u)
-    v = VertexRef(*v)
-    for w in (u, v):
-        if not 1 <= w.part <= n:
-            raise ValueError("vertex %r: part out of range 1..%d" % (w, n))
-        if w.pos not in (1, 2):
-            raise ValueError("vertex %r: pos must be 1 or 2" % (w,))
-    if u.part == v.part:
-        raise ValueError("edge %r-%r joins vertices of the same part" % (u, v))
-    return (u, v) if u.part < v.part else (v, u)
+    """The pair (u, v) checked against n parts, lower part first."""
+    i, p = u
+    j, q = v
+    for part, pos in (u, v):
+        if not 1 <= part <= n:
+            raise ValueError("vertex %r: part out of range 1..%d"
+                             % (VertexRef(part, pos), n))
+        if pos not in (1, 2):
+            raise ValueError("vertex %r: pos must be 1 or 2"
+                             % (VertexRef(part, pos),))
+    if i == j:
+        raise ValueError("edge %r-%r joins vertices of the same part"
+                         % (VertexRef(i, p), VertexRef(j, q)))
+    if i < j:
+        return (VertexRef(i, p), VertexRef(j, q))
+    return (VertexRef(j, q), VertexRef(i, p))
 
 
 def _cross_pairs(n: int):
@@ -117,7 +123,8 @@ class Graph2P:
         if n < 1:
             raise ValueError("need at least one part")
         self.n = n
-        self.missing = frozenset(_canonical_edge(u, v, n) for (u, v) in missing)
+        self.missing = frozenset([_canonical_edge(u, v, n)
+                                  for (u, v) in missing])
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -162,8 +169,10 @@ def is_clique(g: Graph2P, a: Assignment) -> bool:
     if a.n != g.n:
         raise ValueError("assignment has %d parts, graph has %d" % (a.n, g.n))
     rho = a.choice
-    return not any(rho[u.part - 1] == u.pos and rho[v.part - 1] == v.pos
-                   for (u, v) in g.missing)
+    for (i, p), (j, q) in g.missing:
+        if rho[i - 1] == p and rho[j - 1] == q:
+            return False
+    return True
 
 
 def enumerate_cliques(g: Graph2P,
@@ -191,13 +200,14 @@ class Cnf2:
     clauses: tuple[tuple[Literal, Literal], ...]
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        num_vars = self.num_vars
+        if num_vars < 1:
             raise ValueError("need at least one variable")
         for cl in self.clauses:
             if len(cl) != 2:
                 raise ValueError("clause %r does not have two literals" % (cl,))
             for var, pol in cl:
-                if not 1 <= var <= self.num_vars:
+                if not 1 <= var <= num_vars:
                     raise ValueError("literal variable %d out of range" % (var,))
                 if not isinstance(pol, bool):
                     raise ValueError("literal polarity must be bool")
@@ -210,17 +220,17 @@ def to_2cnf(g: Graph2P) -> Cnf2:
     the literal is "not x_i" (x_i true means rho(i) = 1), for p = 2 it
     is "x_i".
     """
-    clauses = []
-    for (u, v) in g.missing_edges():
-        clauses.append(((u.part, u.pos == 2), (v.part, v.pos == 2)))
-    return Cnf2(g.n, tuple(clauses))
+    return Cnf2(g.n, tuple([((i, p == 2), (j, q == 2))
+                            for (i, p), (j, q) in g.missing_edges()]))
 
 
 def _tarjan_scc(adj: list[list[int]]) -> list[int]:
     """Component index per node, numbered in order of completion.
 
     Iterative Tarjan; completion order is reverse topological on the
-    condensation, which is what the 2SAT decision rule needs.
+    condensation, which is what the 2SAT decision rule needs.  Each
+    frame of the work stack holds a node and the iterator over its
+    successors, so a node resumes where it left off after a descent.
     """
     n = len(adj)
     index = [-1] * n
@@ -233,39 +243,37 @@ def _tarjan_scc(adj: list[list[int]]) -> list[int]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack[root] = True
+        work = [(root, iter(adj[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            descended = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
+            v, succ = work[-1]
+            for w in succ:
                 if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack[w] = True
+                    work.append((w, iter(adj[w])))
                     break
                 if onstack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        onstack[w] = False
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
     return comp
 
 
@@ -274,13 +282,12 @@ def _lit_node(var: int, pol: bool) -> int:
 
 
 def _satisfies(c: Cnf2, a: Assignment) -> bool:
-    for (l1, l2) in c.clauses:
-        ok = False
-        for var, pol in (l1, l2):
-            if (a.rho(var) == 1) == pol:
-                ok = True
-                break
-        if not ok:
+    if a.n < c.num_vars:
+        raise ValueError("assignment has %d parts, formula has %d variables"
+                         % (a.n, c.num_vars))
+    rho = a.choice
+    for (v1, p1), (v2, p2) in c.clauses:
+        if (rho[v1 - 1] == 1) != p1 and (rho[v2 - 1] == 1) != p2:
             return False
     return True
 
@@ -294,9 +301,9 @@ def solve_2sat(c: Cnf2) -> Assignment | None:
     """
     nn = 2 * c.num_vars
     adj: list[list[int]] = [[] for _ in range(nn)]
-    for (l1, l2) in c.clauses:
-        a1 = _lit_node(*l1)
-        a2 = _lit_node(*l2)
+    for (v1, p1), (v2, p2) in c.clauses:
+        a1 = _lit_node(v1, p1)
+        a2 = _lit_node(v2, p2)
         adj[a1 ^ 1].append(a2)  # not l1 implies l2
         adj[a2 ^ 1].append(a1)  # not l2 implies l1
     comp = _tarjan_scc(adj)
@@ -341,7 +348,7 @@ def graph_from_dict(obj: dict) -> Graph2P:
     if not _is_int(n):
         raise ValueError("n must be an integer")
     rows = obj["missing_edges"]
-    if not isinstance(rows, list) or not all(_is_edge_row(r) for r in rows):
+    if not isinstance(rows, list) or not all(map(_is_edge_row, rows)):
         raise ValueError('"missing_edges" must be a list of '
                          '[[part, pos], [part, pos]] integer pairs')
     return Graph2P(n, missing=rows)
@@ -353,9 +360,15 @@ def _is_int(x) -> bool:
 
 def _is_edge_row(row) -> bool:
     """Is row a [[part, pos], [part, pos]] with integer entries?"""
-    return (isinstance(row, (list, tuple)) and len(row) == 2
-            and all(isinstance(w, (list, tuple)) and len(w) == 2
-                    and all(_is_int(x) for x in w) for w in row))
+    if not isinstance(row, (list, tuple)) or len(row) != 2:
+        return False
+    for w in row:
+        if not isinstance(w, (list, tuple)) or len(w) != 2:
+            return False
+        for x in w:
+            if not isinstance(x, int) or isinstance(x, bool):
+                return False
+    return True
 
 
 def graph_to_json(g: Graph2P) -> str:

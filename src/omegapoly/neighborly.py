@@ -143,8 +143,7 @@ def edges_via_hull(n: int) -> int:
     if not 2 <= n <= 4:
         raise ValueError("geometric edge count is supported for n = 2..4")
     vrep = omega_core.reduced_vertex_vrep(n)
-    hrep = polyhedra.convex_hull_facets(vrep)
-    masks = polyhedra.tight_masks(hrep.inequalities, vrep)
+    _, masks = polyhedra._hull_with_masks(vrep)
     everything = (1 << len(vrep.points)) - 1
     count = 0
     for i, j in itertools.combinations(range(len(vrep.points)), 2):
@@ -179,20 +178,56 @@ def certificate_to_dict(c: EdgeCertificate) -> dict:
     }
 
 
+def _json_ints(x, what: str) -> tuple[int, ...]:
+    """A JSON list of ints."""
+    if not isinstance(x, list):
+        raise ValueError("%s must be a list of integers" % (what,))
+    return tuple(polyhedra.json_int(v, what) for v in x)
+
+
+def _json_recorded(x, what: str) -> int:
+    """A recorded evaluation: an int or an integer string like "2"."""
+    v = polyhedra.json_number(x, what)
+    if v.denominator != 1:
+        raise ValueError("%s holds %s, not an integer" % (what, json.dumps(x)))
+    return v.numerator
+
+
 def certificate_from_dict(obj: dict) -> EdgeCertificate:
-    n = obj["n"]
-    a = Assignment(tuple(obj["a"]))
-    b = Assignment(tuple(obj["b"]))
+    """Read the layout of certificate_to_dict back.
+
+    The JSON rules of the convert command apply: a missing key is named,
+    and a float or bool where an integer belongs is refused, each as a
+    one-line ValueError.
+    """
+    n = polyhedra.json_positive_int(obj, "n")
+    a, b, marked_rows, alpha_rows, f_a, f_b, min_other = polyhedra.json_fields(
+        obj, "a", "b", "marked", "alpha", "F_a", "F_b", "min_other")
+    a = Assignment(_json_ints(a, '"a"'))
+    b = Assignment(_json_ints(b, '"b"'))
+    if not isinstance(marked_rows, list) or len(marked_rows) != 2:
+        raise ValueError('"marked" must be a list of two edges')
     marked = []
-    for pair in obj["marked"]:
-        (ip, pp), (jp, qp) = pair
-        marked.append((VertexRef(ip, pp), VertexRef(jp, qp)))
+    for pair in marked_rows:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(w, list) and len(w) == 2 for w in pair)):
+            raise ValueError('"marked" edges must be [[part, pos], '
+                             '[part, pos]]')
+        u, v = (VertexRef(*_json_ints(w, '"marked"')) for w in pair)
+        marked.append((u, v))
+    if not isinstance(alpha_rows, list):
+        raise ValueError('"alpha" must be a list')
+    keys = ("i", "j", "p", "q", "w")
     alpha = {}
-    for ent in obj["alpha"]:
-        alpha[(ent["i"], ent["j"], ent["p"], ent["q"])] = int(ent["w"])
+    for ent in alpha_rows:
+        values = polyhedra.json_fields(ent, *keys)
+        i, j, p, q, w = (polyhedra.json_int(x, 'alpha "%s"' % (key,))
+                         for key, x in zip(keys, values))
+        alpha[(i, j, p, q)] = w
     return EdgeCertificate(n, a, b, marked[0], marked[1], alpha,
-                           int(obj["F_a"]), int(obj["F_b"]),
-                           int(obj["min_other"]))
+                           _json_recorded(f_a, '"F_a"'),
+                           _json_recorded(f_b, '"F_b"'),
+                           _json_recorded(min_other, '"min_other"'))
 
 
 def certificate_to_json(c: EdgeCertificate) -> str:

@@ -242,10 +242,11 @@ def facet_census(n: int, include_orbits: bool = True,
     """Full facet description of the reduced polytope for small n.
 
     Facets come from double description, and which vertices each facet
-    holds is read off integer tight-set bitmasks (polyhedra.tight_masks).
-    n up to 4 takes milliseconds; n = 5 runs double description in
-    dimension 15, takes about 0.15 s, and must be requested explicitly
-    via allow_large.  n > 5 is refused with or without it.
+    holds is the tight-set bitmask the double description keeps with
+    each ray (polyhedra._hull_with_masks), so no separate incidence pass
+    runs.  n up to 4 takes milliseconds; n = 5 runs double description
+    in dimension 15, takes about 0.1 s in-process, and must be requested
+    explicitly via allow_large.  n > 5 is refused with or without it.
     """
     if n < 2:
         raise ValueError("census needs n >= 2")
@@ -262,14 +263,13 @@ def facet_census(n: int, include_orbits: bool = True,
 
     assigns = omega_core.all_assignments(n)
     vrep = omega_core.reduced_vertex_vrep(n)
-    hrep = polyhedra.convex_hull_facets(
+    hrep, masks = polyhedra._hull_with_masks(
         vrep, max_dim=omega_core.reduced_count(n), max_points=len(vrep.points))
     if hrep.equalities:
         raise RuntimeError("reduced vertex set is unexpectedly degenerate")
 
     records = []
     incidence = [0] * len(assigns)
-    masks = polyhedra.tight_masks(hrep.inequalities, vrep)
     for form, mask in zip(hrep.inequalities, masks):
         tight = []
         for k, a in enumerate(assigns):

@@ -228,8 +228,10 @@ def _normalize_inequality(coeffs: Sequence, rhs) -> LinearForm:
 
 # --- double description --------------------------------------------------
 
-def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Extreme rays of {y in Q^m : a . y >= 0 for every a in cons}.
+def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
+                     ) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of {y in Q^m : a . y >= 0 for every a in cons}, each
+    with the bitmask of the constraints it is tight on (bit k for cons[k]).
 
     Incremental double description.  Starts from the full space as
     lineality, eliminates one lineality vector per independent constraint,
@@ -333,7 +335,7 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]) -> list[tuple[int, ...
 
     if lineality:
         raise ValueError("cone is not pointed; constraints do not span")
-    return [r for (r, _) in rays]
+    return rays
 
 
 def convex_hull_facets(v: VRep,
@@ -355,6 +357,20 @@ def convex_hull_facets(v: VRep,
     c . x >= c . x_0 - b in the pivot coordinates, scaled by D to
     (c D at the pivots, c . P_0 - b D).  Fractions are built only for
     the returned forms.
+    """
+    return _hull_with_masks(v, max_dim, max_points)[0]
+
+
+def _hull_with_masks(v: VRep,
+                     max_dim: int = DEFAULT_HULL_MAX_DIM,
+                     max_points: int = DEFAULT_HULL_MAX_POINTS
+                     ) -> tuple[HRep, list[int]]:
+    """convex_hull_facets, plus the bitmask of the points each of its
+    inequalities is tight on (bit k for point k).
+
+    Constraint k of the double description is point k, so the tight
+    bitmask the DD keeps with each ray is the facet's incidence over the
+    points, exactly what tight_masks computes from the forms.
     """
     if v.dim > max_dim:
         raise ScaleGuardError(
@@ -387,18 +403,20 @@ def convex_hull_facets(v: VRep,
         equalities.append(eq)
     equalities.sort()
 
-    ineqs = []
+    facets = []  # (coprime integer form, tight bitmask)
     if pivots:
         cons = [_coprime([D] + [diff[c] for c in pivots]) for diff in diffs]
         base_piv = [base[c] for c in pivots]
-        for b, *c in _dd_extreme_rays(len(pivots) + 1, cons):
+        for (b, *c), mask in _dd_extreme_rays(len(pivots) + 1, cons):
             coeffs = [0] * d
             for cj, pc in zip(c, pivots):
                 coeffs[pc] = cj * D
-            ineqs.append(_coprime(coeffs + [_dot(c, base_piv) - b * D]))
-        ineqs.sort()
-    return HRep(d, tuple(map(_int_form, ineqs)),
+            facets.append((_coprime(coeffs + [_dot(c, base_piv) - b * D]),
+                           mask))
+        facets.sort()
+    hrep = HRep(d, tuple(_int_form(f) for f, _ in facets),
                 tuple(map(_int_form, equalities)))
+    return hrep, [mask for _, mask in facets]
 
 
 def tight_masks(forms: Iterable[LinearForm], v: VRep) -> list[int]:
@@ -829,6 +847,13 @@ def json_positive_int(obj, key: str) -> int:
     if not isinstance(x, int) or isinstance(x, bool) or x < 1:
         raise ValueError('"%s" must be a positive integer' % (key,))
     return x
+
+
+def json_int(x, what: str) -> int:
+    """An int from JSON; floats and bools are refused, not truncated."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    raise ValueError("%s holds %s, not an integer" % (what, json.dumps(x)))
 
 
 def json_number(x, what: str) -> Fraction:

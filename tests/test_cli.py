@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegapoly import graph2p, neighborly, omega_core, polyhedra
+from omegapoly import cli, graph2p, neighborly, omega_core, polyhedra
 from omegapoly.cli import build_parser, main
 
 
@@ -399,3 +400,92 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "edge-cert", "--n", "2", "--a", "1,1",
                        "--b", "1,1")
     assert code == 2 and "distinct" in err
+
+
+# --- one parser per process -------------------------------------------------
+
+def fresh(capsys, *argv):
+    """Run main on a parser built by build_parser for this call alone."""
+    cli._parser.cache_clear()
+    return run(capsys, *argv)
+
+
+def _graph_file(tmp_path):
+    g = graph2p.without_edges(graph2p.complete_graph(3),
+                              [((1, 1), (2, 1)), ((2, 2), (3, 1))])
+    path = tmp_path / "g.json"
+    path.write_text(graph2p.graph_to_json(g), encoding="ascii")
+    return str(path)
+
+
+def test_parser_reuse_after_usage_error_and_help(tmp_path, capsys):
+    calls = [("clique-solve",), ("--help",),
+             ("clique-solve", "--graph", _graph_file(tmp_path)),
+             ("census", "--n", "2", "--max-bruteforce", "3"),
+             ("clique-solve", "--help"), ("census", "--n", "2")]
+    expected = [fresh(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in expected] == [2, 0, 0, 2, 0, 0]
+    assert expected[1][1].startswith("usage: omega")
+    assert expected[4][1].startswith("usage: omega clique-solve")
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == expected
+    # the same sequence again on the now warm parser
+    assert [run(capsys, *argv) for argv in calls] == expected
+
+
+def test_parser_reuse_reads_guards_on_every_call(capsys, monkeypatch):
+    argv = ("vertices", "--n", "3")
+    monkeypatch.setenv("OMEGA_MAX_BRUTEFORCE", "2")
+    tripped = fresh(capsys, *argv)
+    monkeypatch.delenv("OMEGA_MAX_BRUTEFORCE")
+    passed = fresh(capsys, *argv)
+    assert tripped[0] == 2 and "OMEGA_MAX_BRUTEFORCE" in tripped[2]
+    assert passed[0] == 0 and len(passed[1].splitlines()) == 8
+    cli._parser.cache_clear()
+    for value in ("2", None, "2", "3", None):
+        if value is None:
+            monkeypatch.delenv("OMEGA_MAX_BRUTEFORCE", raising=False)
+        else:
+            monkeypatch.setenv("OMEGA_MAX_BRUTEFORCE", value)
+        assert run(capsys, *argv) == (tripped if value == "2" else passed)
+    # a flag on one call is not left behind for the next
+    assert run(capsys, *argv, "--max-bruteforce", "2") == tripped
+    assert run(capsys, *argv) == passed
+
+
+def test_parser_reuse_forgets_flags_of_earlier_calls(tmp_path, capsys):
+    path = _graph_file(tmp_path)
+    plain = fresh(capsys, "clique-solve", "--graph", path)
+    listing = fresh(capsys, "clique-solve", "--graph", path, "--enumerate")
+    assert plain[0] == listing[0] == 0
+    assert len(plain[1].splitlines()) == 1
+    assert len(listing[1].splitlines()) == 4
+    cli._parser.cache_clear()
+    assert run(capsys, "clique-solve", "--graph", path,
+               "--enumerate") == listing
+    assert run(capsys, "clique-solve", "--graph", path) == plain
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    # a work counter, not a timing: later calls must build no parser
+    parsers_per_build = 1 + len(_subcommands())
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    calls = [("clique-solve", "--graph", _graph_file(tmp_path)),
+             ("census", "--n", "3"), ("verify", "--n", "3")]
+    try:
+        assert fresh(capsys, *calls[0])[0] == 0
+        one = len(built)
+        assert one == parsers_per_build
+        built.clear()
+        cli._parser.cache_clear()
+        assert [run(capsys, *argv)[0] for argv in calls] == [0, 0, 0]
+        assert len(built) == one
+    finally:
+        cli._parser.cache_clear()

@@ -232,14 +232,38 @@ def test_graph_json_round_trip():
     obj = g2.graph_to_dict(g)
     assert obj["n"] == 3
     assert [[1, 1], [2, 1]] in obj["missing_edges"]
-    for bad in ({"n": "3", "missing_edges": []}, {"n": 2},
-                {"missing_edges": []}, [2, []],
-                {"n": 2, "missing_edges": [[1, 2]]},
-                {"n": 2, "missing_edges": [[[1, 1], [2]]]},
-                {"n": 2, "missing_edges": 5},
-                {"n": 2, "missing_edges": [[[1, 1], [2, True]]]}):
-        with pytest.raises(ValueError):
-            g2.graph_from_dict(bad)
+
+
+NEEDS_KEYS = 'graph JSON needs an object with "n" and "missing_edges"'
+BAD_SHAPE = ('"missing_edges" must be a list of [[part, pos], [part, pos]] '
+             'integer pairs')
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"n": "3", "missing_edges": []}, "n must be an integer"),
+    ({"n": 2}, NEEDS_KEYS),
+    ({"missing_edges": []}, NEEDS_KEYS),
+    ([2, []], NEEDS_KEYS),
+    ({"n": 2, "missing_edges": [[1, 2]]}, BAD_SHAPE),
+    ({"n": 2, "missing_edges": [[[1, 1], [2]]]}, BAD_SHAPE),
+    ({"n": 2, "missing_edges": 5}, BAD_SHAPE),
+    ({"n": 2, "missing_edges": [[[1, 1], [2, True]]]}, BAD_SHAPE),
+    ({"n": 2, "missing_edges": [[[1, 1], [3, 1]]]},
+     "vertex VertexRef(part=3, pos=1): part out of range 1..2"),
+    ({"n": 2, "missing_edges": [[[2, 2], [2, 1]]]},
+     "edge VertexRef(part=2, pos=2)-VertexRef(part=2, pos=1) joins vertices "
+     "of the same part"),
+    ({"n": 2, "missing_edges": [[[1, 3], [2, 1]]]},
+     "vertex VertexRef(part=1, pos=3): pos must be 1 or 2"),
+    # every row's shape is checked before any row's range
+    ({"n": 2, "missing_edges": [[[1, 1], [3, 1]], [[1, 1], [2]]]}, BAD_SHAPE),
+], ids=["string-n", "no-missing-edges", "no-n", "not-an-object",
+        "edge-of-ints", "short-vertex", "scalar-missing-edges", "bool-pos",
+        "part-out-of-range", "same-part", "pos-3", "shape-before-range"])
+def test_graph_json_messages(bad, message):
+    with pytest.raises(ValueError) as info:
+        g2.graph_from_dict(bad)
+    assert str(info.value) == message
 
 
 def test_dimacs_round_trip():

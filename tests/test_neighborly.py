@@ -133,3 +133,35 @@ def test_certificate_dict_layout():
     for ent in obj["alpha"]:
         assert set(ent) == {"i", "j", "p", "q", "w"}
         assert ent["i"] > ent["j"]
+
+
+def _set_w(obj, w):
+    obj["alpha"][0]["w"] = w
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda o: _set_w(o, 1.7), 'alpha "w" holds 1.7, not an integer'),
+    (lambda o: _set_w(o, True), 'alpha "w" holds true, not an integer'),
+    (lambda o: o.pop("marked"), 'JSON input lacks "marked"'),
+    (lambda o: o.__setitem__("n", True), '"n" must be a positive integer'),
+    (lambda o: o.__setitem__("n", 3.0), '"n" must be a positive integer'),
+    (lambda o: o.__setitem__("a", [1, 1.0, 1]),
+     '"a" holds 1.0, not an integer'),
+    (lambda o: o.__setitem__("b", [2, True, 1]),
+     '"b" holds true, not an integer'),
+    (lambda o: o["marked"][0].__setitem__(1, [2, 1.0]),
+     '"marked" holds 1.0, not an integer'),
+    (lambda o: o["marked"][1].__setitem__(0, [1, False]),
+     '"marked" holds false, not an integer'),
+], ids=["float-w", "bool-w", "no-marked", "bool-n", "float-n", "float-a",
+        "bool-b", "float-marked", "bool-marked"])
+def test_certificate_from_dict_refuses_malformed_json(edit, message):
+    # the JSON rules of convert: a missing key is named, and a float or
+    # bool is refused instead of being truncated or read as an int
+    c = nb.edge_certificate(3, Assignment((1, 1, 1)), Assignment((2, 2, 1)))
+    obj = nb.certificate_to_dict(c)
+    assert nb.certificate_from_dict(obj) == c
+    edit(obj)
+    with pytest.raises(ValueError) as info:
+        nb.certificate_from_dict(obj)
+    assert str(info.value) == message

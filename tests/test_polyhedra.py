@@ -377,6 +377,15 @@ def test_tight_masks_match_slack_on_rational_input():
         ph.tight_masks([ph.linear_form((1, 0, 0), 0)], v)
 
 
+def test_hull_masks_match_tight_masks():
+    # the DD's own tight sets against the incidence recomputed from the
+    # returned forms, on full-dimensional and flat point sets alike
+    for v in _hull_pin_inputs():
+        hrep, masks = ph._hull_with_masks(v)
+        assert hrep == ph.convex_hull_facets(v)
+        assert masks == ph.tight_masks(hrep.inequalities, v)
+
+
 def test_hull_scale_guards():
     with pytest.raises(ScaleGuardError) as err:
         ph.convex_hull_facets(ph.VRep(16, [(0,) * 16, (1,) * 16]))
