@@ -12,10 +12,14 @@ where a and b differ, j* the smallest other part, and each clique marks
 its own edge between parts i* and j*.  Any choice of one edge per clique
 meeting the other clique nowhere works; construction always re-verifies
 by full enumeration, so a bad choice cannot slip through.
+
+verify_certificate recomputes F on all 2^n vertices from alpha and
+compares the values with the ones the certificate records.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -43,12 +47,12 @@ class EdgeCertificate:
     min_other: int
 
 
-def _alpha_keys(n: int):
-    for i in range(2, n + 1):
-        for j in range(1, i):
-            for p in (1, 2):
-                for q in (1, 2):
-                    yield (i, j, p, q)
+@functools.lru_cache(maxsize=None)
+def _alpha_keys(n: int) -> tuple[AlphaKey, ...]:
+    """The edge coordinates (i, j, p, q), i > j, of n parts, in the order
+    certificates list them; built once per n."""
+    return tuple((i, j, p, q) for i in range(2, n + 1) for j in range(1, i)
+                 for p in (1, 2) for q in (1, 2))
 
 
 def evaluate_alpha(alpha: dict[AlphaKey, int], a: Assignment) -> int:
@@ -123,12 +127,21 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
 
 def verify_certificate(c: EdgeCertificate,
                        bound: int = DEFAULT_BRUTEFORCE_BOUND) -> bool:
-    """Recompute every evaluation from alpha alone; nothing is trusted."""
+    """Recompute every evaluation from alpha alone; nothing is trusted.
+
+    alpha must weight exactly the edge coordinates of n parts, so a
+    missing weight is not read as 0 and an extra one not ignored, and the
+    recorded f_a, f_b and min_other must equal the recomputed values.
+    """
     check_bruteforce(c.n, bound, "verify_certificate")
     if c.a == c.b or c.a.n != c.n or c.b.n != c.n:
         return False
+    keys = _alpha_keys(c.n)
+    if len(c.alpha) != len(keys) or any(k not in c.alpha for k in keys):
+        return False
     f_a, f_b, min_other = _evaluations(c.alpha, c.n, c.a, c.b)
-    return f_a == 1 and f_b == 1 and (min_other is None or min_other >= 2)
+    return (f_a == c.f_a == 1 and f_b == c.f_b == 1
+            and min_other == c.min_other and min_other >= 2)
 
 
 def edges_via_hull(n: int) -> int:
@@ -198,7 +211,7 @@ def certificate_from_dict(obj: dict) -> EdgeCertificate:
 
     The JSON rules of the convert command apply: a missing key is named,
     and a float or bool where an integer belongs is refused, each as a
-    one-line ValueError.
+    one-line ValueError.  So is an alpha entry listed twice.
     """
     n = polyhedra.json_positive_int(obj, "n")
     a, b, marked_rows, alpha_rows, f_a, f_b, min_other = polyhedra.json_fields(
@@ -223,6 +236,9 @@ def certificate_from_dict(obj: dict) -> EdgeCertificate:
         values = polyhedra.json_fields(ent, *keys)
         i, j, p, q, w = (polyhedra.json_int(x, 'alpha "%s"' % (key,))
                          for key, x in zip(keys, values))
+        if (i, j, p, q) in alpha:
+            raise ValueError('"alpha" lists (i, j, p, q) = (%d, %d, %d, %d) '
+                             'twice' % (i, j, p, q))
         alpha[(i, j, p, q)] = w
     return EdgeCertificate(n, a, b, marked[0], marked[1], alpha,
                            _json_recorded(f_a, '"F_a"'),

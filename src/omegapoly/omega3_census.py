@@ -263,8 +263,7 @@ def facet_census(n: int, include_orbits: bool = True,
 
     assigns = omega_core.all_assignments(n)
     vrep = omega_core.reduced_vertex_vrep(n)
-    hrep, masks = polyhedra._hull_with_masks(
-        vrep, max_dim=omega_core.reduced_count(n), max_points=len(vrep.points))
+    hrep, masks = polyhedra._hull_with_masks(vrep)
     if hrep.equalities:
         raise RuntimeError("reduced vertex set is unexpectedly degenerate")
 

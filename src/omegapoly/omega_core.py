@@ -295,6 +295,9 @@ def reduced_from_dict(obj: dict) -> ReducedPoint:
         except ValueError:
             raise ValueError('reduced key "%s" is not "i,j"'
                              % (key,)) from None
+        if (i, j) in seen:
+            raise ValueError('reduced coordinate %d,%d is given twice (key '
+                             '"%s")' % (i, j, key))
         y[reduced_index(n, i, j)] = polyhedra.json_number(
             val, 'reduced "%s"' % (key,))
         seen.add((i, j))

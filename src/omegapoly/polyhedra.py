@@ -145,12 +145,6 @@ def _clear_matrix(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
             for row in rows], den
 
 
-def _clear_denominators(vec: Sequence) -> tuple[list[int], int]:
-    """Integers P and d > 0 with vec = P / d, for int or Fraction entries."""
-    ints, den = _clear_matrix([vec])
-    return ints[0], den
-
-
 def _int_rref(rows: Iterable[list[int]]
               ) -> tuple[list[list[int]], int, list[int]]:
     """RREF of an integer matrix as M / den; returns the nonzero rows of
@@ -166,21 +160,6 @@ def _int_rref(rows: Iterable[list[int]]
         den = _int_pivot(mat, den, r, c)
         pivots.append(c)
     return mat[:len(pivots)], den, pivots
-
-
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns the nonzero rows and pivot columns.
-
-    RREF is unique for a given row space, which keeps everything built on
-    it (ranks, affine hulls, null space bases) canonical.  It is computed
-    with _int_pivot on the rows scaled to integers by one common factor.
-    """
-    mat, den, pivots = _int_rref(_clear_matrix(rows)[0])
-    return [[Fraction(x, den) for x in row] for row in mat], pivots
-
-
-def matrix_rank(rows: Iterable[Sequence]) -> int:
-    return len(_rref([[Fraction(x) for x in row] for row in rows])[1])
 
 
 def _int_affine_rank(points: Sequence[Sequence[int]]) -> int:
@@ -215,15 +194,6 @@ def _int_form(ints: Sequence[int]) -> LinearForm:
 def _coprime_form(ints: Sequence[int]) -> LinearForm:
     """The form [coeffs..., rhs] = ints divided by the gcd of its entries."""
     return _int_form(_coprime(ints))
-
-
-def _normalize_inequality(coeffs: Sequence, rhs) -> LinearForm:
-    """Canonical representative under positive scaling: coprime integers.
-
-    Only positive scaling is allowed, otherwise the sense of >= flips,
-    so the leading sign stays whatever it is.
-    """
-    return _coprime_form(_clear_denominators((*coeffs, Fraction(rhs)))[0])
 
 
 # --- double description --------------------------------------------------
@@ -358,20 +328,6 @@ def convex_hull_facets(v: VRep,
     (c D at the pivots, c . P_0 - b D).  Fractions are built only for
     the returned forms.
     """
-    return _hull_with_masks(v, max_dim, max_points)[0]
-
-
-def _hull_with_masks(v: VRep,
-                     max_dim: int = DEFAULT_HULL_MAX_DIM,
-                     max_points: int = DEFAULT_HULL_MAX_POINTS
-                     ) -> tuple[HRep, list[int]]:
-    """convex_hull_facets, plus the bitmask of the points each of its
-    inequalities is tight on (bit k for point k).
-
-    Constraint k of the double description is point k, so the tight
-    bitmask the DD keeps with each ray is the facet's incidence over the
-    points, exactly what tight_masks computes from the forms.
-    """
     if v.dim > max_dim:
         raise ScaleGuardError(
             "hull-dim", max_dim, v.dim,
@@ -380,6 +336,17 @@ def _hull_with_masks(v: VRep,
         raise ScaleGuardError(
             "hull-points", max_points, len(v.points),
             "hull of %d points exceeds bound %d" % (len(v.points), max_points))
+    return _hull_with_masks(v)[0]
+
+
+def _hull_with_masks(v: VRep) -> tuple[HRep, list[int]]:
+    """convex_hull_facets without its size guards, plus the bitmask of
+    the points each of its inequalities is tight on (bit k for point k).
+
+    Constraint k of the double description is point k, so the tight
+    bitmask the DD keeps with each ray is the facet's incidence over the
+    points, exactly what tight_masks computes from the forms.
+    """
     if not v.points:
         raise ValueError("convex hull of an empty point set")
 
@@ -422,21 +389,21 @@ def _hull_with_masks(v: VRep,
 def tight_masks(forms: Iterable[LinearForm], v: VRep) -> list[int]:
     """For each form, the bitmask of the points of v it is tight on.
 
-    Bit k is set iff coeffs . points[k] == rhs.  Each form is scaled to
-    integers (c, rhs) and each point written as P / d with integer P, so
-    the test c . P == rhs * d is exact and runs on plain ints.
+    Bit k is set iff coeffs . points[k] == rhs.  The points are written
+    once as P / D over one common D and each form is scaled to integers
+    (c, rhs), so the test c . P == rhs * D is exact and runs on plain ints.
     """
-    points = [_clear_denominators(p) for p in v.points]
+    points, D = _clear_matrix(v.points)
     masks = []
     for f in forms:
         if len(f.coeffs) != v.dim:
             raise ValueError("form has dimension %d, points have %d"
                              % (len(f.coeffs), v.dim))
-        ints, _ = _clear_denominators((*f.coeffs, f.rhs))
+        (ints,), _ = _clear_matrix([(*f.coeffs, f.rhs)])
         coeffs, rhs = ints[:-1], ints[-1]
         mask = 0
-        for k, (p, d) in enumerate(points):
-            if _dot(coeffs, p) == rhs * d:
+        for k, p in enumerate(points):
+            if _dot(coeffs, p) == rhs * D:
                 mask |= 1 << k
         masks.append(mask)
     return masks
@@ -612,7 +579,7 @@ def lp_solve(objective: LinearForm, constraints: HRep,
         raise ValueError("objective has dimension %d, constraints %d"
                          % (len(objective.coeffs), d))
     flip = 1 if sense == "max" else -1
-    cost, cden = _clear_denominators([flip * c for c in objective.coeffs])
+    (cost,), cden = _clear_matrix([[flip * c for c in objective.coeffs]])
     rows, scale = _clear_matrix(
         (*f.coeffs, f.rhs)
         for f in (*constraints.inequalities, *constraints.equalities))
@@ -636,17 +603,13 @@ class FaceVerdict:
     kind is one of "facet", "proper_face", "not_face", "empty",
     "whole_polytope".  For the first two, form supports the polytope with
     equality exactly on the subset and dimension is the face dimension.
-    For "not_face", form is the face LP's last iterate and evaluations
-    lists its value on every input point in order.  That form certifies
-    nothing: the LP stops at optimum 0, and in practice its last iterate
-    is then the zero form, with every evaluation 0.  The verdict itself
-    rests on the exact optimum being 0, not on the form.
+    "not_face" carries no form: it rests on the exact optimum of the face
+    LP being 0, and no witness of that is returned yet.
     """
 
     kind: str
     form: LinearForm | None = None
     dimension: int | None = None
-    evaluations: Vector | None = None
 
     @property
     def is_face(self) -> bool:
@@ -660,17 +623,15 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     point) with every other point strictly on the positive side,
     maximizing the smallest slack t (capped at 1, which scaling makes
     harmless).  A positive optimum certifies a face.  Optimum zero means
-    there is none; the form returned with "not_face" is then only the
-    LP's last iterate (in practice the zero form), with its evaluations,
-    and is no certificate of anything.
+    there is none, and the "not_face" verdict carries no form.
 
     The points are written once as integers Q / D over one common D, and
     the LP rows come straight from integer differences: (Q_i - Q_s0) . f
     - D t >= 0 for each point outside, -D t >= -D for the cap and
     (Q_i - Q_s0) . f = 0 for each other point of the subset.  That is the
     Fraction LP scaled by D, so _int_lp takes the pivots it would.
-    Fractions are built only for the returned form and evaluations, and
-    the ranks are integer RREFs.
+    Fractions are built only for the returned form, and the ranks are
+    integer RREFs.
     """
     idx = sorted(set(subset))
     npts = len(v.points)
@@ -691,7 +652,7 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     rows.append([0] * d + [-D, -D])
     n_ineq = len(rows)
     rows += [diffs[i] + [0, 0] for i in idx[1:]]
-    status, _, den, x, _ = _int_lp([0] * d + [1], rows, n_ineq)
+    status, _, _, x, _ = _int_lp([0] * d + [1], rows, n_ineq)
     if status != "optimal":
         raise RuntimeError("face LP came out %s; it is feasible and bounded "
                            "by construction" % (status,))
@@ -703,9 +664,7 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
         kind = "facet" if sub_dim == whole - 1 else "proper_face"
         form = _coprime_form([c * D for c in f] + [_dot(f, s0)])
         return FaceVerdict(kind, form, sub_dim)
-    evals = tuple(Fraction(_dot(f, p), den * D) for p in pts)
-    form = LinearForm(tuple(Fraction(c, den) for c in f), evals[idx[0]])
-    return FaceVerdict("not_face", form, evaluations=evals)
+    return FaceVerdict("not_face")
 
 
 # --- fixtures -------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_three_part_case_analysis_all_pairs():
             assert report.verdict.kind == "not_face"
             assert sorted(report.excluded_values) == [0, 2]
             assert list(report.other_values) == [1] * 6
-            assert report.verdict.evaluations is not None
+            assert report.verdict.form is None
             # the witness is left out of the group check below: it fixes
             # j < k for the two disagreeing parts and which excluded
             # vertex sits at 0, so half of its images are another

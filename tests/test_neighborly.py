@@ -165,3 +165,44 @@ def test_certificate_from_dict_refuses_malformed_json(edit, message):
     with pytest.raises(ValueError) as info:
         nb.certificate_from_dict(obj)
     assert str(info.value) == message
+
+
+def _cert_dict():
+    c = nb.edge_certificate(3, Assignment((1, 1, 1)), Assignment((2, 2, 1)))
+    return nb.certificate_to_dict(c)
+
+
+def _verifies(obj):
+    return nb.verify_certificate(nb.certificate_from_dict(obj))
+
+
+def test_verify_compares_the_recorded_evaluations():
+    obj = _cert_dict()
+    assert _verifies(obj)
+    for key, value in (("F_a", "5"), ("F_b", "2"), ("min_other", "7")):
+        assert not _verifies(dict(obj, **{key: value}))
+
+
+def test_verify_refuses_a_dropped_alpha_entry():
+    # the dropped weight would otherwise be read as 0
+    obj = _cert_dict()
+    for k, ent in enumerate(obj["alpha"]):
+        if ent["w"] == 0:
+            break
+    obj["alpha"].pop(k)
+    assert not _verifies(obj)
+
+
+def test_verify_refuses_an_extra_alpha_entry():
+    obj = _cert_dict()
+    obj["alpha"].append({"i": 9, "j": 1, "p": 1, "q": 1, "w": 2})
+    assert not _verifies(obj)
+
+
+def test_certificate_from_dict_refuses_a_repeated_alpha_entry():
+    obj = _cert_dict()
+    obj["alpha"].append(dict(obj["alpha"][0], w=5))
+    with pytest.raises(ValueError) as info:
+        nb.certificate_from_dict(obj)
+    assert str(info.value) == ('"alpha" lists (i, j, p, q) = (2, 1, 1, 1) '
+                               'twice')

@@ -197,6 +197,8 @@ def test_reduced_from_dict_validation():
         ({"n": 2, "reduced": dict(good, **{"1,2,2": "0"})}, '"1,2,2"'),
         ({"n": 2, "reduced": dict(good, **{"a,b": "0"})}, '"a,b"'),
         ({"n": 2, "reduced": dict(good, **{"1,3": "0"})}, "1 <= i <= j"),
+        ({"n": 1, "reduced": {"1,1": "1/3", " 01 ,1": "1/2"}},
+         "1,1 is given twice"),
     ]
     for obj, word in bad:
         with pytest.raises(ValueError) as err:

@@ -36,12 +36,18 @@ def test_empty_point_set_is_refused():
         ph.convex_hull_facets(empty)
 
 
+def _rank(rows):
+    """Rank of a rational matrix: the pivot count of the integer RREF of
+    its rows scaled by one common denominator."""
+    return len(ph._int_rref(ph._clear_matrix(rows)[0])[2])
+
+
 def test_matrix_rank():
-    assert ph.matrix_rank([[1, 2], [2, 4]]) == 1
-    assert ph.matrix_rank([[1, 0], [0, 1]]) == 2
-    assert ph.matrix_rank([]) == 0
-    assert ph.matrix_rank([[frac(1, 2), frac(1, 3)], [frac(3, 2), 1]]) == 1
-    assert ph.matrix_rank([[frac(1, 2), frac(1, 3)], [frac(3, 2), 2]]) == 2
+    assert _rank([[1, 2], [2, 4]]) == 1
+    assert _rank([[1, 0], [0, 1]]) == 2
+    assert _rank([]) == 0
+    assert _rank([[frac(1, 2), frac(1, 3)], [frac(3, 2), 1]]) == 1
+    assert _rank([[frac(1, 2), frac(1, 3)], [frac(3, 2), 2]]) == 2
 
 
 def test_vrep_rejects_duplicates_and_bad_dims():
@@ -223,13 +229,16 @@ def _rational_matrices(draw):
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_rational_matrices())
 def test_rref_matches_fraction_gauss_jordan(case):
+    # the integer kernel's M / den is the Fraction RREF, with the same
+    # pivots, and the row lists it is given are left as they were
     ncols, rows = case
-    expected = _fraction_rref(rows, ncols)
-    got = ph._rref(rows)
-    assert got == expected
-    assert ph.matrix_rank(rows) == len(expected[1])
-    for row in got[0]:
-        assert all(isinstance(x, Fraction) for x in row)
+    expected_rows, expected_pivots = _fraction_rref(rows, ncols)
+    ints = ph._clear_matrix(rows)[0]
+    before = [list(row) for row in ints]
+    mat, den, pivots = ph._int_rref(ints)
+    assert ints == before
+    assert pivots == expected_pivots
+    assert [[Fraction(x, den) for x in row] for row in mat] == expected_rows
 
 
 def _brute_force_facets(points):
@@ -685,8 +694,7 @@ def test_midpoint_of_a_segment_is_not_a_face():
     v = ph.VRep(1, [(0,), (1,), (2,)])
     verdict = ph.is_face(v, [1])
     assert verdict.kind == "not_face"
-    assert verdict.evaluations is not None
-    assert len(verdict.evaluations) == 3
+    assert verdict.form is None
 
 
 def test_not_face_whose_lp_has_dependent_equalities():
@@ -766,10 +774,11 @@ def _face_pin_queries():
             yield v, [k for k in range(2 ** n) if k not in (a, b)]
 
 
-# sha256 over repr((kind, dimension, form, evaluations)) of the verdicts of
-# _face_pin_queries, taken from the face LP built on Fraction forms
-FACE_PIN_DIGEST = ("278e5269d9607f95aecf2fbbd3f579e3"
-                   "7f9671470db9f724e93ac3e61c151694")
+# sha256 over repr((kind, dimension, form)) of the verdicts of
+# _face_pin_queries (a not_face verdict has form None); the facet and
+# proper-face verdicts are those of the face LP built on Fraction forms
+FACE_PIN_DIGEST = ("b0593a4c7521c4029fc364c8c94b8d0a"
+                   "83e5d8c0a68479c851ca59ef51aed01a")
 
 
 def test_is_face_verdicts_are_pinned():
@@ -778,8 +787,8 @@ def test_is_face_verdicts_are_pinned():
     for v, subset in _face_pin_queries():
         verdict = ph.is_face(v, subset)
         kinds.add(verdict.kind)
-        h.update(repr((verdict.kind, verdict.dimension, verdict.form,
-                       verdict.evaluations)).encode("ascii"))
+        h.update(repr((verdict.kind, verdict.dimension,
+                       verdict.form)).encode("ascii"))
     assert kinds == {"facet", "proper_face", "not_face"}
     assert h.hexdigest() == FACE_PIN_DIGEST
 

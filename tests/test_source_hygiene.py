@@ -1,0 +1,50 @@
+"""Source hygiene of the package, read with ast rather than run."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "omegapoly"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_no_assert_statements():
+    # every check must still hold under python -O, which strips asserts
+    found = ["%s:%d" % (name, node.lineno)
+             for name, tree in _modules().items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _referenced(node) -> set[str]:
+    """Every name node refers to: bare names, attributes and imports."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a private helper that only tests call is dead code; each one must
+    # be referenced from some top-level statement of src/ other than its
+    # own definition
+    private, uses = [], []
+    for name, tree in _modules().items():
+        for node in tree.body:
+            uses.append((node, _referenced(node)))
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                private.append((name, node))
+    unused = ["%s:%s" % (name, node.name) for name, node in private
+              if not any(node.name in refs
+                         for other, refs in uses if other is not node)]
+    assert unused == []
