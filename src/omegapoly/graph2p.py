@@ -27,7 +27,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .guards import DEFAULT_BRUTEFORCE_BOUND, check_bruteforce
+from .guards import (DEFAULT_BRUTEFORCE_BOUND, GRAPH_MAX_PARTS,
+                     ScaleGuardError, check_bruteforce)
 
 
 class VertexRef(NamedTuple):
@@ -347,6 +348,11 @@ def graph_from_dict(obj: dict) -> Graph2P:
     n = obj["n"]
     if not _is_int(n):
         raise ValueError("n must be an integer")
+    if n > GRAPH_MAX_PARTS:
+        raise ScaleGuardError(
+            "graph-parts", GRAPH_MAX_PARTS, n,
+            "graph with %d parts is out of reach: n = %d is the largest "
+            "graph" % (n, GRAPH_MAX_PARTS))
     rows = obj["missing_edges"]
     if not isinstance(rows, list) or not all(map(_is_edge_row, rows)):
         raise ValueError('"missing_edges" must be a list of '

@@ -14,7 +14,8 @@ meeting the other clique nowhere works; construction always re-verifies
 by full enumeration, so a bad choice cannot slip through.
 
 verify_certificate recomputes F on all 2^n vertices from alpha and
-compares the values with the ones the certificate records.
+compares the values with the ones the certificate records; it also
+checks that each recorded marked edge is such a choice, with weight 1.
 """
 
 from __future__ import annotations
@@ -125,6 +126,21 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
     return EdgeCertificate(n, a, b, mark_a, mark_b, alpha, f_a, f_b, min_other)
 
 
+def _marked_edge_holds(c: EdgeCertificate, edge: tuple[VertexRef, VertexRef],
+                       own: Assignment, other: Assignment) -> bool:
+    """Is edge a cross-part edge of n parts, on the clique of own and not
+    on that of other, with weight 1 in alpha?"""
+    lo, hi = sorted(edge)
+    if not 1 <= lo.part < hi.part <= c.n:
+        return False
+
+    def on(z: Assignment) -> bool:
+        return z.rho(lo.part) == lo.pos and z.rho(hi.part) == hi.pos
+
+    return (on(own) and not on(other)
+            and c.alpha[(hi.part, lo.part, hi.pos, lo.pos)] == 1)
+
+
 def verify_certificate(c: EdgeCertificate,
                        bound: int = DEFAULT_BRUTEFORCE_BOUND) -> bool:
     """Recompute every evaluation from alpha alone; nothing is trusted.
@@ -132,12 +148,17 @@ def verify_certificate(c: EdgeCertificate,
     alpha must weight exactly the edge coordinates of n parts, so a
     missing weight is not read as 0 and an extra one not ignored, and the
     recorded f_a, f_b and min_other must equal the recomputed values.
+    Each marked edge must join two distinct parts of 1..n, lie on its own
+    clique and not on the other, and carry weight 1.
     """
     check_bruteforce(c.n, bound, "verify_certificate")
     if c.a == c.b or c.a.n != c.n or c.b.n != c.n:
         return False
     keys = _alpha_keys(c.n)
     if len(c.alpha) != len(keys) or any(k not in c.alpha for k in keys):
+        return False
+    if not (_marked_edge_holds(c, c.marked_a, c.a, c.b)
+            and _marked_edge_holds(c, c.marked_b, c.b, c.a)):
         return False
     f_a, f_b, min_other = _evaluations(c.alpha, c.n, c.a, c.b)
     return (f_a == c.f_a == 1 and f_b == c.f_b == 1

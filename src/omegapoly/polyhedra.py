@@ -170,6 +170,14 @@ def _int_affine_rank(points: Sequence[Sequence[int]]) -> int:
                           for p in points[1:]])[2])
 
 
+def _in_row_space(w: Sequence[int], span: list[list[int]], den: int,
+                  pivots: list[int]) -> bool:
+    """Is the integer vector w in the row space of span / den, an RREF
+    from _int_rref?  Only w = sum_k w[pivots[k]] span[k] / den can be."""
+    return all(x * den == sum(w[c] * row[k] for c, row in zip(pivots, span))
+               for k, x in enumerate(w))
+
+
 def affine_rank(v: VRep) -> int:
     """Dimension of the affine hull of the points, computed on the points
     scaled to integers over one common denominator."""
@@ -603,8 +611,9 @@ class FaceVerdict:
     kind is one of "facet", "proper_face", "not_face", "empty",
     "whole_polytope".  For the first two, form supports the polytope with
     equality exactly on the subset and dimension is the face dimension.
-    "not_face" carries no form: it rests on the exact optimum of the face
-    LP being 0, and no witness of that is returned yet.
+    "not_face" carries no form: it rests either on a point outside the
+    subset that lies in the subset's affine hull or on the exact optimum
+    of the face LP being 0, and no witness of either is returned yet.
     """
 
     kind: str
@@ -619,11 +628,21 @@ class FaceVerdict:
 def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     """Decide whether the given point indices form a face of conv(points).
 
-    Looks for a hyperplane f . x = f . s0 through the subset (s0 its first
-    point) with every other point strictly on the positive side,
-    maximizing the smallest slack t (capped at 1, which scaling makes
-    harmless).  A positive optimum certifies a face.  Optimum zero means
-    there is none, and the "not_face" verdict carries no form.
+    A face F of a polytope P is P intersected with aff(F), so a point
+    outside the subset that lies in the subset's affine hull makes it
+    "not_face" at once: no hyperplane through the subset leaves that point
+    strictly on one side.  This screen tests each outside difference
+    against one integer RREF of the subset's differences, whose rank is
+    also the face dimension.  Only a subset that passes it gets the LP.
+
+    The LP looks for a hyperplane f . x = f . s0 through the subset (s0
+    its first point) with every other point strictly on the positive
+    side, maximizing the smallest slack t (capped at 1, which scaling
+    makes harmless).  A positive optimum certifies a face.  Optimum zero
+    means there is none, and the verdict is "not_face".  The diagonal
+    rectangle {0000, 0011, 1100, 1111} of the 4-cube passes the screen
+    and is refused this way: its hull meets that of {0101, 1010} at the
+    centre.
 
     The points are written once as integers Q / D over one common D, and
     the LP rows come straight from integer differences: (Q_i - Q_s0) . f
@@ -648,6 +667,10 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     s0 = pts[idx[0]]
     diffs = [[a - b for a, b in zip(p, s0)] for p in pts]
     inside = set(idx)
+    span, span_den, pivots = _int_rref(diffs[i] for i in idx[1:])
+    if any(_in_row_space(diffs[i], span, span_den, pivots)
+           for i in range(npts) if i not in inside):
+        return FaceVerdict("not_face")
     rows = [diffs[i] + [-D, 0] for i in range(npts) if i not in inside]
     rows.append([0] * d + [-D, -D])
     n_ineq = len(rows)
@@ -659,11 +682,10 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
 
     f = x[:d]  # the separator is f / den, its rhs f . s0 / (den D)
     if x[d] > 0:
-        sub_dim = _int_affine_rank([pts[i] for i in idx])
-        whole = _int_affine_rank(pts)
-        kind = "facet" if sub_dim == whole - 1 else "proper_face"
+        kind = ("facet" if len(pivots) == _int_affine_rank(pts) - 1
+                else "proper_face")
         form = _coprime_form([c * D for c in f] + [_dot(f, s0)])
-        return FaceVerdict(kind, form, sub_dim)
+        return FaceVerdict(kind, form, len(pivots))
     return FaceVerdict("not_face")
 
 

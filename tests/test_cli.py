@@ -342,6 +342,19 @@ def test_guard_trips_name_their_override(capsys):
     assert "--max-hull-dim" in err
 
 
+def test_clique_solve_refuses_too_many_parts(tmp_path, capsys):
+    # 34 bytes that used to ask the solver for 146 MB
+    path = tmp_path / "g.json"
+    path.write_text('{"n": 400000, "missing_edges": []}', encoding="ascii")
+    code, out, err = run(capsys, "clique-solve", "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: graph with 400000 parts is out of reach: "
+                   "n = 10000 is the largest graph\n")
+    path.write_text('{"n": 10000, "missing_edges": []}', encoding="ascii")
+    code, out, _ = run(capsys, "clique-solve", "--graph", str(path))
+    assert code == 0 and out == ",".join(["1"] * 10000) + "\n"
+
+
 @pytest.mark.parametrize("extra", [(), ("--allow-large",)])
 def test_census_past_five_parts_names_no_override(capsys, extra):
     # no flag reaches n = 6, so the message must not point at one

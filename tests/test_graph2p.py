@@ -266,6 +266,14 @@ def test_graph_json_messages(bad, message):
     assert str(info.value) == message
 
 
+def test_graph_json_parts_ceiling_comes_before_the_rows():
+    # the ceiling is checked before anything else is read per part or row
+    with pytest.raises(ScaleGuardError) as info:
+        g2.graph_from_dict({"n": 10 ** 7, "missing_edges": 5})
+    assert (info.value.guard, info.value.limit) == ("graph-parts", 10000)
+    assert g2.graph_from_dict({"n": 10000, "missing_edges": []}).n == 10000
+
+
 def test_dimacs_round_trip():
     g = g2.without_edges(g2.complete_graph(3),
                          [((1, 1), (2, 1)), ((1, 2), (3, 2))])

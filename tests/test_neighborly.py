@@ -45,6 +45,8 @@ def test_certificates_for_every_pair_small_n():
             c = nb.edge_certificate(n, a, b)
             assert c.f_a == 1 and c.f_b == 1 and c.min_other >= 2
             assert nb.verify_certificate(c)
+            # the JSON layout lists each marked edge's lower part first
+            assert _verifies(nb.certificate_to_dict(c))
             # weights only use the agreed menu
             assert set(c.alpha.values()) <= {0, 1, 2}
 
@@ -206,3 +208,39 @@ def test_certificate_from_dict_refuses_a_repeated_alpha_entry():
         nb.certificate_from_dict(obj)
     assert str(info.value) == ('"alpha" lists (i, j, p, q) = (2, 1, 1, 1) '
                                'twice')
+
+
+# the n = 3 certificate for 1,1,1 / 2,2,1 marks [[1, 1], [2, 1]] on a and
+# [[1, 2], [2, 2]] on b
+@pytest.mark.parametrize("marked", [
+    # wrong positions, and part 9 of 3
+    [[[1, 2], [3, 2]], [[2, 1], [9, 7]]],
+    # both ends in part 1
+    [[[1, 1], [1, 1]], [[1, 2], [2, 2]]],
+    # part 4 of 3
+    [[[1, 1], [4, 1]], [[1, 2], [2, 2]]],
+    # an edge of a, but of weight 0
+    [[[1, 1], [3, 1]], [[1, 2], [2, 2]]],
+    # an edge of b marked for a
+    [[[1, 2], [2, 2]], [[1, 2], [2, 2]]],
+])
+def test_verify_checks_the_marked_edges(marked):
+    obj = _cert_dict()
+    assert obj["marked"] == [[[1, 1], [2, 1]], [[1, 2], [2, 2]]]
+    assert not _verifies(dict(obj, marked=marked))
+
+
+def test_verify_refuses_a_marked_edge_both_cliques_share():
+    # 1,1,1 / 1,1,2 share the edge [[1, 1], [2, 1]].  Moving both weight-1
+    # marks onto it keeps F(a) = F(b) = 1 and the minimum elsewhere at 4,
+    # so only the rule that a mark avoids the other clique refuses it
+    obj = nb.certificate_to_dict(nb.edge_certificate(
+        3, Assignment((1, 1, 1)), Assignment((1, 1, 2))))
+    for ent in obj["alpha"]:
+        if (ent["i"], ent["j"], ent["p"], ent["q"]) == (2, 1, 1, 1):
+            ent["w"] = 1
+        elif ent["w"] == 1:
+            ent["w"] = 0
+    c = nb.certificate_from_dict(dict(obj, marked=[[[1, 1], [2, 1]]] * 2))
+    assert nb._evaluations(c.alpha, 3, c.a, c.b) == (1, 1, 4)
+    assert not nb.verify_certificate(c)

@@ -568,6 +568,21 @@ def test_lp_results_are_pinned():
     assert h.hexdigest() == LP_PIN_DIGEST
 
 
+def _record_face_lps(monkeypatch) -> list:
+    """Patch the integer LP core so that each call appends its pivot
+    counts to the returned list."""
+    pivots = []
+    core = ph._int_lp
+
+    def recording_core(*args):
+        result = core(*args)
+        pivots.append(result[1])
+        return result
+
+    monkeypatch.setattr(ph, "_int_lp", recording_core)
+    return pivots
+
+
 def test_lp_pivot_counts(monkeypatch):
     # phase 1 already ends at (1, 1), the maximizer, so maximizing takes
     # no phase 2 pivot and minimizing does
@@ -580,15 +595,7 @@ def test_lp_pivot_counts(monkeypatch):
     assert ph.LpResult("infeasible").pivots is None
     # the one face LP behind a square facet of the 3-cube, which is_face
     # hands to the integer LP core directly
-    pivots = []
-    core = ph._int_lp
-
-    def recording_core(*args):
-        result = core(*args)
-        pivots.append(result[1])
-        return result
-
-    monkeypatch.setattr(ph, "_int_lp", recording_core)
+    pivots = _record_face_lps(monkeypatch)
     verdict = ph.is_face(ph.regular_polytope("cube", 3), [0, 1, 2, 3])
     assert verdict.kind == "facet"
     assert pivots == [(7, 0)]
@@ -697,12 +704,49 @@ def test_midpoint_of_a_segment_is_not_a_face():
     assert verdict.form is None
 
 
-def test_not_face_whose_lp_has_dependent_equalities():
-    # 13 of the 16 vertices of the 4-cube: the 12 subset equalities of the
-    # face LP are dependent, and the verdict must still come back
+def test_not_face_whose_lp_has_dependent_equalities(monkeypatch):
+    lps = _record_face_lps(monkeypatch)
     v = ph.regular_polytope("cube", 4)
+    # 13 of the 16 vertices span the whole space, so the affine-hull
+    # screen refuses them before their 12 dependent equalities reach an LP
     subset = (0, 1, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15)
     assert ph.is_face(v, subset).kind == "not_face"
+    assert lps == []
+    # the diagonal rectangle 0000, 0011, 1100, 1111: 1111 - 0000 is the sum
+    # of the other two differences, and no other vertex lies in its plane,
+    # so its dependent equalities do reach the LP, whose optimum is 0
+    assert ph.is_face(v, (0, 3, 12, 15)).kind == "not_face"
+    assert len(lps) == 1
+
+
+def test_screen_refuses_an_outside_copy_of_a_subset_point(monkeypatch):
+    # VRep refuses duplicates, so the copy is put in behind its back: its
+    # difference is zero, which lies in every affine hull, even that of a
+    # single point, whose RREF has no rows
+    lps = _record_face_lps(monkeypatch)
+    v = ph.VRep(2, [(0, 0), (1, 0), (0, 1)])
+    v.points += (v.points[1],)
+    for subset in ([1], [0, 1], [1, 2]):
+        assert ph.is_face(v, subset).kind == "not_face"
+    assert lps == []
+
+
+def test_screen_decides_every_n4_pair_complement(monkeypatch):
+    # a pair complement holds 14 of the 16 vertices of the n = 4 polytope,
+    # which span all of its 10 dimensions; no third vertex lies on the line
+    # through a pair, so each pair is an edge found by one LP
+    lps = _record_face_lps(monkeypatch)
+    v = omega_core.reduced_vertex_vrep(4)
+    pairs = list(itertools.combinations(range(16), 2))
+    assert len(pairs) == 120
+    for a, b in pairs:
+        complement = [k for k in range(16) if k not in (a, b)]
+        assert ph.is_face(v, complement).kind == "not_face"
+    assert lps == []
+    for k, pair in enumerate(pairs):
+        verdict = ph.is_face(v, pair)
+        assert (verdict.kind, verdict.dimension) == ("proper_face", 1)
+        assert len(lps) == k + 1
 
 
 @pytest.mark.parametrize("kind,d", [("cube", 3), ("cube", 4),
