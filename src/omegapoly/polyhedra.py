@@ -434,12 +434,16 @@ class LpResult:
     when minimizing.  The integer core checks these identities, scaled
     to integers, before lp_solve builds the Fractions.
 
-    The multipliers are read off the final simplex tableau.  Where the
-    optimal dual is not unique they may differ from those of releases
-    that re-solved for them, but they always satisfy the identities.
+    The argument and the multipliers are read off the final simplex
+    tableau.  Where the optimum or the optimal dual is not unique they may
+    differ from those of releases that re-solved for the multipliers or
+    started every row on an artificial, but the argument is always an
+    optimal point and the multipliers always satisfy the identities.
 
-    pivots counts the simplex pivots as (phase 1, phase 2); phase 1
-    includes driving leftover artificials out of the basis.
+    pivots counts the simplex pivots as (phase 1, phase 2).  Phase 1
+    counts the pivots that reach a feasible basis from the start basis,
+    none when every row holds at x = 0, plus those that drive leftover
+    artificials out of the basis.
     """
 
     status: str
@@ -495,12 +499,24 @@ def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
 
     rows are [coeffs..., rhs] with d coefficients: the first n_ineq mean
     coeffs . x >= rhs, the rest coeffs . x = rhs.  Two-phase simplex with
-    Bland's rule on the integer tableau tab / den (_int_pivot).  Scaling
-    all rows by one positive factor, or the cost by one, leaves Bland's
-    pivots and the argument unchanged (the multipliers scale with the
-    cost and inversely with the rows), so callers clear denominators that
-    way.  Each surplus column is -1 whatever the row's scale: a positive
-    column scaling, which leaves Bland's choices unchanged as well.
+    Bland's rule on the integer tableau tab / den (_int_pivot).
+
+    The start basis holds x = 0 wherever it can.  An inequality with
+    rhs <= 0 holds there; it is written negated, so that its surplus
+    entry is +1, and its surplus column starts basic.  Only equalities
+    and inequalities with rhs > 0 start on an artificial, and phase 1
+    prices those artificials alone (Chvatal, Linear Programming, ch. 8).
+    When they all start at 0, as on the rhs-0 equalities of is_face,
+    phase 1 makes no simplex pivot and only drives them out.  Every row
+    keeps its artificial column, which carries the multipliers.
+
+    Scaling all rows by one positive factor, or the cost by one, leaves
+    Bland's pivots and the argument unchanged (the multipliers scale with
+    the cost and inversely with the rows), so callers clear denominators
+    that way.  Such a scaling keeps each rhs's sign, so the same rows
+    start on their surplus columns, and each surplus entry is +1 or -1
+    whatever the row's scale: a positive column scaling, which leaves
+    Bland's choices unchanged as well.
 
     Returns (status, (phase 1 pivots, phase 2 pivots), den, x, y).  For
     an optimal solve x / den is the argument and y / den the multipliers
@@ -510,30 +526,42 @@ def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
     d, m = len(cost), len(rows)
     nreal = 2 * d + n_ineq  # x+ | x- | surplus
 
-    # rows are x+ | x- | surplus | artificial | rhs, flipped to rhs >= 0;
-    # the last row is the objective row den * (z - c)
+    # rows are x+ | x- | surplus | artificial | rhs, flipped to rhs >= 0
+    # (and an inequality with rhs = 0 too, so that its surplus starts
+    # basic); the last row is the objective row den * (z - c)
     tab: list[list[int]] = []
     signs: list[int] = []
+    basis: list[int] = []
     for i, (*coeffs, rhs) in enumerate(rows):
-        sign = -1 if rhs < 0 else 1
+        surplus_start = i < n_ineq and rhs <= 0
+        sign = -1 if rhs < 0 or surplus_start else 1
         row = ([sign * x for x in coeffs] + [-sign * x for x in coeffs]
                + [0] * (n_ineq + m) + [sign * rhs])
         if i < n_ineq:
             row[2 * d + i] = -sign
         row[nreal + i] = 1
         signs.append(sign)
+        basis.append(2 * d + i if surplus_start else nreal + i)
         tab.append(row)
     tab.append([0] * (nreal + m + 1))
 
-    # phase 1: artificial basis, maximize minus the sum of artificials
-    basis = [nreal + i for i in range(m)]
-    _price_out(tab, 1, basis, [0] * nreal + [-1] * m)
-    den, phase1, bounded = _simplex_iterate(tab, 1, basis, range(nreal + m))
-    if not bounded:
-        raise RuntimeError("phase 1 came out unbounded, which its "
-                           "construction rules out")
-    if tab[-1][-1] != 0:  # z = -(sum of artificials) at optimum
-        return "infeasible", (phase1, 0), None, None, None
+    # phase 1: maximize minus the sum of the starting artificials; only
+    # real columns and those artificials may enter.  At z = 0 the start is
+    # already feasible and optimal
+    starts = [bv for bv in basis if bv >= nreal]
+    phase1_cost = [0] * (nreal + m)
+    for bv in starts:
+        phase1_cost[bv] = -1
+    _price_out(tab, 1, basis, phase1_cost)
+    den, phase1 = 1, 0
+    if tab[-1][-1] != 0:
+        den, phase1, bounded = _simplex_iterate(
+            tab, 1, basis, [*range(nreal), *starts])
+        if not bounded:
+            raise RuntimeError("phase 1 came out unbounded, which its "
+                               "construction rules out")
+        if tab[-1][-1] != 0:  # z = -(sum of artificials) at optimum
+            return "infeasible", (phase1, 0), None, None, None
 
     # drive leftover artificials out of the basis; a row with no real
     # entry left is redundant and keeps its artificial basic at zero

@@ -547,24 +547,35 @@ def _seeded_lp(rng):
     return form(0), ph.HRep(d, tuple(ineqs), tuple(eqs))
 
 
-# sha256 over repr((status, optimum, argument, dual)) of the 800 solves
-# below, taken from the Fraction tableau before the integer kernel
-LP_PIN_DIGEST = ("75efe472fa2def995ae1a3ef6aed0ab2"
-                 "f502e96f6441a58637a4b7768d5290c4")
+# sha256 over repr((status, optimum)) of the 800 solves below, the same
+# from the Fraction tableau, the artificial start and the surplus start
+LP_OPTIMA_DIGEST = ("fd340550785c1c1a19639ed6005f262d"
+                    "be562fa8bfac716daa2e6ccdee134b84")
+# sha256 over repr((status, optimum, argument, dual)) of the same solves,
+# taken from the surplus start; where the optimum is not unique, arguments
+# and multipliers differ from those of the artificial start
+LP_PIN_DIGEST = ("954930707178a2f5ebc9be6dfd2536b2"
+                 "09e893f0003252377c708af963e28546")
 
 
 def test_lp_results_are_pinned():
     rng = random.Random(20261018)
-    h = hashlib.sha256()
+    h, optima = hashlib.sha256(), hashlib.sha256()
     statuses = set()
     for _ in range(400):
         objective, hrep = _seeded_lp(rng)
         for sense in ("max", "min"):
             res = ph.lp_solve(objective, hrep, sense)
             statuses.add(res.status)
+            if res.status == "optimal":
+                assert hrep.holds(res.argument)
+                assert objective.value(res.argument) == res.optimum
+                assert_dual_identities(res, objective, hrep, sense)
+            optima.update(repr((res.status, res.optimum)).encode("ascii"))
             h.update(repr((res.status, res.optimum, res.argument,
                            res.dual)).encode("ascii"))
     assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert optima.hexdigest() == LP_OPTIMA_DIGEST
     assert h.hexdigest() == LP_PIN_DIGEST
 
 
@@ -584,21 +595,53 @@ def _record_face_lps(monkeypatch) -> list:
 
 
 def test_lp_pivot_counts(monkeypatch):
-    # phase 1 already ends at (1, 1), the maximizer, so maximizing takes
-    # no phase 2 pivot and minimizing does
+    # every row of the square holds at the origin, so the surplus basis is
+    # feasible and phase 1 takes no pivot; phase 2 walks from the origin.
+    # With one artificial per row these were (4, 0) and (4, 4): phase 1
+    # spent 4 pivots finding a vertex and happened to end at (1, 1)
     objective = ph.linear_form([1, 1], 0)
-    assert ph.lp_solve(objective, square_hrep(), "max").pivots == (4, 0)
-    assert ph.lp_solve(objective, square_hrep(), "min").pivots == (4, 4)
+    assert ph.lp_solve(objective, square_hrep(), "max").pivots == (0, 2)
+    assert ph.lp_solve(objective, square_hrep(), "min").pivots == (0, 2)
     h = ph.HRep(1, (ph.linear_form([1], 2), ph.linear_form([-1], -1)), ())
     res = ph.lp_solve(ph.linear_form([1], 0), h)
-    assert res.status == "infeasible" and res.pivots[1] == 0
+    assert res.status == "infeasible" and res.pivots == (1, 0)
     assert ph.LpResult("infeasible").pivots is None
     # the one face LP behind a square facet of the 3-cube, which is_face
-    # hands to the integer LP core directly
+    # hands to the integer LP core directly: its artificials sit on rhs-0
+    # equalities, so phase 1 only drives them out (7 pivots, none in
+    # phase 2, with one artificial per row)
     pivots = _record_face_lps(monkeypatch)
     verdict = ph.is_face(ph.regular_polytope("cube", 3), [0, 1, 2, 3])
     assert verdict.kind == "facet"
-    assert pivots == [(7, 0)]
+    assert pivots == [(2, 2)]
+
+
+def test_face_lp_pivot_totals(monkeypatch):
+    # summed (phase 1, phase 2) pivots of the face LPs of all 28 n = 3 pair
+    # complements and all 120 n = 4 pairs, pinned as work counts
+    pivots = _record_face_lps(monkeypatch)
+    v = omega_core.reduced_vertex_vrep(3)
+    for a, b in itertools.combinations(range(8), 2):
+        ph.is_face(v, [k for k in range(8) if k not in (a, b)])
+    assert len(pivots) == 28
+    assert [sum(p) for p in zip(*pivots)] == [140, 81]
+    pivots.clear()
+    v = omega_core.reduced_vertex_vrep(4)
+    for pair in itertools.combinations(range(16), 2):
+        # an edge has many supporting forms; each one found must be tight
+        # exactly on the pair
+        form = ph.is_face(v, pair).form
+        slacks = [form.slack(p) for p in v.points]
+        assert min(slacks) == 0
+        assert [k for k, s in enumerate(slacks) if s == 0] == list(pair)
+    assert len(pivots) == 120
+    assert [sum(p) for p in zip(*pivots)] == [120, 1054]
+    # a single vertex gives a face LP with no equality, whose rows all
+    # hold at x = 0: it starts feasible and makes no phase 1 pivot
+    pivots.clear()
+    for k in range(16):
+        assert ph.is_face(v, [k]).kind == "proper_face"
+    assert len(pivots) == 16 and all(p[0] == 0 for p in pivots)
 
 
 # one dual numerator read off the final tableau is put off by one; the
@@ -609,8 +652,9 @@ from omegapoly import polyhedra as ph
 iterate = ph._simplex_iterate
 def off_by_one(tab, den, basis, allowed):
     den, pivots, bounded = iterate(tab, den, basis, allowed)
-    if len(allowed) == len(tab[0]) - 1 - len(basis):  # phase 2
-        tab[-1][len(allowed)] += den
+    nreal = len(tab[0]) - 1 - len(basis)
+    if all(j < nreal for j in allowed):  # phase 2: no artificial may enter
+        tab[-1][nreal] += den
     return den, pivots, bounded
 ph._simplex_iterate = off_by_one
 try:
@@ -631,10 +675,22 @@ def _run_optimized(call):
 
 
 def test_dual_checks_survive_python_O():
+    # the square starts on its surplus basis and skips phase 1
     square = ("ph.HRep(2, (ph.linear_form([1, 0], 0), "
               "ph.linear_form([0, 1], 0), ph.linear_form([-1, 0], -1), "
               "ph.linear_form([0, -1], -1)), ())")
     call = "ph.lp_solve(ph.linear_form([1, 1], 0), %s)" % square
+    assert _run_optimized(call) == "1 dual stationarity failed\n"
+
+
+def test_dual_checks_survive_python_O_after_phase_1():
+    # x >= 1 fails at the origin, so its row starts on an artificial and
+    # phase 1 runs before the off-by-one dual is read
+    h = ph.HRep(1, (ph.linear_form([1], 1), ph.linear_form([-1], -3)), ())
+    res = ph.lp_solve(ph.linear_form([1], 0), h)
+    assert res.pivots == (1, 1) and res.optimum == 3
+    call = ("ph.lp_solve(ph.linear_form([1], 0), ph.HRep(1, "
+            "(ph.linear_form([1], 1), ph.linear_form([-1], -3)), ()))")
     assert _run_optimized(call) == "1 dual stationarity failed\n"
 
 
