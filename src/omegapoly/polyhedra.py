@@ -69,7 +69,14 @@ def linear_form(coeffs: Iterable, rhs) -> LinearForm:
 
 
 class VRep:
-    """A polytope as a duplicate-free ordered list of points."""
+    """A polytope as a duplicate-free ordered list of points.
+
+    The exact kernels read the points as integers Q / D over one common
+    D > 0, and is_face also needs their affine rank.  Both are computed
+    on first use and kept, keyed on the identity of the points tuple, so
+    they are computed once per VRep however many queries it answers,
+    and rebinding points makes the next use compute them afresh.
+    """
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
         if dim < 1:
@@ -82,6 +89,23 @@ class VRep:
             raise ValueError("duplicate points in V-representation")
         self.dim = dim
         self.points = pts
+        self._ints = None  # (points, Q, D) for the points it was built on
+        self._rank = None  # affine rank of those points, once asked for
+
+    def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(Q, D) with points = Q / D, the rows of Q as int tuples."""
+        if self._ints is None or self._ints[0] is not self.points:
+            ints, den = _clear_matrix(self.points)
+            self._ints = (self.points, tuple(map(tuple, ints)), den)
+            self._rank = None
+        return self._ints[1], self._ints[2]
+
+    def _affine_rank(self) -> int:
+        """Affine rank of the points (at least one), from the cached Q."""
+        ints, _ = self._cleared()
+        if self._rank is None:
+            self._rank = _int_affine_rank(ints)
+        return self._rank
 
     def __eq__(self, other):
         return (isinstance(other, VRep)
@@ -180,10 +204,10 @@ def _in_row_space(w: Sequence[int], span: list[list[int]], den: int,
 
 def affine_rank(v: VRep) -> int:
     """Dimension of the affine hull of the points, computed on the points
-    scaled to integers over one common denominator."""
+    scaled to integers over one common denominator (cached on v)."""
     if not v.points:
         raise ValueError("affine rank of an empty point set")
-    return _int_affine_rank(_clear_matrix(v.points)[0])
+    return v._affine_rank()
 
 
 def _coprime(vec: Sequence[int]) -> tuple[int, ...]:
@@ -359,7 +383,7 @@ def _hull_with_masks(v: VRep) -> tuple[HRep, list[int]]:
         raise ValueError("convex hull of an empty point set")
 
     d = v.dim
-    pts, D = _clear_matrix(v.points)
+    pts, D = v._cleared()
     base = pts[0]
     diffs = [[x - b for x, b in zip(p, base)] for p in pts]
     rref, den, pivots = _int_rref(diffs[1:])
@@ -397,11 +421,12 @@ def _hull_with_masks(v: VRep) -> tuple[HRep, list[int]]:
 def tight_masks(forms: Iterable[LinearForm], v: VRep) -> list[int]:
     """For each form, the bitmask of the points of v it is tight on.
 
-    Bit k is set iff coeffs . points[k] == rhs.  The points are written
-    once as P / D over one common D and each form is scaled to integers
-    (c, rhs), so the test c . P == rhs * D is exact and runs on plain ints.
+    Bit k is set iff coeffs . points[k] == rhs.  The points are read as
+    v's cached integers P / D over one common D and each form is scaled
+    to integers (c, rhs), so the test c . P == rhs * D is exact and runs
+    on plain ints.
     """
-    points, D = _clear_matrix(v.points)
+    points, D = v._cleared()
     masks = []
     for f in forms:
         if len(f.coeffs) != v.dim:
@@ -435,10 +460,13 @@ class LpResult:
     to integers, before lp_solve builds the Fractions.
 
     The argument and the multipliers are read off the final simplex
-    tableau.  Where the optimum or the optimal dual is not unique they may
-    differ from those of releases that re-solved for the multipliers or
-    started every row on an artificial, but the argument is always an
-    optimal point and the multipliers always satisfy the identities.
+    tableau, each multiplier from its row's start column: the row's
+    artificial, or its surplus column where x = 0 satisfies the row and
+    the row has no artificial.  Where the optimum or the optimal dual is
+    not unique they may differ from those of releases that re-solved for
+    the multipliers or started every row on an artificial, but the
+    argument is always an optimal point and the multipliers always
+    satisfy the identities.
 
     pivots counts the simplex pivots as (phase 1, phase 2).  Phase 1
     counts the pivots that reach a feasible basis from the start basis,
@@ -464,19 +492,52 @@ def _price_out(tab, den, basis, cost):
     tab[-1] = obj
 
 
-def _simplex_iterate(tab, den, basis, allowed):
+def _negate_column(tab, orient, k):
+    """Store the other orientation of free variable k: x-_k for x+_k or
+    back.  Its column is nonbasic, so the tableau stays a basis form."""
+    for row in tab:
+        row[k] = -row[k]
+    orient[k] = -orient[k]
+
+
+def _simplex_iterate(tab, den, basis, orient, allowed):
     """Run primal simplex to optimality on the integer tableau tab / den.
 
+    Columns 0..d-1, d = len(orient), belong to the free variables x =
+    x+ - x-, one column each: column k holds x+_k where orient[k] is 1
+    and x-_k = -x+_k where it is -1, and these columns may always enter.
+    Of the other columns only those in allowed may.  Bland's rule runs on
+    the labels of the split tableau, with both halves of every free
+    variable: x+_k is label k, x-_k label d + k and column c >= d label
+    c + d.  A free variable enters in the orientation whose reduced cost
+    is negative, its column negated first if it holds the other one; a
+    basic column is never negated, so orient names each basic label.
+    Every pivot is the one the split tableau takes, on the same column.
+
     Returns (den, pivots made, False if unbounded).  Entering and leaving
-    follow Bland's rule (smallest improving column, ratio ties broken by
-    smallest basic variable), which cannot cycle.  Ratios rhs / coef with
+    follow Bland's rule (smallest improving label, ratio ties broken by
+    smallest basic label), which cannot cycle.  Ratios rhs / coef with
     coef > 0 are compared by cross-multiplying.
     """
+    d = len(orient)
+
+    def label(c):
+        return c if c < d and orient[c] > 0 else c + d
+
     pivots = 0
     while True:
-        enter = next((j for j in allowed if tab[-1][j] < 0), None)
+        obj = tab[-1]
+        # x+_k improves where orient[k] * obj[k] < 0; when no x+ label
+        # does, x-_k improves wherever obj[k] != 0
+        enter = next((k for k in range(d) if orient[k] * obj[k] < 0), None)
         if enter is None:
-            return den, pivots, True
+            enter = next((k for k in range(d) if obj[k]), None)
+        if enter is None:
+            enter = next((j for j in allowed if obj[j] < 0), None)
+            if enter is None:
+                return den, pivots, True
+        elif obj[enter] > 0:
+            _negate_column(tab, orient, enter)
         leave = None
         for i, bv in enumerate(basis):
             coef = tab[i][enter]
@@ -484,7 +545,7 @@ def _simplex_iterate(tab, den, basis, allowed):
                 continue
             if leave is not None:
                 cmp = tab[i][-1] * tab[leave][enter] - tab[leave][-1] * coef
-                if cmp > 0 or (cmp == 0 and bv > basis[leave]):
+                if cmp > 0 or (cmp == 0 and label(bv) > label(basis[leave])):
                     continue
             leave = i
         if leave is None:
@@ -499,7 +560,8 @@ def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
 
     rows are [coeffs..., rhs] with d coefficients: the first n_ineq mean
     coeffs . x >= rhs, the rest coeffs . x = rhs.  Two-phase simplex with
-    Bland's rule on the integer tableau tab / den (_int_pivot).
+    Bland's rule on the integer tableau tab / den (_int_pivot), with one
+    column per free variable (see _simplex_iterate).
 
     The start basis holds x = 0 wherever it can.  An inequality with
     rhs <= 0 holds there; it is written negated, so that its surplus
@@ -507,8 +569,10 @@ def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
     and inequalities with rhs > 0 start on an artificial, and phase 1
     prices those artificials alone (Chvatal, Linear Programming, ch. 8).
     When they all start at 0, as on the rhs-0 equalities of is_face,
-    phase 1 makes no simplex pivot and only drives them out.  Every row
-    keeps its artificial column, which carries the multipliers.
+    phase 1 makes no simplex pivot and only drives them out.  Each row's
+    start column carries its multiplier: a row that starts on its
+    surplus gets no artificial, whose column would equal that surplus
+    column (+e_i at the start, cost 0 in phase 2) in every tableau.
 
     Scaling all rows by one positive factor, or the cost by one, leaves
     Bland's pivots and the argument unchanged (the multipliers scale with
@@ -524,66 +588,74 @@ def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
     these numerators before returning.  Otherwise den, x and y are None.
     """
     d, m = len(cost), len(rows)
-    nreal = 2 * d + n_ineq  # x+ | x- | surplus
+    nreal = d + n_ineq  # x | surplus
 
-    # rows are x+ | x- | surplus | artificial | rhs, flipped to rhs >= 0
-    # (and an inequality with rhs = 0 too, so that its surplus starts
-    # basic); the last row is the objective row den * (z - c)
+    # each row starts basic on its surplus column if x = 0 satisfies it,
+    # else on an artificial column of its own
+    start, nart = [], 0
+    for i, row in enumerate(rows):
+        if i < n_ineq and row[-1] <= 0:
+            start.append(d + i)
+        else:
+            start.append(nreal + nart)
+            nart += 1
+
+    # rows are x | surplus | artificial | rhs, flipped to rhs >= 0 (and
+    # a surplus start too, so that its surplus entry is +1); the last row
+    # is the objective row den * (z - c)
     tab: list[list[int]] = []
     signs: list[int] = []
-    basis: list[int] = []
     for i, (*coeffs, rhs) in enumerate(rows):
-        surplus_start = i < n_ineq and rhs <= 0
-        sign = -1 if rhs < 0 or surplus_start else 1
-        row = ([sign * x for x in coeffs] + [-sign * x for x in coeffs]
-               + [0] * (n_ineq + m) + [sign * rhs])
+        sign = -1 if rhs < 0 or start[i] < nreal else 1
+        row = ([sign * x for x in coeffs] + [0] * (n_ineq + nart)
+               + [sign * rhs])
         if i < n_ineq:
-            row[2 * d + i] = -sign
-        row[nreal + i] = 1
+            row[d + i] = -sign
+        row[start[i]] = 1
         signs.append(sign)
-        basis.append(2 * d + i if surplus_start else nreal + i)
         tab.append(row)
-    tab.append([0] * (nreal + m + 1))
+    tab.append([0] * (nreal + nart + 1))
+    basis = list(start)
+    orient = [1] * d
 
-    # phase 1: maximize minus the sum of the starting artificials; only
-    # real columns and those artificials may enter.  At z = 0 the start is
-    # already feasible and optimal
-    starts = [bv for bv in basis if bv >= nreal]
-    phase1_cost = [0] * (nreal + m)
-    for bv in starts:
-        phase1_cost[bv] = -1
-    _price_out(tab, 1, basis, phase1_cost)
+    # phase 1: maximize minus the sum of the artificials, which all start
+    # basic.  At z = 0 the start is already feasible and optimal
+    _price_out(tab, 1, basis, [0] * nreal + [-1] * nart)
     den, phase1 = 1, 0
     if tab[-1][-1] != 0:
         den, phase1, bounded = _simplex_iterate(
-            tab, 1, basis, [*range(nreal), *starts])
+            tab, 1, basis, orient, range(d, nreal + nart))
         if not bounded:
             raise RuntimeError("phase 1 came out unbounded, which its "
                                "construction rules out")
         if tab[-1][-1] != 0:  # z = -(sum of artificials) at optimum
             return "infeasible", (phase1, 0), None, None, None
 
-    # drive leftover artificials out of the basis; a row with no real
+    # drive leftover artificials out of the basis, each on its row's
+    # first nonzero label, which is x+_k before any x-; a row with no real
     # entry left is redundant and keeps its artificial basic at zero
     for i in range(m):
         if basis[i] >= nreal:
             col = next((j for j in range(nreal) if tab[i][j] != 0), None)
             if col is not None:
+                if col < d and orient[col] < 0:
+                    _negate_column(tab, orient, col)
                 den = _int_pivot(tab, den, i, col)
                 basis[i] = col
                 phase1 += 1
 
     # phase 2
-    _price_out(tab, den, basis, cost + [-c for c in cost] + [0] * n_ineq)
-    den, phase2, bounded = _simplex_iterate(tab, den, basis, range(nreal))
+    _price_out(tab, den, basis, [o * c for o, c in zip(orient, cost)])
+    den, phase2, bounded = _simplex_iterate(tab, den, basis, orient,
+                                            range(d, nreal))
     if not bounded:
         return "unbounded", (phase1, phase2), None, None, None
 
     values = dict(zip(basis, (row[-1] for row in tab)))
-    x = [values.get(k, 0) - values.get(d + k, 0) for k in range(d)]
-    # the objective row's artificial columns hold den * c_B B^-1; with the
+    x = [orient[k] * values.get(k, 0) for k in range(d)]
+    # the objective row's start columns hold den * c_B B^-1; with the
     # sign flips undone, y / den is the multiplier of each row
-    y = [signs[i] * tab[-1][nreal + i] for i in range(m)]
+    y = [signs[i] * tab[-1][c] for i, c in enumerate(start)]
 
     for k in range(d):
         if sum(y[i] * rows[i][k] for i in range(m)) != cost[k] * den:
@@ -672,13 +744,14 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     and is refused this way: its hull meets that of {0101, 1010} at the
     centre.
 
-    The points are written once as integers Q / D over one common D, and
-    the LP rows come straight from integer differences: (Q_i - Q_s0) . f
-    - D t >= 0 for each point outside, -D t >= -D for the cap and
-    (Q_i - Q_s0) . f = 0 for each other point of the subset.  That is the
-    Fraction LP scaled by D, so _int_lp takes the pivots it would.
-    Fractions are built only for the returned form, and the ranks are
-    integer RREFs.
+    The points are read as the integers Q / D over one common D that v
+    clears once and keeps, with its affine rank (for the facet and
+    whole_polytope verdicts), so a query pays for neither.  The LP rows
+    come straight from integer differences: (Q_i - Q_s0) . f - D t >= 0
+    for each point outside, -D t >= -D for the cap and (Q_i - Q_s0) . f
+    = 0 for each other point of the subset.  That is the Fraction LP
+    scaled by D, so _int_lp takes the pivots it would.  Fractions are
+    built only for the returned form, and the ranks are integer RREFs.
     """
     idx = sorted(set(subset))
     npts = len(v.points)
@@ -691,7 +764,7 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
         return FaceVerdict(kind="whole_polytope", dimension=affine_rank(v))
 
     d = v.dim
-    pts, D = _clear_matrix(v.points)
+    pts, D = v._cleared()
     s0 = pts[idx[0]]
     diffs = [[a - b for a, b in zip(p, s0)] for p in pts]
     inside = set(idx)
@@ -710,7 +783,7 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
 
     f = x[:d]  # the separator is f / den, its rhs f . s0 / (den D)
     if x[d] > 0:
-        kind = ("facet" if len(pivots) == _int_affine_rank(pts) - 1
+        kind = ("facet" if len(pivots) == v._affine_rank() - 1
                 else "proper_face")
         form = _coprime_form([c * D for c in f] + [_dot(f, s0)])
         return FaceVerdict(kind, form, len(pivots))

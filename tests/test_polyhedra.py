@@ -386,6 +386,24 @@ def test_tight_masks_match_slack_on_rational_input():
         ph.tight_masks([ph.linear_form((1, 0, 0), 0)], v)
 
 
+def test_cached_integers_agree_with_uncached_values():
+    # on a fresh VRep, the hull fills the cache that affine_rank and
+    # tight_masks then read; each answer must equal one computed without
+    # it: the rank from the points cleared anew, the masks from Fraction
+    # slacks, and the hull from another fresh VRep with rank asked first
+    for v in itertools.islice(_hull_pin_inputs(), 150):
+        hull = ph._hull_with_masks(v)
+        rank = ph._int_affine_rank(ph._clear_matrix(v.points)[0])
+        assert ph.affine_rank(v) == rank == v.dim - len(hull[0].equalities)
+        forms = hull[0].inequalities + (ph.linear_form([1] * v.dim, 1),)
+        assert ph.tight_masks(forms, v) == [
+            sum(1 << k for k, p in enumerate(v.points) if f.slack(p) == 0)
+            for f in forms]
+        other = ph.VRep(v.dim, v.points)
+        assert ph.affine_rank(other) == rank
+        assert ph._hull_with_masks(other) == ph._hull_with_masks(v) == hull
+
+
 def test_hull_masks_match_tight_masks():
     # the DD's own tight sets against the incidence recomputed from the
     # returned forms, on full-dimensional and flat point sets alike
@@ -616,6 +634,83 @@ def test_lp_pivot_counts(monkeypatch):
     assert pivots == [(2, 2)]
 
 
+def _record_flips(monkeypatch) -> list:
+    """Patch the column negation of the LP core so that each call appends
+    (free variable, its orientation before the flip) to the returned
+    list: (k, 1) stores x-_k in place of x+_k, (k, -1) flips it back."""
+    flips = []
+    negate = ph._negate_column
+
+    def recording_negate(tab, orient, k):
+        flips.append((k, orient[k]))
+        negate(tab, orient, k)
+
+    monkeypatch.setattr(ph, "_negate_column", recording_negate)
+    return flips
+
+
+def test_lp_enters_negative_free_variables(monkeypatch):
+    # each optimum needs negative coordinates, so x-_k enters: the free
+    # variable's one column is negated before the pivot, and the argument
+    # is read back with the sign of the stored orientation
+    flips = _record_flips(monkeypatch)
+    h = ph.HRep(1, (ph.linear_form([1], -2),), ())
+    res = ph.lp_solve(ph.linear_form([-1], 0), h)
+    assert (res.optimum, res.argument, res.dual) == (2, (-2,), (-1,))
+    assert res.pivots == (0, 1) and flips == [(0, 1)]
+    flips.clear()
+    h = ph.HRep(2, (ph.linear_form([1, 0], -2), ph.linear_form([0, 1], -3)),
+                ())
+    res = ph.lp_solve(ph.linear_form([1, 1], 0), h, "min")
+    assert (res.optimum, res.argument, res.dual) == (-5, (-2, -3), (1, 1))
+    assert res.pivots == (0, 2) and flips == [(0, 1), (1, 1)]
+
+
+def test_lp_flips_a_free_column_back_on_re_entry(monkeypatch):
+    # x0 + x1 <= -1 fails at the origin; no x+ label improves phase 1, so
+    # x-_0 enters and phase 1 stops at (-1, 0).  Phase 2 lowers x1 to its
+    # bound -5 through x-_1, which takes the row of x-_0, so x0 leaves the
+    # basis at 0; then x+_0 re-enters, its column negated back, and rises
+    # to 4
+    flips = _record_flips(monkeypatch)
+    h = ph.HRep(2, (ph.linear_form([-1, -1], 1), ph.linear_form([0, 1], -5),
+                    ph.linear_form([-1, 0], -10)), ())
+    objective = ph.linear_form([1, 0], 0)
+    res = ph.lp_solve(objective, h)
+    assert (res.optimum, res.argument, res.dual) == (4, (4, -5), (-1, -1, 0))
+    assert res.pivots == (1, 2)
+    assert flips == [(0, 1), (1, 1), (0, -1)]
+    assert_dual_identities(res, objective, h, "max")
+
+
+def _hrep_of_rows(d, ineqs, eqs):
+    """An HRep from [coeffs..., rhs] rows."""
+    return ph.HRep(d, tuple(ph.linear_form(r[:-1], r[-1]) for r in ineqs),
+                   tuple(ph.linear_form(r[:-1], r[-1]) for r in eqs))
+
+
+def test_lp_ratio_ties_rank_x_minus_after_every_x_plus():
+    # x-_a shares its column with x+_a but ranks after every x+ label in
+    # Bland's ratio ties, as in the split tableau; breaking these ties on
+    # the column index instead takes 14 and 9 phase-1 pivots, not 12 and 7
+    h = _hrep_of_rows(4, [[1, -2, 1, 0, 1], [-1, 2, 1, -1, -1],
+                          [1, 2, 2, 1, 0], [-1, -1, 0, -1, -1],
+                          [-2, -1, 2, 1, 0]],
+                      [[-1, -2, 0, -2, 1], [1, -2, 2, -1, 0]])
+    objective = ph.linear_form([2, -1, 0, -1], 0)
+    res = ph.lp_solve(objective, h)
+    assert (res.optimum, res.argument) == (frac(-19, 2),
+                                           (-4, frac(-3, 2), 2, 3))
+    assert res.dual == (-5, 0, frac(-15, 4), 0, 0, frac(-9, 2), frac(25, 4))
+    assert res.pivots == (12, 0)
+    assert_dual_identities(res, objective, h, "max")
+    h = _hrep_of_rows(4, [[2, -2, 2, 1, 0], [1, -1, 0, 2, -2],
+                          [0, 1, 0, -2, 0], [1, -1, 0, 0, 2]],
+                      [[-1, -2, 0, -1, 0], [1, 2, 0, 0, -1]])
+    res = ph.lp_solve(ph.linear_form([1, -2, -1, 1], 0), h)
+    assert (res.status, res.pivots) == ("infeasible", (7, 0))
+
+
 def test_face_lp_pivot_totals(monkeypatch):
     # summed (phase 1, phase 2) pivots of the face LPs of all 28 n = 3 pair
     # complements and all 120 n = 4 pairs, pinned as work counts
@@ -626,6 +721,19 @@ def test_face_lp_pivot_totals(monkeypatch):
     assert len(pivots) == 28
     assert [sum(p) for p in zip(*pivots)] == [140, 81]
     pivots.clear()
+    # the width of every n = 4 pair face LP tableau, rhs left out: one
+    # column for each of the 11 free variables (10 coordinates and t),
+    # the 15 surplus columns of the 14 outside points and the cap, and
+    # one artificial for the one equality.  Split into x+ and x-, with an
+    # artificial on every row, it was 22 + 15 + 16 = 53
+    widths = set()
+    iterate = ph._simplex_iterate
+
+    def recording_iterate(tab, *args):
+        widths.add(len(tab[0]) - 1)
+        return iterate(tab, *args)
+
+    monkeypatch.setattr(ph, "_simplex_iterate", recording_iterate)
     v = omega_core.reduced_vertex_vrep(4)
     for pair in itertools.combinations(range(16), 2):
         # an edge has many supporting forms; each one found must be tight
@@ -636,6 +744,7 @@ def test_face_lp_pivot_totals(monkeypatch):
         assert [k for k, s in enumerate(slacks) if s == 0] == list(pair)
     assert len(pivots) == 120
     assert [sum(p) for p in zip(*pivots)] == [120, 1054]
+    assert widths == {27}
     # a single vertex gives a face LP with no equality, whose rows all
     # hold at x = 0: it starts feasible and makes no phase 1 pivot
     pivots.clear()
@@ -645,16 +754,19 @@ def test_face_lp_pivot_totals(monkeypatch):
 
 
 # one dual numerator read off the final tableau is put off by one; the
-# checks that follow must refuse it even when asserts are stripped
+# checks that follow must refuse it even when asserts are stripped.  The
+# tableau's last column before the rhs is the start column of a row, the
+# column its multiplier is read from: the last artificial or, where no
+# row has one, the surplus column of the last row.  Each phase runs the
+# simplex once, and phase 2 prices its objective row afresh, so only the
+# change made after the phase-2 run reaches the multipliers
 _OFF_BY_ONE_DUAL = """
 import sys
 from omegapoly import polyhedra as ph
 iterate = ph._simplex_iterate
-def off_by_one(tab, den, basis, allowed):
-    den, pivots, bounded = iterate(tab, den, basis, allowed)
-    nreal = len(tab[0]) - 1 - len(basis)
-    if all(j < nreal for j in allowed):  # phase 2: no artificial may enter
-        tab[-1][nreal] += den
+def off_by_one(tab, den, basis, orient, allowed):
+    den, pivots, bounded = iterate(tab, den, basis, orient, allowed)
+    tab[-1][-2] += den
     return den, pivots, bounded
 ph._simplex_iterate = off_by_one
 try:
@@ -792,6 +904,15 @@ def test_screen_decides_every_n4_pair_complement(monkeypatch):
     # which span all of its 10 dimensions; no third vertex lies on the line
     # through a pair, so each pair is an edge found by one LP
     lps = _record_face_lps(monkeypatch)
+    # and the points are cleared to integers once for all 240 queries
+    cleared = []
+    clear = ph._clear_matrix
+
+    def counting_clear(rows):
+        cleared.append(rows)
+        return clear(rows)
+
+    monkeypatch.setattr(ph, "_clear_matrix", counting_clear)
     v = omega_core.reduced_vertex_vrep(4)
     pairs = list(itertools.combinations(range(16), 2))
     assert len(pairs) == 120
@@ -803,6 +924,23 @@ def test_screen_decides_every_n4_pair_complement(monkeypatch):
         verdict = ph.is_face(v, pair)
         assert (verdict.kind, verdict.dimension) == ("proper_face", 1)
         assert len(lps) == k + 1
+    assert cleared == [v.points]
+
+
+def test_rebinding_the_points_drops_the_cached_integers():
+    # the first verdicts fill the cache; each rebinding of points must be
+    # answered from the new points, with their own denominator and rank
+    v = ph.VRep(2, [(0, 0), (1, 0), (0, 1)])
+    assert ph.is_face(v, [1, 2]).form == ph.linear_form([-1, -1], -1)
+    assert ph.is_face(v, [0, 1, 2]).dimension == 2
+    v.points = ph.VRep(2, [(0, 0), (frac(1, 2), 0), (0, frac(1, 3))]).points
+    assert ph.is_face(v, [1, 2]).form == ph.linear_form([-2, -3], -1)
+    assert ph.tight_masks([ph.linear_form([2, 3], 1)], v) == [0b110]
+    v.points = ph.VRep(2, [(0, 0), (1, 1), (2, 2)]).points
+    assert ph.is_face(v, [0, 1, 2]).dimension == 1
+    assert ph.affine_rank(v) == 1
+    assert ph.is_face(v, [1]).kind == "not_face"
+    assert ph.is_face(v, [0]).kind == "facet"
 
 
 @pytest.mark.parametrize("kind,d", [("cube", 3), ("cube", 4),

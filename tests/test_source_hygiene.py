@@ -48,3 +48,31 @@ def test_every_private_definition_is_used_in_the_package():
               if not any(node.name in refs
                          for other, refs in uses if other is not node)]
     assert unused == []
+
+
+def _functions(tree, prefix=""):
+    """(qualified name, node) of every module-level function and method
+    in tree; a nested function is part of the one that holds it."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from _functions(node, prefix + node.name + ".")
+
+
+def test_points_are_cleared_to_integers_only_by_the_vrep_cache():
+    # a VRep clears its points once and keeps (Q, D); a function that
+    # calls _clear_matrix on a .points attribute itself would clear them
+    # again on every call
+    callers = set()
+    for name, tree in _modules().items():
+        for qualname, func in _functions(tree):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and "_clear_matrix" in _referenced(node.func)
+                        and any(isinstance(sub, ast.Attribute)
+                                and sub.attr == "points"
+                                for arg in node.args
+                                for sub in ast.walk(arg))):
+                    callers.add("%s:%s" % (name, qualname))
+    assert callers == {"polyhedra.py:VRep._cleared"}
