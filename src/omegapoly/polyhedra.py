@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .guards import (DEFAULT_HULL_MAX_DIM, DEFAULT_HULL_MAX_POINTS,
@@ -37,10 +38,7 @@ def _frac_vector(xs: Iterable) -> Vector:
 
 
 def _dot(u: Sequence, v: Sequence):
-    total = 0
-    for a, b in zip(u, v):
-        total += a * b
-    return total
+    return sum(map(mul, u, v))
 
 
 @dataclass(frozen=True)
@@ -230,6 +228,82 @@ def _coprime_form(ints: Sequence[int]) -> LinearForm:
 
 # --- double description --------------------------------------------------
 
+def _byte_tables(masks: Sequence[int]) -> list[list[int | None]]:
+    """Byte-chunk lookup tables over the positions of rays with the given
+    tight masks: tables[k][v] is the bitset of the rays tight on every
+    constraint of the byte value v at byte k, that is, on every set bit
+    of v << 8k.
+
+    Each ray is bucketed by each nonzero byte of its mask, and the eight
+    single-bit entries of a byte are the ORs of its buckets.  Entry 0 is
+    every ray; the other entries stay None until _table_entry fills them.
+    """
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    buckets: list[dict[int, int]] = [{} for _ in range(width)]
+    for pos, mask in enumerate(masks):
+        bit = 1 << pos
+        for bucket in buckets:
+            v = mask & 0xFF
+            if v:
+                bucket[v] = bucket.get(v, 0) | bit
+            mask >>= 8
+    everyone = (1 << len(masks)) - 1
+    tables: list[list[int | None]] = []
+    for bucket in buckets:
+        table: list[int | None] = [None] * 256
+        table[0] = everyone
+        for b in range(8):
+            table[1 << b] = 0
+        for v, rays in bucket.items():
+            for b in range(8):
+                if v >> b & 1:
+                    table[1 << b] |= rays
+        tables.append(table)
+    return tables
+
+
+def _table_entry(table: list[int | None], v: int) -> int:
+    """table[v] of _byte_tables, filled on demand from the entry of the
+    low bit of v and the entry of the rest of v."""
+    t = table[v]
+    if t is None:
+        low = v & -v
+        t = table[v] = table[low] & _table_entry(table, v ^ low)
+    return t
+
+
+def _partners_by_count(mask: int, minus: list, need: int) -> list:
+    """The entries (ray, tight mask, a . ray, position bit) of minus that
+    are tight on at least need of the constraints in mask: one popcount
+    per entry."""
+    return [e for e in minus if (mask & e[1]).bit_count() >= need]
+
+
+def _partners_by_planes(mask: int, tables: list[list[int | None]],
+                        minus_bits: int, slack: int) -> int:
+    """The rays of the bitset minus_bits that miss at most slack of the
+    constraints in mask, as a bitset.
+
+    Bit-sliced counting over the single-bit table entries: after each
+    constraint c of mask, planes[j] holds the rays that have missed at
+    least j + 1 of the constraints seen, and a ray misses c when it is
+    not in the entry of c.  With slack = popcount(mask) - need, these are
+    the rays _partners_by_count keeps, at popcount(mask) * (slack + 1)
+    big-int steps however many rays minus_bits holds.
+    """
+    planes = [0] * (slack + 1)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        c = low.bit_length() - 1
+        miss = minus_bits & ~tables[c >> 3][1 << (c & 7)]
+        for j in range(slack, 0, -1):
+            planes[j] |= planes[j - 1] & miss
+        planes[0] |= miss
+        rest ^= low
+    return minus_bits & ~planes[slack]
+
+
 def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
                      ) -> list[tuple[tuple[int, ...], int]]:
     """Extreme rays of {y in Q^m : a . y >= 0 for every a in cons}, each
@@ -251,13 +325,20 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
     cone_dim - 2, where cone_dim = m - len(lineality), which holds iff no
     third ray is tight on the whole common set.
 
-    The adjacency test runs on the transpose of the masks.  At each split
-    step, cols[c] is the bitset of the positions of the rays tight on
-    processed constraint c.  A pair with fewer than cone_dim - 2 common
-    zeros is skipped at once; otherwise the AND of cols[c] over the common
+    The adjacency test runs on bitsets over the positions of the rays,
+    looked up in per-step byte-chunk tables (_byte_tables): the rays
+    tight on the constraints of one byte of a mask are one table entry.
+    A pair needs at least cone_dim - 2 common zeros; each plus ray finds
+    the minus rays that pass this count by one popcount per minus ray
+    (_partners_by_count) or, when its op-count estimate is lower, by
+    bit-sliced counting over the single-bit entries (_partners_by_planes),
+    the pattern-tree idea of Terzer and Stelling (2008) in flat form.  For
+    a partner, the AND of the entries of the nonzero bytes of the common
     zeros is the set of rays tight on all of them, which always holds the
     pair itself, and the pair is adjacent iff it holds nothing else.  The
-    AND stops as soon as only the pair is left.
+    AND stops as soon as only the pair is left.  Both routes keep the
+    minus rays in order, so rays, masks and their order do not depend on
+    the route.
 
     Rays and constraints are primitive integer vectors, so every dot
     product and combination stays in plain int arithmetic.
@@ -306,29 +387,42 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
             else:
                 zero.append((r, mask | bit))
         survivors = [(r, mask) for (r, mask, _, _) in plus] + zero
-        if not minus:
+        if not (plus and minus):
             rays = survivors
             continue
-        cols = [0] * idx  # cols[c]: positions of the rays tight on c
-        for pos, (_, mask) in enumerate(rays):
-            while mask:
-                low = mask & -mask
-                cols[low.bit_length() - 1] |= 1 << pos
-                mask ^= low
+        tables = _byte_tables([mask for _, mask in rays])
         need = m - len(lineality) - 2
         everyone = (1 << len(rays)) - 1
+        minus_at = {e[3]: e for e in minus}
+        minus_bits = sum(minus_at)
         for rp, mp, tp, bp in plus:
-            for rn, mn, tn, bn in minus:
+            zeros = mp.bit_count()
+            slack = zeros - need
+            if slack < 0:
+                continue
+            if zeros * (slack + 1) * 3 < len(minus):
+                hits = _partners_by_planes(mp, tables, minus_bits, slack)
+                partners = []
+                while hits:
+                    low = hits & -hits
+                    partners.append(minus_at[low])
+                    hits ^= low
+            else:
+                partners = _partners_by_count(mp, minus, need)
+            for rn, mn, tn, bn in partners:
                 common = mp & mn
-                if common.bit_count() < need:
-                    continue
                 pair = bp | bn
                 tight = everyone
                 rest = common
+                k = 0
                 while rest and tight != pair:
-                    low = rest & -rest
-                    tight &= cols[low.bit_length() - 1]
-                    rest ^= low
+                    v = rest & 0xFF
+                    if v:
+                        table = tables[k]
+                        t = table[v]
+                        tight &= _table_entry(table, v) if t is None else t
+                    rest >>= 8
+                    k += 1
                 if tight != pair:
                     continue
                 w = _coprime([tp * nx - tn * px for px, nx in zip(rp, rn)])
@@ -517,7 +611,10 @@ def _simplex_iterate(tab, den, basis, orient, allowed):
     Returns (den, pivots made, False if unbounded).  Entering and leaving
     follow Bland's rule (smallest improving label, ratio ties broken by
     smallest basic label), which cannot cycle.  Ratios rhs / coef with
-    coef > 0 are compared by cross-multiplying.
+    coef > 0 are compared by cross-multiplying.  The basis and orient
+    name the split basis, so a (basis, orient) state seen before can
+    only come from a faulty tableau, and it raises RuntimeError instead
+    of looping forever.
     """
     d = len(orient)
 
@@ -525,7 +622,13 @@ def _simplex_iterate(tab, den, basis, orient, allowed):
         return c if c < d and orient[c] > 0 else c + d
 
     pivots = 0
+    seen = set()
     while True:
+        state = (tuple(basis), tuple(orient))
+        if state in seen:
+            raise RuntimeError("simplex revisited a basis, which Bland's "
+                               "rule rules out; the tableau is faulty")
+        seen.add(state)
         obj = tab[-1]
         # x+_k improves where orient[k] * obj[k] < 0; when no x+ label
         # does, x-_k improves wherever obj[k] != 0

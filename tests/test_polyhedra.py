@@ -413,6 +413,138 @@ def test_hull_masks_match_tight_masks():
         assert masks == ph.tight_masks(hrep.inequalities, v)
 
 
+def _reference_dd(m, cons):
+    """The double description with the plain pair loop: every plus/minus
+    pair gets the common-zero popcount, then an AND of per-constraint
+    bitsets over the common zeros, one constraint at a time."""
+    lineality = [tuple(1 if k == i else 0 for k in range(m))
+                 for i in range(m)]
+    rays = []
+    for idx, a in enumerate(cons):
+        bit = 1 << idx
+        hit = next((k for k, v in enumerate(lineality) if ph._dot(a, v)),
+                   None)
+        if hit is not None:
+            v = lineality.pop(hit)
+            dv = ph._dot(a, v)
+            if dv < 0:
+                v, dv = tuple(-x for x in v), -dv
+            lineality = [ph._coprime([dv * ux - ph._dot(a, u) * vx
+                                      for ux, vx in zip(u, v)])
+                         if ph._dot(a, u) else u for u in lineality]
+            rays = [(ph._coprime([dv * rx - ph._dot(a, r) * vx
+                                  for rx, vx in zip(r, v)])
+                     if ph._dot(a, r) else r, mask | bit)
+                    for r, mask in rays] + [(v, bit - 1)]
+            continue
+        plus, zero, minus = [], [], []
+        for pos, (r, mask) in enumerate(rays):
+            t = ph._dot(a, r)
+            if t > 0:
+                plus.append((r, mask, t, 1 << pos))
+            elif t < 0:
+                minus.append((r, mask, t, 1 << pos))
+            else:
+                zero.append((r, mask | bit))
+        survivors = [(r, mask) for r, mask, _, _ in plus] + zero
+        cols = [0] * idx
+        for pos, (_, mask) in enumerate(rays):
+            for c in range(idx):
+                if mask >> c & 1:
+                    cols[c] |= 1 << pos
+        need = m - len(lineality) - 2
+        for rp, mp, tp, bp in plus:
+            for rn, mn, tn, bn in minus:
+                common = mp & mn
+                if common.bit_count() < need:
+                    continue
+                tight = (1 << len(rays)) - 1
+                for c in range(idx):
+                    if common >> c & 1:
+                        tight &= cols[c]
+                if tight == bp | bn:
+                    w = ph._coprime([tp * nx - tn * px
+                                     for px, nx in zip(rp, rn)])
+                    survivors.append((w, common | bit))
+        rays = survivors
+    assert not lineality
+    return rays
+
+
+@pytest.mark.parametrize("count", [8, 9, 16, 17, 24, 25, 32, 33])
+def test_dd_matches_the_reference_across_byte_boundaries(count):
+    # cones of homogenized points, b + c . p >= 0 for each point p, with
+    # tight masks one bit short of, or one bit past, a whole byte
+    rng = random.Random(count)
+    for d in (3, 4, 5):
+        points = set()
+        while len(points) < count:
+            points.add(tuple(rng.randint(-2, 2) for _ in range(d)))
+        cons = [(1,) + p for p in sorted(points, key=lambda _: rng.random())]
+        rays = ph._dd_extreme_rays(d + 1, cons)
+        assert rays == _reference_dd(d + 1, cons)
+
+
+def test_dd_matches_the_reference_on_the_n5_census(monkeypatch):
+    calls = []
+    dd = ph._dd_extreme_rays
+
+    def recorded(m, cons):
+        rays = dd(m, cons)
+        calls.append((m, cons, rays))
+        return rays
+
+    monkeypatch.setattr(ph, "_dd_extreme_rays", recorded)
+    ph._hull_with_masks(omega_core.reduced_vertex_vrep(5))
+    ((m, cons, rays),) = calls
+    assert len(cons) == 32 and len(rays) == 368
+    assert rays == _reference_dd(m, cons)
+
+
+def test_partner_routes_and_table_entries_agree_on_seeded_masks():
+    # the popcount scan and the bit-sliced planes pick the same minus
+    # rays, and each filled table entry is the AND over its single bits
+    rng = random.Random(15)
+    for _ in range(150):
+        width, density = rng.randint(1, 50), rng.random()
+        masks = [sum(1 << c for c in range(width) if rng.random() < density)
+                 for _ in range(rng.randint(1, 70))]
+        tables = ph._byte_tables(masks)
+        minus = [(None, mask, None, 1 << pos) for pos, mask in enumerate(masks)
+                 if rng.random() < 0.5]
+        minus_bits = sum(e[3] for e in minus)
+        for mask in masks:
+            zeros = mask.bit_count()
+            for need in range(max(0, zeros - 4), zeros + 1):
+                want = ph._partners_by_count(mask, minus, need)
+                got = ph._partners_by_planes(mask, tables, minus_bits,
+                                             zeros - need)
+                assert got == sum(e[3] for e in want)
+        for k, table in enumerate(tables):
+            v = rng.randint(1, 255)
+            tight = sum(1 << pos for pos, mask in enumerate(masks)
+                        if mask >> 8 * k & v == v)
+            assert ph._table_entry(table, v) == tight == table[v]
+
+
+# the hull of the 48 vertices of the n = 6 reduced polytope with
+# y[1,2] = 0: the ridge hull of one n = 6 facet, and the one hull here
+# with DD steps of thousands of rays and tight masks 6 bytes wide
+RIDGE6_DIGEST = ("779e0f68a178d79e38638a1774a8b5ca"
+                 "0ab5f257a223b4c69f31b3b9bb6de767")
+
+
+def test_n6_ridge_hull_is_pinned():
+    vrep = omega_core.reduced_vertex_vrep(6)
+    y12 = omega_core.reduced_index(6, 1, 2)
+    v = ph.VRep(vrep.dim, [p for p in vrep.points if p[y12] == 0])
+    hrep = ph.convex_hull_facets(v, max_dim=vrep.dim)
+    assert (len(v.points), len(hrep.inequalities), len(hrep.equalities)) == (
+        48, 11432, 1)
+    text = ph.hrep_to_text(hrep).encode("ascii")
+    assert hashlib.sha256(text).hexdigest() == RIDGE6_DIGEST
+
+
 def test_hull_scale_guards():
     with pytest.raises(ScaleGuardError) as err:
         ph.convex_hull_facets(ph.VRep(16, [(0,) * 16, (1,) * 16]))
@@ -709,6 +841,19 @@ def test_lp_ratio_ties_rank_x_minus_after_every_x_plus():
                       [[-1, -2, 0, -1, 0], [1, 2, 0, 0, -1]])
     res = ph.lp_solve(ph.linear_form([1, -2, -1, 1], 0), h)
     assert (res.status, res.pivots) == ("infeasible", (7, 0))
+
+
+def test_simplex_raises_on_a_revisited_basis(monkeypatch):
+    # without the column negation the tableau no longer matches the
+    # orientation it records, and the first LP above cycles; the repeat
+    # of a (basis, orient) state must raise, not loop forever
+    monkeypatch.setattr(ph, "_negate_column", lambda tab, orient, k: None)
+    h = _hrep_of_rows(4, [[1, -2, 1, 0, 1], [-1, 2, 1, -1, -1],
+                          [1, 2, 2, 1, 0], [-1, -1, 0, -1, -1],
+                          [-2, -1, 2, 1, 0]],
+                      [[-1, -2, 0, -2, 1], [1, -2, 2, -1, 0]])
+    with pytest.raises(RuntimeError, match="revisited a basis"):
+        ph.lp_solve(ph.linear_form([2, -1, 0, -1], 0), h)
 
 
 def test_face_lp_pivot_totals(monkeypatch):
