@@ -34,7 +34,7 @@ from fractions import Fraction
 from . import graph2p, neighborly, omega3_census, omega_core, polyhedra
 from .graph2p import assignment_from_text
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, DEFAULT_HULL_MAX_DIM,
-                     DEFAULT_HULL_MAX_POINTS, ScaleGuardError)
+                     DEFAULT_HULL_MAX_POINTS, ScaleGuardError, parse_json)
 
 _GUARD_HINTS = {
     "bruteforce": "--max-bruteforce (env OMEGA_MAX_BRUTEFORCE)",
@@ -309,7 +309,7 @@ def _cmd_convert(args) -> int:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        obj = json.loads(text)
+        obj = parse_json(text)
         kind = obj.get("kind")
         if kind == "V":
             dim = polyhedra.json_positive_int(obj, "dim")

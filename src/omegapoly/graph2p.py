@@ -14,21 +14,27 @@ rho(i) = p and rho(j) = q, which is the two-literal clause
 
 so models of the 2CNF are precisely the cliques.
 
-A Graph2P is stored as its complement, the set of missing cross-part
-edges.  That is what the 2CNF, the DIMACS text and the graph JSON all
-list, so parsing a graph and solving it never builds the 4 * C(n, 2)
-present edges; only the edges property does, on request.
+A Graph2P is stored as its complement: the missing cross-part edges,
+each as the int key (i, j, p, q) with i < j, sorted.  That is what the
+2CNF, the DIMACS text and the graph JSON all list, in that order, so
+parsing a graph and solving it builds neither VertexRef objects nor the
+4 * C(n, 2) present edges; the VertexRef views are built on request.
+find_clique and solve_2sat share one 2SAT core, _solve_implications,
+which works on int literal codes: find_clique codes the keys directly
+and solve_2sat codes the literals of its Cnf2.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, GRAPH_MAX_PARTS,
-                     ScaleGuardError, check_bruteforce)
+                     ScaleGuardError, check_bruteforce, parse_json)
 
 
 class VertexRef(NamedTuple):
@@ -76,80 +82,106 @@ def assignment_from_text(text: str) -> Assignment:
     return Assignment(parts)
 
 
-def _canonical_edge(u, v, n: int) -> Edge:
-    """The pair (u, v) checked against n parts, lower part first."""
-    i, p = u
-    j, q = v
-    for part, pos in (u, v):
+_POSITIONS = (1, 2)
+
+
+def _edge_error(i, p, j, q, n: int) -> ValueError:
+    """What is wrong with the pair (i, p)-(j, q) against n parts."""
+    for part, pos in ((i, p), (j, q)):
         if not 1 <= part <= n:
-            raise ValueError("vertex %r: part out of range 1..%d"
-                             % (VertexRef(part, pos), n))
-        if pos not in (1, 2):
-            raise ValueError("vertex %r: pos must be 1 or 2"
-                             % (VertexRef(part, pos),))
-    if i == j:
-        raise ValueError("edge %r-%r joins vertices of the same part"
-                         % (VertexRef(i, p), VertexRef(j, q)))
-    if i < j:
-        return (VertexRef(i, p), VertexRef(j, q))
-    return (VertexRef(j, q), VertexRef(i, p))
+            return ValueError("vertex %r: part out of range 1..%d"
+                              % (VertexRef(part, pos), n))
+        if pos not in _POSITIONS:
+            return ValueError("vertex %r: pos must be 1 or 2"
+                              % (VertexRef(part, pos),))
+    return ValueError("edge %r-%r joins vertices of the same part"
+                      % (VertexRef(i, p), VertexRef(j, q)))
 
 
-def _cross_pairs(n: int):
-    """Every cross-part vertex pair, canonical, in (i, j, p, q) order."""
+def _edge_keys(rows: Iterable, n: int) -> list[tuple[int, int, int, int]]:
+    """The key (i, j, p, q), i < j, of each cross-part pair
+    ((i, p), (j, q)) or ((j, q), (i, p)) in rows, checked against n parts;
+    the first bad pair raises."""
+    keys = []
+    append = keys.append
+    for (i, p), (j, q) in rows:
+        if p in _POSITIONS and q in _POSITIONS:
+            if 0 < i < j <= n:
+                append((i, j, p, q))
+                continue
+            if 0 < j < i <= n:
+                append((j, i, q, p))
+                continue
+        raise _edge_error(i, p, j, q, n)
+    return keys
+
+
+def _cross_keys(n: int):
+    """Every cross-part pair as a key, in (i, j, p, q) order."""
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        for p in (1, 2):
-            for q in (1, 2):
-                yield (VertexRef(i, p), VertexRef(j, q))
+        for p in _POSITIONS:
+            for q in _POSITIONS:
+                yield (i, j, p, q)
 
 
-def _pair_order(e: Edge) -> tuple[int, int, int, int]:
-    """Sort key giving the (i, j, p, q) order of _cross_pairs."""
-    u, v = e
-    return (u.part, v.part, u.pos, v.pos)
+def _edge(key: tuple[int, int, int, int]) -> Edge:
+    i, j, p, q = key
+    return (VertexRef(i, p), VertexRef(j, q))
 
 
 class Graph2P:
     """Immutable n-partite graph, two vertices per part, cross-part edges only.
 
-    The graph is stored as its complement: missing is the frozenset of
-    canonical cross-part pairs that are not edges.  Every consumer reads
-    the missing edges (one 2SAT clause each, one row of the graph JSON),
-    and the graphs of interest are dense, so the complement is the small
-    side.  The constructor is keyword-only so that nobody can pass the
-    present edges where the missing ones are meant.
+    The graph is stored as its complement: the missing cross-part pairs,
+    each as the int key (i, j, p, q) with i < j for the pair
+    {(i, p), (j, q)}, kept sorted and without repeats.  That order is
+    the (i, j, p, q) order of the 2SAT clauses and of the graph JSON
+    rows.  Every consumer reads the missing edges, and the graphs of
+    interest are dense, so the complement is the small side.  The
+    VertexRef views (missing, missing_edges(), edges) are built on
+    request.  The constructor is keyword-only so that nobody can pass
+    the present edges where the missing ones are meant.
     """
 
     def __init__(self, n: int, *, missing: Iterable = ()):
         if n < 1:
             raise ValueError("need at least one part")
         self.n = n
-        self.missing = frozenset([_canonical_edge(u, v, n)
-                                  for (u, v) in missing])
+        # sorting first keeps the runs of the input, which is cheaper
+        # than sorting a set; dict.fromkeys then drops the repeats
+        self._keys = tuple(dict.fromkeys(sorted(_edge_keys(missing, n))))
+
+    @property
+    def missing(self) -> frozenset[Edge]:
+        """The missing edges as canonical VertexRef pairs, lower part first."""
+        return frozenset(map(_edge, self._keys))
 
     @property
     def edges(self) -> frozenset[Edge]:
-        """The present edges, rebuilt from missing on every access."""
-        return frozenset(e for e in _cross_pairs(self.n)
-                         if e not in self.missing)
+        """The present edges, rebuilt from the missing ones on every access."""
+        missing = set(self._keys)
+        return frozenset(_edge(k) for k in _cross_keys(self.n)
+                         if k not in missing)
 
     def __eq__(self, other):
         return (isinstance(other, Graph2P)
-                and self.n == other.n and self.missing == other.missing)
+                and self.n == other.n and self._keys == other._keys)
 
     def __hash__(self):
-        return hash((self.n, self.missing))
+        return hash((self.n, self._keys))
 
     def __repr__(self):
-        present = 2 * self.n * (self.n - 1) - len(self.missing)
+        present = 2 * self.n * (self.n - 1) - len(self._keys)
         return "Graph2P(n=%d, edges=%d)" % (self.n, present)
 
     def has_edge(self, u, v) -> bool:
-        return _canonical_edge(u, v, self.n) not in self.missing
+        (key,) = _edge_keys([(u, v)], self.n)
+        k = bisect.bisect_left(self._keys, key)
+        return k == len(self._keys) or self._keys[k] != key
 
     def missing_edges(self) -> list[Edge]:
         """Cross-part vertex pairs that are not edges, in (i, j, p, q) order."""
-        return sorted(self.missing, key=_pair_order)
+        return list(map(_edge, self._keys))
 
 
 def complete_graph(n: int) -> Graph2P:
@@ -159,7 +191,7 @@ def complete_graph(n: int) -> Graph2P:
 
 def without_edges(g: Graph2P, missing: Iterable) -> Graph2P:
     """Copy of g with the given edges removed."""
-    return Graph2P(g.n, missing=itertools.chain(g.missing, missing))
+    return Graph2P(g.n, missing=itertools.chain(g.missing_edges(), missing))
 
 
 def is_clique(g: Graph2P, a: Assignment) -> bool:
@@ -170,7 +202,7 @@ def is_clique(g: Graph2P, a: Assignment) -> bool:
     if a.n != g.n:
         raise ValueError("assignment has %d parts, graph has %d" % (a.n, g.n))
     rho = a.choice
-    for (i, p), (j, q) in g.missing:
+    for i, j, p, q in g._keys:
         if rho[i - 1] == p and rho[j - 1] == q:
             return False
     return True
@@ -222,7 +254,7 @@ def to_2cnf(g: Graph2P) -> Cnf2:
     is "x_i".
     """
     return Cnf2(g.n, tuple([((i, p == 2), (j, q == 2))
-                            for (i, p), (j, q) in g.missing_edges()]))
+                            for i, j, p, q in g._keys]))
 
 
 def _tarjan_scc(adj: list[list[int]]) -> list[int]:
@@ -232,11 +264,12 @@ def _tarjan_scc(adj: list[list[int]]) -> list[int]:
     condensation, which is what the 2SAT decision rule needs.  Each
     frame of the work stack holds a node and the iterator over its
     successors, so a node resumes where it left off after a descent.
+    A visited node is on the Tarjan stack exactly while it has no
+    component yet.
     """
     n = len(adj)
     index = [-1] * n
     low = [0] * n
-    onstack = [False] * n
     comp = [-1] * n
     stack: list[int] = []
     counter = 0
@@ -247,30 +280,29 @@ def _tarjan_scc(adj: list[list[int]]) -> list[int]:
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        onstack[root] = True
         work = [(root, iter(adj[root]))]
         while work:
             v, succ = work[-1]
             for w in succ:
-                if index[w] == -1:
+                iw = index[w]
+                if iw == -1:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    onstack[w] = True
                     work.append((w, iter(adj[w])))
                     break
-                if onstack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if iw < low[v] and comp[w] == -1:
+                    low[v] = iw
             else:
                 work.pop()
+                lv = low[v]
                 if work:
                     u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == index[v]:
+                    if lv < low[u]:
+                        low[u] = lv
+                if lv == index[v]:
                     while True:
                         w = stack.pop()
-                        onstack[w] = False
                         comp[w] = ncomp
                         if w == v:
                             break
@@ -280,6 +312,29 @@ def _tarjan_scc(adj: list[list[int]]) -> list[int]:
 
 def _lit_node(var: int, pol: bool) -> int:
     return 2 * (var - 1) + (0 if pol else 1)
+
+
+def _solve_implications(num_vars: int, clauses) -> tuple[int, ...] | None:
+    """The 2SAT core: part choices satisfying clauses, or None.
+
+    A literal is an int code, 2 (v - 1) for x_v and 2 (v - 1) + 1 for
+    not x_v, so code ^ 1 is its negation; each clause is a pair of codes.
+    Implication graph plus strongly connected components (Aspvall, Plass
+    & Tarjan 1979), so the cost is linear in variables + clauses.  The
+    implications are added in clause order, which fixes the model found.
+    Variable x_i true decodes to rho(i) = 1.
+    """
+    adj: list[list[int]] = [[] for _ in range(2 * num_vars)]
+    for a, b in clauses:
+        adj[a ^ 1].append(b)  # not a implies b
+        adj[b ^ 1].append(a)  # not b implies a
+    comp = _tarjan_scc(adj)
+    pos, neg = comp[0::2], comp[1::2]
+    if any(map(operator.eq, pos, neg)):
+        return None
+    # the literal whose component completes first sits deeper in the
+    # implication order and is safe to set true
+    return tuple([1 if x < y else 2 for x, y in zip(pos, neg)])
 
 
 def _satisfies(c: Cnf2, a: Assignment) -> bool:
@@ -296,38 +351,31 @@ def _satisfies(c: Cnf2, a: Assignment) -> bool:
 def solve_2sat(c: Cnf2) -> Assignment | None:
     """A satisfying assignment decoded as part choices, or None.
 
-    Implication graph plus strongly connected components, so the cost is
-    linear in variables + clauses.  Variable x_i true decodes to
-    rho(i) = 1.
+    The model found is checked against every clause of c.
     """
-    nn = 2 * c.num_vars
-    adj: list[list[int]] = [[] for _ in range(nn)]
-    for (v1, p1), (v2, p2) in c.clauses:
-        a1 = _lit_node(v1, p1)
-        a2 = _lit_node(v2, p2)
-        adj[a1 ^ 1].append(a2)  # not l1 implies l2
-        adj[a2 ^ 1].append(a1)  # not l2 implies l1
-    comp = _tarjan_scc(adj)
-    choice = []
-    for var in range(1, c.num_vars + 1):
-        pos = comp[_lit_node(var, True)]
-        neg = comp[_lit_node(var, False)]
-        if pos == neg:
-            return None
-        # the literal whose component completes first sits deeper in the
-        # implication order and is safe to set true
-        choice.append(1 if pos < neg else 2)
-    result = Assignment(tuple(choice))
+    choice = _solve_implications(
+        c.num_vars, [(_lit_node(v1, p1), _lit_node(v2, p2))
+                     for (v1, p1), (v2, p2) in c.clauses])
+    if choice is None:
+        return None
+    result = Assignment(choice)
     if not _satisfies(c, result):
         raise RuntimeError("2SAT assignment %s violates a clause" % (result,))
     return result
 
 
 def find_clique(g: Graph2P) -> Assignment | None:
-    """A clique of g via the 2SAT reduction, or None if there is none."""
-    result = solve_2sat(to_2cnf(g))
-    if result is None:
+    """A clique of g via the 2SAT reduction, or None if there is none.
+
+    The clauses are those of to_2cnf(g), in the same order, coded
+    straight from the missing-edge keys: the literal forbidding
+    rho(i) = p has code 2 i - p.
+    """
+    choice = _solve_implications(g.n, [(2 * i - p, 2 * j - q)
+                                       for i, j, p, q in g._keys])
+    if choice is None:
         return None
+    result = Assignment(choice)
     if not is_clique(g, result):
         raise RuntimeError("2SAT answer %s is not a clique" % (result,))
     return result
@@ -337,11 +385,14 @@ def find_clique(g: Graph2P) -> Assignment | None:
 
 def graph_to_dict(g: Graph2P) -> dict:
     """JSON object storing the complement, which is small for dense graphs."""
-    missing = [[[u.part, u.pos], [v.part, v.pos]] for (u, v) in g.missing_edges()]
+    missing = [[[i, p], [j, q]] for i, j, p, q in g._keys]
     return {"n": g.n, "missing_edges": missing}
 
 
 def graph_from_dict(obj: dict) -> Graph2P:
+    """The graph of a graph JSON object.  The shape of every row is
+    checked before the range of any row, so a malformed file is named as
+    such wherever its bad row sits."""
     if not isinstance(obj, dict) or not {"n", "missing_edges"} <= obj.keys():
         raise ValueError('graph JSON needs an object with "n" and '
                          '"missing_edges"')
@@ -354,7 +405,7 @@ def graph_from_dict(obj: dict) -> Graph2P:
             "graph with %d parts is out of reach: n = %d is the largest "
             "graph" % (n, GRAPH_MAX_PARTS))
     rows = obj["missing_edges"]
-    if not isinstance(rows, list) or not all(map(_is_edge_row, rows)):
+    if not isinstance(rows, list) or not _are_edge_rows(rows):
         raise ValueError('"missing_edges" must be a list of '
                          '[[part, pos], [part, pos]] integer pairs')
     return Graph2P(n, missing=rows)
@@ -364,17 +415,24 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_edge_row(row) -> bool:
-    """Is row a [[part, pos], [part, pos]] with integer entries?"""
-    if not isinstance(row, (list, tuple)) or len(row) != 2:
-        return False
-    for w in row:
-        if not isinstance(w, (list, tuple)) or len(w) != 2:
+def _are_edge_rows(rows: list) -> bool:
+    """Is every row a [[part, pos], [part, pos]] with integer entries?"""
+    for row in rows:
+        if not isinstance(row, _PAIR_TYPES) or len(row) != 2:
             return False
-        for x in w:
-            if not isinstance(x, int) or isinstance(x, bool):
-                return False
+        u, v = row
+        if not (isinstance(u, _PAIR_TYPES) and len(u) == 2
+                and isinstance(v, _PAIR_TYPES) and len(v) == 2):
+            return False
+        # type() is int settles what JSON gives; _is_int the int subclasses
+        if not (type(u[0]) is int and type(u[1]) is int
+                and type(v[0]) is int and type(v[1]) is int
+                or all(map(_is_int, (*u, *v)))):
+            return False
     return True
+
+
+_PAIR_TYPES = (list, tuple)
 
 
 def graph_to_json(g: Graph2P) -> str:
@@ -386,7 +444,7 @@ def graph_to_json(g: Graph2P) -> str:
 
 
 def graph_from_json(text: str) -> Graph2P:
-    return graph_from_dict(json.loads(text))
+    return graph_from_dict(parse_json(text))
 
 
 def cnf_to_dimacs(c: Cnf2) -> str:

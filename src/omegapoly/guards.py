@@ -3,8 +3,11 @@ or run vertex/facet conversion, both of which blow up without warning.
 
 Every guarded operation takes the bound as a keyword argument so callers
 (including the command line driver) can raise it deliberately, except
-for the fixed ceilings, which nothing overrides.
+for the fixed ceilings, which nothing overrides.  parse_json is the
+guard on reading JSON: every JSON reader of the package goes through it.
 """
+
+import json
 
 DEFAULT_BRUTEFORCE_BOUND = 20
 DEFAULT_HULL_MAX_DIM = 15
@@ -40,3 +43,12 @@ def check_bruteforce(n: int, bound: int, what: str) -> None:
             "bruteforce", bound, n,
             "%s: %d parts is too large for brute force (bound %d)"
             % (what, n, bound))
+
+
+def parse_json(text: str):
+    """json.loads, with nesting too deep for the parser refused as a
+    one-line ValueError instead of a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read") from None

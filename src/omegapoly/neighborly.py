@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass
 
 from .graph2p import Assignment, VertexRef
-from .guards import DEFAULT_BRUTEFORCE_BOUND, check_bruteforce
+from .guards import DEFAULT_BRUTEFORCE_BOUND, check_bruteforce, parse_json
 from . import omega_core, polyhedra
 
 AlphaKey = tuple[int, int, int, int]  # (i, j, p, q) with i > j
@@ -272,4 +272,4 @@ def certificate_to_json(c: EdgeCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> EdgeCertificate:
-    return certificate_from_dict(json.loads(text))
+    return certificate_from_dict(parse_json(text))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph2p import Assignment
-from .guards import DEFAULT_BRUTEFORCE_BOUND, check_bruteforce
+from .guards import DEFAULT_BRUTEFORCE_BOUND, check_bruteforce, parse_json
 from . import polyhedra
 from .polyhedra import VRep
 
@@ -312,4 +312,4 @@ def point_to_json(x: OmegaPoint) -> str:
 
 
 def point_from_json(text: str) -> OmegaPoint:
-    return point_from_dict(json.loads(text))
+    return point_from_dict(parse_json(text))

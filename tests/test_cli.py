@@ -259,6 +259,9 @@ def test_random_hrep_survives_text_and_convert(tmp_path_factory, h):
                         tmp_path_factory)
 
 
+DEEP_ARRAY = "[" * 200000 + "]" * 200000
+
+
 @pytest.mark.parametrize("command,text", [
     pytest.param("convert", "V-representation\nbegin\n3 3 rational\n1 0 0\n",
                  id="cdd-cut-after-first-row"),
@@ -317,6 +320,10 @@ def test_random_hrep_survives_text_and_convert(tmp_path_factory, h):
     pytest.param("clique-solve",
                  '{"n": 2, "missing_edges": [[[1, 1], [2, "1"]]]}',
                  id="graph-string-pos"),
+    # nesting past the JSON parser's recursion limit
+    pytest.param("clique-solve", DEEP_ARRAY, id="graph-deep-nesting"),
+    pytest.param("convert", '{"kind": "V", "dim": 1, "points": %s}'
+                 % (DEEP_ARRAY,), id="json-v-deep-nesting"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
     path = tmp_path / "input"

@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import hashlib
 import io
 import itertools
@@ -170,6 +171,35 @@ def test_find_clique_agrees_with_enumeration():
             assert found is None
 
 
+THREE_PART_PAIRS = [((i, p), (j, q))
+                    for i, j in itertools.combinations(range(1, 4), 2)
+                    for p in (1, 2) for q in (1, 2)]
+
+
+def test_every_three_part_graph_against_enumeration():
+    # one graph per subset of the 12 cross-part pairs of n = 3
+    assert len(THREE_PART_PAIRS) == 12
+    no_clique = 0
+    for bits in range(1 << 12):
+        g = g2.Graph2P(3, missing=[e for k, e in enumerate(THREE_PART_PAIRS)
+                                   if bits >> k & 1])
+        cliques = g2.enumerate_cliques(g)
+        found = g2.find_clique(g)
+        if cliques:
+            assert found in cliques
+        else:
+            assert found is None
+            no_clique += 1
+        # both entry points read the same clauses in the same order
+        assert found == g2.solve_2sat(g2.to_2cnf(g))
+    assert no_clique == NO_CLIQUE_THREE_PART_GRAPHS
+
+
+# graphs among the 4,096 of n = 3 with no clique, as counted by a
+# separate scan of the subsets that meet all 8 assignments
+NO_CLIQUE_THREE_PART_GRAPHS = 1699
+
+
 def _satisfies(a: g2.Assignment, c: g2.Cnf2) -> bool:
     return all(any((a.rho(var) == 1) == pol for (var, pol) in cl)
                for cl in c.clauses)
@@ -232,6 +262,40 @@ def test_graph_json_round_trip():
     obj = g2.graph_to_dict(g)
     assert obj["n"] == 3
     assert [[1, 1], [2, 1]] in obj["missing_edges"]
+
+
+def test_graph_intake_builds_one_key_per_pair():
+    # a row in both orientations is one missing edge
+    g = g2.graph_from_dict({"n": 3, "missing_edges": [[[1, 1], [2, 2]],
+                                                      [[2, 2], [1, 1]]]})
+    assert g.missing_edges() == [(g2.VertexRef(1, 1), g2.VertexRef(2, 2))]
+    assert repr(g) == "Graph2P(n=3, edges=11)"
+    assert g2.to_2cnf(g).clauses == (((1, False), (2, True)),)
+    assert g2.graph_to_dict(g)["missing_edges"] == [[[1, 1], [2, 2]]]
+
+    # tuple rows, VertexRef rows and int subclasses from Python are read
+    # like JSON lists
+    class Pos(enum.IntEnum):
+        FIRST = 1
+        SECOND = 2
+
+    rows = [((3, 1), (1, 2)), (g2.VertexRef(2, 1), g2.VertexRef(3, 2)),
+            [(1, Pos.FIRST), (2, Pos.SECOND)], ((2, 2), (1, 1))]
+    g = g2.graph_from_dict({"n": 3, "missing_edges": rows})
+    built = g2.Graph2P(3, missing=[((1, 2), (3, 1)), ((2, 1), (3, 2)),
+                                   ((1, 1), (2, 2))])
+    expected = [(g2.VertexRef(1, 1), g2.VertexRef(2, 2)),
+                (g2.VertexRef(1, 2), g2.VertexRef(3, 1)),
+                (g2.VertexRef(2, 1), g2.VertexRef(3, 2))]
+    assert g.missing_edges() == built.missing_edges() == expected
+    assert g.missing == built.missing == frozenset(expected)
+    assert all(type(v) is g2.VertexRef for e in g.missing for v in e)
+    assert g == built and hash(g) == hash(built)
+    assert g != g2.Graph2P(4, missing=expected)
+    assert g != g2.without_edges(built, [((2, 2), (3, 2))])
+    assert len({g, built, g2.graph_from_json(g2.graph_to_json(g))}) == 1
+    assert [e for e in expected if g.has_edge(*e)] == []
+    assert g.has_edge((3, 2), (1, 2)) and g.has_edge((1, 1), (2, 1))
 
 
 NEEDS_KEYS = 'graph JSON needs an object with "n" and "missing_edges"'
@@ -303,12 +367,13 @@ def test_dimacs_parse_errors():
 
 
 def test_clique_check_survives_python_O():
-    # -O strips assert statements; the check after solving must still run
+    # -O strips assert statements; the check after solving must still
+    # run, so the 2SAT core is made to return a non-clique
     script = """
 import sys
 from omegapoly import graph2p as g2
 g = g2.without_edges(g2.complete_graph(2), [((1, 1), (2, 1))])
-g2.solve_2sat = lambda c: g2.Assignment((1, 1))
+g2._solve_implications = lambda num_vars, clauses: (1, 1)
 try:
     g2.find_clique(g)
 except RuntimeError as exc:

@@ -1176,6 +1176,68 @@ def test_is_face_verdicts_are_pinned():
     assert h.hexdigest() == FACE_PIN_DIGEST
 
 
+def _face_lattice(v):
+    """Vertex bitmasks of the nonempty faces of the polytope of v, itself
+    included: the facet masks of _hull_with_masks closed under
+    intersection, since a face is the intersection of the facets that
+    hold it (Kaibel & Pfetsch 2002)."""
+    _, facets = ph._hull_with_masks(v)
+    faces = {(1 << len(v.points)) - 1}
+    for mask in facets:
+        faces |= {face & mask for face in faces}
+    faces.discard(0)
+    return faces
+
+
+def _f_vector(v, faces):
+    """Face counts by dimension, each face ranked by integer RREF over
+    the VRep's cached integer points."""
+    pts, _ = v._cleared()
+    counts = [0] * (v.dim + 1)
+    for face in faces:
+        counts[ph._int_affine_rank([p for k, p in enumerate(pts)
+                                    if face >> k & 1])] += 1
+    assert counts.pop() == 1  # the polytope itself, full-dimensional
+    return tuple(counts)
+
+
+# n: (f-vector, vertex triples that are faces, quadruples that are not).
+# For n = 3 the polytope is simplicial (16 facets of 6 vertices in
+# dimension 6), so its f-vector follows from f_0, f_1, f_2 by
+# Dehn-Sommerville; for n = 4 the values were found by this closure.
+FACE_LATTICE_PINS = {
+    3: ((8, 28, 56, 68, 48, 16), 56, 2),
+    4: ((16, 120, 560, 1780, 3872, 5592, 5060, 2600, 640, 56), 560, 40),
+}
+
+
+@pytest.mark.parametrize("n", sorted(FACE_LATTICE_PINS))
+def test_face_lattice_is_pinned(n):
+    f_vector, triples, bad_quadruples = FACE_LATTICE_PINS[n]
+    v = omega_core.reduced_vertex_vrep(n)
+    faces = _face_lattice(v)
+    assert _f_vector(v, faces) == f_vector
+    assert len(faces) == sum(f_vector) + 1
+    # Euler's relation for a polytope of even dimension d = n(n+1)/2
+    assert sum((-1) ** k * f for k, f in enumerate(f_vector)) == 0
+    # 2- and 3-neighborly: every pair and every triple of vertices is a
+    # face, but not every quadruple
+    npts = len(v.points)
+    subsets = {size: [sum(1 << k for k in c)
+                      for c in itertools.combinations(range(npts), size)]
+               for size in (2, 3, 4)}
+    assert all(s in faces for s in subsets[2])
+    assert sum(s in faces for s in subsets[3]) == len(subsets[3]) == triples
+    assert sum(s not in faces for s in subsets[4]) == bad_quadruples
+    if n == 4:
+        assert len(faces) == 20297
+    else:
+        # the closure and the LP route agree on every nonempty subset
+        for mask in range(1, 1 << npts):
+            subset = [k for k in range(npts) if mask >> k & 1]
+            assert ph.is_face(v, subset).is_face == (mask in faces)
+
+
 # --- text format ---------------------------------------------------------------
 
 def test_vrep_text_round_trip():

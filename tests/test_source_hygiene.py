@@ -76,3 +76,15 @@ def test_points_are_cleared_to_integers_only_by_the_vrep_cache():
                                 for sub in ast.walk(arg))):
                     callers.add("%s:%s" % (name, qualname))
     assert callers == {"polyhedra.py:VRep._cleared"}
+
+
+def test_one_2sat_core_runs_the_scc():
+    # find_clique and solve_2sat both go through _solve_implications; a
+    # second caller of _tarjan_scc would be a second 2SAT path
+    callers = {"%s:%s" % (name, qualname)
+               for name, tree in _modules().items()
+               for qualname, func in _functions(tree)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call)
+               and "_tarjan_scc" in _referenced(node.func)}
+    assert callers == {"graph2p.py:_solve_implications"}
