@@ -25,7 +25,8 @@ g = without_edges(g, [
 cliques = enumerate_cliques(g)
 print("\nafter removing 3 edges: %d cliques" % len(cliques))
 for a in cliques:
-    assert is_clique(g, a)
+    if not is_clique(g, a):
+        raise SystemExit("%s is not a clique" % (a,))
 print("first few:", ", ".join(str(a) for a in cliques[:4]))
 
 # the same graph as a 2CNF
@@ -36,7 +37,8 @@ print(cnf_to_dimacs(cnf))
 
 found = find_clique(g)
 print("2SAT solver picks:", found)
-assert found in cliques
+if found not in cliques:
+    raise SystemExit("2SAT answer %s is not an enumerated clique" % (found,))
 
 # sever parts 1 and 2 completely: no clique can exist
 dead = without_edges(g, [((1, p), (2, q)) for p in (1, 2) for q in (1, 2)])

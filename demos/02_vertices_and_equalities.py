@@ -41,7 +41,8 @@ for a in all_assignments(2):
     print("  %s -> %s" % (a, reduced_vertex(2, a).y))
 
 # lift is total: any rational y gives the unique affine-hull point
-assert lift_point(reduce_point(x)) == x
+if lift_point(reduce_point(x)) != x:
+    raise SystemExit("lifting the reduced point does not give it back")
 fractional = lift_point(
     ReducedPoint(2, (Fraction(1, 3), Fraction(1, 7), Fraction(2, 5))))
 print("\na fractional point on the affine hull:")

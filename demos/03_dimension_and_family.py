@@ -15,7 +15,8 @@ from omegapoly.omega_core import coord_count
 for n in range(2, 7):
     dim = omega_dimension(n)
     print("n = %d: affine dimension %2d = n(n+1)/2" % (n, dim))
-    assert dim == n * (n + 1) // 2
+    if dim != n * (n + 1) // 2:
+        raise SystemExit("n = %d: dimension %d is not n(n+1)/2" % (n, dim))
 
 n = 4
 fam = independent_family(n)
@@ -27,4 +28,5 @@ print("  pairs of ones: ", ", ".join(str(a) for a in fam[n + 1:]))
 pts = [vertex_from_assignment(n, a).coords for a in fam]
 rank = affine_rank(VRep(coord_count(n), pts))
 print("affine rank of the family: %d (need %d)" % (rank, n * (n + 1) // 2))
-assert rank == n * (n + 1) // 2
+if rank != n * (n + 1) // 2:
+    raise SystemExit("the family has affine rank %d, not n(n+1)/2" % (rank,))

@@ -35,7 +35,8 @@ for n in (2, 3, 4, 5):
     pairs = list(itertools.combinations(all_assignments(n), 2))
     for x, y in pairs:
         c = edge_certificate(n, x, y)
-        assert c.f_a == 1 and c.f_b == 1 and c.min_other >= 2
+        if not (c.f_a == 1 and c.f_b == 1 and c.min_other >= 2):
+            raise SystemExit("certificate for %s, %s fails" % (x, y))
     print("n = %d: certified all %4d pairs" % (n, len(pairs)))
 
 # the geometric cross-check reads the facet incidence instead

@@ -40,4 +40,5 @@ for subset, label in (((0,), "corner"), ((0, 1), "left edge"),
 text = vrep_to_text(regular_polytope("simplex", 2))
 print("\nV-representation text:")
 print(text)
-assert vrep_from_text(text) == regular_polytope("simplex", 2)
+if vrep_from_text(text) != regular_polytope("simplex", 2):
+    raise SystemExit("the V-representation text does not read back")

@@ -29,12 +29,12 @@ import itertools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import graph2p, neighborly, omega3_census, omega_core, polyhedra
 from .graph2p import assignment_from_text
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, DEFAULT_HULL_MAX_DIM,
-                     DEFAULT_HULL_MAX_POINTS, ScaleGuardError, parse_json)
+                     DEFAULT_HULL_MAX_POINTS, ScaleGuardError, json_fields,
+                     json_list, json_number, json_positive_int, parse_json)
 
 _GUARD_HINTS = {
     "bruteforce": "--max-bruteforce (env OMEGA_MAX_BRUTEFORCE)",
@@ -285,23 +285,14 @@ def _cmd_clique_solve(args) -> int:
     return 0
 
 
-def _json_list(obj, key) -> list:
-    (rows,) = polyhedra.json_fields(obj, key)
-    if not isinstance(rows, list):
-        raise ValueError('"%s" must be a list' % (key,))
-    return rows
-
-
-def _json_vector(row, dim: int, what: str) -> list[Fraction]:
-    if not isinstance(row, list) or len(row) != dim:
-        raise ValueError("%s must be a list of %d numbers" % (what, dim))
-    return [polyhedra.json_number(x, what) for x in row]
-
-
-def _json_form(obj, dim: int) -> polyhedra.LinearForm:
-    coeffs, rhs = polyhedra.json_fields(obj, "coeffs", "rhs")
-    return polyhedra.linear_form(_json_vector(coeffs, dim, '"coeffs"'),
-                                 polyhedra.json_number(rhs, '"rhs"'))
+def _json_forms(obj, key: str, dim: int) -> tuple:
+    """The forms {"coeffs": [...], "rhs": ...} listed under key."""
+    (rows,) = json_fields(obj, key)
+    pairs = (json_fields(row, "coeffs", "rhs")
+             for row in json_list(rows, '"%s"' % key))
+    return tuple(polyhedra.linear_form(
+        json_list(c, '"coeffs"', json_number, dim), json_number(r, '"rhs"'))
+        for c, r in pairs)
 
 
 def _cmd_convert(args) -> int:
@@ -312,17 +303,16 @@ def _cmd_convert(args) -> int:
         obj = parse_json(text)
         kind = obj.get("kind")
         if kind == "V":
-            dim = polyhedra.json_positive_int(obj, "dim")
-            points = [_json_vector(row, dim, "a point")
-                      for row in _json_list(obj, "points")]
+            dim = json_positive_int(obj, "dim")
+            (rows,) = json_fields(obj, "points")
+            points = [json_list(row, "a point", json_number, dim)
+                      for row in json_list(rows, '"points"')]
             sys.stdout.write(polyhedra.vrep_to_text(
                 polyhedra.VRep(dim, points)))
         elif kind == "H":
-            dim = polyhedra.json_positive_int(obj, "dim")
-            ineqs = tuple(_json_form(e, dim)
-                          for e in _json_list(obj, "inequalities"))
-            eqs = tuple(_json_form(e, dim)
-                        for e in _json_list(obj, "equalities"))
+            dim = json_positive_int(obj, "dim")
+            ineqs = _json_forms(obj, "inequalities", dim)
+            eqs = _json_forms(obj, "equalities", dim)
             sys.stdout.write(polyhedra.hrep_to_text(
                 polyhedra.HRep(dim, ineqs, eqs)))
         else:
@@ -334,13 +324,10 @@ def _cmd_convert(args) -> int:
         print(json.dumps(out, indent=1))
     elif stripped.startswith("H-representation"):
         hrep = polyhedra.hrep_from_text(text)
-        out = {"kind": "H", "dim": hrep.dim,
-               "inequalities": [{"coeffs": [str(c) for c in f.coeffs],
-                                 "rhs": str(f.rhs)}
-                                for f in hrep.inequalities],
-               "equalities": [{"coeffs": [str(c) for c in f.coeffs],
-                               "rhs": str(f.rhs)}
-                              for f in hrep.equalities]}
+        out = {"kind": "H", "dim": hrep.dim}
+        for key in ("inequalities", "equalities"):
+            out[key] = [{"coeffs": [str(c) for c in f.coeffs],
+                         "rhs": str(f.rhs)} for f in getattr(hrep, key)]
         print(json.dumps(out, indent=1))
     else:
         raise ValueError("cannot tell JSON from cdd-style text")

@@ -1,0 +1,212 @@
+"""Vertex-to-facet conversion by double description on primitive integer
+vectors.  Imports only exact."""
+
+from typing import Sequence
+
+from .exact import _coprime, _dot
+
+
+def _byte_tables(masks: Sequence[int]) -> list[list[int | None]]:
+    """Byte-chunk lookup tables over the positions of rays with the given
+    tight masks: tables[k][v] is the bitset of the rays tight on every
+    constraint of the byte value v at byte k, that is, on every set bit
+    of v << 8k.
+
+    Each ray is bucketed by each nonzero byte of its mask, and the eight
+    single-bit entries of a byte are the ORs of its buckets.  Entry 0 is
+    every ray; the other entries stay None until _table_entry fills them.
+    """
+    width = (max(masks, default=0).bit_length() + 7) // 8
+    buckets: list[dict[int, int]] = [{} for _ in range(width)]
+    for pos, mask in enumerate(masks):
+        bit = 1 << pos
+        for bucket in buckets:
+            v = mask & 0xFF
+            if v:
+                bucket[v] = bucket.get(v, 0) | bit
+            mask >>= 8
+    everyone = (1 << len(masks)) - 1
+    tables: list[list[int | None]] = []
+    for bucket in buckets:
+        table: list[int | None] = [None] * 256
+        table[0] = everyone
+        for b in range(8):
+            table[1 << b] = 0
+        for v, rays in bucket.items():
+            for b in range(8):
+                if v >> b & 1:
+                    table[1 << b] |= rays
+        tables.append(table)
+    return tables
+
+
+def _table_entry(table: list[int | None], v: int) -> int:
+    """table[v] of _byte_tables, filled on demand from the entry of the
+    low bit of v and the entry of the rest of v."""
+    t = table[v]
+    if t is None:
+        low = v & -v
+        t = table[v] = table[low] & _table_entry(table, v ^ low)
+    return t
+
+
+def _partners_by_count(mask: int, minus: list, need: int) -> list:
+    """The entries (ray, tight mask, a . ray, position bit) of minus that
+    are tight on at least need of the constraints in mask: one popcount
+    per entry."""
+    return [e for e in minus if (mask & e[1]).bit_count() >= need]
+
+
+def _partners_by_planes(mask: int, tables: list[list[int | None]],
+                        minus_bits: int, slack: int) -> int:
+    """The rays of the bitset minus_bits that miss at most slack of the
+    constraints in mask, as a bitset.
+
+    Bit-sliced counting over the single-bit table entries: after each
+    constraint c of mask, planes[j] holds the rays that have missed at
+    least j + 1 of the constraints seen, and a ray misses c when it is
+    not in the entry of c.  With slack = popcount(mask) - need, these are
+    the rays _partners_by_count keeps, at popcount(mask) * (slack + 1)
+    big-int steps however many rays minus_bits holds.
+    """
+    planes = [0] * (slack + 1)
+    rest = mask
+    while rest:
+        low = rest & -rest
+        c = low.bit_length() - 1
+        miss = minus_bits & ~tables[c >> 3][1 << (c & 7)]
+        for j in range(slack, 0, -1):
+            planes[j] |= planes[j - 1] & miss
+        planes[0] |= miss
+        rest ^= low
+    return minus_bits & ~planes[slack]
+
+
+def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
+                     ) -> list[tuple[tuple[int, ...], int]]:
+    """Extreme rays of {y in Q^m : a . y >= 0 for every a in cons}, each
+    with the bitmask of the constraints it is tight on (bit k for cons[k]).
+
+    Incremental double description.  Starts from the full space as
+    lineality, eliminates one lineality vector per independent constraint,
+    then splits rays with the usual positive/zero/negative step, keeping
+    only adjacent pairs (Fukuda-Prodon, "Double description method
+    revisited", 1996).  The final cone must be pointed, which holds
+    whenever the constraint normals span Q^m; the caller guarantees that.
+
+    Each ray carries the bitmask of processed constraints it is tight on,
+    and these masks are exact zero sets: lineality vectors stay orthogonal
+    to every processed constraint, so eliminating one changes no earlier
+    slack, and a ray made from a plus/minus pair is a positive combination
+    of two rays with nonnegative slacks, so it is tight exactly where both
+    are.  Two rays are adjacent iff their common zero set has rank
+    cone_dim - 2, where cone_dim = m - len(lineality), which holds iff no
+    third ray is tight on the whole common set.
+
+    The adjacency test runs on bitsets over the positions of the rays,
+    looked up in per-step byte-chunk tables (_byte_tables): the rays
+    tight on the constraints of one byte of a mask are one table entry.
+    A pair needs at least cone_dim - 2 common zeros; each plus ray finds
+    the minus rays that pass this count by one popcount per minus ray
+    (_partners_by_count) or, when its op-count estimate is lower, by
+    bit-sliced counting over the single-bit entries (_partners_by_planes),
+    the pattern-tree idea of Terzer and Stelling (2008) in flat form.  For
+    a partner, the AND of the entries of the nonzero bytes of the common
+    zeros is the set of rays tight on all of them, which always holds the
+    pair itself, and the pair is adjacent iff it holds nothing else.  The
+    AND stops as soon as only the pair is left.  Both routes keep the
+    minus rays in order, so rays, masks and their order do not depend on
+    the route.
+
+    Rays and constraints are primitive integer vectors, so every dot
+    product and combination stays in plain int arithmetic.
+    """
+    lineality: list[tuple[int, ...]] = [
+        tuple(1 if k == i else 0 for k in range(m)) for i in range(m)]
+    rays: list[tuple[tuple[int, ...], int]] = []  # (vector, tight bitmask)
+
+    for idx, a in enumerate(cons):
+        bit = 1 << idx
+        hit = next((k for k, v in enumerate(lineality) if _dot(a, v) != 0), None)
+        if hit is not None:
+            v = lineality.pop(hit)
+            dv = _dot(a, v)
+            if dv < 0:
+                v = tuple(-x for x in v)
+                dv = -dv
+            new_lin = []
+            for u in lineality:
+                du = _dot(a, u)
+                if du != 0:
+                    u = _coprime([dv * ux - du * vx for ux, vx in zip(u, v)])
+                new_lin.append(u)
+            lineality = new_lin
+            new_rays = []
+            for r, mask in rays:
+                dr = _dot(a, r)
+                if dr != 0:
+                    r = _coprime([dv * rx - dr * vx for rx, vx in zip(r, v)])
+                new_rays.append((r, mask | bit))
+            # v itself was orthogonal to every earlier constraint, so it
+            # is tight on all of them and strictly feasible on this one
+            new_rays.append((v, bit - 1))
+            rays = new_rays
+            continue
+
+        plus: list[tuple[tuple[int, ...], int, int, int]] = []
+        zero: list[tuple[tuple[int, ...], int]] = []
+        minus: list[tuple[tuple[int, ...], int, int, int]] = []
+        for pos, (r, mask) in enumerate(rays):
+            t = _dot(a, r)
+            if t > 0:
+                plus.append((r, mask, t, 1 << pos))
+            elif t < 0:
+                minus.append((r, mask, t, 1 << pos))
+            else:
+                zero.append((r, mask | bit))
+        survivors = [(r, mask) for (r, mask, _, _) in plus] + zero
+        if not (plus and minus):
+            rays = survivors
+            continue
+        tables = _byte_tables([mask for _, mask in rays])
+        need = m - len(lineality) - 2
+        everyone = (1 << len(rays)) - 1
+        minus_at = {e[3]: e for e in minus}
+        minus_bits = sum(minus_at)
+        for rp, mp, tp, bp in plus:
+            zeros = mp.bit_count()
+            slack = zeros - need
+            if slack < 0:
+                continue
+            if zeros * (slack + 1) * 3 < len(minus):
+                hits = _partners_by_planes(mp, tables, minus_bits, slack)
+                partners = []
+                while hits:
+                    low = hits & -hits
+                    partners.append(minus_at[low])
+                    hits ^= low
+            else:
+                partners = _partners_by_count(mp, minus, need)
+            for rn, mn, tn, bn in partners:
+                common = mp & mn
+                pair = bp | bn
+                tight = everyone
+                rest = common
+                k = 0
+                while rest and tight != pair:
+                    v = rest & 0xFF
+                    if v:
+                        table = tables[k]
+                        t = table[v]
+                        tight &= _table_entry(table, v) if t is None else t
+                    rest >>= 8
+                    k += 1
+                if tight != pair:
+                    continue
+                w = _coprime([tp * nx - tn * px for px, nx in zip(rp, rn)])
+                survivors.append((w, common | bit))
+        rays = survivors
+
+    if lineality:
+        raise ValueError("cone is not pointed; constraints do not span")
+    return rays

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, GRAPH_MAX_PARTS,
-                     ScaleGuardError, check_bruteforce, parse_json)
+                     ScaleGuardError, check_bruteforce, is_int, parse_json)
 
 
 class VertexRef(NamedTuple):
@@ -397,7 +397,7 @@ def graph_from_dict(obj: dict) -> Graph2P:
         raise ValueError('graph JSON needs an object with "n" and '
                          '"missing_edges"')
     n = obj["n"]
-    if not _is_int(n):
+    if not is_int(n):
         raise ValueError("n must be an integer")
     if n > GRAPH_MAX_PARTS:
         raise ScaleGuardError(
@@ -411,10 +411,6 @@ def graph_from_dict(obj: dict) -> Graph2P:
     return Graph2P(n, missing=rows)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _are_edge_rows(rows: list) -> bool:
     """Is every row a [[part, pos], [part, pos]] with integer entries?"""
     for row in rows:
@@ -424,10 +420,10 @@ def _are_edge_rows(rows: list) -> bool:
         if not (isinstance(u, _PAIR_TYPES) and len(u) == 2
                 and isinstance(v, _PAIR_TYPES) and len(v) == 2):
             return False
-        # type() is int settles what JSON gives; _is_int the int subclasses
+        # type() is int settles what JSON gives; is_int the int subclasses
         if not (type(u[0]) is int and type(u[1]) is int
                 and type(v[0]) is int and type(v[1]) is int
-                or all(map(_is_int, (*u, *v)))):
+                or all(map(is_int, (*u, *v)))):
             return False
     return True
 

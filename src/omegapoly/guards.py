@@ -4,10 +4,12 @@ or run vertex/facet conversion, both of which blow up without warning.
 Every guarded operation takes the bound as a keyword argument so callers
 (including the command line driver) can raise it deliberately, except
 for the fixed ceilings, which nothing overrides.  parse_json is the
-guard on reading JSON: every JSON reader of the package goes through it.
+guard on reading JSON; exact_number and the json_* readers below hold the
+rules for exact input.  Imports no package module.
 """
 
 import json
+from fractions import Fraction
 
 DEFAULT_BRUTEFORCE_BOUND = 20
 DEFAULT_HULL_MAX_DIM = 15
@@ -52,3 +54,65 @@ def parse_json(text: str):
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to read") from None
+
+
+def is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _shown(x) -> str:
+    """x in an error message: a list or an object only by its type."""
+    return {list: "a list", dict: "an object"}.get(type(x)) or json.dumps(x)
+
+
+def exact_number(text: str) -> Fraction:
+    """Fraction(text) for a sign, digits and an optional /digits.  A decimal
+    point or an exponent is refused: Fraction builds 10**k for exponent k."""
+    if "." in text or "e" in text or "E" in text:
+        raise ValueError("invalid literal for an exact number: %r" % (text,))
+    return Fraction(text)
+
+
+def json_fields(obj, *keys):
+    """The values of keys in a JSON object; ValueError names a missing one."""
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise ValueError('JSON input lacks "%s"' % (key,))
+    return [obj[key] for key in keys]
+
+
+def json_positive_int(obj, key: str) -> int:
+    (x,) = json_fields(obj, key)
+    if not is_int(x) or x < 1:
+        raise ValueError('"%s" must be a positive integer' % (key,))
+    return x
+
+
+def json_int(x, what: str) -> int:
+    """An int from JSON; floats and bools are refused, not truncated."""
+    if is_int(x):
+        return x
+    raise ValueError("%s holds %s, not an integer" % (what, _shown(x)))
+
+
+def json_number(x, what: str) -> Fraction:
+    """An exact number from JSON: an int or a fraction string like "-3/4".
+    Floats and bools are refused, since neither is exact input here."""
+    if is_int(x) or isinstance(x, str):
+        try:
+            return exact_number(x) if isinstance(x, str) else Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("%s holds %s, not an int or a fraction string"
+                     % (what, _shown(x)))
+
+
+def json_list(x, what: str, read=None, length: int | None = None):
+    """A JSON list, or the tuple of its entries read by read (json_int or
+    json_number); with length, of exactly that many entries."""
+    if not isinstance(x, list) or length not in (None, len(x)):
+        of = "" if read is None else " of %s%s" % (
+            "" if length is None else "%d " % length,
+            "integers" if read is json_int else "numbers")
+        raise ValueError("%s must be a list%s" % (what, of))
+    return x if read is None else tuple(read(v, what) for v in x)

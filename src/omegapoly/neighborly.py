@@ -26,7 +26,9 @@ import json
 from dataclasses import dataclass
 
 from .graph2p import Assignment, VertexRef
-from .guards import DEFAULT_BRUTEFORCE_BOUND, check_bruteforce, parse_json
+from .guards import (DEFAULT_BRUTEFORCE_BOUND, check_bruteforce, json_fields,
+                     json_int, json_list, json_number, json_positive_int,
+                     parse_json)
 from . import omega_core, polyhedra
 
 AlphaKey = tuple[int, int, int, int]  # (i, j, p, q) with i > j
@@ -212,16 +214,9 @@ def certificate_to_dict(c: EdgeCertificate) -> dict:
     }
 
 
-def _json_ints(x, what: str) -> tuple[int, ...]:
-    """A JSON list of ints."""
-    if not isinstance(x, list):
-        raise ValueError("%s must be a list of integers" % (what,))
-    return tuple(polyhedra.json_int(v, what) for v in x)
-
-
 def _json_recorded(x, what: str) -> int:
     """A recorded evaluation: an int or an integer string like "2"."""
-    v = polyhedra.json_number(x, what)
+    v = json_number(x, what)
     if v.denominator != 1:
         raise ValueError("%s holds %s, not an integer" % (what, json.dumps(x)))
     return v.numerator
@@ -234,11 +229,11 @@ def certificate_from_dict(obj: dict) -> EdgeCertificate:
     and a float or bool where an integer belongs is refused, each as a
     one-line ValueError.  So is an alpha entry listed twice.
     """
-    n = polyhedra.json_positive_int(obj, "n")
-    a, b, marked_rows, alpha_rows, f_a, f_b, min_other = polyhedra.json_fields(
+    n = json_positive_int(obj, "n")
+    a, b, marked_rows, alpha_rows, f_a, f_b, min_other = json_fields(
         obj, "a", "b", "marked", "alpha", "F_a", "F_b", "min_other")
-    a = Assignment(_json_ints(a, '"a"'))
-    b = Assignment(_json_ints(b, '"b"'))
+    a = Assignment(json_list(a, '"a"', json_int))
+    b = Assignment(json_list(b, '"b"', json_int))
     if not isinstance(marked_rows, list) or len(marked_rows) != 2:
         raise ValueError('"marked" must be a list of two edges')
     marked = []
@@ -247,15 +242,14 @@ def certificate_from_dict(obj: dict) -> EdgeCertificate:
                 and all(isinstance(w, list) and len(w) == 2 for w in pair)):
             raise ValueError('"marked" edges must be [[part, pos], '
                              '[part, pos]]')
-        u, v = (VertexRef(*_json_ints(w, '"marked"')) for w in pair)
+        u, v = (VertexRef(*json_list(w, '"marked"', json_int))
+                for w in pair)
         marked.append((u, v))
-    if not isinstance(alpha_rows, list):
-        raise ValueError('"alpha" must be a list')
     keys = ("i", "j", "p", "q", "w")
     alpha = {}
-    for ent in alpha_rows:
-        values = polyhedra.json_fields(ent, *keys)
-        i, j, p, q, w = (polyhedra.json_int(x, 'alpha "%s"' % (key,))
+    for ent in json_list(alpha_rows, '"alpha"'):
+        values = json_fields(ent, *keys)
+        i, j, p, q, w = (json_int(x, 'alpha "%s"' % (key,))
                          for key, x in zip(keys, values))
         if (i, j, p, q) in alpha:
             raise ValueError('"alpha" lists (i, j, p, q) = (%d, %d, %d, %d) '

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph2p import Assignment
-from .guards import DEFAULT_BRUTEFORCE_BOUND, check_bruteforce, parse_json
+from .guards import (DEFAULT_BRUTEFORCE_BOUND, check_bruteforce, json_fields,
+                     json_number, json_positive_int, parse_json)
 from . import polyhedra
 from .polyhedra import VRep
 
@@ -283,8 +284,8 @@ def point_from_dict(obj: dict) -> OmegaPoint:
 def reduced_from_dict(obj: dict) -> ReducedPoint:
     """Read {"n": n, "reduced": {"i,j": value}} by the rules of convert:
     n is a positive int and every value an int or a fraction string."""
-    n = polyhedra.json_positive_int(obj, "n")
-    (raw,) = polyhedra.json_fields(obj, "reduced")
+    n = json_positive_int(obj, "n")
+    (raw,) = json_fields(obj, "reduced")
     if not isinstance(raw, dict):
         raise ValueError('"reduced" must be an object')
     y = [_ZERO] * reduced_count(n)
@@ -298,8 +299,7 @@ def reduced_from_dict(obj: dict) -> ReducedPoint:
         if (i, j) in seen:
             raise ValueError('reduced coordinate %d,%d is given twice (key '
                              '"%s")' % (i, j, key))
-        y[reduced_index(n, i, j)] = polyhedra.json_number(
-            val, 'reduced "%s"' % (key,))
+        y[reduced_index(n, i, j)] = json_number(val, 'reduced "%s"' % (key,))
         seen.add((i, j))
     missing = [ij for ij in reduced_pairs(n) if ij not in seen]
     if missing:

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from omegapoly import cli, graph2p, neighborly, omega_core, polyhedra
 from omegapoly.cli import build_parser, main
+from omegapoly.guards import exact_number
 
 
 @pytest.fixture(autouse=True)
@@ -332,6 +334,48 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
     code, out, err = run(capsys, command, flag, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "V", "dim": 1, "points": [["1e10000000"]]}',
+    "V-representation\nbegin\n1 2 rational\n1 1e10000000\nend\n",
+    '{"kind": "V", "dim": 1, "points": [["1.5"]]}',
+    "V-representation\nbegin\n1 2 rational\n1 1.5\nend\n",
+], ids=["json-exponent", "cdd-exponent", "json-decimal", "cdd-decimal"])
+def test_decimal_and_exponent_strings_are_refused_at_once(tmp_path, capsys,
+                                                          text):
+    # an exact number is a sign, digits and an optional /digits; Fraction
+    # alone would spend seconds building 10**10000000 before failing
+    path = tmp_path / "input"
+    path.write_text(text, encoding="ascii")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "convert", "--input", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_exact_numbers_keep_the_forms_fraction_reads():
+    assert [exact_number(t) for t in ("7", "-3/4", "+6/8", " 1_000 ")] == [
+        7, Fraction(-3, 4), Fraction(3, 4), 1000]
+    for text in ("1.5", "1e3", "1E3", ".5", "2.", "1/2e3", "1/0.5"):
+        with pytest.raises(ValueError):
+            exact_number(text)
+
+
+@pytest.mark.parametrize("value", [
+    "[" * 985 + "]" * 985,
+    "[%s]" % ", ".join(["0"] * 500),
+    '{"k": "%s"}' % ("x" * 500,),
+], ids=["deep-list", "long-list", "object"])
+def test_a_list_or_object_in_a_bad_value_is_named_not_echoed(tmp_path, capsys,
+                                                             value):
+    path = tmp_path / "input"
+    path.write_text('{"kind": "V", "dim": 1, "points": [[%s]]}' % (value,),
+                    encoding="ascii")
+    code, out, err = run(capsys, "convert", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and len(err.encode("ascii")) < 200
 
 
 def test_guard_trips_name_their_override(capsys):

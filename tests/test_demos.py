@@ -43,10 +43,10 @@ def test_demo_exits_cleanly(demo):
 
 
 @pytest.mark.parametrize("argv", [
-    [str(ROOT / "demos" / "07_hull_playground.py")],
+    *([str(ROOT / "demos" / demo)] for demo in DEMOS),
     ["-m", "omegapoly.cli", "face-test", "--n", "3",
      "--exclude", "1,1,1", "2,2,2"],
-], ids=["demo-07", "face-test"])
+], ids=[*("demo-" + demo[:2] for demo in DEMOS), "face-test"])
 def test_stdout_is_the_same_under_python_O(argv):
     # -O strips assert statements; no check or output may rest on them
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

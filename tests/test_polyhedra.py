@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegapoly import omega3_census, omega_core, polyhedra as ph
+from omegapoly import dd, omega3_census, omega_core, polyhedra as ph, simplex
 from omegapoly.guards import ScaleGuardError
 
 
@@ -509,22 +509,22 @@ def test_partner_routes_and_table_entries_agree_on_seeded_masks():
         width, density = rng.randint(1, 50), rng.random()
         masks = [sum(1 << c for c in range(width) if rng.random() < density)
                  for _ in range(rng.randint(1, 70))]
-        tables = ph._byte_tables(masks)
+        tables = dd._byte_tables(masks)
         minus = [(None, mask, None, 1 << pos) for pos, mask in enumerate(masks)
                  if rng.random() < 0.5]
         minus_bits = sum(e[3] for e in minus)
         for mask in masks:
             zeros = mask.bit_count()
             for need in range(max(0, zeros - 4), zeros + 1):
-                want = ph._partners_by_count(mask, minus, need)
-                got = ph._partners_by_planes(mask, tables, minus_bits,
+                want = dd._partners_by_count(mask, minus, need)
+                got = dd._partners_by_planes(mask, tables, minus_bits,
                                              zeros - need)
                 assert got == sum(e[3] for e in want)
         for k, table in enumerate(tables):
             v = rng.randint(1, 255)
             tight = sum(1 << pos for pos, mask in enumerate(masks)
                         if mask >> 8 * k & v == v)
-            assert ph._table_entry(table, v) == tight == table[v]
+            assert dd._table_entry(table, v) == tight == table[v]
 
 
 # the hull of the 48 vertices of the n = 6 reduced polytope with
@@ -771,13 +771,13 @@ def _record_flips(monkeypatch) -> list:
     (free variable, its orientation before the flip) to the returned
     list: (k, 1) stores x-_k in place of x+_k, (k, -1) flips it back."""
     flips = []
-    negate = ph._negate_column
+    negate = simplex._negate_column
 
     def recording_negate(tab, orient, k):
         flips.append((k, orient[k]))
         negate(tab, orient, k)
 
-    monkeypatch.setattr(ph, "_negate_column", recording_negate)
+    monkeypatch.setattr(simplex, "_negate_column", recording_negate)
     return flips
 
 
@@ -847,7 +847,7 @@ def test_simplex_raises_on_a_revisited_basis(monkeypatch):
     # without the column negation the tableau no longer matches the
     # orientation it records, and the first LP above cycles; the repeat
     # of a (basis, orient) state must raise, not loop forever
-    monkeypatch.setattr(ph, "_negate_column", lambda tab, orient, k: None)
+    monkeypatch.setattr(simplex, "_negate_column", lambda tab, orient, k: None)
     h = _hrep_of_rows(4, [[1, -2, 1, 0, 1], [-1, 2, 1, -1, -1],
                           [1, 2, 2, 1, 0], [-1, -1, 0, -1, -1],
                           [-2, -1, 2, 1, 0]],
@@ -872,13 +872,13 @@ def test_face_lp_pivot_totals(monkeypatch):
     # one artificial for the one equality.  Split into x+ and x-, with an
     # artificial on every row, it was 22 + 15 + 16 = 53
     widths = set()
-    iterate = ph._simplex_iterate
+    iterate = simplex._simplex_iterate
 
     def recording_iterate(tab, *args):
         widths.add(len(tab[0]) - 1)
         return iterate(tab, *args)
 
-    monkeypatch.setattr(ph, "_simplex_iterate", recording_iterate)
+    monkeypatch.setattr(simplex, "_simplex_iterate", recording_iterate)
     v = omega_core.reduced_vertex_vrep(4)
     for pair in itertools.combinations(range(16), 2):
         # an edge has many supporting forms; each one found must be tight
@@ -907,13 +907,13 @@ def test_face_lp_pivot_totals(monkeypatch):
 # change made after the phase-2 run reaches the multipliers
 _OFF_BY_ONE_DUAL = """
 import sys
-from omegapoly import polyhedra as ph
-iterate = ph._simplex_iterate
+from omegapoly import polyhedra as ph, simplex
+iterate = simplex._simplex_iterate
 def off_by_one(tab, den, basis, orient, allowed):
     den, pivots, bounded = iterate(tab, den, basis, orient, allowed)
     tab[-1][-2] += den
     return den, pivots, bounded
-ph._simplex_iterate = off_by_one
+simplex._simplex_iterate = off_by_one
 try:
     print(%s)
 except RuntimeError as exc:

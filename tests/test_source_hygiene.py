@@ -3,20 +3,79 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "omegapoly"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "omegapoly"
 
 
-def _modules():
+def _modules(root=SRC):
     return {path.name: ast.parse(path.read_text(), filename=str(path))
-            for path in sorted(SRC.glob("*.py"))}
+            for path in sorted(root.glob("*.py"))}
 
 
 def test_no_assert_statements():
-    # every check must still hold under python -O, which strips asserts
+    # every check, in the package and in the demos, must still hold under
+    # python -O, which strips asserts
     found = ["%s:%d" % (name, node.lineno)
-             for name, tree in _modules().items()
+             for root in (SRC, ROOT / "demos")
+             for name, tree in _modules(root).items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _package_imports(tree) -> set[str]:
+    """The package modules a module imports, by relative or absolute name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("omegapoly."):
+                found.add(node.module.split(".")[1])
+            elif node.module == "omegapoly":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("omegapoly."))
+    return found
+
+
+def test_the_kernel_layers_import_only_what_they_rest_on():
+    # the integer kernel and the input rules stand alone, so a checker
+    # can import them without the double description or the simplex
+    imports = {name[:-3]: _package_imports(tree)
+               for name, tree in _modules().items()}
+    assert imports["exact"] == set()
+    assert imports["guards"] == set()
+    assert imports["dd"] == {"exact"}
+    assert imports["simplex"] == {"exact"}
+    polyhedra = _modules()["polyhedra.py"]
+    assert not any(alias.name == "json" or alias.name.startswith("json.")
+                   for node in ast.walk(polyhedra)
+                   if isinstance(node, ast.Import) for alias in node.names)
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "json"
+                   for node in ast.walk(polyhedra))
+
+
+def test_json_text_is_parsed_only_by_parse_json():
+    # parse_json turns too-deep nesting into a one-line error; a second
+    # json.loads would bypass it
+    modules = _modules()
+    calls = [(name, node.lineno) for name, tree in modules.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "loads" in _referenced(node.func)]
+    (parse_json,) = [func for qualname, func in
+                     _functions(modules["guards.py"])
+                     if qualname == "parse_json"]
+    assert [(name, parse_json.lineno <= line <= parse_json.end_lineno)
+            for name, line in calls] == [("guards.py", True)]
+    # and no module or demo reaches json.loads under another name
+    assert not any(isinstance(node, ast.ImportFrom) and node.module == "json"
+                   for root in (SRC, ROOT / "demos")
+                   for tree in _modules(root).values()
+                   for node in ast.walk(tree))
 
 
 def _referenced(node) -> set[str]:
