@@ -2,9 +2,10 @@
 graphs with two vertices per part.
 
 The interesting object is the convex hull of the 0/1 points encoding the
-n-cliques of such graphs.  Everything runs over fractions.Fraction:
-facet enumeration, linear programming, face tests, edge certificates and
-the three-part case analysis are exact and reproducible.
+n-cliques of such graphs.  Values are fractions.Fraction at the API and
+the kernels underneath run on plain ints, so facet enumeration, linear
+programming, face tests, edge certificates and the three-part case
+analysis are exact and reproducible.
 """
 
 from .graph2p import (Assignment, Cnf2, Graph2P, VertexRef,

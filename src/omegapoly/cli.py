@@ -33,8 +33,9 @@ import sys
 from . import graph2p, neighborly, omega3_census, omega_core, polyhedra
 from .graph2p import assignment_from_text
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, DEFAULT_HULL_MAX_DIM,
-                     DEFAULT_HULL_MAX_POINTS, ScaleGuardError, json_fields,
-                     json_list, json_number, json_positive_int, parse_json)
+                     DEFAULT_HULL_MAX_POINTS, ScaleGuardError, _shown,
+                     json_fields, json_list, json_number, json_positive_int,
+                     parse_json)
 
 _GUARD_HINTS = {
     "bruteforce": "--max-bruteforce (env OMEGA_MAX_BRUTEFORCE)",
@@ -77,7 +78,8 @@ def _settle_guards(args):
                 try:
                     val = int(raw)
                 except ValueError:
-                    raise ValueError("%s=%r is not an integer" % (env, raw))
+                    raise ValueError("%s=%s is not an integer"
+                                     % (env, _shown(raw, repr)))
         if val < 1:
             raise ValueError("%s must be at least 1" % (attr.replace("_", "-"),))
         setattr(args, attr, val)

@@ -6,7 +6,7 @@ from typing import Sequence
 from .exact import _coprime, _dot
 
 
-def _byte_tables(masks: Sequence[int]) -> list[list[int | None]]:
+def _byte_tables(masks: Sequence[int]) -> list[list[int]]:
     """Byte-chunk lookup tables over the positions of rays with the given
     tight masks: tables[k][v] is the bitset of the rays tight on every
     constraint of the byte value v at byte k, that is, on every set bit
@@ -14,7 +14,8 @@ def _byte_tables(masks: Sequence[int]) -> list[list[int | None]]:
 
     Each ray is bucketed by each nonzero byte of its mask, and the eight
     single-bit entries of a byte are the ORs of its buckets.  Entry 0 is
-    every ray; the other entries stay None until _table_entry fills them.
+    every ray, and each entry v of two or more bits, in increasing v, is
+    the AND of the entries of its top bit and of the rest of v.
     """
     width = (max(masks, default=0).bit_length() + 7) // 8
     buckets: list[dict[int, int]] = [{} for _ in range(width)]
@@ -26,28 +27,19 @@ def _byte_tables(masks: Sequence[int]) -> list[list[int | None]]:
                 bucket[v] = bucket.get(v, 0) | bit
             mask >>= 8
     everyone = (1 << len(masks)) - 1
-    tables: list[list[int | None]] = []
+    tables: list[list[int]] = []
     for bucket in buckets:
-        table: list[int | None] = [None] * 256
-        table[0] = everyone
-        for b in range(8):
-            table[1 << b] = 0
+        table = [everyone] + [0] * 255
         for v, rays in bucket.items():
             for b in range(8):
                 if v >> b & 1:
                     table[1 << b] |= rays
+        for b in range(1, 8):
+            top = 1 << b
+            high = table[top]
+            table[top + 1:2 * top] = [high & rest for rest in table[1:top]]
         tables.append(table)
     return tables
-
-
-def _table_entry(table: list[int | None], v: int) -> int:
-    """table[v] of _byte_tables, filled on demand from the entry of the
-    low bit of v and the entry of the rest of v."""
-    t = table[v]
-    if t is None:
-        low = v & -v
-        t = table[v] = table[low] & _table_entry(table, v ^ low)
-    return t
 
 
 def _partners_by_count(mask: int, minus: list, need: int) -> list:
@@ -57,7 +49,7 @@ def _partners_by_count(mask: int, minus: list, need: int) -> list:
     return [e for e in minus if (mask & e[1]).bit_count() >= need]
 
 
-def _partners_by_planes(mask: int, tables: list[list[int | None]],
+def _partners_by_planes(mask: int, tables: list[list[int]],
                         minus_bits: int, slack: int) -> int:
     """The rays of the bitset minus_bits that miss at most slack of the
     constraints in mask, as a bitset.
@@ -104,8 +96,8 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
     third ray is tight on the whole common set.
 
     The adjacency test runs on bitsets over the positions of the rays,
-    looked up in per-step byte-chunk tables (_byte_tables): the rays
-    tight on the constraints of one byte of a mask are one table entry.
+    looked up in byte-chunk tables built whole at each step (_byte_tables):
+    the rays tight on the constraints of one byte of a mask are one entry.
     A pair needs at least cone_dim - 2 common zeros; each plus ray finds
     the minus rays that pass this count by one popcount per minus ray
     (_partners_by_count) or, when its op-count estimate is lower, by
@@ -196,9 +188,7 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
                 while rest and tight != pair:
                     v = rest & 0xFF
                     if v:
-                        table = tables[k]
-                        t = table[v]
-                        tight &= _table_entry(table, v) if t is None else t
+                        tight &= tables[k][v]
                     rest >>= 8
                     k += 1
                 if tight != pair:

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, GRAPH_MAX_PARTS,
-                     ScaleGuardError, check_bruteforce, is_int, parse_json)
+                     ScaleGuardError, _shown, check_bruteforce, is_int,
+                     parse_json)
 
 
 class VertexRef(NamedTuple):
@@ -78,7 +79,8 @@ def assignment_from_text(text: str) -> Assignment:
     try:
         parts = tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ValueError("bad assignment %r, want comma-separated 1/2" % (text,))
+        raise ValueError("bad assignment %s, want comma-separated 1/2"
+                         % (_shown(text, repr),))
     return Assignment(parts)
 
 

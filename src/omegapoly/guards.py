@@ -60,17 +60,31 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _shown(x) -> str:
-    """x in an error message: a list or an object only by its type."""
-    return {list: "a list", dict: "an object"}.get(type(x)) or json.dumps(x)
+_SHOWN_MAX = 40
+
+
+def _shown(x, quote=json.dumps) -> str:
+    """x in an error message, the one rule for echoing bad input: a list or
+    an object only by its type, any other value as quote(x), cut to its
+    first _SHOWN_MAX characters and its length when it is longer."""
+    text = {list: "a list", dict: "an object"}.get(type(x)) or quote(x)
+    if len(text) > _SHOWN_MAX:
+        text = "%s... (%d characters)" % (text[:_SHOWN_MAX], len(text))
+    return text
 
 
 def exact_number(text: str) -> Fraction:
     """Fraction(text) for a sign, digits and an optional /digits.  A decimal
-    point or an exponent is refused: Fraction builds 10**k for exponent k."""
-    if "." in text or "e" in text or "E" in text:
-        raise ValueError("invalid literal for an exact number: %r" % (text,))
-    return Fraction(text)
+    point or an exponent is refused: Fraction builds 10**k for exponent k.
+    A zero denominator raises ZeroDivisionError; any other bad text raises
+    ValueError with the text shown by _shown."""
+    if not ("." in text or "e" in text or "E" in text):
+        try:
+            return Fraction(text)
+        except ValueError:
+            pass
+    raise ValueError("invalid literal for an exact number: %s"
+                     % (_shown(text, repr),))
 
 
 def json_fields(obj, *keys):

@@ -26,9 +26,9 @@ import json
 from dataclasses import dataclass
 
 from .graph2p import Assignment, VertexRef
-from .guards import (DEFAULT_BRUTEFORCE_BOUND, check_bruteforce, json_fields,
-                     json_int, json_list, json_number, json_positive_int,
-                     parse_json)
+from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
+                     json_fields, json_int, json_list, json_number,
+                     json_positive_int, parse_json)
 from . import omega_core, polyhedra
 
 AlphaKey = tuple[int, int, int, int]  # (i, j, p, q) with i > j
@@ -218,7 +218,7 @@ def _json_recorded(x, what: str) -> int:
     """A recorded evaluation: an int or an integer string like "2"."""
     v = json_number(x, what)
     if v.denominator != 1:
-        raise ValueError("%s holds %s, not an integer" % (what, json.dumps(x)))
+        raise ValueError("%s holds %s, not an integer" % (what, _shown(x)))
     return v.numerator
 
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph2p import Assignment
-from .guards import (DEFAULT_BRUTEFORCE_BOUND, check_bruteforce, json_fields,
-                     json_number, json_positive_int, parse_json)
+from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
+                     json_fields, json_number, json_positive_int, parse_json)
 from . import polyhedra
 from .polyhedra import VRep
 
@@ -60,7 +60,8 @@ def reduced_count(n: int) -> int:
 def reduced_index(n: int, i: int, j: int) -> int:
     """Flat position of y[i,j] (for i <= j) in lexicographic order."""
     if not (1 <= i <= j <= n):
-        raise ValueError("need 1 <= i <= j <= n, got (%d, %d)" % (i, j))
+        raise ValueError("need 1 <= i <= j <= n, got (%s, %s)"
+                         % (_shown(i, repr), _shown(j, repr)))
     return (i - 1) * (2 * n - i + 2) // 2 + (j - i)
 
 
@@ -294,12 +295,16 @@ def reduced_from_dict(obj: dict) -> ReducedPoint:
         try:
             i, j = (int(t) for t in key.split(","))
         except ValueError:
-            raise ValueError('reduced key "%s" is not "i,j"'
-                             % (key,)) from None
+            raise ValueError('reduced key %s is not "i,j"'
+                             % (_shown(key),)) from None
         if (i, j) in seen:
-            raise ValueError('reduced coordinate %d,%d is given twice (key '
-                             '"%s")' % (i, j, key))
-        y[reduced_index(n, i, j)] = json_number(val, 'reduced "%s"' % (key,))
+            raise ValueError("reduced coordinate %d,%d is given twice (key %s)"
+                             % (i, j, _shown(key)))
+        k = reduced_index(n, i, j)
+        try:
+            y[k] = json_number(val, "reduced")
+        except ValueError:  # read again to name the key, quoted only here
+            json_number(val, "reduced %s" % (_shown(key),))
         seen.add((i, j))
     missing = [ij for ij in reduced_pairs(n) if ij not in seen]
     if missing:

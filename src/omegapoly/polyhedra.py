@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -16,7 +17,7 @@ from .dd import _dd_extreme_rays
 from .exact import (_clear_matrix, _coprime, _dot, _in_row_space,
                     _int_affine_rank, _int_rref)
 from .guards import (DEFAULT_HULL_MAX_DIM, DEFAULT_HULL_MAX_POINTS,
-                     ScaleGuardError, exact_number)
+                     ScaleGuardError, _shown, exact_number)
 from .simplex import _int_lp
 
 Vector = tuple[Fraction, ...]
@@ -52,13 +53,12 @@ def linear_form(coeffs: Iterable, rhs) -> LinearForm:
 
 
 class VRep:
-    """A polytope as a duplicate-free ordered list of points.
+    """A polytope as a duplicate-free ordered list of points, immutable.
 
-    The exact kernels read the points as integers Q / D over one common
-    D > 0, and is_face also needs their affine rank.  Both are computed
-    on first use and kept, keyed on the identity of the points tuple, so
-    they are computed once per VRep however many queries it answers,
-    and rebinding points makes the next use compute them afresh.
+    The kernels read the points as integers Q / D over one common D > 0,
+    and is_face also needs their affine rank; both are computed on first
+    use (D can have the digits of all the denominators, which convert
+    never needs) and kept, since dim and points are read only.
     """
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
@@ -67,28 +67,25 @@ class VRep:
         pts = tuple(_frac_vector(p) for p in points)
         for p in pts:
             if len(p) != dim:
-                raise ValueError("point %r does not have dimension %d" % (p, dim))
+                raise ValueError("point %s does not have dimension %d"
+                                 % (_shown(p, repr), dim))
         if len(set(pts)) != len(pts):
             raise ValueError("duplicate points in V-representation")
-        self.dim = dim
-        self.points = pts
-        self._ints = None  # (points, Q, D) for the points it was built on
-        self._rank = None  # affine rank of those points, once asked for
+        self._dim = dim
+        self._points = pts
 
-    def _cleared(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(Q, D) with points = Q / D, the rows of Q as int tuples."""
-        if self._ints is None or self._ints[0] is not self.points:
-            ints, den = _clear_matrix(self.points)
-            self._ints = (self.points, tuple(map(tuple, ints)), den)
-            self._rank = None
-        return self._ints[1], self._ints[2]
+    dim = property(lambda self: self._dim)
+    points = property(lambda self: self._points)
 
+    @cached_property
+    def _integers(self) -> tuple[list[list[int]], int]:
+        """(Q, D) with points = Q / D over one common D > 0."""
+        return _clear_matrix(self.points)
+
+    @cached_property
     def _affine_rank(self) -> int:
-        """Affine rank of the points (at least one), from the cached Q."""
-        ints, _ = self._cleared()
-        if self._rank is None:
-            self._rank = _int_affine_rank(ints)
-        return self._rank
+        """Affine rank of the points (at least one), from _integers."""
+        return _int_affine_rank(self._integers[0])
 
     def __eq__(self, other):
         return (isinstance(other, VRep)
@@ -124,7 +121,7 @@ def affine_rank(v: VRep) -> int:
     scaled to integers over one common denominator (cached on v)."""
     if not v.points:
         raise ValueError("affine rank of an empty point set")
-    return v._affine_rank()
+    return v._affine_rank
 
 
 def _int_form(ints: Sequence[int]) -> LinearForm:
@@ -174,13 +171,13 @@ def _hull_with_masks(v: VRep) -> tuple[HRep, list[int]]:
 
     Constraint k of the double description is point k, so the tight
     bitmask the DD keeps with each ray is the facet's incidence over the
-    points, exactly what tight_masks computes from the forms.
+    points: bit k is set iff its form is tight on point k.
     """
     if not v.points:
         raise ValueError("convex hull of an empty point set")
 
     d = v.dim
-    pts, D = v._cleared()
+    pts, D = v._integers
     base = pts[0]
     diffs = [[x - b for x, b in zip(p, base)] for p in pts]
     rref, den, pivots = _int_rref(diffs[1:])
@@ -213,30 +210,6 @@ def _hull_with_masks(v: VRep) -> tuple[HRep, list[int]]:
     hrep = HRep(d, tuple(_int_form(f) for f, _ in facets),
                 tuple(map(_int_form, equalities)))
     return hrep, [mask for _, mask in facets]
-
-
-def tight_masks(forms: Iterable[LinearForm], v: VRep) -> list[int]:
-    """For each form, the bitmask of the points of v it is tight on.
-
-    Bit k is set iff coeffs . points[k] == rhs.  The points are read as
-    v's cached integers P / D over one common D and each form is scaled
-    to integers (c, rhs), so the test c . P == rhs * D is exact and runs
-    on plain ints.
-    """
-    points, D = v._cleared()
-    masks = []
-    for f in forms:
-        if len(f.coeffs) != v.dim:
-            raise ValueError("form has dimension %d, points have %d"
-                             % (len(f.coeffs), v.dim))
-        (ints,), _ = _clear_matrix([(*f.coeffs, f.rhs)])
-        coeffs, rhs = ints[:-1], ints[-1]
-        mask = 0
-        for k, p in enumerate(points):
-            if _dot(coeffs, p) == rhs * D:
-                mask |= 1 << k
-        masks.append(mask)
-    return masks
 
 
 # --- linear programming --------------------------------------------------
@@ -356,8 +329,8 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     centre.
 
     The points are read as the integers Q / D over one common D that v
-    clears once and keeps, with its affine rank (for the facet and
-    whole_polytope verdicts), so a query pays for neither.  The LP rows
+    clears on first use and keeps, with its affine rank (for the facet
+    and whole_polytope verdicts), so a query pays for neither.  The LP rows
     come straight from integer differences: (Q_i - Q_s0) . f - D t >= 0
     for each point outside, -D t >= -D for the cap and (Q_i - Q_s0) . f
     = 0 for each other point of the subset.  That is the Fraction LP
@@ -375,7 +348,7 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
         return FaceVerdict(kind="whole_polytope", dimension=affine_rank(v))
 
     d = v.dim
-    pts, D = v._cleared()
+    pts, D = v._integers
     s0 = pts[idx[0]]
     diffs = [[a - b for a, b in zip(p, s0)] for p in pts]
     inside = set(idx)
@@ -394,7 +367,7 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
 
     f = x[:d]  # the separator is f / den, its rhs f . s0 / (den D)
     if x[d] > 0:
-        kind = ("facet" if len(pivots) == v._affine_rank() - 1
+        kind = ("facet" if len(pivots) == v._affine_rank - 1
                 else "proper_face")
         form = _coprime_form([c * D for c in f] + [_dot(f, s0)])
         return FaceVerdict(kind, form, len(pivots))
@@ -450,6 +423,14 @@ def hrep_to_text(h: HRep) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError("invalid literal for an integer: %s"
+                         % (_shown(tok, repr),)) from None
+
+
 def _parse_block(text: str, expected_header: str):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("*")]
@@ -460,19 +441,19 @@ def _parse_block(text: str, expected_header: str):
     while i < len(lines) and lines[i] != "begin":
         toks = lines[i].split()
         if toks[0] == "linearity" and len(toks) >= 2:
-            count = int(toks[1])
-            linearity = [int(t) for t in toks[2:]]
+            count = _text_int(toks[1])
+            linearity = [_text_int(t) for t in toks[2:]]
             if len(linearity) != count:
                 raise ValueError("linearity count mismatch")
         else:
-            raise ValueError("unexpected line %r" % (lines[i],))
+            raise ValueError("unexpected line %s" % (_shown(lines[i], repr),))
         i += 1
     if i == len(lines):
         raise ValueError("missing begin")
     header = lines[i + 1].split() if i + 1 < len(lines) else []
     if len(header) < 2:
         raise ValueError("missing size line after begin")
-    nrows, ncols = int(header[0]), int(header[1])
+    nrows, ncols = _text_int(header[0]), _text_int(header[1])
     if nrows < 0 or ncols < 2:
         raise ValueError("bad size %d x %d: a row needs its leading entry "
                          "and at least one coordinate" % (nrows, ncols))
@@ -510,10 +491,14 @@ def vrep_from_text(text: str) -> VRep:
 
 def hrep_from_text(text: str) -> HRep:
     rows, dim, linearity = _parse_block(text, "H-representation")
-    linset = set(linearity)
-    for i in linset:
+    linset = set()
+    for i in linearity:
         if not 1 <= i <= len(rows):
-            raise ValueError("linearity index %d out of range" % (i,))
+            raise ValueError("linearity index %s out of range"
+                             % (_shown(i, repr),))
+        if i in linset:
+            raise ValueError("linearity index %d is listed twice" % (i,))
+        linset.add(i)
     forms = list(enumerate((LinearForm(tuple(r[1:]), -r[0]) for r in rows), 1))
     return HRep(dim, tuple(f for i, f in forms if i not in linset),
                 tuple(f for i, f in forms if i in linset))

@@ -210,6 +210,25 @@ def test_convert_round_trip(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
 
+def test_convert_never_clears_v_input_to_integers(tmp_path, capsys,
+                                                  monkeypatch):
+    # one common denominator of n points with distinct prime denominators
+    # has as many digits as all of them, so convert, which has no size
+    # guard, must not build it
+    def refuse(rows):
+        raise AssertionError("convert cleared the points")
+
+    monkeypatch.setattr(polyhedra, "_clear_matrix", refuse)
+    text = "V-representation\nbegin\n3 2 rational\n1 1/2\n1 1/3\n1 1/5\nend\n"
+    path = tmp_path / "v.txt"
+    path.write_text(text, encoding="ascii")
+    code, out, err = run(capsys, "convert", "--input", str(path))
+    assert (code, err) == (0, "")
+    path.write_text(out, encoding="ascii")
+    code, out, err = run(capsys, "convert", "--input", str(path))
+    assert (code, err, out) == (0, "", text)
+
+
 _rational = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
 
@@ -326,6 +345,19 @@ DEEP_ARRAY = "[" * 200000 + "]" * 200000
     pytest.param("clique-solve", DEEP_ARRAY, id="graph-deep-nesting"),
     pytest.param("convert", '{"kind": "V", "dim": 1, "points": %s}'
                  % (DEEP_ARRAY,), id="json-v-deep-nesting"),
+    # a long bad value is echoed cut short
+    pytest.param("convert", '{"kind": "V", "dim": 1, "points": [["%s"]]}'
+                 % ("a" * 100000,), id="json-v-long-string"),
+    pytest.param("convert", "V-representation\nbegin\n1 2 rational\n1 %s\n"
+                            "end\n" % ("x" * 100000,), id="cdd-long-entry"),
+    pytest.param("convert", "V-representation\n%s\nbegin\n1 2 rational\n"
+                            "1 1\nend\n" % ("y" * 100000,),
+                 id="cdd-long-stray-line"),
+    pytest.param("convert", "V-representation\nbegin\n%s 2 rational\n1 1\n"
+                            "end\n" % ("7" * 100000,), id="cdd-long-size"),
+    pytest.param("convert", "H-representation\nlinearity 2 1 1\nbegin\n"
+                            "2 2 rational\n0 1\n0 -1\nend\n",
+                 id="cdd-repeated-linearity"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
     path = tmp_path / "input"
@@ -334,6 +366,21 @@ def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
     code, out, err = run(capsys, command, flag, str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode("ascii")) < 200
+
+
+def test_a_long_bad_argument_is_cut_short(capsys, monkeypatch):
+    long = "q" * 100000
+    code, out, err = run(capsys, "face-test", "--n", "3",
+                         "--exclude", long, "1,1,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad assignment 'qqq")
+    assert err.count("\n") == 1 and len(err.encode("ascii")) < 200
+    monkeypatch.setenv("OMEGA_MAX_BRUTEFORCE", long)
+    code, out, err = run(capsys, "vertices", "--n", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: OMEGA_MAX_BRUTEFORCE='qqq")
+    assert err.count("\n") == 1 and len(err.encode("ascii")) < 200
 
 
 @pytest.mark.parametrize("text", [

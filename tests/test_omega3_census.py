@@ -9,6 +9,7 @@ from omegapoly import omega_core as oc
 from omegapoly import polyhedra as ph
 from omegapoly.graph2p import Assignment
 from omegapoly.guards import ScaleGuardError
+from oracles import tight_masks
 
 
 def all3():
@@ -221,7 +222,7 @@ def test_facet_orbits_refuse_a_missing_image():
     # symmetry image of another facet has no mask to land on
     vrep = oc.reduced_vertex_vrep(3)
     report = o3.facet_census(3)
-    masks = ph.tight_masks([rec.form for rec in report.facets], vrep)
+    masks = tight_masks([rec.form for rec in report.facets], vrep)
     orbits = o3._facet_orbits(3, masks)
     assert orbits == report.orbits
     assert [(o.size, o.representative) for o in orbits] == [(12, 0), (4, 2)]

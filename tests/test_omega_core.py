@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -167,6 +168,19 @@ def test_point_json_round_trip():
     obj = oc.point_to_dict(x)
     assert obj["reduced"]["1,2"] == "1/12"
     assert oc.point_from_dict(obj) == x
+
+
+@pytest.mark.parametrize("reduced", [
+    {"1,1": 0, "1,2": 0, "2,2": 0, "k" * 100000: 0},
+    {"1,1": 0, "1,2": 0, "2,2": "v" * 100000},
+    {"1,1": 0, "1,2": 0, "2,2": 0, " " * 100000 + "1,1": 0},
+    {"1,1": 0, "1,2": 0, "2,2": 0, "1," + "9" * 4000: 0},
+], ids=["long-key", "long-value", "long-repeated-key", "long-index"])
+def test_point_json_cuts_a_long_bad_value_short(reduced):
+    with pytest.raises(ValueError) as info:
+        oc.point_from_json(json.dumps({"n": 2, "reduced": reduced}))
+    message = str(info.value)
+    assert "\n" not in message and len(message) < 200
 
 
 def test_reduced_from_dict_validation():

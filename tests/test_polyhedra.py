@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegapoly import dd, omega3_census, omega_core, polyhedra as ph, simplex
+from omegapoly import (dd, exact, omega3_census, omega_core, polyhedra as ph,
+                       simplex)
 from omegapoly.guards import ScaleGuardError
+from oracles import tight_masks
 
 
 def frac(a, b=1):
@@ -57,6 +59,12 @@ def test_vrep_rejects_duplicates_and_bad_dims():
         ph.VRep(2, [(0, 0, 0)])
     with pytest.raises(ValueError):
         ph.VRep(0, [])
+
+
+def test_a_long_point_of_the_wrong_dimension_is_cut_short():
+    with pytest.raises(ValueError, match="does not have dimension 1") as info:
+        ph.VRep(1, [range(100000)])
+    assert len(str(info.value)) < 200
 
 
 # --- hull fixtures -----------------------------------------------------------
@@ -347,7 +355,7 @@ def _hull_pin_inputs():
         yield ph.VRep(d, list(points))
     vrep = omega_core.reduced_vertex_vrep(5)
     report = omega3_census.facet_census(5, allow_large=True)
-    masks = ph.tight_masks([rec.form for rec in report.facets], vrep)
+    masks = tight_masks([rec.form for rec in report.facets], vrep)
     for orbit in report.orbits:
         mask = masks[orbit.representative]
         yield ph.VRep(vrep.dim, [p for k, p in enumerate(vrep.points)
@@ -376,14 +384,14 @@ def test_tight_masks_match_slack_on_rational_input():
     v = ph.VRep(2, pts)
     forms = list(ph.convex_hull_facets(v).inequalities)
     forms.append(ph.linear_form((frac(2, 3), 1), frac(1, 3)))
-    masks = ph.tight_masks(forms, v)
+    masks = tight_masks(forms, v)
     for form, mask in zip(forms, masks):
         assert mask == sum(1 << k for k, p in enumerate(v.points)
                            if form.slack(p) == 0)
     # the hypotenuse holds the two far corners and the midpoint
     assert masks[-1] == 0b1110
     with pytest.raises(ValueError):
-        ph.tight_masks([ph.linear_form((1, 0, 0), 0)], v)
+        tight_masks([ph.linear_form((1, 0, 0), 0)], v)
 
 
 def test_cached_integers_agree_with_uncached_values():
@@ -396,7 +404,7 @@ def test_cached_integers_agree_with_uncached_values():
         rank = ph._int_affine_rank(ph._clear_matrix(v.points)[0])
         assert ph.affine_rank(v) == rank == v.dim - len(hull[0].equalities)
         forms = hull[0].inequalities + (ph.linear_form([1] * v.dim, 1),)
-        assert ph.tight_masks(forms, v) == [
+        assert tight_masks(forms, v) == [
             sum(1 << k for k, p in enumerate(v.points) if f.slack(p) == 0)
             for f in forms]
         other = ph.VRep(v.dim, v.points)
@@ -410,7 +418,7 @@ def test_hull_masks_match_tight_masks():
     for v in _hull_pin_inputs():
         hrep, masks = ph._hull_with_masks(v)
         assert hrep == ph.convex_hull_facets(v)
-        assert masks == ph.tight_masks(hrep.inequalities, v)
+        assert masks == tight_masks(hrep.inequalities, v)
 
 
 def _reference_dd(m, cons):
@@ -503,7 +511,7 @@ def test_dd_matches_the_reference_on_the_n5_census(monkeypatch):
 
 def test_partner_routes_and_table_entries_agree_on_seeded_masks():
     # the popcount scan and the bit-sliced planes pick the same minus
-    # rays, and each filled table entry is the AND over its single bits
+    # rays, and every table entry is the set of rays tight on its byte
     rng = random.Random(15)
     for _ in range(150):
         width, density = rng.randint(1, 50), rng.random()
@@ -521,10 +529,11 @@ def test_partner_routes_and_table_entries_agree_on_seeded_masks():
                                              zeros - need)
                 assert got == sum(e[3] for e in want)
         for k, table in enumerate(tables):
-            v = rng.randint(1, 255)
-            tight = sum(1 << pos for pos, mask in enumerate(masks)
-                        if mask >> 8 * k & v == v)
-            assert dd._table_entry(table, v) == tight == table[v]
+            assert len(table) == 256
+            for v in range(256):
+                assert table[v] == sum(1 << pos
+                                       for pos, mask in enumerate(masks)
+                                       if mask >> 8 * k & v == v)
 
 
 # the hull of the 48 vertices of the n = 6 reduced polytope with
@@ -1032,16 +1041,16 @@ def test_not_face_whose_lp_has_dependent_equalities(monkeypatch):
     assert len(lps) == 1
 
 
-def test_screen_refuses_an_outside_copy_of_a_subset_point(monkeypatch):
-    # VRep refuses duplicates, so the copy is put in behind its back: its
-    # difference is zero, which lies in every affine hull, even that of a
-    # single point, whose RREF has no rows
-    lps = _record_face_lps(monkeypatch)
-    v = ph.VRep(2, [(0, 0), (1, 0), (0, 1)])
-    v.points += (v.points[1],)
-    for subset in ([1], [0, 1], [1, 2]):
-        assert ph.is_face(v, subset).kind == "not_face"
-    assert lps == []
+def test_zero_difference_is_in_every_row_space():
+    # the screen's test of an outside point whose difference is zero:
+    # zero lies in every affine hull, even that of a single point, whose
+    # RREF has no rows
+    assert exact._in_row_space([0, 0], [], 1, [])
+    span, den, pivots = exact._int_rref([[2, 4]])
+    assert (span, den, pivots) == ([[2, 4]], 2, [0])
+    assert exact._in_row_space([0, 0], span, den, pivots)
+    assert exact._in_row_space([3, 6], span, den, pivots)
+    assert not exact._in_row_space([0, 1], span, den, pivots)
 
 
 def test_screen_decides_every_n4_pair_complement(monkeypatch):
@@ -1072,16 +1081,23 @@ def test_screen_decides_every_n4_pair_complement(monkeypatch):
     assert cleared == [v.points]
 
 
-def test_rebinding_the_points_drops_the_cached_integers():
-    # the first verdicts fill the cache; each rebinding of points must be
-    # answered from the new points, with their own denominator and rank
+def test_vrep_points_are_read_only():
+    # a VRep's integers and rank are those of the points it was built on,
+    # so neither the points nor the dimension can be rebound; each point
+    # set gets its own VRep, with its own denominator and rank
     v = ph.VRep(2, [(0, 0), (1, 0), (0, 1)])
     assert ph.is_face(v, [1, 2]).form == ph.linear_form([-1, -1], -1)
     assert ph.is_face(v, [0, 1, 2]).dimension == 2
-    v.points = ph.VRep(2, [(0, 0), (frac(1, 2), 0), (0, frac(1, 3))]).points
+    with pytest.raises(AttributeError):
+        v.points = ((0, 0), (1, 1))
+    with pytest.raises(AttributeError):
+        v.dim = 3
+    assert v.points == ((0, 0), (1, 0), (0, 1)) and ph.affine_rank(v) == 2
+    assert ph.is_face(v, [1, 2]).form == ph.linear_form([-1, -1], -1)
+    v = ph.VRep(2, [(0, 0), (frac(1, 2), 0), (0, frac(1, 3))])
     assert ph.is_face(v, [1, 2]).form == ph.linear_form([-2, -3], -1)
-    assert ph.tight_masks([ph.linear_form([2, 3], 1)], v) == [0b110]
-    v.points = ph.VRep(2, [(0, 0), (1, 1), (2, 2)]).points
+    assert tight_masks([ph.linear_form([2, 3], 1)], v) == [0b110]
+    v = ph.VRep(2, [(0, 0), (1, 1), (2, 2)])
     assert ph.is_face(v, [0, 1, 2]).dimension == 1
     assert ph.affine_rank(v) == 1
     assert ph.is_face(v, [1]).kind == "not_face"
@@ -1191,8 +1207,8 @@ def _face_lattice(v):
 
 def _f_vector(v, faces):
     """Face counts by dimension, each face ranked by integer RREF over
-    the VRep's cached integer points."""
-    pts, _ = v._cleared()
+    the VRep's integer points."""
+    pts = v._integers[0]
     counts = [0] * (v.dim + 1)
     for face in faces:
         counts[ph._int_affine_rank([p for k, p in enumerate(pts)

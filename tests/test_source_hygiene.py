@@ -109,6 +109,27 @@ def test_every_private_definition_is_used_in_the_package():
     assert unused == []
 
 
+def test_every_public_definition_is_exported_or_used():
+    # a public function or class is in omegapoly.__all__ or is referenced
+    # from another top-level statement of the package, the demos or the
+    # benchmark; one that only tests call belongs in the tests
+    import omegapoly
+    public, uses = [], []
+    for root in (SRC, ROOT / "demos", ROOT / "perfbench"):
+        for name, tree in _modules(root).items():
+            for node in tree.body:
+                uses.append((node, _referenced(node)))
+                if (root == SRC and isinstance(node, (ast.FunctionDef,
+                                                      ast.ClassDef))
+                        and not node.name.startswith("_")):
+                    public.append((name, node))
+    unused = ["%s:%s" % (name, node.name) for name, node in public
+              if node.name not in omegapoly.__all__
+              and not any(node.name in refs
+                          for other, refs in uses if other is not node)]
+    assert unused == []
+
+
 def _functions(tree, prefix=""):
     """(qualified name, node) of every module-level function and method
     in tree; a nested function is part of the one that holds it."""
@@ -120,9 +141,9 @@ def _functions(tree, prefix=""):
 
 
 def test_points_are_cleared_to_integers_only_by_the_vrep_cache():
-    # a VRep clears its points once and keeps (Q, D); a function that
-    # calls _clear_matrix on a .points attribute itself would clear them
-    # again on every call
+    # a VRep clears its points once, on first use, and keeps (Q, D); any
+    # other function that calls _clear_matrix on a .points attribute
+    # would clear them again on every call
     callers = set()
     for name, tree in _modules().items():
         for qualname, func in _functions(tree):
@@ -134,7 +155,7 @@ def test_points_are_cleared_to_integers_only_by_the_vrep_cache():
                                 for arg in node.args
                                 for sub in ast.walk(arg))):
                     callers.add("%s:%s" % (name, qualname))
-    assert callers == {"polyhedra.py:VRep._cleared"}
+    assert callers == {"polyhedra.py:VRep._integers"}
 
 
 def test_one_2sat_core_runs_the_scc():
