@@ -24,9 +24,7 @@ from .omega_core import (EqualityReport, OmegaPoint, ReducedPoint,
                          reduced_vertex, reduced_vertex_vrep,
                          vertex_from_assignment)
 from .omega3_census import (CaseReport, CensusReport, PairClass, analyze_pair,
-                            case_disjoint_form, case_shared_edge_form,
-                            case_shared_vertex_witness, census_to_json,
-                            classify_pair, facet_census)
+                            census_to_json, classify_pair, facet_census)
 from .polyhedra import (FaceVerdict, HRep, LinearForm, LpResult, VRep,
                         affine_rank, convex_hull_facets, hrep_from_text,
                         hrep_to_text, is_face, linear_form, lp_solve,
@@ -39,8 +37,7 @@ __all__ = [
     "EqualityReport", "FaceVerdict", "Graph2P", "HRep", "LinearForm",
     "LpResult", "OmegaPoint", "PairClass", "ReducedPoint", "ScaleGuardError",
     "VRep", "VertexRef", "affine_rank", "all_assignments", "all_vertices",
-    "analyze_pair", "assignment_from_text", "case_disjoint_form",
-    "case_shared_edge_form", "case_shared_vertex_witness", "census_to_json",
+    "analyze_pair", "assignment_from_text", "census_to_json",
     "certificate_from_json", "certificate_to_json", "check_equalities",
     "classify_pair", "cnf_from_dimacs", "cnf_to_dimacs", "complete_graph",
     "convex_hull_facets", "edge_certificate", "edges_via_hull",

@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple
 
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, GRAPH_MAX_PARTS,
                      ScaleGuardError, _shown, check_bruteforce, is_int,
-                     parse_json)
+                     parse_json, text_int)
 
 
 class VertexRef(NamedTuple):
@@ -91,11 +91,11 @@ def _edge_error(i, p, j, q, n: int) -> ValueError:
     """What is wrong with the pair (i, p)-(j, q) against n parts."""
     for part, pos in ((i, p), (j, q)):
         if not 1 <= part <= n:
-            return ValueError("vertex %r: part out of range 1..%d"
-                              % (VertexRef(part, pos), n))
+            return ValueError("vertex %s: part out of range 1..%d"
+                              % (_shown(VertexRef(part, pos), repr), n))
         if pos not in _POSITIONS:
-            return ValueError("vertex %r: pos must be 1 or 2"
-                              % (VertexRef(part, pos),))
+            return ValueError("vertex %s: pos must be 1 or 2"
+                              % (_shown(VertexRef(part, pos), repr),))
     return ValueError("edge %r-%r joins vertices of the same part"
                       % (VertexRef(i, p), VertexRef(j, q)))
 
@@ -243,7 +243,8 @@ class Cnf2:
                 raise ValueError("clause %r does not have two literals" % (cl,))
             for var, pol in cl:
                 if not 1 <= var <= num_vars:
-                    raise ValueError("literal variable %d out of range" % (var,))
+                    raise ValueError("literal variable %s out of range"
+                                     % (_shown(var),))
                 if not isinstance(pol, bool):
                     raise ValueError("literal polarity must be bool")
 
@@ -404,8 +405,8 @@ def graph_from_dict(obj: dict) -> Graph2P:
     if n > GRAPH_MAX_PARTS:
         raise ScaleGuardError(
             "graph-parts", GRAPH_MAX_PARTS, n,
-            "graph with %d parts is out of reach: n = %d is the largest "
-            "graph" % (n, GRAPH_MAX_PARTS))
+            "graph with %s parts is out of reach: n = %d is the largest "
+            "graph" % (_shown(n), GRAPH_MAX_PARTS))
     rows = obj["missing_edges"]
     if not isinstance(rows, list) or not _are_edge_rows(rows):
         raise ValueError('"missing_edges" must be a list of '
@@ -454,6 +455,9 @@ def cnf_to_dimacs(c: Cnf2) -> str:
 
 
 def cnf_from_dimacs(text: str) -> Cnf2:
+    """The 2CNF of DIMACS text.  Each variable stands for a part, so a
+    problem line past GRAPH_MAX_PARTS variables is refused as a graph JSON
+    past that many parts is."""
     num_vars = None
     declared = None
     clauses: list[tuple[Literal, Literal]] = []
@@ -464,20 +468,29 @@ def cnf_from_dimacs(text: str) -> Cnf2:
         if line.startswith("p"):
             toks = line.split()
             if len(toks) != 4 or toks[1] != "cnf":
-                raise ValueError("bad problem line %r" % (line,))
-            num_vars, declared = int(toks[2]), int(toks[3])
+                raise ValueError("bad problem line %s" % (_shown(line, repr),))
+            num_vars, declared = text_int(toks[2]), text_int(toks[3])
+            if num_vars > GRAPH_MAX_PARTS:
+                raise ScaleGuardError(
+                    "graph-parts", GRAPH_MAX_PARTS, num_vars,
+                    "2CNF with %s variables is out of reach: each is a "
+                    "part, and %d parts is the most"
+                    % (_shown(num_vars), GRAPH_MAX_PARTS))
             continue
         if num_vars is None:
             raise ValueError("clause before problem line")
-        toks = [int(t) for t in line.split()]
+        toks = [text_int(t) for t in line.split()]
         if toks[-1] != 0:
-            raise ValueError("clause line %r not 0-terminated" % (line,))
+            raise ValueError("clause line %s not 0-terminated"
+                             % (_shown(line, repr),))
         lits = toks[:-1]
         if len(lits) != 2:
-            raise ValueError("clause %r does not have exactly two literals" % (line,))
+            raise ValueError("clause %s does not have exactly two literals"
+                             % (_shown(line, repr),))
         clauses.append(tuple((abs(t), t > 0) for t in lits))  # type: ignore[arg-type]
     if num_vars is None:
         raise ValueError("missing problem line")
     if declared != len(clauses):
-        raise ValueError("declared %s clauses, found %d" % (declared, len(clauses)))
+        raise ValueError("declared %s clauses, found %d"
+                         % (_shown(declared), len(clauses)))
     return Cnf2(num_vars, tuple(clauses))

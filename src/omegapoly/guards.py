@@ -4,8 +4,8 @@ or run vertex/facet conversion, both of which blow up without warning.
 Every guarded operation takes the bound as a keyword argument so callers
 (including the command line driver) can raise it deliberately, except
 for the fixed ceilings, which nothing overrides.  parse_json is the
-guard on reading JSON; exact_number and the json_* readers below hold the
-rules for exact input.  Imports no package module.
+guard on reading JSON; exact_number, text_int and the json_* readers
+below hold the rules for exact input.  Imports no package module.
 """
 
 import json
@@ -15,9 +15,10 @@ DEFAULT_BRUTEFORCE_BOUND = 20
 DEFAULT_HULL_MAX_DIM = 15
 DEFAULT_HULL_MAX_POINTS = 64
 
-# a fixed ceiling on the parts of a graph read from JSON: solving
-# allocates per part, so without it a 34-byte file can ask for any
-# amount of memory (n = 400000 took 146 MB)
+# a fixed ceiling on the parts of a graph read from JSON, and on the
+# variables of a DIMACS 2CNF, one per part: solving allocates per part, so
+# without it a 34-byte file can ask for any amount of memory (n = 400000
+# took 146 MB)
 GRAPH_MAX_PARTS = 10000
 
 
@@ -26,9 +27,10 @@ class ScaleGuardError(ValueError):
 
     guard names which limit tripped: "bruteforce", "hull-dim",
     "hull-points", "census" (n = 5 without allow_large), "census-max"
-    (n > 5) or "graph-parts" (a graph JSON past GRAPH_MAX_PARTS); nothing
-    overrides the last two.  The command line uses it to point at the
-    override flag where there is one.
+    (n > 5) or "graph-parts" (a graph JSON or a DIMACS 2CNF past
+    GRAPH_MAX_PARTS parts or variables); nothing overrides the last two.
+    The command line uses it to point at the override flag where there is
+    one.
     """
 
     def __init__(self, guard: str, limit: int, requested: int, message: str):
@@ -85,6 +87,16 @@ def exact_number(text: str) -> Fraction:
             pass
     raise ValueError("invalid literal for an exact number: %s"
                      % (_shown(text, repr),))
+
+
+def text_int(tok: str) -> int:
+    """int(tok), with bad text refused in a ValueError that shows it by
+    _shown: the one reader of integers from text."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError("invalid literal for an integer: %s"
+                         % (_shown(tok, repr),)) from None
 
 
 def json_fields(obj, *keys):

@@ -9,9 +9,11 @@ and the class decides what the other six vertices are:
 
     0 agreeing parts  ->  "disjoint":       the pair misses a facet that
                           contains the other six vertices (a six-term
-                          hyperplane sums the edges internal to either clique)
+                          hyperplane sums the edges internal to either
+                          clique: 1 on the six, 3 on each of the pair)
     2 agreeing parts  ->  "shared_edge":    a single edge coordinate
-                          vanishes on exactly the other six vertices
+                          vanishes on exactly the other six vertices,
+                          which are a facet
     1 agreeing part   ->  "shared_vertex":  the other six vertices are
                           not a face at all; a four-term witness form
                           separates the excluded pair (values 0 and 2)
@@ -28,7 +30,6 @@ per-vertex incidence, and facet orbits under the symmetry group.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ from .graph2p import Assignment
 from .guards import ScaleGuardError
 from . import omega_core, polyhedra
 from .omega_core import coord_count, coord_index
-from .polyhedra import FaceVerdict, HRep, LinearForm, VRep
+from .polyhedra import FaceVerdict, LinearForm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -151,17 +152,15 @@ _CASES = {
 }
 
 
-def _run_case(a: Assignment, b: Assignment, kind: str) -> CaseReport:
-    """Write the case form for (a, b) and check it.
+def analyze_pair(a: Assignment, b: Assignment) -> CaseReport:
+    """Write the case form for the pair's class and check it.
 
     The form's values on all eight vertices and the face LP on the six
     others are computed once each and checked against the case claims;
     those two checks are what establish the case.
     """
-    name, want_excluded, want_other, want_verdict = _CASES[kind]
     cls = classify_pair(a, b)
-    if cls.kind != kind:
-        raise ValueError("pair %s, %s is %s, not %s" % (a, b, cls.kind, kind))
+    name, want_excluded, want_other, want_verdict = _CASES[cls.kind]
     form = _case_form(a, cls)
     excluded, others = _pair_evaluations(form, a, b)
     if sorted(excluded) != want_excluded or any(v != want_other
@@ -172,31 +171,6 @@ def _run_case(a: Assignment, b: Assignment, kind: str) -> CaseReport:
         raise RuntimeError("six vertices opposite %s, %s: %s, expected %s"
                            % (a, b, verdict.kind, want_verdict))
     return CaseReport(cls, form, verdict, tuple(excluded), tuple(others))
-
-
-def case_disjoint_form(a: Assignment, b: Assignment) -> LinearForm:
-    """Facet equation missing a fully disjoint pair: the six edge
-    coordinates internal to either clique sum to 1 on the other six
-    vertices and to 3 on each of the excluded two."""
-    return _run_case(a, b, "disjoint").form
-
-
-def case_shared_edge_form(a: Assignment, b: Assignment) -> LinearForm:
-    """Single edge coordinate that vanishes on exactly the other six
-    vertices when the pair agrees on two parts; those six are a facet."""
-    return _run_case(a, b, "shared_edge").form
-
-
-def case_shared_vertex_witness(a: Assignment, b: Assignment) -> LinearForm:
-    """Witness that the six vertices opposite a one-part-agreeing pair are
-    no face: the form holds the six at 1 while the excluded pair lands on
-    0 and 2, one on each side."""
-    return _run_case(a, b, "shared_vertex").form
-
-
-def analyze_pair(a: Assignment, b: Assignment) -> CaseReport:
-    """Run the right case for the pair and bundle form, verdict, values."""
-    return _run_case(a, b, classify_pair(a, b).kind)
 
 
 # --- facet census ------------------------------------------------------------
@@ -223,18 +197,23 @@ class CensusReport:
     orbits: tuple[OrbitRecord, ...] | None
 
 
-def _orbit_generators(n: int) -> list[tuple[int, ...]]:
-    """Generators of the symmetry group as permutations of the vertex
-    indices of all_assignments(n), where vertex k has part i at position 2
-    iff bit n - i of k is set.  Transposing parts t and t + 1 swaps bits
-    n - t and n - t - 1; the last generator swaps the two vertices of
-    part 1, flipping bit n - 1."""
+def _orbit_generators(n: int) -> list[tuple[int, int]]:
+    """Generators of the symmetry group as delta swaps (shift, select) on
+    bitmasks over the vertex indices of all_assignments(n), where vertex
+    k has part i at position 2 iff bit n - i of k is set.  A generator
+    exchanges bits k and k + shift of a mask for each k in select.
+    Transposing parts t and t + 1 swaps index bits n - t and n - t - 1, so
+    it moves each k with the first clear and the second set up by
+    2^(n-t) - 2^(n-t-1); the last generator swaps the two vertices of
+    part 1, moving each k with bit n - 1 clear up by 2^(n-1)."""
+    indices = range(1 << n)
     gens = []
     for t in range(1, n):
         hi, lo = 1 << (n - t), 1 << (n - t - 1)
-        gens.append(tuple(k ^ (hi | lo) if bool(k & hi) != bool(k & lo)
-                          else k for k in range(1 << n)))
-    gens.append(tuple(k ^ (1 << (n - 1)) for k in range(1 << n)))
+        gens.append((hi - lo, sum(1 << k for k in indices
+                                  if k & (hi | lo) == lo)))
+    top = 1 << (n - 1)
+    gens.append((top, sum(1 << k for k in indices if not k & top)))
     return gens
 
 
@@ -288,36 +267,16 @@ def facet_census(n: int, include_orbits: bool = True,
     return CensusReport(n, tuple(records), len(records), counts.pop(), orbits)
 
 
-@functools.lru_cache(maxsize=None)
-def _generator_byte_images(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each generator of _orbit_generators(n), one table per byte of
-    a vertex bitmask: tables[k][v] is the bitmask of the images of the
-    vertices 8k + b for the set bits b of the byte value v.  Built once
-    per n, each entry from the entry without its low bit."""
-    nverts = 1 << n
-    images = []
-    for g in _orbit_generators(n):
-        tables = []
-        for lo in range(0, nverts, 8):
-            table = [0] * (1 << min(8, nverts - lo))
-            for v in range(1, len(table)):
-                low = v & -v
-                table[v] = table[v ^ low] | 1 << g[lo + low.bit_length() - 1]
-            tables.append(tuple(table))
-        images.append(tuple(tables))
-    return tuple(images)
-
-
 def _facet_orbits(n, masks):
     """Orbits of the facets, given as tight-set bitmasks over the vertex
     indices, under the generators of _orbit_generators.
 
     A facet's image under a generator is the facet whose tight mask is
-    the image of its mask, the OR of one byte image table lookup per
-    byte of the mask (_generator_byte_images).  Facets are visited in
-    index order, so each orbit's representative is its first member.
+    the image of its mask, one delta swap (Knuth, TAOCP 4A, 7.1.3).
+    Facets are visited in index order, so each orbit's representative is
+    its first member.
     """
-    gen_tables = _generator_byte_images(n)
+    gens = _orbit_generators(n)
     facet_of_mask = {mask: k for k, mask in enumerate(masks)}
     seen = [False] * len(masks)
     orbits = []
@@ -329,11 +288,9 @@ def _facet_orbits(n, masks):
         frontier = [start_mask]
         while frontier:
             mask = frontier.pop()
-            for tables in gen_tables:
-                image, rest = 0, mask
-                for table in tables:
-                    image |= table[rest & 0xFF]
-                    rest >>= 8
+            for shift, select in gens:
+                moved = ((mask >> shift) ^ mask) & select
+                image = mask ^ moved ^ (moved << shift)
                 k = facet_of_mask.get(image)
                 if k is None:
                     raise RuntimeError("symmetry image of a facet is not a "

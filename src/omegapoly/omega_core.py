@@ -289,27 +289,27 @@ def reduced_from_dict(obj: dict) -> ReducedPoint:
     (raw,) = json_fields(obj, "reduced")
     if not isinstance(raw, dict):
         raise ValueError('"reduced" must be an object')
-    y = [_ZERO] * reduced_count(n)
-    seen = set()
+    y = {}
     for key, val in raw.items():
         try:
             i, j = (int(t) for t in key.split(","))
         except ValueError:
             raise ValueError('reduced key %s is not "i,j"'
                              % (_shown(key),)) from None
-        if (i, j) in seen:
+        if (i, j) in y:
             raise ValueError("reduced coordinate %d,%d is given twice (key %s)"
                              % (i, j, _shown(key)))
-        k = reduced_index(n, i, j)
+        reduced_index(n, i, j)
         try:
-            y[k] = json_number(val, "reduced")
+            y[i, j] = json_number(val, "reduced")
         except ValueError:  # read again to name the key, quoted only here
             json_number(val, "reduced %s" % (_shown(key),))
-        seen.add((i, j))
-    missing = [ij for ij in reduced_pairs(n) if ij not in seen]
-    if missing:
-        raise ValueError("reduced coordinates missing entries %r" % (missing,))
-    return ReducedPoint(n, tuple(y))
+    # checked only now, so a large n costs nothing before it is refused
+    if len(y) != reduced_count(n):
+        raise ValueError("reduced coordinates: %d given, %s expected for "
+                         "n = %s" % (len(y), _shown(reduced_count(n)),
+                                     _shown(n)))
+    return ReducedPoint(n, tuple(y[ij] for ij in reduced_pairs(n)))
 
 
 def point_to_json(x: OmegaPoint) -> str:

@@ -17,7 +17,7 @@ from .dd import _dd_extreme_rays
 from .exact import (_clear_matrix, _coprime, _dot, _in_row_space,
                     _int_affine_rank, _int_rref)
 from .guards import (DEFAULT_HULL_MAX_DIM, DEFAULT_HULL_MAX_POINTS,
-                     ScaleGuardError, _shown, exact_number)
+                     ScaleGuardError, _shown, exact_number, text_int)
 from .simplex import _int_lp
 
 Vector = tuple[Fraction, ...]
@@ -423,14 +423,6 @@ def hrep_to_text(h: HRep) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _text_int(tok: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ValueError("invalid literal for an integer: %s"
-                         % (_shown(tok, repr),)) from None
-
-
 def _parse_block(text: str, expected_header: str):
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("*")]
@@ -441,8 +433,8 @@ def _parse_block(text: str, expected_header: str):
     while i < len(lines) and lines[i] != "begin":
         toks = lines[i].split()
         if toks[0] == "linearity" and len(toks) >= 2:
-            count = _text_int(toks[1])
-            linearity = [_text_int(t) for t in toks[2:]]
+            count = text_int(toks[1])
+            linearity = [text_int(t) for t in toks[2:]]
             if len(linearity) != count:
                 raise ValueError("linearity count mismatch")
         else:
@@ -453,20 +445,21 @@ def _parse_block(text: str, expected_header: str):
     header = lines[i + 1].split() if i + 1 < len(lines) else []
     if len(header) < 2:
         raise ValueError("missing size line after begin")
-    nrows, ncols = _text_int(header[0]), _text_int(header[1])
+    nrows, ncols = text_int(header[0]), text_int(header[1])
     if nrows < 0 or ncols < 2:
-        raise ValueError("bad size %d x %d: a row needs its leading entry "
-                         "and at least one coordinate" % (nrows, ncols))
+        raise ValueError("bad size %s x %s: a row needs its leading entry "
+                         "and at least one coordinate"
+                         % (_shown(nrows), _shown(ncols)))
     body = lines[i + 2:]
     if len(body) <= nrows:
-        raise ValueError("block is cut short: %d rows and an end line "
-                         "expected after the size line" % (nrows,))
+        raise ValueError("block is cut short: %s rows and an end line "
+                         "expected after the size line" % (_shown(nrows),))
     rows = []
     for k in range(nrows):
         toks = body[k].split()
         if len(toks) != ncols:
-            raise ValueError("row %d has %d entries, want %d"
-                             % (k + 1, len(toks), ncols))
+            raise ValueError("row %d has %d entries, want %s"
+                             % (k + 1, len(toks), _shown(ncols)))
         try:
             rows.append([exact_number(t) for t in toks])
         except ZeroDivisionError:
@@ -484,7 +477,7 @@ def vrep_from_text(text: str) -> VRep:
     for row in rows:
         if row[0] != 1:
             raise ValueError("only points (leading 1) are supported, got %s"
-                             % (row[0],))
+                             % (_shown(row[0], str),))
         pts.append(row[1:])
     return VRep(dim, pts)
 

@@ -1,6 +1,7 @@
 """Independent routes that the tests check the package against."""
 
 from omegapoly.exact import _clear_matrix, _dot
+from omegapoly.omega3_census import _orbit_generators
 
 
 def tight_masks(forms, v):
@@ -23,3 +24,33 @@ def tight_masks(forms, v):
         masks.append(sum(1 << k for k, p in enumerate(pts)
                          if _dot(coeffs, p) == rhs))
     return masks
+
+
+def generator_permutations(n):
+    """The census generators of _orbit_generators(n) as permutations of
+    the vertex indices: k goes to the bit position of the delta swap
+    image of 1 << k."""
+    perms = []
+    for shift, select in _orbit_generators(n):
+        def image(mask):
+            moved = ((mask >> shift) ^ mask) & select
+            return mask ^ moved ^ (moved << shift)
+        perms.append(tuple(image(1 << k).bit_length() - 1
+                           for k in range(1 << n)))
+    return perms
+
+
+def symmetry_group(n):
+    """Every product of the generator permutations, as tuples of vertex
+    indices."""
+    gens = generator_permutations(n)
+    identity = tuple(range(1 << n))
+    group, frontier = {identity}, [identity]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            hg = tuple(h[k] for k in g)
+            if hg not in group:
+                group.add(hg)
+                frontier.append(hg)
+    return group

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from omegapoly import cli, graph2p, neighborly, omega3_census, omega_core, polyhedra
 from omegapoly.graph2p import Assignment
+from oracles import symmetry_group
 
 
 def ok(line):
@@ -65,24 +66,8 @@ def test_two_part_polytope_is_a_simplex():
     ok("two parts: 4 reduced vertices give exactly 4 facets in dimension 3")
 
 
-def _index_group(n):
-    """The symmetry group as tuples of vertex indices: the closure of the
-    census generators."""
-    gens = omega3_census._orbit_generators(n)
-    identity = tuple(range(2 ** n))
-    group, frontier = {identity}, [identity]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            hg = tuple(h[k] for k in g)
-            if hg not in group:
-                group.add(hg)
-                frontier.append(hg)
-    return group
-
-
 def test_three_part_case_analysis_all_pairs():
-    group = _index_group(3)
+    group = symmetry_group(3)
     assigns = omega_core.all_assignments(3)
     index_of = {a: k for k, a in enumerate(assigns)}
     vertices = [omega_core.vertex_from_assignment(3, a) for a in assigns]

@@ -358,6 +358,27 @@ DEEP_ARRAY = "[" * 200000 + "]" * 200000
     pytest.param("convert", "H-representation\nlinearity 2 1 1\nbegin\n"
                             "2 2 rational\n0 1\n0 -1\nend\n",
                  id="cdd-repeated-linearity"),
+    # a long number that parses is echoed cut short too
+    pytest.param("convert", "V-representation\nbegin\n1 2 rational\n%s 1\n"
+                            "end\n" % ("7" * 4000,),
+                 id="cdd-long-leading-entry"),
+    pytest.param("convert", "V-representation\nbegin\n%s 2 rational\n1 1\n"
+                            "end\n" % ("7" * 4000,),
+                 id="cdd-long-row-count"),
+    pytest.param("convert", "V-representation\nbegin\n-%s 2 rational\n"
+                            "end\n" % ("7" * 4000,),
+                 id="cdd-long-negative-row-count"),
+    pytest.param("convert", "V-representation\nbegin\n1 %s rational\n1 1\n"
+                            "end\n" % ("7" * 4000,),
+                 id="cdd-long-column-count"),
+    pytest.param("clique-solve", '{"n": 2, "missing_edges": [[[%s, 1], '
+                                 '[2, 1]]]}' % ("7" * 4000,),
+                 id="graph-long-part"),
+    pytest.param("clique-solve", '{"n": 2, "missing_edges": [[[1, %s], '
+                                 '[2, 1]]]}' % ("7" * 4000,),
+                 id="graph-long-position"),
+    pytest.param("clique-solve", '{"n": %s, "missing_edges": []}'
+                 % ("7" * 4000,), id="graph-long-part-count"),
 ])
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
     path = tmp_path / "input"

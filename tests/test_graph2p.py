@@ -364,6 +364,25 @@ def test_dimacs_parse_errors():
         g2.cnf_from_dimacs("p dnf 2 1\n1 -2 0\n")
     with pytest.raises(ValueError):
         g2.cnf_from_dimacs("")
+    # a variable count past GRAPH_MAX_PARTS is refused before anything is
+    # allocated for it, and a long bad line or number is echoed cut short
+    with pytest.raises(ScaleGuardError) as err:
+        g2.cnf_from_dimacs("p cnf 1000000 0\n")
+    assert err.value.guard == "graph-parts"
+    long_inputs = [
+        "p cnf 2 1\n%s 0\n" % (" ".join(["1"] * 50000),),
+        "p cnf 2 1\n1 %s 0\n" % ("x" * 50000,),
+        "p cnf 2 1\n1 -%s 0\n" % ("9" * 4000,),
+        "p cnf 2 %s\n1 -2 0\n" % ("9" * 4000,),
+        "p cnf %s 0\n" % ("9" * 100000,),
+        "p cnf 2 1 %s\n" % ("z" * 50000,),
+        "p cnf 2 1\n%s\n" % ("2 " * 50000,),
+    ]
+    for text in long_inputs:
+        with pytest.raises(ValueError) as err:
+            g2.cnf_from_dimacs(text)
+        msg = str(err.value)
+        assert "\n" not in msg and len(msg) < 200
 
 
 def test_clique_check_survives_python_O():

@@ -9,7 +9,7 @@ from omegapoly import omega_core as oc
 from omegapoly import polyhedra as ph
 from omegapoly.graph2p import Assignment
 from omegapoly.guards import ScaleGuardError
-from oracles import tight_masks
+from oracles import generator_permutations, symmetry_group, tight_masks
 
 
 def all3():
@@ -22,27 +22,12 @@ def pairs3():
 
 # --- symmetries ----------------------------------------------------------
 
-def closure(gens):
-    """Every product of the generators, as tuples of vertex indices."""
-    identity = tuple(range(len(gens[0])))
-    group, frontier = {identity}, [identity]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            hg = tuple(h[k] for k in g)
-            if hg not in group:
-                group.add(hg)
-                frontier.append(hg)
-    return group
-
-
 def test_symmetry_group_on_vertex_indices():
     for n, order in ((2, 8), (3, 48), (4, 384), (5, 3840)):
-        gens = o3._orbit_generators(n)
-        for g in gens:
+        for g in generator_permutations(n):
             assert sorted(g) == list(range(2 ** n))
             assert all(g[g[k]] == k for k in range(2 ** n))
-        assert len(closure(gens)) == order
+        assert len(symmetry_group(n)) == order
 
 
 def test_symmetries_act_bijectively_on_assignments():
@@ -50,7 +35,7 @@ def test_symmetries_act_bijectively_on_assignments():
     # swap, read on the assignments themselves
     for n in range(2, 6):
         whole = oc.all_assignments(n)
-        *transpositions, swap = o3._orbit_generators(n)
+        *transpositions, swap = generator_permutations(n)
         for t, g in enumerate(transpositions, start=1):
             for k, a in enumerate(whole):
                 rho = list(a.choice)
@@ -104,7 +89,7 @@ def test_disjoint_form_is_the_two_clique_edge_sum():
     for a, b in pairs3():
         if o3.classify_pair(a, b).kind != "disjoint":
             continue
-        form = o3.case_disjoint_form(a, b)
+        form = o3.analyze_pair(a, b).form
         assert form.rhs == 1
         expect = {}
         for (i, j) in ((1, 2), (1, 3), (2, 3)):
@@ -115,7 +100,7 @@ def test_disjoint_form_is_the_two_clique_edge_sum():
 
 
 def test_disjoint_representative_matches_the_written_out_equation():
-    form = o3.case_disjoint_form(Assignment((1, 1, 1)), Assignment((2, 2, 2)))
+    form = o3.analyze_pair(Assignment((1, 1, 1)), Assignment((2, 2, 2))).form
     ones = {(1, 2, 1, 1), (1, 3, 1, 1), (2, 3, 1, 1),
             (1, 2, 2, 2), (1, 3, 2, 2), (2, 3, 2, 2)}
     for (i, j, p, q) in oc.coord_tuples(3):
@@ -128,7 +113,7 @@ def test_shared_edge_form_is_one_coordinate():
         cls = o3.classify_pair(a, b)
         if cls.kind != "shared_edge":
             continue
-        form = o3.case_shared_edge_form(a, b)
+        form = o3.analyze_pair(a, b).form
         assert form.rhs == 0
         i, j = cls.parts
         for (ii, jj, p, q) in oc.coord_tuples(3):
@@ -140,9 +125,7 @@ def test_shared_vertex_witness_values():
     for a, b in pairs3():
         if o3.classify_pair(a, b).kind != "shared_vertex":
             continue
-        form = o3.case_shared_vertex_witness(a, b)
         report = o3.analyze_pair(a, b)
-        assert report.form == form
         assert sorted(report.excluded_values) == [0, 2]
         assert list(report.other_values) == [1] * 6
         assert report.verdict.kind == "not_face"
@@ -177,16 +160,6 @@ def test_analyze_pair_solves_one_face_lp_per_pair(monkeypatch):
     for a, b in pairs3():
         o3.analyze_pair(a, b)
     assert len(calls) == 28 and len(set(calls)) == 28
-
-
-def test_case_functions_reject_wrong_classes():
-    a = Assignment((1, 1, 1))
-    with pytest.raises(ValueError):
-        o3.case_disjoint_form(a, Assignment((1, 1, 2)))
-    with pytest.raises(ValueError):
-        o3.case_shared_edge_form(a, Assignment((2, 2, 2)))
-    with pytest.raises(ValueError):
-        o3.case_shared_vertex_witness(a, Assignment((1, 1, 2)))
 
 
 # --- census -------------------------------------------------------------------
@@ -262,14 +235,10 @@ def test_census_forms_match_the_case_analysis():
 
     case_forms = set()
     for a, b in pairs3():
-        kind = o3.classify_pair(a, b).kind
-        if kind == "disjoint":
-            full = o3.case_disjoint_form(a, b)
-        elif kind == "shared_edge":
-            full = o3.case_shared_edge_form(a, b)
-        else:
+        report = o3.analyze_pair(a, b)
+        if report.pair_class.kind == "shared_vertex":
             continue
-        red = to_reduced(full)
+        red = to_reduced(report.form)
         norm = ph._coprime_form(
             ph._clear_matrix([(*red.coeffs, red.rhs)])[0][0])
         case_forms.add((norm.coeffs, norm.rhs))

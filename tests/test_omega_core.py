@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,3 +220,18 @@ def test_reduced_from_dict_validation():
             oc.reduced_from_dict(obj)
         msg = str(err.value)
         assert word in msg and "\n" not in msg
+
+
+@pytest.mark.parametrize("n", [4000, 10 ** 9])
+def test_a_large_declared_n_is_refused_by_its_count(n):
+    # the point is read key by key before n sizes anything, so one key
+    # against a large n is one short line, not a list of every missing pair
+    text = '{"n": %d, "reduced": {"1,1": 0}}' % n
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        oc.point_from_json(text)
+    assert time.perf_counter() - start < 1
+    msg = str(err.value)
+    assert msg == "reduced coordinates: 1 given, %d expected for n = %d" % (
+        oc.reduced_count(n), n)
+    assert len(msg) < 200
