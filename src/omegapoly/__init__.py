@@ -16,7 +16,7 @@ from .graph2p import (Assignment, Cnf2, Graph2P, VertexRef,
 from .guards import ScaleGuardError
 from .neighborly import (EdgeCertificate, certificate_from_json,
                          certificate_to_json, edge_certificate,
-                         edges_via_hull, verify_certificate)
+                         verify_certificate)
 from .omega_core import (EqualityReport, OmegaPoint, ReducedPoint,
                          all_assignments, all_vertices, check_equalities,
                          independent_family, lift_point, omega_dimension,
@@ -24,7 +24,8 @@ from .omega_core import (EqualityReport, OmegaPoint, ReducedPoint,
                          reduced_vertex, reduced_vertex_vrep,
                          vertex_from_assignment)
 from .omega3_census import (CaseReport, CensusReport, PairClass, analyze_pair,
-                            census_to_json, classify_pair, facet_census)
+                            census_to_json, classify_pair, edges_via_hull,
+                            facet_census)
 from .polyhedra import (FaceVerdict, HRep, LinearForm, LpResult, VRep,
                         affine_rank, convex_hull_facets, hrep_from_text,
                         hrep_to_text, is_face, linear_form, lp_solve,

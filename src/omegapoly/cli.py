@@ -35,7 +35,7 @@ from .graph2p import assignment_from_text
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, DEFAULT_HULL_MAX_DIM,
                      DEFAULT_HULL_MAX_POINTS, ScaleGuardError, _shown,
                      json_fields, json_list, json_number, json_positive_int,
-                     parse_json)
+                     parse_json, text_int)
 
 _GUARD_HINTS = {
     "bruteforce": "--max-bruteforce (env OMEGA_MAX_BRUTEFORCE)",
@@ -55,11 +55,19 @@ _GUARDS = {
 }
 
 
+def _int_flag(text: str) -> int:
+    """An int flag read by text_int, so bad text is echoed by _shown."""
+    try:
+        return text_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_guards(sub, *attrs):
     """Give sub a --max-... flag for each guard it reads, and only those."""
     for attr in attrs:
         _, default, what = _GUARDS[attr]
-        sub.add_argument("--" + attr.replace("_", "-"), type=int,
+        sub.add_argument("--" + attr.replace("_", "-"), type=_int_flag,
                          default=None,
                          help="override %s (default %d)" % (what, default))
     sub.set_defaults(guards=attrs)
@@ -70,16 +78,15 @@ def _settle_guards(args):
     for attr in getattr(args, "guards", ()):
         env, default, _ = _GUARDS[attr]
         val = getattr(args, attr)
-        if val is None:
-            raw = os.environ.get(env)
-            if raw is None:
-                val = default
-            else:
-                try:
-                    val = int(raw)
-                except ValueError:
-                    raise ValueError("%s=%s is not an integer"
-                                     % (env, _shown(raw, repr)))
+        raw = os.environ.get(env)
+        if val is None and raw is None:
+            val = default
+        elif val is None:
+            try:
+                val = int(raw)
+            except ValueError:
+                raise ValueError("%s=%s is not an integer"
+                                 % (env, _shown(raw, repr)))
         if val < 1:
             raise ValueError("%s must be at least 1" % (attr.replace("_", "-"),))
         setattr(args, attr, val)
@@ -92,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("vertices", help="list all polytope vertices")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_int_flag, required=True)
     s.add_argument("--reduced", action="store_true",
                    help="print the n(n+1)/2 reduced coordinates instead of "
                         "the full 4n^2")
@@ -100,18 +107,18 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_vertices)
 
     s = subs.add_parser("verify", help="run the bundled checks for one n")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_int_flag, required=True)
     _add_guards(s, "max_bruteforce")
     s.set_defaults(func=_cmd_verify)
 
     s = subs.add_parser("hull", help="facets of the reduced polytope as "
                                      "H-representation text")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_int_flag, required=True)
     _add_guards(s, "max_bruteforce", "max_hull_dim", "max_hull_points")
     s.set_defaults(func=_cmd_hull)
 
     s = subs.add_parser("census", help="facet census as JSON")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_int_flag, required=True)
     s.add_argument("--orbits", action="store_true",
                    help="include facet orbits under the symmetry group")
     s.add_argument("--allow-large", action="store_true",
@@ -120,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("edge-cert",
                         help="certificate that two vertices span an edge")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_int_flag, required=True)
     s.add_argument("--a", required=True, help='assignment like "1,2,1"')
     s.add_argument("--b", required=True, help='assignment like "2,1,1"')
     _add_guards(s, "max_bruteforce")
@@ -128,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("face-test",
                         help="three-part case analysis for an excluded pair")
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_int_flag, required=True)
     s.add_argument("--exclude", nargs=2, required=True,
                    metavar=("A", "B"), help="the two excluded assignments")
     s.set_defaults(func=_cmd_face_test)
@@ -183,13 +190,10 @@ def _verify_rows(n: int, bound: int):
 
     if n >= 2:
         assigns = omega_core.all_assignments(n, bound)
-        total = 0
-        good = 0
-        for a, b in itertools.combinations(assigns, 2):
-            total += 1
-            cert = neighborly.edge_certificate(n, a, b, bound)
-            if neighborly.verify_certificate(cert, bound):
-                good += 1
+        total = len(assigns) * (len(assigns) - 1) // 2
+        good = sum(neighborly.verify_certificate(
+            neighborly.edge_certificate(n, a, b, bound), bound)
+            for a, b in itertools.combinations(assigns, 2))
         rows.append(("edge certificates", good == total,
                      "%d/%d pairs certified" % (good, total)))
 
@@ -198,11 +202,9 @@ def _verify_rows(n: int, bound: int):
         ok = True
         for a, b in itertools.combinations(omega_core.all_assignments(3), 2):
             try:
-                report = omega3_census.analyze_pair(a, b)
+                counts[omega3_census.analyze_pair(a, b).pair_class.kind] += 1
             except RuntimeError:
                 ok = False
-                continue
-            counts[report.pair_class.kind] += 1
         ok = ok and counts == {"disjoint": 4, "shared_edge": 12,
                                "shared_vertex": 12}
         rows.append(("three-part case analysis", ok,
@@ -218,12 +220,10 @@ def _cmd_verify(args) -> int:
         raise ValueError("need at least one part")
     rows = _verify_rows(args.n, args.max_bruteforce)
     width = max(len(name) for name, _, _ in rows) + 2
-    failed = False
     for name, ok, detail in rows:
-        status = "PASS" if ok else "FAIL"
-        if not ok:
-            failed = True
-        print("%-*s %s  %s" % (width, name + ":", status, detail))
+        print("%-*s %s  %s" % (width, name + ":", "PASS" if ok else "FAIL",
+                               detail))
+    failed = not all(ok for _, ok, _ in rows)
     print("overall: %s" % ("FAIL" if failed else "PASS",))
     return 1 if failed else 0
 

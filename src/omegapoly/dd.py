@@ -98,8 +98,9 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
     The adjacency test runs on bitsets over the positions of the rays,
     looked up in byte-chunk tables built whole at each step (_byte_tables):
     the rays tight on the constraints of one byte of a mask are one entry.
-    A pair needs at least cone_dim - 2 common zeros; each plus ray finds
-    the minus rays that pass this count by one popcount per minus ray
+    A pair needs at least cone_dim - 2 common zeros.  Every ray kept is
+    extreme, so tight on cone_dim - 1 or more (slack >= 1); each plus ray
+    finds the minus rays that pass this count by one popcount per minus ray
     (_partners_by_count) or, when its op-count estimate is lower, by
     bit-sliced counting over the single-bit entries (_partners_by_planes),
     the pattern-tree idea of Terzer and Stelling (2008) in flat form.  For
@@ -168,8 +169,6 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
         for rp, mp, tp, bp in plus:
             zeros = mp.bit_count()
             slack = zeros - need
-            if slack < 0:
-                continue
             if zeros * (slack + 1) * 3 < len(minus):
                 hits = _partners_by_planes(mp, tables, minus_bits, slack)
                 partners = []

@@ -9,6 +9,7 @@ below hold the rules for exact input.  Imports no package module.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 DEFAULT_BRUTEFORCE_BOUND = 20
@@ -45,17 +46,22 @@ def check_bruteforce(n: int, bound: int, what: str) -> None:
     if n > bound:
         raise ScaleGuardError(
             "bruteforce", bound, n,
-            "%s: %d parts is too large for brute force (bound %d)"
-            % (what, n, bound))
+            "%s: %s parts is too large for brute force (bound %d)"
+            % (what, _shown(n), bound))
 
 
 def parse_json(text: str):
-    """json.loads, with nesting too deep for the parser refused as a
-    one-line ValueError instead of a RecursionError."""
+    """json.loads, with nesting too deep for the parser and an int past
+    Python's digit limit each refused in a one-line ValueError of its own."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to read") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        raise ValueError("JSON holds an integer of over %d digits"
+                         % (sys.get_int_max_str_digits(),)) from None
 
 
 def is_int(x) -> bool:
@@ -67,9 +73,12 @@ _SHOWN_MAX = 40
 
 def _shown(x, quote=json.dumps) -> str:
     """x in an error message, the one rule for echoing bad input: a list or
-    an object only by its type, any other value as quote(x), cut to its
-    first _SHOWN_MAX characters and its length when it is longer."""
-    text = {list: "a list", dict: "an object"}.get(type(x)) or quote(x)
+    an object by its type, an int too long for str by its size, any other
+    value as quote(x), past _SHOWN_MAX characters cut short with its length."""
+    try:
+        text = {list: "a list", dict: "an object"}.get(type(x)) or quote(x)
+    except ValueError:  # an int past Python's digit limit for str
+        return "an integer of over %d digits" % sys.get_int_max_str_digits()
     if len(text) > _SHOWN_MAX:
         text = "%s... (%d characters)" % (text[:_SHOWN_MAX], len(text))
     return text
@@ -137,8 +146,8 @@ def json_list(x, what: str, read=None, length: int | None = None):
     """A JSON list, or the tuple of its entries read by read (json_int or
     json_number); with length, of exactly that many entries."""
     if not isinstance(x, list) or length not in (None, len(x)):
-        of = "" if read is None else " of %s%s" % (
+        of = "" if read is None and length is None else " of %s%s" % (
             "" if length is None else "%d " % length,
-            "integers" if read is json_int else "numbers")
+            {None: "entries", json_int: "integers"}.get(read, "numbers"))
         raise ValueError("%s must be a list%s" % (what, of))
     return x if read is None else tuple(read(v, what) for v in x)

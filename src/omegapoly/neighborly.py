@@ -11,7 +11,8 @@ The marked edges are chosen deterministically: i* is the smallest part
 where a and b differ, j* the smallest other part, and each clique marks
 its own edge between parts i* and j*.  Any choice of one edge per clique
 meeting the other clique nowhere works; construction always re-verifies
-by full enumeration, so a bad choice cannot slip through.
+by full enumeration, so a bad choice cannot slip through.  Part 1 is
+always one end of a mark, and marks are stored lower part first.
 
 verify_certificate recomputes F on all 2^n vertices from alpha and
 compares the values with the ones the certificate records; it also
@@ -29,7 +30,6 @@ from .graph2p import Assignment, VertexRef
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
                      json_fields, json_int, json_list, json_number,
                      json_positive_int, parse_json)
-from . import omega_core, polyhedra
 
 AlphaKey = tuple[int, int, int, int]  # (i, j, p, q) with i > j
 
@@ -84,12 +84,18 @@ def _evaluations(alpha: dict[AlphaKey, int], n: int, a: Assignment,
     return f_a, f_b, min_other
 
 
+def _alpha_key(edge: tuple[VertexRef, VertexRef]) -> AlphaKey:
+    """The coordinate (i, j, p, q), i > j, of an edge listed either way."""
+    lo, hi = sorted(edge)
+    return (hi.part, lo.part, hi.pos, lo.pos)
+
+
 def _marked_edges(a: Assignment, b: Assignment):
+    """Each clique's edge on parts {i*, j*} = {1, max(i*, 2)}, 1 first."""
     istar = next(i for i in range(1, a.n + 1) if a.rho(i) != b.rho(i))
-    jstar = 1 if istar != 1 else 2
-    mark_a = (VertexRef(istar, a.rho(istar)), VertexRef(jstar, a.rho(jstar)))
-    mark_b = (VertexRef(istar, b.rho(istar)), VertexRef(jstar, b.rho(jstar)))
-    return mark_a, mark_b
+    hi = max(istar, 2)
+    return tuple((VertexRef(1, z.rho(1)), VertexRef(hi, z.rho(hi)))
+                 for z in (a, b))
 
 
 def edge_certificate(n: int, a: Assignment, b: Assignment,
@@ -98,16 +104,13 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
     if n < 2:
         raise ValueError("need at least two parts")
     if a.n != n or b.n != n:
-        raise ValueError("assignments must have %d parts" % (n,))
+        raise ValueError("assignments must have %s parts" % (_shown(n),))
     if a == b:
         raise ValueError("assignments must be distinct")
     check_bruteforce(n, bound, "edge_certificate")
 
     mark_a, mark_b = _marked_edges(a, b)
-    marked = set()
-    for (u, v) in (mark_a, mark_b):
-        hi, lo = (u, v) if u.part > v.part else (v, u)
-        marked.add((hi.part, lo.part, hi.pos, lo.pos))
+    marked = {_alpha_key(mark_a), _alpha_key(mark_b)}
 
     alpha: dict[AlphaKey, int] = {}
     for (i, j, p, q) in _alpha_keys(n):
@@ -115,10 +118,8 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
         in_b = (b.rho(i) == p and b.rho(j) == q)
         if not in_a and not in_b:
             alpha[(i, j, p, q)] = 2
-        elif (i, j, p, q) in marked:
-            alpha[(i, j, p, q)] = 1
         else:
-            alpha[(i, j, p, q)] = 0
+            alpha[(i, j, p, q)] = 1 if (i, j, p, q) in marked else 0
 
     f_a, f_b, min_other = _evaluations(alpha, n, a, b)
     if f_a != 1 or f_b != 1 or min_other < 2:
@@ -130,17 +131,16 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
 
 def _marked_edge_holds(c: EdgeCertificate, edge: tuple[VertexRef, VertexRef],
                        own: Assignment, other: Assignment) -> bool:
-    """Is edge a cross-part edge of n parts, on the clique of own and not
-    on that of other, with weight 1 in alpha?"""
-    lo, hi = sorted(edge)
-    if not 1 <= lo.part < hi.part <= c.n:
+    """Is edge, listed either way, a cross-part edge of n parts, on the
+    clique of own and not on that of other, with weight 1 in alpha?"""
+    i, j, p, q = _alpha_key(edge)
+    if not 1 <= j < i <= c.n:
         return False
 
     def on(z: Assignment) -> bool:
-        return z.rho(lo.part) == lo.pos and z.rho(hi.part) == hi.pos
+        return z.rho(i) == p and z.rho(j) == q
 
-    return (on(own) and not on(other)
-            and c.alpha[(hi.part, lo.part, hi.pos, lo.pos)] == 1)
+    return on(own) and not on(other) and c.alpha[(i, j, p, q)] == 1
 
 
 def verify_certificate(c: EdgeCertificate,
@@ -167,39 +167,11 @@ def verify_certificate(c: EdgeCertificate,
             and min_other == c.min_other and min_other >= 2)
 
 
-def edges_via_hull(n: int) -> int:
-    """Count vertex pairs that are 1-faces, from the facet incidence.
-
-    Independent of the certificate route: converts the reduced vertex
-    set to facets and reads which vertices each facet is tight on.  The
-    smallest face holding two vertices is the intersection of the facets
-    holding both, so the pair is an edge iff that intersection holds no
-    third vertex.
-    """
-    if not 2 <= n <= 4:
-        raise ValueError("geometric edge count is supported for n = 2..4")
-    vrep = omega_core.reduced_vertex_vrep(n)
-    _, masks = polyhedra._hull_with_masks(vrep)
-    everything = (1 << len(vrep.points)) - 1
-    count = 0
-    for i, j in itertools.combinations(range(len(vrep.points)), 2):
-        pair = (1 << i) | (1 << j)
-        face = everything
-        for mask in masks:
-            if mask & pair == pair:
-                face &= mask
-        if face == pair:
-            count += 1
-    return count
-
-
 # --- serialization --------------------------------------------------------
 
 def certificate_to_dict(c: EdgeCertificate) -> dict:
-    marked = []
-    for (u, v) in (c.marked_a, c.marked_b):
-        lo, hi = (u, v) if u.part < v.part else (v, u)
-        marked.append([[lo.part, lo.pos], [hi.part, hi.pos]])
+    marked = [[[j, q], [i, p]] for (i, j, p, q)
+              in map(_alpha_key, (c.marked_a, c.marked_b))]
     alpha = [{"i": i, "j": j, "p": p, "q": q, "w": c.alpha[(i, j, p, q)]}
              for (i, j, p, q) in _alpha_keys(c.n)]
     return {
@@ -234,23 +206,14 @@ def certificate_from_dict(obj: dict) -> EdgeCertificate:
         obj, "a", "b", "marked", "alpha", "F_a", "F_b", "min_other")
     a = Assignment(json_list(a, '"a"', json_int))
     b = Assignment(json_list(b, '"b"', json_int))
-    if not isinstance(marked_rows, list) or len(marked_rows) != 2:
-        raise ValueError('"marked" must be a list of two edges')
-    marked = []
-    for pair in marked_rows:
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(w, list) and len(w) == 2 for w in pair)):
-            raise ValueError('"marked" edges must be [[part, pos], '
-                             '[part, pos]]')
-        u, v = (VertexRef(*json_list(w, '"marked"', json_int))
-                for w in pair)
-        marked.append((u, v))
+    marked = [tuple(VertexRef(*json_list(w, '"marked"', json_int, 2))
+                    for w in json_list(edge, '"marked"', length=2))
+              for edge in json_list(marked_rows, '"marked"', length=2)]
     keys = ("i", "j", "p", "q", "w")
     alpha = {}
     for ent in json_list(alpha_rows, '"alpha"'):
-        values = json_fields(ent, *keys)
         i, j, p, q, w = (json_int(x, 'alpha "%s"' % (key,))
-                         for key, x in zip(keys, values))
+                         for key, x in zip(keys, json_fields(ent, *keys)))
         if (i, j, p, q) in alpha:
             raise ValueError('"alpha" lists (i, j, p, q) = (%d, %d, %d, %d) '
                              'twice' % (i, j, p, q))

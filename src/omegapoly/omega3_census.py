@@ -23,19 +23,20 @@ Each case form is written straight from the pair, and every pair is
 checked on its own: the form on all eight vertices, and a face LP on
 the six.
 
-facet_census converts the reduced vertex set to facets by double
-description and reports counts, per-facet vertex counts, the constant
-per-vertex incidence, and facet orbits under the symmetry group.
+facet_census and edges_via_hull read the facets' tight sets from double
+description: the first reports counts, per-facet vertex counts, the
+constant per-vertex incidence and facet orbits, the second counts 1-faces.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph2p import Assignment
-from .guards import ScaleGuardError
+from .guards import ScaleGuardError, _shown
 from . import omega_core, polyhedra
 from .omega_core import coord_count, coord_index
 from .polyhedra import FaceVerdict, LinearForm
@@ -234,13 +235,13 @@ def facet_census(n: int, include_orbits: bool = True,
     if n > CENSUS_OPTIN_MAX:
         raise ScaleGuardError(
             "census-max", CENSUS_OPTIN_MAX, n,
-            "census for %d parts is out of reach: n = %d is the largest "
-            "census" % (n, CENSUS_OPTIN_MAX))
+            "census for %s parts is out of reach: n = %d is the largest "
+            "census" % (_shown(n), CENSUS_OPTIN_MAX))
     if n > CENSUS_DEFAULT_MAX and not allow_large:
         raise ScaleGuardError(
             "census", CENSUS_DEFAULT_MAX, n,
-            "census for %d parts exceeds bound %d (pass allow_large for "
-            "n = 5)" % (n, CENSUS_DEFAULT_MAX))
+            "census for %s parts exceeds bound %d (pass allow_large for "
+            "n = 5)" % (_shown(n), CENSUS_DEFAULT_MAX))
 
     assigns = omega_core.all_assignments(n)
     vrep = omega_core.reduced_vertex_vrep(n)
@@ -301,6 +302,32 @@ def _facet_orbits(n, masks):
                     frontier.append(image)
         orbits.append(OrbitRecord(size, start))
     return tuple(orbits)
+
+
+def edges_via_hull(n: int) -> int:
+    """Count vertex pairs that are 1-faces, from the facet incidence.
+
+    Independent of the certificate route: converts the reduced vertex
+    set to facets and reads which vertices each facet is tight on.  The
+    smallest face holding two vertices is the intersection of the facets
+    holding both, so the pair is an edge iff that intersection holds no
+    third vertex.
+    """
+    if not 2 <= n <= 4:
+        raise ValueError("geometric edge count is supported for n = 2..4")
+    vrep = omega_core.reduced_vertex_vrep(n)
+    _, masks = polyhedra._hull_with_masks(vrep)
+    everything = (1 << len(vrep.points)) - 1
+    count = 0
+    for i, j in itertools.combinations(range(len(vrep.points)), 2):
+        pair = (1 << i) | (1 << j)
+        face = everything
+        for mask in masks:
+            if mask & pair == pair:
+                face &= mask
+        if face == pair:
+            count += 1
+    return count
 
 
 # --- serialization ------------------------------------------------------------

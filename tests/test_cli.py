@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from omegapoly import cli, graph2p, neighborly, omega_core, polyhedra
+from omegapoly import (cli, graph2p, neighborly, omega3_census, omega_core,
+                       polyhedra)
 from omegapoly.cli import build_parser, main
 from omegapoly.guards import exact_number
 
@@ -59,6 +60,37 @@ def test_verify_passes_and_is_reproducible(capsys):
     code, out, _ = run(capsys, "verify", "--n", "2")
     assert code == 0
     assert "three-part case analysis" not in out
+
+
+def test_verify_reports_failed_checks_and_exits_1(capsys, monkeypatch):
+    # a verification that fails prints FAIL on its row and overall, and
+    # exits 1: refuse one certificate and let one case analysis raise
+    certify = neighborly.verify_certificate
+    analyze = omega3_census.analyze_pair
+    refused = tuple(omega_core.all_assignments(3)[:2])
+    raised = []
+
+    def refuse_one(cert, bound):
+        return (cert.a, cert.b) != refused and certify(cert, bound)
+
+    def raise_once(a, b):
+        if not raised:
+            raised.append((a, b))
+            raise RuntimeError("case check failed")
+        return analyze(a, b)
+
+    monkeypatch.setattr(neighborly, "verify_certificate", refuse_one)
+    monkeypatch.setattr(omega3_census, "analyze_pair", raise_once)
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert code == 1 and err == ""
+    status = {name: rest.split()[0] for name, rest in
+              (line.split(":", 1) for line in out.splitlines())}
+    assert status == {"vertex equalities": "PASS", "dimension": "PASS",
+                      "independent family": "PASS",
+                      "edge certificates": "FAIL",
+                      "three-part case analysis": "FAIL", "overall": "FAIL"}
+    assert "27/28 pairs certified" in out
+    assert out.endswith("overall: FAIL\n") and len(raised) == 1
 
 
 def test_hull_output_parses_back(capsys):
@@ -402,6 +434,41 @@ def test_a_long_bad_argument_is_cut_short(capsys, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: OMEGA_MAX_BRUTEFORCE='qqq")
     assert err.count("\n") == 1 and len(err.encode("ascii")) < 200
+
+
+NINES = "9" * 4000
+
+
+@pytest.mark.parametrize("argv", [
+    ("vertices", "--n", NINES),
+    ("verify", "--n", NINES),
+    ("hull", "--n", NINES),
+    ("census", "--n", NINES),
+    ("edge-cert", "--n", NINES, "--a", "1,1", "--b", "1,2"),
+], ids=["vertices", "verify", "hull", "census", "edge-cert"])
+def test_a_long_int_argument_is_cut_short(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "9" * 41 not in err and "(4000 characters)" in err
+    assert len(err.encode("ascii")) < 200
+
+
+@pytest.mark.parametrize("argv", [
+    ("vertices", "--n", "9" * 5000),
+    ("census", "--n", "9" * 5000),
+    ("vertices", "--n", "2", "--max-bruteforce", "9" * 5000),
+    ("vertices", "--n", "x" * 5000),
+], ids=["n-past-the-digit-limit", "census-n-past-the-digit-limit",
+        "guard-past-the-digit-limit", "n-not-a-number"])
+def test_argparse_echoes_a_long_int_flag_cut_short(capsys, argv):
+    # the usage line, then one error line that shows the value cut short
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    usage, line = err.splitlines()
+    assert usage.startswith("usage: omega ")
+    assert "error: argument --" in line and "(5002 characters)" in line
+    assert len(line.encode("ascii")) < 200
 
 
 @pytest.mark.parametrize("text", [

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from omegapoly import neighborly as nb
-from omegapoly import polyhedra
+from omegapoly import omega3_census, polyhedra
 from omegapoly.graph2p import Assignment, VertexRef
 from omegapoly.guards import ScaleGuardError
 
@@ -26,9 +26,9 @@ def test_marked_edges_are_deterministic():
     a = Assignment((1, 1, 1))
     b = Assignment((1, 1, 2))
     c = nb.edge_certificate(3, a, b)
-    # first differing part is 3, partner part is 1
-    assert c.marked_a == (VertexRef(3, 1), VertexRef(1, 1))
-    assert c.marked_b == (VertexRef(3, 2), VertexRef(1, 1))
+    # first differing part is 3, partner part is 1, lower part first
+    assert c.marked_a == (VertexRef(1, 1), VertexRef(3, 1))
+    assert c.marked_b == (VertexRef(1, 1), VertexRef(3, 2))
     c2 = nb.edge_certificate(3, a, b)
     assert c2 == c
 
@@ -96,9 +96,9 @@ def test_certificate_argument_validation():
 
 def test_geometric_edge_count_two_parts():
     # four vertices, every pair an edge
-    assert nb.edges_via_hull(2) == 6
+    assert omega3_census.edges_via_hull(2) == 6
     with pytest.raises(ValueError):
-        nb.edges_via_hull(5)
+        omega3_census.edges_via_hull(5)
 
 
 @pytest.mark.parametrize("kind,d,edges", [("cube", 3, 12), ("cross", 3, 12),
@@ -107,8 +107,9 @@ def test_geometric_edge_count_finds_non_edges(monkeypatch, kind, d, edges):
     # the reduced polytopes are 2-neighborly, so use fixtures whose
     # diagonals are not edges to see the incidence test say no
     v = polyhedra.regular_polytope(kind, d)
-    monkeypatch.setattr(nb.omega_core, "reduced_vertex_vrep", lambda n: v)
-    assert nb.edges_via_hull(3) == edges
+    monkeypatch.setattr(omega3_census.omega_core, "reduced_vertex_vrep",
+                        lambda n: v)
+    assert omega3_census.edges_via_hull(3) == edges
 
 
 def test_certificate_json_round_trip():
@@ -123,6 +124,38 @@ def test_certificate_json_round_trip():
     # pairs differing in part 1 keep their marked tuples verbatim
     back2 = nb.certificate_from_dict(nb.certificate_to_dict(c))
     assert back2 == c
+
+
+def test_certificate_json_round_trip_is_exact_for_every_pair():
+    # a marked edge is stored lower part first, as the JSON lists it, so
+    # reading a certificate back from its own JSON gives an equal one
+    for n in (2, 3, 4):
+        for a, b in itertools.combinations(all_assignments(n), 2):
+            c = nb.edge_certificate(n, a, b)
+            assert nb.certificate_from_json(nb.certificate_to_json(c)) == c
+            assert all(u.part < v.part for u, v in (c.marked_a, c.marked_b))
+
+
+def test_verify_accepts_a_mark_listed_higher_part_first():
+    obj = _cert_dict()
+    flipped = [edge[::-1] for edge in obj["marked"]]
+    back = nb.certificate_from_dict(dict(obj, marked=flipped))
+    assert back.marked_a == (VertexRef(2, 1), VertexRef(1, 1))
+    assert nb.verify_certificate(back)
+    assert nb.certificate_to_dict(back) == obj
+
+
+@pytest.mark.parametrize("marked", [
+    5, [], [[[1, 1], [2, 1]]], [[[1, 1], [2, 1]]] * 3, [[[1, 1]], [[1, 2]]],
+    [[[1, 1], [2, 1], [3, 1]], [[1, 2], [2, 2]]],
+    [[[1], [2, 1]], [[1, 2], [2, 2]]], [[5, [2, 1]], [[1, 2], [2, 2]]],
+])
+def test_certificate_from_dict_refuses_a_misshapen_mark(marked):
+    obj = dict(_cert_dict(), marked=marked)
+    with pytest.raises(ValueError) as info:
+        nb.certificate_from_dict(obj)
+    assert str(info.value).startswith('"marked" must be a list of 2 ')
+    assert "\n" not in str(info.value)
 
 
 def test_certificate_dict_layout():

@@ -235,3 +235,20 @@ def test_a_large_declared_n_is_refused_by_its_count(n):
     assert msg == "reduced coordinates: 1 given, %d expected for n = %d" % (
         oc.reduced_count(n), n)
     assert len(msg) < 200
+
+
+def test_an_n_whose_count_is_too_long_for_str_is_refused_by_its_count():
+    # n(n+1)/2 of a 4,000-digit n has 8,000 digits, past the limit of str,
+    # so the count is shown by its size and n cut short
+    with pytest.raises(ValueError) as err:
+        oc.point_from_json('{"n": %s, "reduced": {"1,1": 0}}' % ("9" * 4000))
+    msg = str(err.value)
+    assert msg.startswith("reduced coordinates: 1 given, an integer of over ")
+    assert msg.endswith("... (4000 characters)") and len(msg) < 200
+
+
+def test_json_past_the_digit_limit_is_refused_in_a_line_of_its_own():
+    with pytest.raises(ValueError) as err:
+        oc.point_from_json('{"n": %s, "reduced": {}}' % ("9" * 5000))
+    assert str(err.value).startswith("JSON holds an integer of over ")
+    assert "set_int_max_str_digits" not in str(err.value)

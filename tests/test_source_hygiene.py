@@ -168,3 +168,24 @@ def test_one_2sat_core_runs_the_scc():
                if isinstance(node, ast.Call)
                and "_tarjan_scc" in _referenced(node.func)}
     assert callers == {"graph2p.py:_solve_implications"}
+
+
+def test_certificates_import_only_graphs_and_guards():
+    # the certificate layer reads and checks with ints alone; a checker
+    # built on it must not pull in the double description or the simplex
+    imports = _package_imports(_modules()["neighborly.py"])
+    assert imports == {"graph2p", "guards"}
+
+
+def test_hull_masks_are_read_by_the_hull_and_the_census_alone():
+    # the facet tight masks are private to polyhedra; outside it, only the
+    # census module reads them, for facet_census and edges_via_hull
+    callers = {"%s:%s" % (name, qualname)
+               for name, tree in _modules().items()
+               for qualname, func in _functions(tree)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call)
+               and "_hull_with_masks" in _referenced(node.func)}
+    assert callers == {"polyhedra.py:convex_hull_facets",
+                       "omega3_census.py:facet_census",
+                       "omega3_census.py:edges_via_hull"}
