@@ -14,14 +14,11 @@ rho(i) = p and rho(j) = q, which is the two-literal clause
 
 so models of the 2CNF are precisely the cliques.
 
-A Graph2P is stored as its complement: the missing cross-part edges,
-each as the int key (i, j, p, q) with i < j, sorted.  That is what the
-2CNF, the DIMACS text and the graph JSON all list, in that order, so
-parsing a graph and solving it builds neither VertexRef objects nor the
-4 * C(n, 2) present edges; the VertexRef views are built on request.
+A clique is also a vertex of the clique polytope, and the package
+names a vertex by its code: the n-bit int with bit n - i set iff
+rho(i) = 2 (part_bit).  Assignment is the parse and print shell.
 find_clique and solve_2sat share one 2SAT core, _solve_implications,
-which works on int literal codes: find_clique codes the keys directly
-and solve_2sat codes the literals of its Cnf2.
+on int literal codes.  A Graph2P is stored as its complement.
 """
 
 from __future__ import annotations
@@ -50,19 +47,33 @@ Edge = tuple[VertexRef, VertexRef]
 
 @dataclass(frozen=True, order=True)
 class Assignment:
-    """A choice of one vertex per part: choice[k] = rho(k + 1) in {1, 2}."""
+    """A choice of one vertex per part: choice[k] = rho(k + 1), the int 1
+    or 2 (a bool or a float is refused).  Its vertex code has the bit
+    part_bit(n, i) set iff rho(i) = 2, so code order is tuple order."""
 
     choice: tuple[int, ...]
 
     def __post_init__(self):
         if not self.choice:
             raise ValueError("assignment needs at least one part")
-        if any(c not in (1, 2) for c in self.choice):
+        if not all(is_int(c) and c in (1, 2) for c in self.choice):
             raise ValueError("assignment entries must be 1 or 2")
 
     @property
     def n(self) -> int:
         return len(self.choice)
+
+    @property
+    def code(self) -> int:
+        return int("".join([str(c - 1) for c in self.choice]), 2)
+
+    @classmethod
+    def from_code(cls, n: int, code: int) -> Assignment:
+        """The assignment of n parts with the given vertex code."""
+        if code < 0 or code >> n:
+            raise ValueError("vertex code %s out of range for %s parts"
+                             % (_shown(code), _shown(n)))
+        return cls(positions(n, code))
 
     def rho(self, part: int) -> int:
         """Chosen position of the given part (parts are 1-based)."""
@@ -72,6 +83,17 @@ class Assignment:
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.choice)
+
+
+def part_bit(n: int, i: int) -> int:
+    """The bit of part i in an n-part vertex code: bit n - i, so part 1 is
+    the top bit.  This is the one definition of the code's layout."""
+    return 1 << (n - i)
+
+
+def positions(n: int, code: int) -> tuple[int, ...]:
+    """rho(1), ..., rho(n) of the vertex code: bit n - i is part i's."""
+    return tuple([(code >> k & 1) + 1 for k in range(n - 1, -1, -1)])
 
 
 def assignment_from_text(text: str) -> Assignment:
@@ -91,8 +113,9 @@ def _edge_error(i, p, j, q, n: int) -> ValueError:
     """What is wrong with the pair (i, p)-(j, q) against n parts."""
     for part, pos in ((i, p), (j, q)):
         if not 1 <= part <= n:
-            return ValueError("vertex %s: part out of range 1..%d"
-                              % (_shown(VertexRef(part, pos), repr), n))
+            return ValueError("vertex %s: part out of range 1..%s"
+                              % (_shown(VertexRef(part, pos), repr),
+                                 _shown(n)))
         if pos not in _POSITIONS:
             return ValueError("vertex %s: pos must be 1 or 2"
                               % (_shown(VertexRef(part, pos), repr),))
@@ -202,24 +225,22 @@ def is_clique(g: Graph2P, a: Assignment) -> bool:
     It does unless some missing edge joins two picked vertices.
     """
     if a.n != g.n:
-        raise ValueError("assignment has %d parts, graph has %d" % (a.n, g.n))
-    rho = a.choice
-    for i, j, p, q in g._keys:
-        if rho[i - 1] == p and rho[j - 1] == q:
-            return False
-    return True
+        raise ValueError("assignment has %d parts, graph has %s"
+                         % (a.n, _shown(g.n)))
+    return _misses_every_edge(g, a.choice)
+
+
+def _misses_every_edge(g: Graph2P, rho: tuple[int, ...]) -> bool:
+    return not any(rho[i - 1] == p and rho[j - 1] == q
+                   for i, j, p, q in g._keys)
 
 
 def enumerate_cliques(g: Graph2P,
                       bound: int = DEFAULT_BRUTEFORCE_BOUND) -> list[Assignment]:
-    """All cliques in lexicographic assignment order, by full enumeration."""
+    """All cliques in lexicographic order, by enumerating the codes."""
     check_bruteforce(g.n, bound, "enumerate_cliques")
-    out = []
-    for choice in itertools.product((1, 2), repeat=g.n):
-        a = Assignment(choice)
-        if is_clique(g, a):
-            out.append(a)
-    return out
+    every = (positions(g.n, z) for z in range(1 << g.n))
+    return [Assignment(rho) for rho in every if _misses_every_edge(g, rho)]
 
 
 # --- 2CNF ---------------------------------------------------------------
@@ -342,8 +363,8 @@ def _solve_implications(num_vars: int, clauses) -> tuple[int, ...] | None:
 
 def _satisfies(c: Cnf2, a: Assignment) -> bool:
     if a.n < c.num_vars:
-        raise ValueError("assignment has %d parts, formula has %d variables"
-                         % (a.n, c.num_vars))
+        raise ValueError("assignment has %d parts, formula has %s variables"
+                         % (a.n, _shown(c.num_vars)))
     rho = a.choice
     for (v1, p1), (v2, p2) in c.clauses:
         if (rho[v1 - 1] == 1) != p1 and (rho[v2 - 1] == 1) != p2:

@@ -22,11 +22,10 @@ checks that each recorded marked edge is such a choice, with weight 1.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass
 
-from .graph2p import Assignment, VertexRef
+from .graph2p import Assignment, VertexRef, positions
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
                      json_fields, json_int, json_list, json_number,
                      json_positive_int, parse_json)
@@ -58,30 +57,25 @@ def _alpha_keys(n: int) -> tuple[AlphaKey, ...]:
                  for p in (1, 2) for q in (1, 2))
 
 
-def evaluate_alpha(alpha: dict[AlphaKey, int], a: Assignment) -> int:
-    """Value of sum alpha[i,j,p,q] * X[i,j,p,q] at the vertex of a."""
-    total = 0
-    for i in range(2, a.n + 1):
-        for j in range(1, i):
-            total += alpha.get((i, j, a.rho(i), a.rho(j)), 0)
-    return total
+def _clique_keys(n: int, z: int) -> list[AlphaKey]:
+    """The edge coordinates (i, j, p, q), i > j, on the clique of code z."""
+    rho = positions(n, z)
+    return [(i, j, rho[i - 1], rho[j - 1])
+            for i in range(2, n + 1) for j in range(1, i)]
 
 
-def _evaluations(alpha: dict[AlphaKey, int], n: int, a: Assignment,
-                 b: Assignment) -> tuple[int | None, int | None, int | None]:
-    """F(a), F(b) and the minimum of F over every other vertex, found by
-    evaluating alpha on all 2^n vertices (None where there is no vertex)."""
-    f_a = f_b = min_other = None
-    for choice in itertools.product((1, 2), repeat=n):
-        z = Assignment(choice)
-        val = evaluate_alpha(alpha, z)
-        if z == a:
-            f_a = val
-        elif z == b:
-            f_b = val
-        elif min_other is None or val < min_other:
-            min_other = val
-    return f_a, f_b, min_other
+def evaluate_alpha(alpha: dict[AlphaKey, int], n: int, z: int) -> int:
+    """Value of sum alpha[i,j,p,q] * X[i,j,p,q] at the vertex of code z."""
+    return sum([alpha.get(key, 0) for key in _clique_keys(n, z)])
+
+
+def _evaluations(alpha: dict[AlphaKey, int], n: int, a: int,
+                 b: int) -> tuple[int, int, int | None]:
+    """F(a), F(b) and the minimum of F over every other vertex (None if
+    there is none), found by evaluating alpha at all 2^n vertex codes."""
+    values = [evaluate_alpha(alpha, n, z) for z in range(1 << n)]
+    others = (v for z, v in enumerate(values) if z != a and z != b)
+    return values[a], values[b], min(others, default=None)
 
 
 def _alpha_key(edge: tuple[VertexRef, VertexRef]) -> AlphaKey:
@@ -90,12 +84,13 @@ def _alpha_key(edge: tuple[VertexRef, VertexRef]) -> AlphaKey:
     return (hi.part, lo.part, hi.pos, lo.pos)
 
 
-def _marked_edges(a: Assignment, b: Assignment):
-    """Each clique's edge on parts {i*, j*} = {1, max(i*, 2)}, 1 first."""
-    istar = next(i for i in range(1, a.n + 1) if a.rho(i) != b.rho(i))
+def _marked_edges(n: int, a: int, b: int):
+    """Each code's clique edge on parts {i*, j*} = {1, max(i*, 2)}, 1 first."""
+    ra, rb = positions(n, a), positions(n, b)
+    istar = next(i for i in range(1, n + 1) if ra[i - 1] != rb[i - 1])
     hi = max(istar, 2)
-    return tuple((VertexRef(1, z.rho(1)), VertexRef(hi, z.rho(hi)))
-                 for z in (a, b))
+    return tuple((VertexRef(1, rho[0]), VertexRef(hi, rho[hi - 1]))
+                 for rho in (ra, rb))
 
 
 def edge_certificate(n: int, a: Assignment, b: Assignment,
@@ -109,19 +104,14 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
         raise ValueError("assignments must be distinct")
     check_bruteforce(n, bound, "edge_certificate")
 
-    mark_a, mark_b = _marked_edges(a, b)
+    za, zb = a.code, b.code
+    mark_a, mark_b = _marked_edges(n, za, zb)
     marked = {_alpha_key(mark_a), _alpha_key(mark_b)}
+    on = {*_clique_keys(n, za), *_clique_keys(n, zb)}
+    alpha = {key: 2 if key not in on else 1 if key in marked else 0
+             for key in _alpha_keys(n)}
 
-    alpha: dict[AlphaKey, int] = {}
-    for (i, j, p, q) in _alpha_keys(n):
-        in_a = (a.rho(i) == p and a.rho(j) == q)
-        in_b = (b.rho(i) == p and b.rho(j) == q)
-        if not in_a and not in_b:
-            alpha[(i, j, p, q)] = 2
-        else:
-            alpha[(i, j, p, q)] = 1 if (i, j, p, q) in marked else 0
-
-    f_a, f_b, min_other = _evaluations(alpha, n, a, b)
+    f_a, f_b, min_other = _evaluations(alpha, n, za, zb)
     if f_a != 1 or f_b != 1 or min_other < 2:
         raise RuntimeError(
             "certificate construction failed for %s, %s: F(a)=%d F(b)=%d "
@@ -130,17 +120,12 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
 
 
 def _marked_edge_holds(c: EdgeCertificate, edge: tuple[VertexRef, VertexRef],
-                       own: Assignment, other: Assignment) -> bool:
-    """Is edge, listed either way, a cross-part edge of n parts, on the
-    clique of own and not on that of other, with weight 1 in alpha?"""
-    i, j, p, q = _alpha_key(edge)
-    if not 1 <= j < i <= c.n:
-        return False
-
-    def on(z: Assignment) -> bool:
-        return z.rho(i) == p and z.rho(j) == q
-
-    return on(own) and not on(other) and c.alpha[(i, j, p, q)] == 1
+                       own: int, other: int) -> bool:
+    """Is edge, listed either way, on the clique of code own and not on
+    that of other, with weight 1?  (So it is a cross-part edge of n parts.)"""
+    key = _alpha_key(edge)
+    return (key in _clique_keys(c.n, own)
+            and key not in _clique_keys(c.n, other) and c.alpha[key] == 1)
 
 
 def verify_certificate(c: EdgeCertificate,
@@ -159,10 +144,11 @@ def verify_certificate(c: EdgeCertificate,
     keys = _alpha_keys(c.n)
     if len(c.alpha) != len(keys) or any(k not in c.alpha for k in keys):
         return False
-    if not (_marked_edge_holds(c, c.marked_a, c.a, c.b)
-            and _marked_edge_holds(c, c.marked_b, c.b, c.a)):
+    za, zb = c.a.code, c.b.code
+    if not (_marked_edge_holds(c, c.marked_a, za, zb)
+            and _marked_edge_holds(c, c.marked_b, zb, za)):
         return False
-    f_a, f_b, min_other = _evaluations(c.alpha, c.n, c.a, c.b)
+    f_a, f_b, min_other = _evaluations(c.alpha, c.n, za, zb)
     return (f_a == c.f_a == 1 and f_b == c.f_b == 1
             and min_other == c.min_other and min_other >= 2)
 

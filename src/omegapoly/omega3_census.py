@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph2p import Assignment
+from .graph2p import Assignment, part_bit, positions
 from .guards import ScaleGuardError, _shown
 from . import omega_core, polyhedra
 from .omega_core import coord_count, coord_index
@@ -65,15 +65,16 @@ def classify_pair(a: Assignment, b: Assignment) -> PairClass:
         raise ValueError("classification is specific to three parts")
     if a == b:
         raise ValueError("assignments must be distinct")
-    agree = tuple(i for i in range(1, 4) if a.rho(i) == b.rho(i))
+    differ = a.code ^ b.code
+    agree = tuple(i for i in range(1, 4) if not differ & part_bit(3, i))
     kind = {0: "disjoint", 1: "shared_vertex", 2: "shared_edge"}[len(agree)]
     return PairClass(kind, agree)
 
 
-def _case_form(a: Assignment, cls: PairClass) -> LinearForm:
-    """The case form for a pair of class cls, written from a alone.
+def _case_form(a: int, cls: PairClass) -> LinearForm:
+    """The case form for a pair of class cls, written from code a alone.
 
-    x(t) = a(t) and y(t) = 3 - a(t); each term X[i,j,p,q] with i > j is
+    x[t] = a(t) and y[t] = 3 - a(t); each term X[i,j,p,q] with i > j is
     written as X[j,i,q,p], since block symmetry makes the two equal on
     the polytope.  The form is the edge sum of both cliques (disjoint),
     the edge of a inside the agreeing parts (shared edge), or for part i
@@ -84,25 +85,21 @@ def _case_form(a: Assignment, cls: PairClass) -> LinearForm:
     which at z is [z_i != a_i] + [z_i = a_i] * #{t in j, k: z_t != a_t}:
     0 at a, 2 at b and 1 on the other six.
     """
-    def x(t):
-        return a.rho(t)
-
-    def y(t):
-        return 3 - a.rho(t)
-
+    x = dict(enumerate(positions(3, a), 1))
+    y = {t: 3 - p for t, p in x.items()}
     if cls.kind == "disjoint":
-        terms = [(i, j, f(i), f(j)) for (i, j) in ((1, 2), (1, 3), (2, 3))
+        terms = [(i, j, f[i], f[j]) for (i, j) in ((1, 2), (1, 3), (2, 3))
                  for f in (x, y)]
         rhs = _ONE
     elif cls.kind == "shared_edge":
         i, j = cls.parts
-        terms = [(i, j, x(i), x(j))]
+        terms = [(i, j, x[i], x[j])]
         rhs = _ZERO
     else:
         (i,) = cls.parts
         j, k = (t for t in (1, 2, 3) if t != i)
-        terms = [(i, j, y(i), y(j)), (i, k, x(i), y(k)),
-                 (i, j, x(i), y(j)), (i, j, y(i), x(j))]
+        terms = [(i, j, y[i], y[j]), (i, k, x[i], y[k]),
+                 (i, j, x[i], y[j]), (i, j, y[i], x[j])]
         rhs = _ONE
     coeffs = [_ZERO] * coord_count(3)
     for (i, j, p, q) in terms:
@@ -110,27 +107,6 @@ def _case_form(a: Assignment, cls: PairClass) -> LinearForm:
             i, j, p, q = j, i, q, p
         coeffs[coord_index(3, i, j, p, q)] = _ONE
     return LinearForm(tuple(coeffs), rhs)
-
-
-def _pair_evaluations(form: LinearForm, a: Assignment, b: Assignment):
-    """Form values at the excluded two and at the six remaining vertices."""
-    excluded = []
-    others = []
-    for z in omega_core.all_assignments(3):
-        val = form.value(omega_core.vertex_from_assignment(3, z).coords)
-        if z == a or z == b:
-            excluded.append(val)
-        else:
-            others.append(val)
-    return excluded, others
-
-
-def _six_face_verdict(a: Assignment, b: Assignment) -> FaceVerdict:
-    """is_face on the six vertices other than a and b, in reduced space."""
-    vrep = omega_core.reduced_vertex_vrep(3)
-    assigns = omega_core.all_assignments(3)
-    subset = [k for k, z in enumerate(assigns) if z != a and z != b]
-    return polyhedra.is_face(vrep, subset)
 
 
 @dataclass(frozen=True)
@@ -162,12 +138,16 @@ def analyze_pair(a: Assignment, b: Assignment) -> CaseReport:
     """
     cls = classify_pair(a, b)
     name, want_excluded, want_other, want_verdict = _CASES[cls.kind]
-    form = _case_form(a, cls)
-    excluded, others = _pair_evaluations(form, a, b)
+    za, zb = a.code, b.code
+    form = _case_form(za, cls)
+    values = [form.value(v.coords) for v in omega_core.all_vertices(3)]
+    excluded = [values[z] for z in sorted((za, zb))]
+    rest = [z for z in range(1 << 3) if z != za and z != zb]
+    others = [values[z] for z in rest]
     if sorted(excluded) != want_excluded or any(v != want_other
                                                 for v in others):
         raise RuntimeError("%s failed evaluation for %s, %s" % (name, a, b))
-    verdict = _six_face_verdict(a, b)
+    verdict = polyhedra.is_face(omega_core.reduced_vertex_vrep(3), rest)
     if verdict.kind != want_verdict:
         raise RuntimeError("six vertices opposite %s, %s: %s, expected %s"
                            % (a, b, verdict.kind, want_verdict))
@@ -200,20 +180,18 @@ class CensusReport:
 
 def _orbit_generators(n: int) -> list[tuple[int, int]]:
     """Generators of the symmetry group as delta swaps (shift, select) on
-    bitmasks over the vertex indices of all_assignments(n), where vertex
-    k has part i at position 2 iff bit n - i of k is set.  A generator
+    bitmasks over the vertex codes k (graph2p.part_bit): a generator
     exchanges bits k and k + shift of a mask for each k in select.
-    Transposing parts t and t + 1 swaps index bits n - t and n - t - 1, so
-    it moves each k with the first clear and the second set up by
-    2^(n-t) - 2^(n-t-1); the last generator swaps the two vertices of
-    part 1, moving each k with bit n - 1 clear up by 2^(n-1)."""
+    Transposing parts t and t + 1 moves each k with part t's bit clear
+    and part t + 1's set up by the difference of the two bits; swapping
+    the vertices of part 1 moves each k with its bit clear up by it."""
     indices = range(1 << n)
     gens = []
     for t in range(1, n):
-        hi, lo = 1 << (n - t), 1 << (n - t - 1)
+        hi, lo = part_bit(n, t), part_bit(n, t + 1)
         gens.append((hi - lo, sum(1 << k for k in indices
                                   if k & (hi | lo) == lo)))
-    top = 1 << (n - 1)
+    top = part_bit(n, 1)
     gens.append((top, sum(1 << k for k in indices if not k & top)))
     return gens
 

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph2p import Assignment
+from .graph2p import Assignment, part_bit, positions
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
                      json_fields, json_number, json_positive_int, parse_json)
 from . import polyhedra
@@ -103,27 +103,42 @@ class ReducedPoint:
         return self.y[reduced_index(self.n, i, j)]
 
 
+def _code(n: int, a: Assignment) -> int:
+    """The vertex code of a, once a is checked to have n parts."""
+    if a.n != n:
+        raise ValueError("assignment has %d parts, expected %s"
+                         % (a.n, _shown(n)))
+    return a.code
+
+
+def _codes(n: int, bound: int) -> range:
+    """The 2^n vertex codes, in assignment order, behind the guard."""
+    check_bruteforce(n, bound, "all_assignments")
+    return range(1 << n)
+
+
+def _vertex(n: int, z: int) -> OmegaPoint:
+    rho = positions(n, z)
+    return OmegaPoint(n, tuple([_ONE if p == rho[i - 1] and q == rho[j - 1]
+                                else _ZERO
+                                for (i, j, p, q) in coord_tuples(n)]))
+
+
 def vertex_from_assignment(n: int, a: Assignment) -> OmegaPoint:
     """The 0/1 vertex of an assignment: X[i,j,p,q] = [p = rho(i)][q = rho(j)]."""
-    if a.n != n:
-        raise ValueError("assignment has %d parts, expected %d" % (a.n, n))
-    coords = []
-    for (i, j, p, q) in coord_tuples(n):
-        hit = (p == a.rho(i)) and (q == a.rho(j))
-        coords.append(_ONE if hit else _ZERO)
-    return OmegaPoint(n, tuple(coords))
+    return _vertex(n, _code(n, a))
 
 
 def all_assignments(n: int,
                     bound: int = DEFAULT_BRUTEFORCE_BOUND) -> list[Assignment]:
-    check_bruteforce(n, bound, "all_assignments")
-    return [Assignment(c) for c in itertools.product((1, 2), repeat=n)]
+    """The 2^n assignments in lexicographic order, which is code order."""
+    return [Assignment.from_code(n, z) for z in _codes(n, bound)]
 
 
 def all_vertices(n: int,
                  bound: int = DEFAULT_BRUTEFORCE_BOUND) -> list[OmegaPoint]:
     """The 2^n vertices in lexicographic assignment order."""
-    return [vertex_from_assignment(n, a) for a in all_assignments(n, bound)]
+    return [_vertex(n, z) for z in _codes(n, bound)]
 
 
 @dataclass(frozen=True)
@@ -223,20 +238,22 @@ def lift_point(r: ReducedPoint) -> OmegaPoint:
     return out
 
 
+def _reduced_y(n: int, z: int) -> tuple[Fraction, ...]:
+    """y[i,j] = [rho(i) = 1][rho(j) = 1] at code z: the AND of the two
+    clear bits of parts i and j."""
+    return tuple([_ZERO if z & (part_bit(n, i) | part_bit(n, j)) else _ONE
+                  for (i, j) in reduced_pairs(n)])
+
+
 def reduced_vertex(n: int, a: Assignment) -> ReducedPoint:
-    """y[i,j] = [rho(i) = 1][rho(j) = 1], without the full-space detour."""
-    if a.n != n:
-        raise ValueError("assignment has %d parts, expected %d" % (a.n, n))
-    y = [_ONE if a.rho(i) == 1 and a.rho(j) == 1 else _ZERO
-         for (i, j) in reduced_pairs(n)]
-    return ReducedPoint(n, tuple(y))
+    """The reduced vertex of a, without the full-space detour."""
+    return ReducedPoint(n, _reduced_y(n, _code(n, a)))
 
 
 def reduced_vertex_vrep(n: int,
                         bound: int = DEFAULT_BRUTEFORCE_BOUND) -> VRep:
     """All 2^n reduced vertices as a VRep, in assignment order."""
-    pts = [reduced_vertex(n, a).y for a in all_assignments(n, bound)]
-    return VRep(reduced_count(n), pts)
+    return VRep(reduced_count(n), [_reduced_y(n, z) for z in _codes(n, bound)])
 
 
 def independent_family(n: int) -> list[Assignment]:
@@ -247,14 +264,11 @@ def independent_family(n: int) -> list[Assignment]:
     """
     if n < 1:
         raise ValueError("need at least one part")
-    fam = [Assignment((2,) * n)]
-    for i in range(1, n + 1):
-        fam.append(Assignment(tuple(1 if k == i else 2
-                                    for k in range(1, n + 1))))
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        fam.append(Assignment(tuple(1 if k in (i, j) else 2
-                                    for k in range(1, n + 1))))
-    return fam
+    twos = sum(part_bit(n, i) for i in range(1, n + 1))
+    codes = [twos] + [twos ^ part_bit(n, i) for i in range(1, n + 1)]
+    codes += [twos ^ part_bit(n, i) ^ part_bit(n, j)
+              for i, j in itertools.combinations(range(1, n + 1), 2)]
+    return [Assignment.from_code(n, z) for z in codes]
 
 
 def omega_dimension(n: int, bound: int = DEFAULT_BRUTEFORCE_BOUND) -> int:

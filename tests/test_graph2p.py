@@ -34,6 +34,35 @@ def test_assignment_basics():
         a.rho(4)
 
 
+@pytest.mark.parametrize("choice", [(True, 2), (1.0, 2), (1, 2.0)])
+def test_assignment_entries_are_the_ints_1_and_2(choice):
+    # True == 1 and 1.0 == 1, but a bool would reach certificate JSON as
+    # true and a float would print as 1.0
+    with pytest.raises(ValueError) as err:
+        g2.Assignment(choice)
+    assert str(err.value) == "assignment entries must be 1 or 2"
+
+
+def test_an_n_past_the_digit_limit_is_named_in_the_part_count_message():
+    # the caller's n is echoed by _shown, not formatted with %d, which
+    # raises past Python's int-to-str limit instead of the message
+    huge = 10 ** 5000
+    checks = [
+        (lambda: g2.is_clique(g2.Graph2P(huge), g2.Assignment((1,))),
+         "assignment has 1 parts, graph has an integer of over "),
+        (lambda: g2._satisfies(g2.Cnf2(huge, ()), g2.Assignment((1,))),
+         "assignment has 1 parts, formula has an integer of over "),
+        (lambda: g2.Graph2P(huge, missing=[((1, 1), (0, 1))]),
+         "vertex VertexRef(part=0, pos=1): part out of range 1..an integer "),
+    ]
+    for call, start in checks:
+        with pytest.raises(ValueError) as err:
+            call()
+        msg = str(err.value)
+        assert msg.startswith(start), msg
+        assert "\n" not in msg and len(msg) < 200
+
+
 def test_assignments_sort_lexicographically():
     a = g2.Assignment((1, 2))
     b = g2.Assignment((2, 1))

@@ -56,8 +56,23 @@ def test_evaluate_alpha_is_linear_in_weights():
     b = Assignment((2, 2, 2))
     c = nb.edge_certificate(3, a, b)
     doubled = {k: 2 * w for k, w in c.alpha.items()}
-    for z in all_assignments(3):
-        assert nb.evaluate_alpha(doubled, z) == 2 * nb.evaluate_alpha(c.alpha, z)
+    for z in range(1 << 3):
+        assert (nb.evaluate_alpha(doubled, 3, z)
+                == 2 * nb.evaluate_alpha(c.alpha, 3, z))
+
+
+def test_a_bool_entry_cannot_reach_a_certificate():
+    # Assignment((True, 2)) once equalled Assignment((1, 2)), so its
+    # certificate was built and written as "a": [true, 2], which
+    # certificate_from_json then refused
+    with pytest.raises(ValueError):
+        nb.edge_certificate(2, Assignment((True, 2)), Assignment((2, 1)))
+    obj = nb.certificate_to_dict(
+        nb.edge_certificate(2, Assignment((1, 2)), Assignment((2, 1))))
+    assert obj["a"] == [1, 2]
+    with pytest.raises(ValueError) as info:
+        nb.certificate_from_dict(dict(obj, a=[True, 2]))
+    assert str(info.value) == '"a" holds true, not an integer'
 
 
 def test_verify_rejects_tampered_certificates():
@@ -275,5 +290,5 @@ def test_verify_refuses_a_marked_edge_both_cliques_share():
         elif ent["w"] == 1:
             ent["w"] = 0
     c = nb.certificate_from_dict(dict(obj, marked=[[[1, 1], [2, 1]]] * 2))
-    assert nb._evaluations(c.alpha, 3, c.a, c.b) == (1, 1, 4)
+    assert nb._evaluations(c.alpha, 3, c.a.code, c.b.code) == (1, 1, 4)
     assert not nb.verify_certificate(c)

@@ -252,3 +252,27 @@ def test_json_past_the_digit_limit_is_refused_in_a_line_of_its_own():
         oc.point_from_json('{"n": %s, "reduced": {}}' % ("9" * 5000))
     assert str(err.value).startswith("JSON holds an integer of over ")
     assert "set_int_max_str_digits" not in str(err.value)
+
+
+@pytest.mark.parametrize("build", [oc.reduced_vertex, oc.vertex_from_assignment])
+def test_an_n_past_the_digit_limit_is_named_in_the_part_count_message(build):
+    # n is echoed by _shown, so a 5,001-digit n does not hit Python's
+    # int-to-str limit in place of the function's own message
+    with pytest.raises(ValueError) as err:
+        build(10 ** 5000, Assignment((1,)))
+    msg = str(err.value)
+    assert msg.startswith("assignment has 1 parts, expected an integer of ")
+    assert "\n" not in msg and len(msg) < 200
+
+
+def test_a_vertex_code_round_trips_in_assignment_order():
+    # code k is the k-th assignment, part 1 the top bit
+    for n in (1, 3, 5):
+        assigns = oc.all_assignments(n)
+        assert [a.code for a in assigns] == list(range(1 << n))
+        assert all(Assignment.from_code(n, a.code) == a for a in assigns)
+        assert assigns == sorted(assigns)
+    assert Assignment((2, 1, 1)).code == 4 and Assignment((1, 1, 2)).code == 1
+    for code in (-1, 8):
+        with pytest.raises(ValueError):
+            Assignment.from_code(3, code)

@@ -1258,6 +1258,42 @@ def test_face_lattice_is_pinned(n):
     assert True in verdicts and False in verdicts
 
 
+def test_the_lp_route_agrees_with_the_closure_for_five_parts():
+    # S is a face iff it equals the intersection of the facets holding it
+    # (Kaibel & Pfetsch 2002).  Seeded subsets of the 32 vertices: a third
+    # drawn at a random size, a third intersections of random facets
+    # (faces), and a third such faces with one more vertex
+    v = omega_core.reduced_vertex_vrep(5)
+    _, facets = ph._hull_with_masks(v)
+    everything = (1 << 32) - 1
+    rng = random.Random(5)
+    masks = []
+    while len(masks) < 600:
+        if len(masks) % 3 == 0:
+            mask = sum(1 << k for k in rng.sample(range(32),
+                                                  rng.randint(1, 31)))
+        else:
+            mask = everything
+            for facet in rng.sample(facets, rng.randint(2, 8)):
+                mask &= facet
+            if len(masks) % 3 == 2:
+                mask |= 1 << rng.randrange(32)
+        if mask:
+            masks.append(mask)
+
+    def closure(mask):
+        out = everything
+        for facet in facets:
+            if facet & mask == mask:
+                out &= facet
+        return out
+
+    verdicts = [ph.is_face(v, [k for k in range(32) if mask >> k & 1]).is_face
+                for mask in masks]
+    assert verdicts == [closure(mask) == mask for mask in masks]
+    assert 100 < verdicts.count(True) < 500
+
+
 # --- text format ---------------------------------------------------------------
 
 def test_vrep_text_round_trip():

@@ -189,3 +189,33 @@ def test_hull_masks_are_read_by_the_hull_and_the_census_alone():
     assert callers == {"polyhedra.py:convex_hull_facets",
                        "omega3_census.py:facet_census",
                        "omega3_census.py:edges_via_hull"}
+
+
+def test_vertices_are_walked_as_codes():
+    # graph2p defines the vertex code, and every 2^n loop runs over
+    # range(1 << n): no other module reads a part through rho(), none
+    # walks itertools.product((1, 2), ...), and an Assignment is built
+    # only where assignments are the result
+    rho_callers, products, builders = set(), [], set()
+    for name, tree in _modules().items():
+        for qualname, func in _functions(tree):
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = node.func
+                if isinstance(called, ast.Attribute) and called.attr == "rho":
+                    rho_callers.add(name)
+                if ("product" in _referenced(called) and node.args
+                        and isinstance(node.args[0], ast.Tuple)
+                        and [getattr(e, "value", None)
+                             for e in node.args[0].elts] == [1, 2]):
+                    products.append("%s:%d" % (name, node.lineno))
+                if {"Assignment", "from_code"} & _referenced(called):
+                    builders.add("%s:%s" % (name, qualname))
+    assert rho_callers <= {"graph2p.py"}
+    assert products == []
+    assert builders == {
+        "graph2p.py:assignment_from_text", "graph2p.py:enumerate_cliques",
+        "graph2p.py:solve_2sat", "graph2p.py:find_clique",
+        "omega_core.py:all_assignments", "omega_core.py:independent_family",
+        "neighborly.py:certificate_from_dict"}
