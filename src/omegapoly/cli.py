@@ -249,6 +249,11 @@ def _cmd_edge_cert(args) -> int:
     a = assignment_from_text(args.a)
     b = assignment_from_text(args.b)
     cert = neighborly.edge_certificate(args.n, a, b, args.max_bruteforce)
+    # construction records the closed form; enumeration checks it first
+    if not neighborly.verify_certificate(cert, args.max_bruteforce):
+        print("error: the certificate for %s / %s fails its check on all "
+              "%d vertices" % (a, b, 1 << args.n), file=sys.stderr)
+        return 1
     print(neighborly.certificate_to_json(cert))
     return 0
 

@@ -154,6 +154,15 @@ def _edge(key: tuple[int, int, int, int]) -> Edge:
     return (VertexRef(i, p), VertexRef(j, q))
 
 
+def _check_parts(n: int) -> None:
+    """Refuse a graph past GRAPH_MAX_PARTS parts, which nothing overrides."""
+    if n > GRAPH_MAX_PARTS:
+        raise ScaleGuardError(
+            "graph-parts", GRAPH_MAX_PARTS, n,
+            "graph with %s parts is out of reach: n = %d is the largest "
+            "graph" % (_shown(n), GRAPH_MAX_PARTS))
+
+
 class Graph2P:
     """Immutable n-partite graph, two vertices per part, cross-part edges only.
 
@@ -171,6 +180,7 @@ class Graph2P:
     def __init__(self, n: int, *, missing: Iterable = ()):
         if n < 1:
             raise ValueError("need at least one part")
+        _check_parts(n)
         self.n = n
         # sorting first keeps the runs of the input, which is cheaper
         # than sorting a set; dict.fromkeys then drops the repeats
@@ -423,11 +433,8 @@ def graph_from_dict(obj: dict) -> Graph2P:
     n = obj["n"]
     if not is_int(n):
         raise ValueError("n must be an integer")
-    if n > GRAPH_MAX_PARTS:
-        raise ScaleGuardError(
-            "graph-parts", GRAPH_MAX_PARTS, n,
-            "graph with %s parts is out of reach: n = %d is the largest "
-            "graph" % (_shown(n), GRAPH_MAX_PARTS))
+    # checked here too, so a large n is refused before any row is read
+    _check_parts(n)
     rows = obj["missing_edges"]
     if not isinstance(rows, list) or not _are_edge_rows(rows):
         raise ValueError('"missing_edges" must be a list of '

@@ -28,8 +28,9 @@ class ScaleGuardError(ValueError):
 
     guard names which limit tripped: "bruteforce", "hull-dim",
     "hull-points", "census" (n = 5 without allow_large), "census-max"
-    (n > 5) or "graph-parts" (a graph JSON or a DIMACS 2CNF past
-    GRAPH_MAX_PARTS parts or variables); nothing overrides the last two.
+    (n > 5) or "graph-parts" (a graph, built or read from JSON, or a
+    DIMACS 2CNF past GRAPH_MAX_PARTS parts or variables); nothing
+    overrides the last two.
     The command line uses it to point at the override flag where there is
     one.
     """

@@ -10,13 +10,16 @@ clique, 0 on every other clique edge.
 The marked edges are chosen deterministically: i* is the smallest part
 where a and b differ, j* the smallest other part, and each clique marks
 its own edge between parts i* and j*.  Any choice of one edge per clique
-meeting the other clique nowhere works; construction always re-verifies
-by full enumeration, so a bad choice cannot slip through.  Part 1 is
-always one end of a mark, and marks are stored lower part first.
+meeting the other clique nowhere works.  Part 1 is always one end of a
+mark, and marks are stored lower part first.
 
-verify_certificate recomputes F on all 2^n vertices from alpha and
-compares the values with the ones the certificate records; it also
-checks that each recorded marked edge is such a choice, with weight 1.
+Construction records F(a), F(b) and the minimum of F over the other
+vertices from the closed form of F (_closed_form), counted on the vertex
+codes, not evaluated from alpha.  verify_certificate is the 2^n check:
+it recomputes F on all 2^n vertices from alpha alone and compares the
+values with the ones the certificate records, so a wrong closed form or
+a bad choice of marks cannot pass it; it also checks that each recorded
+marked edge is such a choice, with weight 1.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import functools
 import json
 from dataclasses import dataclass
 
-from .graph2p import Assignment, VertexRef, positions
+from .graph2p import Assignment, VertexRef, part_bit, positions
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
                      json_fields, json_int, json_list, json_number,
                      json_positive_int, parse_json)
@@ -84,18 +87,54 @@ def _alpha_key(edge: tuple[VertexRef, VertexRef]) -> AlphaKey:
     return (hi.part, lo.part, hi.pos, lo.pos)
 
 
+def _mark_part(n: int, a: int, b: int) -> int:
+    """max(i*, 2), where i* is the smallest part where the distinct codes
+    a and b differ: part i is bit n - i, so i* is the top bit of a ^ b."""
+    return max(n + 1 - (a ^ b).bit_length(), 2)
+
+
 def _marked_edges(n: int, a: int, b: int):
     """Each code's clique edge on parts {i*, j*} = {1, max(i*, 2)}, 1 first."""
-    ra, rb = positions(n, a), positions(n, b)
-    istar = next(i for i in range(1, n + 1) if ra[i - 1] != rb[i - 1])
-    hi = max(istar, 2)
+    hi = _mark_part(n, a, b)
     return tuple((VertexRef(1, rho[0]), VertexRef(hi, rho[hi - 1]))
-                 for rho in (ra, rb))
+                 for rho in (positions(n, a), positions(n, b)))
+
+
+def _closed_form(n: int, a: int, b: int) -> tuple[int, int, int]:
+    """F(a), F(b) and the minimum of F over every other vertex, n >= 2,
+    for the weights edge_certificate gives the pair, from the closed form
+    of F rather than from alpha.
+
+    An edge of the clique of z lies on the clique of a iff z agrees with a
+    on both its parts.  With da = z ^ a, db = z ^ b and C(k) the pairs
+    among k parts, C(n) - C(s_a) - C(s_b) + C(s_ab) edges of z have weight
+    2, where s_a = n - popcount(da), s_b = n - popcount(db) and
+    s_ab = n - popcount(da | db); the marked edge of a lies on z iff
+    da & m == 0, m being the bits of the two marked parts, and likewise
+    for b.  Every other edge of z has weight 0.
+    """
+    # pairs[k] = C(n - k): the pairs of parts where two codes k parts
+    # apart agree
+    pairs = [(n - k) * (n - k - 1) // 2 for k in range(n + 1)]
+    m = part_bit(n, 1) | part_bit(n, _mark_part(n, a, b))
+    values = []
+    for z in range(1 << n):
+        da, db = z ^ a, z ^ b
+        values.append(2 * (pairs[0] - pairs[da.bit_count()]
+                           - pairs[db.bit_count()]
+                           + pairs[(da | db).bit_count()])
+                      + (not (da & m)) + (not (db & m)))
+    others = (v for z, v in enumerate(values) if z != a and z != b)
+    return values[a], values[b], min(others)
 
 
 def edge_certificate(n: int, a: Assignment, b: Assignment,
                      bound: int = DEFAULT_BRUTEFORCE_BOUND) -> EdgeCertificate:
-    """Build and exhaustively verify the certificate for the pair {a, b}."""
+    """Build the certificate for the pair {a, b}.
+
+    The recorded evaluations come from _closed_form, not from a scan of
+    alpha; verify_certificate is the check by enumeration.
+    """
     if n < 2:
         raise ValueError("need at least two parts")
     if a.n != n or b.n != n:
@@ -111,7 +150,7 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
     alpha = {key: 2 if key not in on else 1 if key in marked else 0
              for key in _alpha_keys(n)}
 
-    f_a, f_b, min_other = _evaluations(alpha, n, za, zb)
+    f_a, f_b, min_other = _closed_form(n, za, zb)
     if f_a != 1 or f_b != 1 or min_other < 2:
         raise RuntimeError(
             "certificate construction failed for %s, %s: F(a)=%d F(b)=%d "
@@ -201,8 +240,8 @@ def certificate_from_dict(obj: dict) -> EdgeCertificate:
         i, j, p, q, w = (json_int(x, 'alpha "%s"' % (key,))
                          for key, x in zip(keys, json_fields(ent, *keys)))
         if (i, j, p, q) in alpha:
-            raise ValueError('"alpha" lists (i, j, p, q) = (%d, %d, %d, %d) '
-                             'twice' % (i, j, p, q))
+            raise ValueError('"alpha" lists (i, j, p, q) = (%s, %s, %s, %s) '
+                             'twice' % tuple(map(_shown, (i, j, p, q))))
         alpha[(i, j, p, q)] = w
     return EdgeCertificate(n, a, b, marked[0], marked[1], alpha,
                            _json_recorded(f_a, '"F_a"'),

@@ -42,7 +42,8 @@ def coord_count(n: int) -> int:
 def coord_index(n: int, i: int, j: int, p: int, q: int) -> int:
     """Flat position of X[i,j,p,q] in lexicographic (i, j, p, q) order."""
     if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("parts (%d, %d) out of range 1..%d" % (i, j, n))
+        raise ValueError("parts (%s, %s) out of range 1..%s"
+                         % (_shown(i), _shown(j), _shown(n)))
     if p not in (1, 2) or q not in (1, 2):
         raise ValueError("positions must be 1 or 2")
     return (((i - 1) * n + (j - 1)) * 2 + (p - 1)) * 2 + (q - 1)
@@ -80,8 +81,8 @@ class OmegaPoint:
 
     def __post_init__(self):
         if len(self.coords) != coord_count(self.n):
-            raise ValueError("expected %d coordinates, got %d"
-                             % (coord_count(self.n), len(self.coords)))
+            raise ValueError("expected %s coordinates, got %d" % (
+                _shown(coord_count(self.n)), len(self.coords)))
 
     def coord(self, i: int, j: int, p: int, q: int) -> Fraction:
         return self.coords[coord_index(self.n, i, j, p, q)]
@@ -96,8 +97,8 @@ class ReducedPoint:
 
     def __post_init__(self):
         if len(self.y) != reduced_count(self.n):
-            raise ValueError("expected %d reduced coordinates, got %d"
-                             % (reduced_count(self.n), len(self.y)))
+            raise ValueError("expected %s reduced coordinates, got %d" % (
+                _shown(reduced_count(self.n)), len(self.y)))
 
     def value(self, i: int, j: int) -> Fraction:
         return self.y[reduced_index(self.n, i, j)]

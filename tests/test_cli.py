@@ -125,6 +125,37 @@ def test_edge_cert_round_trips_through_verify(capsys):
     assert cert.f_a == 1 and cert.f_b == 1 and cert.min_other >= 2
 
 
+def _record_one_too_many(monkeypatch):
+    """Make construction record min_other one higher than it is."""
+    closed_form = neighborly._closed_form
+
+    def off_by_one(n, a, b):
+        f_a, f_b, min_other = closed_form(n, a, b)
+        return f_a, f_b, min_other + 1
+
+    monkeypatch.setattr(neighborly, "_closed_form", off_by_one)
+
+
+def test_verify_fails_a_wrong_closed_form(capsys, monkeypatch):
+    # construction trusts the closed form; the scan in verify_certificate
+    # refuses every certificate it recorded wrongly
+    _record_one_too_many(monkeypatch)
+    code, out, err = run(capsys, "verify", "--n", "3")
+    assert code == 1 and err == ""
+    assert "edge certificates:         FAIL  0/28 pairs certified" in out
+    assert out.endswith("overall: FAIL\n")
+
+
+def test_edge_cert_prints_no_certificate_that_fails_its_check(capsys,
+                                                             monkeypatch):
+    _record_one_too_many(monkeypatch)
+    code, out, err = run(capsys, "edge-cert", "--n", "3",
+                         "--a", "1,2,1", "--b", "2,2,2")
+    assert (code, out) == (1, "")
+    assert err == ("error: the certificate for 1,2,1 / 2,2,2 fails its "
+                   "check on all 8 vertices\n")
+
+
 def test_face_test_disjoint_and_shared_vertex(capsys):
     code, out, _ = run(capsys, "face-test", "--n", "3",
                        "--exclude", "1,1,1", "2,2,2")

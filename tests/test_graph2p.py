@@ -46,14 +46,13 @@ def test_assignment_entries_are_the_ints_1_and_2(choice):
 def test_an_n_past_the_digit_limit_is_named_in_the_part_count_message():
     # the caller's n is echoed by _shown, not formatted with %d, which
     # raises past Python's int-to-str limit instead of the message
+    # (a graph that large is refused by the parts ceiling when built)
     huge = 10 ** 5000
     checks = [
-        (lambda: g2.is_clique(g2.Graph2P(huge), g2.Assignment((1,))),
-         "assignment has 1 parts, graph has an integer of over "),
         (lambda: g2._satisfies(g2.Cnf2(huge, ()), g2.Assignment((1,))),
          "assignment has 1 parts, formula has an integer of over "),
         (lambda: g2.Graph2P(huge, missing=[((1, 1), (0, 1))]),
-         "vertex VertexRef(part=0, pos=1): part out of range 1..an integer "),
+         "graph with an integer of over "),
     ]
     for call, start in checks:
         with pytest.raises(ValueError) as err:
@@ -365,6 +364,21 @@ def test_graph_json_parts_ceiling_comes_before_the_rows():
         g2.graph_from_dict({"n": 10 ** 7, "missing_edges": 5})
     assert (info.value.guard, info.value.limit) == ("graph-parts", 10000)
     assert g2.graph_from_dict({"n": 10000, "missing_edges": []}).n == 10000
+
+
+@pytest.mark.parametrize("n, message", [
+    (10001, "graph with 10001 parts is out of reach: n = 10000 is the "
+            "largest graph"),
+    (10 ** 5000, "graph with an integer of over 4300 digits parts is out of "
+                 "reach: n = 10000 is the largest graph"),
+], ids=["past-the-ceiling", "past-the-digit-limit"])
+def test_a_graph_built_in_python_meets_the_parts_ceiling(n, message):
+    # the constructor applies the ceiling graph_from_dict does, so no
+    # Graph2P holds an n that repr or graph_to_json cannot print
+    with pytest.raises(ScaleGuardError) as info:
+        g2.Graph2P(n)
+    assert (info.value.guard, str(info.value)) == ("graph-parts", message)
+    assert repr(g2.Graph2P(10000)) == "Graph2P(n=10000, edges=199980000)"
 
 
 def test_dimacs_round_trip():

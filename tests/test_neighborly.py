@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -49,6 +50,26 @@ def test_certificates_for_every_pair_small_n():
             assert _verifies(nb.certificate_to_dict(c))
             # weights only use the agreed menu
             assert set(c.alpha.values()) <= {0, 1, 2}
+
+
+def _pair_codes(n, count=None, seed=0):
+    """Every pair of distinct n-part codes, or count of them drawn by seed."""
+    if count is None:
+        return list(itertools.combinations(range(1 << n), 2))
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(1 << n), 2)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n, count", [(2, None), (3, None), (4, None),
+                                      (5, None), (6, 60), (7, 40), (8, 20)])
+def test_closed_form_equals_the_scan_of_alpha(n, count):
+    # construction records the closed form; the scan of alpha at every
+    # code, which verify_certificate runs, must give the same three values
+    for a, b in _pair_codes(n, count, seed=n):
+        c = nb.edge_certificate(n, Assignment.from_code(n, a),
+                                Assignment.from_code(n, b))
+        assert (nb._closed_form(n, a, b) == (c.f_a, c.f_b, c.min_other)
+                == nb._evaluations(c.alpha, n, a, b)), (n, a, b)
 
 
 def test_evaluate_alpha_is_linear_in_weights():
@@ -256,6 +277,13 @@ def test_certificate_from_dict_refuses_a_repeated_alpha_entry():
         nb.certificate_from_dict(obj)
     assert str(info.value) == ('"alpha" lists (i, j, p, q) = (2, 1, 1, 1) '
                                'twice')
+    # an int past Python's digit limit is named, not formatted with %d
+    obj["alpha"][-1] = dict(obj["alpha"][0], i=10 ** 5000)
+    obj["alpha"].append(obj["alpha"][-1])
+    with pytest.raises(ValueError) as info:
+        nb.certificate_from_dict(obj)
+    assert str(info.value) == ('"alpha" lists (i, j, p, q) = (an integer of '
+                               'over 4300 digits, 1, 1, 1) twice')
 
 
 # the n = 3 certificate for 1,1,1 / 2,2,1 marks [[1, 1], [2, 1]] on a and

@@ -265,6 +265,25 @@ def test_an_n_past_the_digit_limit_is_named_in_the_part_count_message(build):
     assert "\n" not in msg and len(msg) < 200
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda huge: oc.vertex_from_assignment(2, Assignment((1, 2))).coord(
+        huge, 1, 1, 1),
+     "parts (an integer of over 4300 digits, 1) out of range 1..2"),
+    (lambda huge: oc.coord_index(huge, 1, 0, 1, 1),
+     "parts (1, 0) out of range 1..an integer of over 4300 digits"),
+    (lambda huge: oc.OmegaPoint(huge, ()),
+     "expected an integer of over 4300 digits coordinates, got 0"),
+    (lambda huge: oc.ReducedPoint(huge, ()),
+     "expected an integer of over 4300 digits reduced coordinates, got 0"),
+], ids=["coord", "coord_index", "OmegaPoint", "ReducedPoint"])
+def test_an_int_past_the_digit_limit_is_named_in_the_index_messages(call,
+                                                                   message):
+    # the caller's ints are echoed by _shown, not formatted with %d
+    with pytest.raises(ValueError) as err:
+        call(10 ** 5000)
+    assert str(err.value) == message
+
+
 def test_a_vertex_code_round_trips_in_assignment_order():
     # code k is the k-th assignment, part 1 the top bit
     for n in (1, 3, 5):

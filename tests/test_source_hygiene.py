@@ -219,3 +219,19 @@ def test_vertices_are_walked_as_codes():
         "graph2p.py:solve_2sat", "graph2p.py:find_clique",
         "omega_core.py:all_assignments", "omega_core.py:independent_family",
         "neighborly.py:certificate_from_dict"}
+
+
+def test_only_verify_certificate_evaluates_alpha():
+    # construction records the closed form of F; the scan of alpha at all
+    # 2^n codes is the check, reached through verify_certificate alone
+    callers = {}
+    for name, tree in _modules().items():
+        for qualname, func in _functions(tree):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    for called in ({"_evaluations", "evaluate_alpha"}
+                                   & _referenced(node.func)):
+                        callers.setdefault(called, set()).add(
+                            "%s:%s" % (name, qualname))
+    assert callers == {"_evaluations": {"neighborly.py:verify_certificate"},
+                       "evaluate_alpha": {"neighborly.py:_evaluations"}}
