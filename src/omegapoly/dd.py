@@ -49,24 +49,29 @@ def _partners_by_count(mask: int, minus: list, need: int) -> list:
     return [e for e in minus if (mask & e[1]).bit_count() >= need]
 
 
-def _partners_by_planes(mask: int, tables: list[list[int]],
+def _miss_columns(tables: list[list[int]], minus_bits: int) -> list[int]:
+    """For each constraint c, the rays of the bitset minus_bits that are
+    not tight on c: minus_bits less the single-bit entry of c."""
+    return [minus_bits & ~table[1 << b] for table in tables for b in range(8)]
+
+
+def _partners_by_planes(mask: int, misses: list[int],
                         minus_bits: int, slack: int) -> int:
     """The rays of the bitset minus_bits that miss at most slack of the
-    constraints in mask, as a bitset.
+    constraints in mask, as a bitset, where misses[c] is the set of rays
+    of minus_bits that miss constraint c (_miss_columns).
 
-    Bit-sliced counting over the single-bit table entries: after each
-    constraint c of mask, planes[j] holds the rays that have missed at
-    least j + 1 of the constraints seen, and a ray misses c when it is
-    not in the entry of c.  With slack = popcount(mask) - need, these are
-    the rays _partners_by_count keeps, at popcount(mask) * (slack + 1)
-    big-int steps however many rays minus_bits holds.
+    Bit-sliced counting: after each constraint c of mask, planes[j] holds
+    the rays that have missed at least j + 1 of the constraints seen.
+    With slack = popcount(mask) - need, these are the rays
+    _partners_by_count keeps, at popcount(mask) * (slack + 1) big-int
+    steps on ints as wide as minus_bits, however many rays it holds.
     """
     planes = [0] * (slack + 1)
     rest = mask
     while rest:
         low = rest & -rest
-        c = low.bit_length() - 1
-        miss = minus_bits & ~tables[c >> 3][1 << (c & 7)]
+        miss = misses[low.bit_length() - 1]
         for j in range(slack, 0, -1):
             planes[j] |= planes[j - 1] & miss
         planes[0] |= miss
@@ -98,18 +103,22 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
     The adjacency test runs on bitsets over the positions of the rays,
     looked up in byte-chunk tables built whole at each step (_byte_tables):
     the rays tight on the constraints of one byte of a mask are one entry.
-    A pair needs at least cone_dim - 2 common zeros.  Every ray kept is
-    extreme, so tight on cone_dim - 1 or more (slack >= 1); each plus ray
-    finds the minus rays that pass this count by one popcount per minus ray
-    (_partners_by_count) or, when its op-count estimate is lower, by
-    bit-sliced counting over the single-bit entries (_partners_by_planes),
-    the pattern-tree idea of Terzer and Stelling (2008) in flat form.  For
-    a partner, the AND of the entries of the nonzero bytes of the common
-    zeros is the set of rays tight on all of them, which always holds the
-    pair itself, and the pair is adjacent iff it holds nothing else.  The
-    AND stops as soon as only the pair is left.  Both routes keep the
-    minus rays in order, so rays, masks and their order do not depend on
-    the route.
+    Positions are laid out minus rays first, then zero, then plus rays, so
+    the minus rays are the low len(minus) bits.  A pair needs at least
+    cone_dim - 2 common zeros.  Every ray kept is extreme, so tight on
+    cone_dim - 1 or more (slack >= 1); each plus ray finds the minus rays
+    that pass this count by one popcount per minus ray (_partners_by_count)
+    or, when its op-count estimate is lower, by bit-sliced counting
+    (_partners_by_planes), the pattern-tree idea of Terzer and Stelling
+    (2008) in flat form.  That counting runs on len(minus)-bit ints: the
+    single-bit entries cut to the low bits, once per step (_miss_columns).
+    For a partner, the AND of the entries of the nonzero bytes of the
+    common zeros is the set of rays tight on all of them, which always
+    holds the pair itself, and the pair is adjacent iff it holds nothing
+    else.  The AND stops as soon as only the pair is left.  Both routes
+    keep the minus rays in order, and the survivors are the plus rays,
+    the zero rays, then the new rays in that order, so rays, masks and
+    their order depend neither on the route nor on the layout.
 
     Rays and constraints are primitive integer vectors, so every dot
     product and combination stays in plain int arithmetic.
@@ -146,38 +155,42 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
             rays = new_rays
             continue
 
-        plus: list[tuple[tuple[int, ...], int, int, int]] = []
+        plus: list[tuple[tuple[int, ...], int, int]] = []
         zero: list[tuple[tuple[int, ...], int]] = []
         minus: list[tuple[tuple[int, ...], int, int, int]] = []
-        for pos, (r, mask) in enumerate(rays):
+        for r, mask in rays:
             t = _dot(a, r)
             if t > 0:
-                plus.append((r, mask, t, 1 << pos))
+                plus.append((r, mask, t))
             elif t < 0:
-                minus.append((r, mask, t, 1 << pos))
+                minus.append((r, mask, t, 1 << len(minus)))
             else:
-                zero.append((r, mask | bit))
-        survivors = [(r, mask) for (r, mask, _, _) in plus] + zero
+                zero.append((r, mask))
+        survivors = ([(r, mask) for r, mask, _ in plus]
+                     + [(r, mask | bit) for r, mask in zero])
         if not (plus and minus):
             rays = survivors
             continue
-        tables = _byte_tables([mask for _, mask in rays])
+        tables = _byte_tables([e[1] for e in minus] + [e[1] for e in zero]
+                              + [e[1] for e in plus])
         need = m - len(lineality) - 2
         everyone = (1 << len(rays)) - 1
-        minus_at = {e[3]: e for e in minus}
-        minus_bits = sum(minus_at)
-        for rp, mp, tp, bp in plus:
+        minus_bits = (1 << len(minus)) - 1
+        misses = _miss_columns(tables, minus_bits)
+        first_plus = 1 << (len(minus) + len(zero))
+        for j, (rp, mp, tp) in enumerate(plus):
             zeros = mp.bit_count()
             slack = zeros - need
             if zeros * (slack + 1) * 3 < len(minus):
-                hits = _partners_by_planes(mp, tables, minus_bits, slack)
+                hits = _partners_by_planes(mp, misses, minus_bits, slack)
                 partners = []
                 while hits:
                     low = hits & -hits
-                    partners.append(minus_at[low])
+                    partners.append(minus[low.bit_length() - 1])
                     hits ^= low
             else:
                 partners = _partners_by_count(mp, minus, need)
+            bp = first_plus << j
             for rn, mn, tn, bn in partners:
                 common = mp & mn
                 pair = bp | bn

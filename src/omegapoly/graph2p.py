@@ -269,9 +269,11 @@ class Cnf2:
         num_vars = self.num_vars
         if num_vars < 1:
             raise ValueError("need at least one variable")
+        _check_parts(num_vars)  # each variable stands for a part
         for cl in self.clauses:
             if len(cl) != 2:
-                raise ValueError("clause %r does not have two literals" % (cl,))
+                raise ValueError("clause %s does not have two literals"
+                                 % (_shown(cl, repr),))
             for var, pol in cl:
                 if not 1 <= var <= num_vars:
                     raise ValueError("literal variable %s out of range"

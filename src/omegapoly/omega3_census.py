@@ -204,7 +204,7 @@ def facet_census(n: int, include_orbits: bool = True,
     holds is the tight-set bitmask the double description keeps with
     each ray (polyhedra._hull_with_masks), so no separate incidence pass
     runs.  n up to 4 takes milliseconds; n = 5 runs double description
-    in dimension 15, takes about 0.04 s in-process on a 2-core x86-64
+    in dimension 15, takes about 0.03 s in-process on a 2-core x86-64
     VM, and must be requested explicitly via allow_large.  n > 5 is
     refused with or without it.
     """

@@ -22,9 +22,15 @@ from .simplex import _int_lp
 
 Vector = tuple[Fraction, ...]
 
+# Fraction(k) for k = -64..64 at index k + 64, made once and shared, since
+# hull forms are mostly small ints and a Fraction is immutable
+_SMALL = tuple(Fraction(k) for k in range(-64, 65))
+
 
 def _frac_vector(xs: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in xs)
+    """Fraction(x) for each x, shared from _SMALL for a small int."""
+    return tuple([_SMALL[x + 64] if type(x) is int and -64 <= x <= 64
+                  else Fraction(x) for x in xs])
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,8 @@ def affine_rank(v: VRep) -> int:
 
 def _int_form(ints: Sequence[int]) -> LinearForm:
     """The form [coeffs..., rhs] = ints, as Fractions."""
-    return LinearForm(tuple(map(Fraction, ints[:-1])), Fraction(ints[-1]))
+    form = _frac_vector(ints)
+    return LinearForm(form[:-1], form[-1])
 
 
 def _coprime_form(ints: Sequence[int]) -> LinearForm:

@@ -49,8 +49,7 @@ def test_an_n_past_the_digit_limit_is_named_in_the_part_count_message():
     # (a graph that large is refused by the parts ceiling when built)
     huge = 10 ** 5000
     checks = [
-        (lambda: g2._satisfies(g2.Cnf2(huge, ()), g2.Assignment((1,))),
-         "assignment has 1 parts, formula has an integer of over "),
+        (lambda: g2.Cnf2(huge, ()), "graph with an integer of over "),
         (lambda: g2.Graph2P(huge, missing=[((1, 1), (0, 1))]),
          "graph with an integer of over "),
     ]
@@ -379,6 +378,28 @@ def test_a_graph_built_in_python_meets_the_parts_ceiling(n, message):
         g2.Graph2P(n)
     assert (info.value.guard, str(info.value)) == ("graph-parts", message)
     assert repr(g2.Graph2P(10000)) == "Graph2P(n=10000, edges=199980000)"
+
+
+def test_a_2cnf_meets_the_parts_ceiling():
+    # each variable stands for a part, so Cnf2 is held to the ceiling a
+    # Graph2P and a DIMACS problem line are held to
+    with pytest.raises(ScaleGuardError) as info:
+        g2.Cnf2(100000, ())
+    assert (info.value.guard, str(info.value)) == (
+        "graph-parts", "graph with 100000 parts is out of reach: n = 10000 "
+                       "is the largest graph")
+    assert g2.Cnf2(10000, ()).num_vars == 10000
+
+
+@pytest.mark.parametrize("clause, shown", [
+    (((1, True),), "((1, True),)"),
+    (((10 ** 5000, True), (1, True), (2, False)),
+     "an integer of over 4300 digits"),
+], ids=["one-literal", "past-the-digit-limit"])
+def test_a_clause_without_two_literals_is_echoed_by_shown(clause, shown):
+    with pytest.raises(ValueError) as info:
+        g2.Cnf2(3, (clause,))
+    assert str(info.value) == "clause %s does not have two literals" % shown
 
 
 def test_dimacs_round_trip():

@@ -67,6 +67,21 @@ def test_a_long_point_of_the_wrong_dimension_is_cut_short():
     assert len(str(info.value)) < 200
 
 
+@pytest.mark.parametrize("x", [-65, -64, 0, 64, 65, True, 10 ** 5000,
+                               Fraction(3, 2), Fraction(4, 2)],
+                         ids=["-65", "-64", "0", "64", "65", "True",
+                              "5001-digits", "3/2", "4/2"])
+def test_forms_take_small_ints_from_one_shared_table(x):
+    # an int in -64..64 gets the one shared Fraction of its value, and
+    # every other input, inside the table's range or not, gets a
+    # Fraction equal to Fraction(x)
+    for got in (*ph._frac_vector([x, x]), *ph._int_form([x, x]).coeffs,
+                ph._int_form([x, x]).rhs):
+        assert got == Fraction(x) and type(got) is Fraction
+    shared = type(x) is int and -64 <= x <= 64
+    assert (ph._frac_vector([x])[0] is ph._int_form([0, x]).rhs) == shared
+
+
 # --- hull fixtures -----------------------------------------------------------
 
 FIXTURE_COUNTS = {"simplex": lambda d: d + 1,
@@ -509,23 +524,63 @@ def test_dd_matches_the_reference_on_the_n5_census(monkeypatch):
     assert rays == _reference_dd(m, cons)
 
 
+# the deterministic work of the DD on the n = 5 census hull: the rays
+# entering each of its 16 split steps (every one has plus and minus rays,
+# so each builds its tables once), and the partner candidates that reach
+# the adjacency test by the popcount route and by the planes route
+N5_DD_STEPS = [7, 19, 29, 41, 68, 59, 89, 131, 186, 143, 267, 426, 379, 618,
+               570, 693]
+N5_DD_CANDIDATES = {"count": 6540, "planes": 60}
+
+
+def test_dd_work_on_the_n5_census_is_pinned(monkeypatch):
+    steps, found = [], {"count": 0, "planes": 0}
+    tables, by_count, by_planes = (dd._byte_tables, dd._partners_by_count,
+                                   dd._partners_by_planes)
+
+    def counted_tables(masks):
+        steps.append(len(masks))
+        return tables(masks)
+
+    def counted_count(*args):
+        partners = by_count(*args)
+        found["count"] += len(partners)
+        return partners
+
+    def counted_planes(*args):
+        hits = by_planes(*args)
+        found["planes"] += hits.bit_count()
+        return hits
+
+    monkeypatch.setattr(dd, "_byte_tables", counted_tables)
+    monkeypatch.setattr(dd, "_partners_by_count", counted_count)
+    monkeypatch.setattr(dd, "_partners_by_planes", counted_planes)
+    _, masks = ph._hull_with_masks(omega_core.reduced_vertex_vrep(5))
+    assert steps == N5_DD_STEPS
+    assert len(masks) == 368
+    assert found == N5_DD_CANDIDATES
+
+
 def test_partner_routes_and_table_entries_agree_on_seeded_masks():
     # the popcount scan and the bit-sliced planes pick the same minus
-    # rays, and every table entry is the set of rays tight on its byte
+    # rays, which hold the low positions as in a DD step, and every table
+    # entry is the set of rays tight on its byte
     rng = random.Random(15)
     for _ in range(150):
         width, density = rng.randint(1, 50), rng.random()
         masks = [sum(1 << c for c in range(width) if rng.random() < density)
                  for _ in range(rng.randint(1, 70))]
+        split = rng.randint(0, len(masks))
         tables = dd._byte_tables(masks)
-        minus = [(None, mask, None, 1 << pos) for pos, mask in enumerate(masks)
-                 if rng.random() < 0.5]
-        minus_bits = sum(e[3] for e in minus)
+        minus = [(None, mask, None, 1 << pos)
+                 for pos, mask in enumerate(masks[:split])]
+        minus_bits = (1 << split) - 1
+        misses = dd._miss_columns(tables, minus_bits)
         for mask in masks:
             zeros = mask.bit_count()
             for need in range(max(0, zeros - 4), zeros + 1):
                 want = dd._partners_by_count(mask, minus, need)
-                got = dd._partners_by_planes(mask, tables, minus_bits,
+                got = dd._partners_by_planes(mask, misses, minus_bits,
                                              zeros - need)
                 assert got == sum(e[3] for e in want)
         for k, table in enumerate(tables):
