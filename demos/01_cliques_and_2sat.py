@@ -8,8 +8,8 @@ per part, so cliques come out of a linear-time solver instead of a
 """
 
 from omegapoly import (
-    cnf_to_dimacs, complete_graph, enumerate_cliques, find_clique,
-    graph_to_json, is_clique, to_2cnf, without_edges,
+    complete_graph, enumerate_cliques, find_clique, graph_to_json,
+    is_clique, to_2cnf, without_edges,
 )
 
 g = complete_graph(4)
@@ -33,7 +33,6 @@ print("first few:", ", ".join(str(a) for a in cliques[:4]))
 cnf = to_2cnf(g)
 print("\n2CNF: %d variables, %d clauses (one per missing edge)"
       % (cnf.num_vars, len(cnf.clauses)))
-print(cnf_to_dimacs(cnf))
 
 found = find_clique(g)
 print("2SAT solver picks:", found)

@@ -9,10 +9,9 @@ analysis are exact and reproducible.
 """
 
 from .graph2p import (Assignment, Cnf2, Graph2P, VertexRef,
-                      assignment_from_text, cnf_from_dimacs, cnf_to_dimacs,
-                      complete_graph, enumerate_cliques, find_clique,
-                      graph_from_json, graph_to_json, is_clique, solve_2sat,
-                      to_2cnf, without_edges)
+                      assignment_from_text, complete_graph, enumerate_cliques,
+                      find_clique, graph_from_json, graph_to_json, is_clique,
+                      solve_2sat, to_2cnf, without_edges)
 from .guards import ScaleGuardError
 from .neighborly import (EdgeCertificate, certificate_from_json,
                          certificate_to_json, edge_certificate,
@@ -40,13 +39,13 @@ __all__ = [
     "VRep", "VertexRef", "affine_rank", "all_assignments", "all_vertices",
     "analyze_pair", "assignment_from_text", "census_to_json",
     "certificate_from_json", "certificate_to_json", "check_equalities",
-    "classify_pair", "cnf_from_dimacs", "cnf_to_dimacs", "complete_graph",
-    "convex_hull_facets", "edge_certificate", "edges_via_hull",
-    "enumerate_cliques", "facet_census", "find_clique", "graph_from_json",
-    "graph_to_json", "hrep_from_text", "hrep_to_text", "independent_family",
-    "is_clique", "is_face", "lift_point", "linear_form", "lp_solve",
-    "omega_dimension", "point_from_json", "point_to_json", "reduce_point",
-    "reduced_vertex", "reduced_vertex_vrep", "regular_polytope", "solve_2sat",
-    "to_2cnf", "verify_certificate", "vertex_from_assignment",
-    "vrep_from_text", "vrep_to_text", "without_edges",
+    "classify_pair", "complete_graph", "convex_hull_facets",
+    "edge_certificate", "edges_via_hull", "enumerate_cliques",
+    "facet_census", "find_clique", "graph_from_json", "graph_to_json",
+    "hrep_from_text", "hrep_to_text", "independent_family", "is_clique",
+    "is_face", "lift_point", "linear_form", "lp_solve", "omega_dimension",
+    "point_from_json", "point_to_json", "reduce_point", "reduced_vertex",
+    "reduced_vertex_vrep", "regular_polytope", "solve_2sat", "to_2cnf",
+    "verify_certificate", "vertex_from_assignment", "vrep_from_text",
+    "vrep_to_text", "without_edges",
 ]

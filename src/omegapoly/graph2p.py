@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, GRAPH_MAX_PARTS,
                      ScaleGuardError, _shown, check_bruteforce, is_int,
-                     parse_json, text_int)
+                     parse_json)
 
 
 class VertexRef(NamedTuple):
@@ -112,11 +112,14 @@ _POSITIONS = (1, 2)
 def _edge_error(i, p, j, q, n: int) -> ValueError:
     """What is wrong with the pair (i, p)-(j, q) against n parts."""
     for part, pos in ((i, p), (j, q)):
+        if not is_int(part):
+            return ValueError("vertex %s: part must be an integer"
+                              % (_shown(VertexRef(part, pos), repr),))
         if not 1 <= part <= n:
             return ValueError("vertex %s: part out of range 1..%s"
                               % (_shown(VertexRef(part, pos), repr),
                                  _shown(n)))
-        if pos not in _POSITIONS:
+        if not (is_int(pos) and pos in _POSITIONS):
             return ValueError("vertex %s: pos must be 1 or 2"
                               % (_shown(VertexRef(part, pos), repr),))
     return ValueError("edge %r-%r joins vertices of the same part"
@@ -126,11 +129,14 @@ def _edge_error(i, p, j, q, n: int) -> ValueError:
 def _edge_keys(rows: Iterable, n: int) -> list[tuple[int, int, int, int]]:
     """The key (i, j, p, q), i < j, of each cross-part pair
     ((i, p), (j, q)) or ((j, q), (i, p)) in rows, checked against n parts;
-    the first bad pair raises."""
+    the first bad pair raises.  A float or a bool is no part or pos."""
     keys = []
     append = keys.append
     for (i, p), (j, q) in rows:
-        if p in _POSITIONS and q in _POSITIONS:
+        # type() is int settles most rows; is_int the int subclasses
+        if (p in _POSITIONS and q in _POSITIONS
+                and (type(i) is int and type(j) is int and type(p) is int
+                     and type(q) is int or all(map(is_int, (i, j, p, q))))):
             if 0 < i < j <= n:
                 append((i, j, p, q))
                 continue
@@ -155,7 +161,10 @@ def _edge(key: tuple[int, int, int, int]) -> Edge:
 
 
 def _check_parts(n: int) -> None:
-    """Refuse a graph past GRAPH_MAX_PARTS parts, which nothing overrides."""
+    """Refuse an n that is not an int, and a graph past GRAPH_MAX_PARTS
+    parts, which nothing overrides."""
+    if not is_int(n):
+        raise ValueError("n must be an integer")
     if n > GRAPH_MAX_PARTS:
         raise ScaleGuardError(
             "graph-parts", GRAPH_MAX_PARTS, n,
@@ -178,9 +187,9 @@ class Graph2P:
     """
 
     def __init__(self, n: int, *, missing: Iterable = ()):
+        _check_parts(n)
         if n < 1:
             raise ValueError("need at least one part")
-        _check_parts(n)
         self.n = n
         # sorting first keeps the runs of the input, which is cheaper
         # than sorting a set; dict.fromkeys then drops the repeats
@@ -267,6 +276,8 @@ class Cnf2:
 
     def __post_init__(self):
         num_vars = self.num_vars
+        if not is_int(num_vars):
+            raise ValueError("num_vars must be an integer")
         if num_vars < 1:
             raise ValueError("need at least one variable")
         _check_parts(num_vars)  # each variable stands for a part
@@ -275,6 +286,9 @@ class Cnf2:
                 raise ValueError("clause %s does not have two literals"
                                  % (_shown(cl, repr),))
             for var, pol in cl:
+                if not is_int(var):
+                    raise ValueError("literal variable %s is not an integer"
+                                     % (_shown(var, repr),))
                 if not 1 <= var <= num_vars:
                     raise ValueError("literal variable %s out of range"
                                      % (_shown(var),))
@@ -433,9 +447,7 @@ def graph_from_dict(obj: dict) -> Graph2P:
         raise ValueError('graph JSON needs an object with "n" and '
                          '"missing_edges"')
     n = obj["n"]
-    if not is_int(n):
-        raise ValueError("n must be an integer")
-    # checked here too, so a large n is refused before any row is read
+    # checked here too, so a bad or large n is refused before any row is read
     _check_parts(n)
     rows = obj["missing_edges"]
     if not isinstance(rows, list) or not _are_edge_rows(rows):
@@ -474,53 +486,3 @@ def graph_to_json(g: Graph2P) -> str:
 
 def graph_from_json(text: str) -> Graph2P:
     return graph_from_dict(parse_json(text))
-
-
-def cnf_to_dimacs(c: Cnf2) -> str:
-    lines = ["p cnf %d %d" % (c.num_vars, len(c.clauses))]
-    for (l1, l2) in c.clauses:
-        toks = [(var if pol else -var) for (var, pol) in (l1, l2)]
-        lines.append("%d %d 0" % (toks[0], toks[1]))
-    return "\n".join(lines) + "\n"
-
-
-def cnf_from_dimacs(text: str) -> Cnf2:
-    """The 2CNF of DIMACS text.  Each variable stands for a part, so a
-    problem line past GRAPH_MAX_PARTS variables is refused as a graph JSON
-    past that many parts is."""
-    num_vars = None
-    declared = None
-    clauses: list[tuple[Literal, Literal]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            toks = line.split()
-            if len(toks) != 4 or toks[1] != "cnf":
-                raise ValueError("bad problem line %s" % (_shown(line, repr),))
-            num_vars, declared = text_int(toks[2]), text_int(toks[3])
-            if num_vars > GRAPH_MAX_PARTS:
-                raise ScaleGuardError(
-                    "graph-parts", GRAPH_MAX_PARTS, num_vars,
-                    "2CNF with %s variables is out of reach: each is a "
-                    "part, and %d parts is the most"
-                    % (_shown(num_vars), GRAPH_MAX_PARTS))
-            continue
-        if num_vars is None:
-            raise ValueError("clause before problem line")
-        toks = [text_int(t) for t in line.split()]
-        if toks[-1] != 0:
-            raise ValueError("clause line %s not 0-terminated"
-                             % (_shown(line, repr),))
-        lits = toks[:-1]
-        if len(lits) != 2:
-            raise ValueError("clause %s does not have exactly two literals"
-                             % (_shown(line, repr),))
-        clauses.append(tuple((abs(t), t > 0) for t in lits))  # type: ignore[arg-type]
-    if num_vars is None:
-        raise ValueError("missing problem line")
-    if declared != len(clauses):
-        raise ValueError("declared %s clauses, found %d"
-                         % (_shown(declared), len(clauses)))
-    return Cnf2(num_vars, tuple(clauses))

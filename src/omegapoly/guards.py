@@ -16,10 +16,9 @@ DEFAULT_BRUTEFORCE_BOUND = 20
 DEFAULT_HULL_MAX_DIM = 15
 DEFAULT_HULL_MAX_POINTS = 64
 
-# a fixed ceiling on the parts of a graph read from JSON, and on the
-# variables of a DIMACS 2CNF, one per part: solving allocates per part, so
-# without it a 34-byte file can ask for any amount of memory (n = 400000
-# took 146 MB)
+# a fixed ceiling on the parts of a graph, and on the variables of a 2CNF,
+# one per part: solving allocates per part, so without it a 34-byte graph
+# JSON file can ask for any amount of memory (n = 400000 took 146 MB)
 GRAPH_MAX_PARTS = 10000
 
 
@@ -28,9 +27,9 @@ class ScaleGuardError(ValueError):
 
     guard names which limit tripped: "bruteforce", "hull-dim",
     "hull-points", "census" (n = 5 without allow_large), "census-max"
-    (n > 5) or "graph-parts" (a graph, built or read from JSON, or a
-    DIMACS 2CNF past GRAPH_MAX_PARTS parts or variables); nothing
-    overrides the last two.
+    (n > 5) or "graph-parts" (a graph, built or read from JSON, or a Cnf2
+    past GRAPH_MAX_PARTS parts or variables); nothing overrides the last
+    two.
     The command line uses it to point at the override flag where there is
     one.
     """

@@ -16,7 +16,7 @@ DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 # results, not a refactoring, and a demo missing here fails its test
 DEMO_STDOUT = {
     "01_cliques_and_2sat.py":
-        "aadee777f4f77511076ff1cf65d56db290c0e772fa5cf74663a43e2b6d6e941f",
+        "d84f5856df336fe6042b2cc544649ee0e2081d71ef18916953b1c5ac03155e76",
     "02_vertices_and_equalities.py":
         "bf6eb1309602d6ef41037da0f11a402e4b276ac14a8554c492c2cf1acc55ef05",
     "03_dimension_and_family.py":

@@ -382,13 +382,43 @@ def test_a_graph_built_in_python_meets_the_parts_ceiling(n, message):
 
 def test_a_2cnf_meets_the_parts_ceiling():
     # each variable stands for a part, so Cnf2 is held to the ceiling a
-    # Graph2P and a DIMACS problem line are held to
+    # Graph2P is held to
     with pytest.raises(ScaleGuardError) as info:
         g2.Cnf2(100000, ())
     assert (info.value.guard, str(info.value)) == (
         "graph-parts", "graph with 100000 parts is out of reach: n = 10000 "
                        "is the largest graph")
     assert g2.Cnf2(10000, ()).num_vars == 10000
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: g2.Graph2P(2.5), "n must be an integer"),
+    (lambda: g2.Graph2P(True), "n must be an integer"),
+    (lambda: g2.Graph2P(2, missing=[((1.0, 1), (2, 1))]),
+     "vertex VertexRef(part=1.0, pos=1): part must be an integer"),
+    (lambda: g2.Graph2P(2, missing=[((1, 1), (True, 2))]),
+     "vertex VertexRef(part=True, pos=2): part must be an integer"),
+    (lambda: g2.Graph2P(2, missing=[((1, 1.0), (2, 1))]),
+     "vertex VertexRef(part=1, pos=1.0): pos must be 1 or 2"),
+    (lambda: g2.Graph2P(2, missing=[((1, 1), (2, True))]),
+     "vertex VertexRef(part=2, pos=True): pos must be 1 or 2"),
+    (lambda: g2.complete_graph(2).has_edge((1.0, 1), (2, 1)),
+     "vertex VertexRef(part=1.0, pos=1): part must be an integer"),
+    (lambda: g2.Cnf2(2.0, ()), "num_vars must be an integer"),
+    (lambda: g2.Cnf2(2, (((1.0, True), (2, True)),)),
+     "literal variable 1.0 is not an integer"),
+    (lambda: g2.Cnf2(2, (((1, True), (True, True)),)),
+     "literal variable True is not an integer"),
+], ids=["float-n", "bool-n", "float-part", "bool-part", "float-pos",
+        "bool-pos", "float-part-in-has-edge", "float-num-vars",
+        "float-variable", "bool-variable"])
+def test_graphs_and_2cnfs_built_in_python_hold_to_ints(build, message):
+    # True == 1 and 1.0 == 1, so without the check a float n built a
+    # graph that JSON cannot read back, a bool part was read as part 1,
+    # and a float part or variable reached the 2SAT core as a TypeError
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("clause, shown", [
@@ -400,53 +430,6 @@ def test_a_clause_without_two_literals_is_echoed_by_shown(clause, shown):
     with pytest.raises(ValueError) as info:
         g2.Cnf2(3, (clause,))
     assert str(info.value) == "clause %s does not have two literals" % shown
-
-
-def test_dimacs_round_trip():
-    g = g2.without_edges(g2.complete_graph(3),
-                         [((1, 1), (2, 1)), ((1, 2), (3, 2))])
-    c = g2.to_2cnf(g)
-    text = g2.cnf_to_dimacs(c)
-    lines = text.splitlines()
-    assert lines[0] == "p cnf 3 2"
-    assert all(ln.endswith(" 0") for ln in lines[1:])
-    assert g2.cnf_from_dimacs(text) == c
-    # comments and blank lines are fine
-    assert g2.cnf_from_dimacs("c hi\n\n" + text) == c
-
-
-def test_dimacs_parse_errors():
-    with pytest.raises(ValueError):
-        g2.cnf_from_dimacs("1 -2 0\n")  # clause before problem line
-    with pytest.raises(ValueError):
-        g2.cnf_from_dimacs("p cnf 2 1\n1 -2\n")  # missing terminator
-    with pytest.raises(ValueError):
-        g2.cnf_from_dimacs("p cnf 2 1\n1 -2 2 0\n")  # three literals
-    with pytest.raises(ValueError):
-        g2.cnf_from_dimacs("p cnf 2 2\n1 -2 0\n")  # count mismatch
-    with pytest.raises(ValueError):
-        g2.cnf_from_dimacs("p dnf 2 1\n1 -2 0\n")
-    with pytest.raises(ValueError):
-        g2.cnf_from_dimacs("")
-    # a variable count past GRAPH_MAX_PARTS is refused before anything is
-    # allocated for it, and a long bad line or number is echoed cut short
-    with pytest.raises(ScaleGuardError) as err:
-        g2.cnf_from_dimacs("p cnf 1000000 0\n")
-    assert err.value.guard == "graph-parts"
-    long_inputs = [
-        "p cnf 2 1\n%s 0\n" % (" ".join(["1"] * 50000),),
-        "p cnf 2 1\n1 %s 0\n" % ("x" * 50000,),
-        "p cnf 2 1\n1 -%s 0\n" % ("9" * 4000,),
-        "p cnf 2 %s\n1 -2 0\n" % ("9" * 4000,),
-        "p cnf %s 0\n" % ("9" * 100000,),
-        "p cnf 2 1 %s\n" % ("z" * 50000,),
-        "p cnf 2 1\n%s\n" % ("2 " * 50000,),
-    ]
-    for text in long_inputs:
-        with pytest.raises(ValueError) as err:
-            g2.cnf_from_dimacs(text)
-        msg = str(err.value)
-        assert "\n" not in msg and len(msg) < 200
 
 
 def test_clique_check_survives_python_O():
@@ -473,8 +456,9 @@ except RuntimeError as exc:
 # Seeded graphs shaped like the benchmark's: about 3n missing edges, a
 # planted clique when satisfiable, two fully severed parts when not.
 PIN_SIZES = (2, 3, 4, 5, 6, 7, 8, 16, 24, 32, 48, 64)
-# sha256 of the outputs below, taken before Graph2P stored missing edges
-PIN_DIGEST = "f75b198723d9046d5d2dba0cb769128f45721f03fcb287bd9ac5f2357fd988a7"
+# sha256 of the outputs below, also taken before the DIMACS writer was
+# removed, so the removal moved no byte of them
+PIN_DIGEST = "88a92d557d7fb52ac55ea7d835de91bddb9ed8cb0980bcc64d84bf4169f97883"
 
 
 def _seeded_missing(rng, n, satisfiable):
@@ -516,7 +500,6 @@ def test_graph_outputs_are_pinned(tmp_path):
                                       "--enumerate"))
         g = g2.graph_from_json(path.read_text(encoding="ascii"))
         chunks.append(g2.graph_to_json(g))
-        chunks.append(g2.cnf_to_dimacs(g2.to_2cnf(g)))
     assert chunks.count("no clique\n") == 3 * len(PIN_SIZES)
     digest = hashlib.sha256("\x00".join(chunks).encode()).hexdigest()
     assert digest == PIN_DIGEST

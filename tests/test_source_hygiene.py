@@ -1,6 +1,8 @@
-"""Source hygiene of the package, read with ast rather than run."""
+"""Source hygiene of the package, read with ast rather than run, and the
+names the benchmark looks up in it."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -247,3 +249,39 @@ def test_only_verify_certificate_evaluates_alpha():
                             "%s:%s" % (name, qualname))
     assert callers == {"_evaluations": {"neighborly.py:verify_certificate"},
                        "evaluate_alpha": {"neighborly.py:_evaluations"}}
+
+
+def _perfbench_names() -> list[tuple[str, str]]:
+    """(module, name) of every omegapoly function or class the benchmark
+    looks up: the LAYERS it traces, the OpClock bounds and the
+    omegapoly.<module>.<name> references of its workloads."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", ROOT / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)  # it imports the standard library only
+    names = [(mod, fn) for mod, fn, _ in layers.LAYERS]
+    workloads = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    for node in ast.walk(workloads):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "OpClock"):
+            mod, *fns = [arg.value for arg in node.args[:3]]
+            names += [(mod, fn) for fn in fns]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Attribute)
+              and isinstance(node.value.value, ast.Name)
+              and node.value.value.id == "omegapoly"):
+            names.append((node.value.attr, node.attr))
+    return names
+
+
+def test_every_name_the_benchmark_reaches_resolves():
+    # the benchmark finds what it traces and runs by name, so a renamed or
+    # deleted function would fail only a benchmark run, not this suite
+    names = _perfbench_names()
+    assert {("graph2p", "to_2cnf"), ("graph2p", "solve_2sat"),
+            ("neighborly", "edge_certificate"), ("cli", "main"),
+            ("polyhedra", "is_face"), ("polyhedra", "VRep")} <= set(names)
+    missing = ["%s.%s" % (mod, name) for mod, name in names
+               if not callable(getattr(
+                   importlib.import_module("omegapoly." + mod), name, None))]
+    assert missing == []
