@@ -58,6 +58,21 @@ def _int_rref(rows: Iterable[list[int]]
     return mat[:len(pivots)], den, pivots
 
 
+def _null_basis(rref: list[list[int]], den: int, pivots: list[int],
+                width: int) -> list[list[int]]:
+    """A basis of the null space of an RREF M / den from _int_rref with
+    width columns: one integer vector per non-pivot column f, den at f,
+    -M[row][f] at the row's pivot column and zero elsewhere."""
+    basis = []
+    for f in sorted(set(range(width)) - set(pivots)):
+        vec = [0] * width
+        vec[f] = den
+        for row, pc in zip(rref, pivots):
+            vec[pc] = -row[f]
+        basis.append(vec)
+    return basis
+
+
 def _int_affine_rank(points: Sequence[Sequence[int]]) -> int:
     """Dimension of the affine hull of integer points, by integer RREF of
     their differences from the first."""

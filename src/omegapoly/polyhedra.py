@@ -15,9 +15,9 @@ from typing import Iterable, Sequence
 
 from .dd import _dd_extreme_rays
 from .exact import (_clear_matrix, _coprime, _dot, _in_row_space,
-                    _int_affine_rank, _int_rref)
+                    _int_affine_rank, _int_rref, _null_basis)
 from .guards import (DEFAULT_HULL_MAX_DIM, DEFAULT_HULL_MAX_POINTS,
-                     ScaleGuardError, _shown, exact_number, text_int)
+                     ScaleGuardError, _shown, exact_number, is_int, text_int)
 from .simplex import _int_lp
 
 Vector = tuple[Fraction, ...]
@@ -62,9 +62,10 @@ class VRep:
     """A polytope as a duplicate-free ordered list of points, immutable.
 
     The kernels read the points as integers Q / D over one common D > 0,
-    and is_face also needs their affine rank; both are computed on first
-    use (D can have the digits of all the denominators, which convert
-    never needs) and kept, since dim and points are read only.
+    and is_face also needs their affine rank and, for a subset with few
+    points outside it, their affine dependencies; each is computed on
+    first use (D can have the digits of all the denominators, which
+    convert never needs) and kept, since dim and points are read only.
     """
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
@@ -92,6 +93,17 @@ class VRep:
     def _affine_rank(self) -> int:
         """Affine rank of the points (at least one), from _integers."""
         return _int_affine_rank(self._integers[0])
+
+    @cached_property
+    def _dependencies(self) -> list[list[int]]:
+        """The affine dependencies of the points, one integer row lam per
+        non-pivot point f of the RREF R / den of the (dim + 1) x npts
+        matrix whose column i is (D, Q_i): den at f and -R[row][f] at each
+        pivot point.  Its null vectors are exactly the lam with
+        sum lam_i = 0 and sum lam_i p_i = 0, and these rows span them."""
+        pts, D = self._integers
+        rref, den, pivots = _int_rref([[D] * len(pts), *map(list, zip(*pts))])
+        return _null_basis(rref, den, pivots, len(pts))
 
     def __eq__(self, other):
         return (isinstance(other, VRep)
@@ -189,14 +201,8 @@ def _hull_with_masks(v: VRep) -> tuple[HRep, list[int]]:
     diffs = [[x - b for x, b in zip(p, base)] for p in pts]
     rref, den, pivots = _int_rref(diffs[1:])
 
-    # the RREF is M / den, so the null vector with 1 at free column fc
-    # is den there and -M[row][fc] at the pivots, over den
     equalities = []
-    for fc in sorted(set(range(d)) - set(pivots)):
-        coeffs = [0] * d
-        coeffs[fc] = den
-        for row, pc in zip(rref, pivots):
-            coeffs[pc] = -row[fc]
+    for coeffs in _null_basis(rref, den, pivots, d):
         eq = _coprime([D * c for c in coeffs] + [_dot(coeffs, base)])
         if next(c for c in eq if c) < 0:
             eq = tuple(-x for x in eq)
@@ -320,11 +326,24 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     """Decide whether the given point indices form a face of conv(points).
 
     A face F of a polytope P is P intersected with aff(F), so a point
-    outside the subset that lies in the subset's affine hull makes it
-    "not_face" at once: no hyperplane through the subset leaves that point
-    strictly on one side.  This screen tests each outside difference
-    against one integer RREF of the subset's differences, whose rank is
-    also the face dimension.  Only a subset that passes it gets the LP.
+    outside the subset S that lies in aff(S) makes it "not_face" at once:
+    no hyperplane through S leaves that point strictly on one side.  A
+    screen looks for such a point with linear algebra alone, and also
+    gives dim aff(S), the face dimension.  Which screen runs depends only
+    on the sizes of S and of the set O of points outside it:
+
+    - |O| < |S| - 1: the dependency screen (_dependency_screen).  It
+      reads the affine dependencies of all the points, which v computes
+      once and keeps, cut to the columns in O: a matrix of |O| columns,
+      where the other screen's has |S| - 1 rows.  So the complement of a
+      small set of points costs an RREF of a few columns, not one of
+      nearly every point.
+    - otherwise the span screen (_span_screen): one integer RREF of the
+      differences of S from its first point, against which each outside
+      difference is tested.
+
+    Both give the same answer and the same dimension.  Only a subset that
+    passes the screen gets the LP.
 
     The LP looks for a hyperplane f . x = f . s0 through the subset (s0
     its first point) with every other point strictly on the positive
@@ -343,27 +362,37 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     = 0 for each other point of the subset.  That is the Fraction LP
     scaled by D, so _int_lp takes the pivots it would.  Fractions are
     built only for the returned form, and the ranks are integer RREFs.
+
+    A point index must be an int (not a bool) in range(len(v.points));
+    anything else is refused with a ValueError.
     """
-    idx = sorted(set(subset))
     npts = len(v.points)
-    for i in idx:
+    inside = set()
+    for i in subset:
+        if not is_int(i):
+            raise ValueError("point index %s is not an integer"
+                             % (_shown(i, repr),))
         if not 0 <= i < npts:
-            raise ValueError("point index %d out of range" % (i,))
-    if not idx:
+            raise ValueError("point index %s out of range" % (_shown(i),))
+        inside.add(i)
+    if not inside:
         return FaceVerdict(kind="empty", dimension=-1)
-    if len(idx) == npts:
+    if len(inside) == npts:
         return FaceVerdict(kind="whole_polytope", dimension=affine_rank(v))
+
+    idx = sorted(inside)
+    outside = [i for i in range(npts) if i not in inside]
+    screen = (_dependency_screen if len(outside) < len(idx) - 1
+              else _span_screen)
+    dimension = screen(v, idx, outside)
+    if dimension is None:
+        return FaceVerdict("not_face")
 
     d = v.dim
     pts, D = v._integers
     s0 = pts[idx[0]]
     diffs = [[a - b for a, b in zip(p, s0)] for p in pts]
-    inside = set(idx)
-    span, span_den, pivots = _int_rref(diffs[i] for i in idx[1:])
-    if any(_in_row_space(diffs[i], span, span_den, pivots)
-           for i in range(npts) if i not in inside):
-        return FaceVerdict("not_face")
-    rows = [diffs[i] + [-D, 0] for i in range(npts) if i not in inside]
+    rows = [diffs[i] + [-D, 0] for i in outside]
     rows.append([0] * d + [-D, -D])
     n_ineq = len(rows)
     rows += [diffs[i] + [0, 0] for i in idx[1:]]
@@ -374,11 +403,49 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
 
     f = x[:d]  # the separator is f / den, its rhs f . s0 / (den D)
     if x[d] > 0:
-        kind = ("facet" if len(pivots) == v._affine_rank - 1
+        kind = ("facet" if dimension == v._affine_rank - 1
                 else "proper_face")
         form = _coprime_form([c * D for c in f] + [_dot(f, s0)])
-        return FaceVerdict(kind, form, len(pivots))
+        return FaceVerdict(kind, form, dimension)
     return FaceVerdict("not_face")
+
+
+def _span_screen(v: VRep, idx: list[int], outside: list[int]) -> int | None:
+    """dim aff(S) for the points S at the sorted indices idx, or None when
+    a point at an index in outside lies in aff(S): one integer RREF of the
+    differences of S from its first point, each outside difference tested
+    against its row space, whose rank is the dimension."""
+    pts = v._integers[0]
+    s0 = pts[idx[0]]
+
+    def diff(i):
+        return [a - b for a, b in zip(pts[i], s0)]
+
+    span, den, pivots = _int_rref(map(diff, idx[1:]))
+    if any(_in_row_space(diff(i), span, den, pivots) for i in outside):
+        return None
+    return len(pivots)
+
+
+def _dependency_screen(v: VRep, idx: list[int],
+                       outside: list[int]) -> int | None:
+    """_span_screen's answer from the affine dependencies of the points,
+    cut to the columns in outside (O): the matrix A.  idx is not read; it
+    keeps the signature of _span_screen.
+
+    An outside point w lies in aff(S) iff some dependency is nonzero at w
+    and zero at the rest of O, that is iff the unit vector e_w is in the
+    row space of A.  In RREF(A) that is a row with one nonzero entry, its
+    pivot w; the same combination of the uncut dependencies is the
+    witness.  Otherwise the k dependencies span k - rank(A) that vanish
+    on O, which are those of S, so dim aff(S) = affine rank - |O| +
+    rank(A).
+    """
+    cut = [[lam[w] for w in outside] for lam in v._dependencies]
+    rref, _, pivots = _int_rref(cut)
+    if any(sum(map(bool, row)) == 1 for row in rref):
+        return None
+    return v._affine_rank - len(outside) + len(pivots)
 
 
 # --- fixtures -------------------------------------------------------------

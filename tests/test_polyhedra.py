@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -1050,6 +1051,22 @@ def test_is_face_trivial_cases():
         ph.is_face(v, [99])
 
 
+@pytest.mark.parametrize("subset,message", [
+    ([True, 2], "point index True is not an integer"),
+    ([0, 1.0], "point index 1.0 is not an integer"),
+    (["a"], "point index 'a' is not an integer"),
+    ([10 ** 5000], "point index an integer of over %d digits out of range"
+     % sys.get_int_max_str_digits()),
+], ids=["bool", "float", "str", "huge"])
+def test_is_face_refuses_an_index_that_is_not_a_point(subset, message):
+    # True == 1, so a bool was read as point 1; a float or a str reached
+    # the range test as a TypeError, and a huge int broke the message
+    v = ph.regular_polytope("simplex", 3)
+    with pytest.raises(ValueError) as info:
+        ph.is_face(v, subset)
+    assert str(info.value) == message
+
+
 def test_every_simplex_subset_is_a_face():
     d = 4
     v = ph.regular_polytope("simplex", d)
@@ -1122,6 +1139,18 @@ def test_screen_decides_every_n4_pair_complement(monkeypatch):
         return clear(rows)
 
     monkeypatch.setattr(ph, "_clear_matrix", counting_clear)
+    # the shape of every RREF is_face takes: the (10 + 1) x 16 one of the
+    # affine dependencies once, then a 5 x 2 cut of its 5 dependencies for
+    # each complement and a 1 x 10 span of differences for each pair
+    shapes = []
+    rref = ph._int_rref
+
+    def recording_rref(rows):
+        rows = list(rows)
+        shapes.append((len(rows), len(rows[0])))
+        return rref(rows)
+
+    monkeypatch.setattr(ph, "_int_rref", recording_rref)
     v = omega_core.reduced_vertex_vrep(4)
     pairs = list(itertools.combinations(range(16), 2))
     assert len(pairs) == 120
@@ -1134,6 +1163,83 @@ def test_screen_decides_every_n4_pair_complement(monkeypatch):
         assert (verdict.kind, verdict.dimension) == ("proper_face", 1)
         assert len(lps) == k + 1
     assert cleared == [v.points]
+    assert shapes[0] == (11, 16)
+    assert sorted(Counter(shapes).items()) == [((1, 10), 120), ((5, 2), 120),
+                                               ((11, 16), 1)]
+
+
+def _both_screens(v, subset):
+    """(span screen, dependency screen) answers on one subset."""
+    idx = sorted(subset)
+    outside = [k for k in range(len(v.points)) if k not in subset]
+    return (ph._span_screen(v, idx, outside),
+            ph._dependency_screen(v, idx, outside))
+
+
+def _route_agreement_inputs():
+    """(VRep, subsets) pairs on which the two screens must agree."""
+    for v in (omega_core.reduced_vertex_vrep(3),
+              ph.regular_polytope("cube", 3),
+              ph.regular_polytope("cross", 3)):
+        npts = len(v.points)
+        yield v, [[k for k in range(npts) if mask >> k & 1]
+                  for mask in range(1, 1 << npts)]
+    v = omega_core.reduced_vertex_vrep(4)
+    yield v, [[k for k in range(16) if k not in pair]
+              for pair in itertools.combinations(range(16), 2)]
+    v = omega_core.reduced_vertex_vrep(5)
+    rng = random.Random(25)
+    yield v, [sorted(set(range(32)) - set(rng.sample(range(32), size)))
+              for size in (1, 2, 3, 4) for _ in range(25)]
+    # a rational point set over D = 12 with a point that is no vertex,
+    # and a square pyramid, its base centre and one more vertex in a
+    # hyperplane of Q^4
+    rational = ph.VRep(3, [(0, 0, 0), (frac(1, 2), 0, 0), (0, frac(1, 3), 0),
+                           (frac(1, 2), frac(1, 3), 0), (0, 0, frac(1, 6)),
+                           (frac(1, 4), frac(1, 6), frac(1, 12)),
+                           (1, 1, frac(1, 2))])
+    flat = ph.VRep(4, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (2, 2, 0, 0),
+                       (1, 1, 2, 0), (1, 1, 0, 0), (1, 0, 1, 0)])
+    assert rational._integers[1] == 12 and ph.affine_rank(flat) == 3
+    for v in (rational, flat):
+        npts = len(v.points)
+        yield v, [[k for k in range(npts) if mask >> k & 1]
+                  for mask in range(1, 1 << npts)]
+
+
+def test_the_span_and_dependency_screens_agree():
+    # the screens are two routes to one answer: None when an outside point
+    # lies in the subset's affine hull, else the hull's dimension
+    answers = []
+    for v, subsets in _route_agreement_inputs():
+        for subset in subsets:
+            span, dependency = _both_screens(v, subset)
+            assert span == dependency, (v, subset)
+            answers.append(span)
+    assert set(answers) == {None, 0, 1, 2, 3, 4, 5, 6}
+    assert len(answers) == 255 + 255 + 63 + 120 + 100 + 127 + 127
+
+
+def test_a_simplex_has_no_affine_dependency():
+    # no dependency leaves A empty, of rank 0: nothing is ever refused
+    # and dim aff(S) = |S| - 1
+    v = ph.regular_polytope("simplex", 4)
+    assert v._dependencies == []
+    for size in range(1, 6):
+        for subset in itertools.combinations(range(5), size):
+            assert _both_screens(v, set(subset)) == (size - 1, size - 1)
+    verdict = ph.is_face(v, [0, 1, 2, 4])
+    assert (verdict.kind, verdict.dimension) == ("facet", 3)
+
+
+def test_a_pyramid_apex_complement_is_a_facet():
+    # the apex is in no affine dependency, so its one column of A is zero:
+    # rank 0, and the base has dimension 3 - 1 + 0 = 2, a facet
+    v = ph.VRep(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
+    assert v._dependencies == [[4, -4, -4, 4, 0]]
+    assert _both_screens(v, {0, 1, 2, 3}) == (2, 2)
+    verdict = ph.is_face(v, [0, 1, 2, 3])
+    assert verdict == ph.FaceVerdict("facet", ph.linear_form([0, 0, 1], 0), 2)
 
 
 def test_vrep_points_are_read_only():

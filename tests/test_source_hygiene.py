@@ -172,6 +172,32 @@ def test_points_are_cleared_to_integers_only_by_the_vrep_cache():
     assert callers == {"polyhedra.py:VRep._integers"}
 
 
+def _transposes(node) -> bool:
+    """Does node hold a zip(*...) call, the transpose of a matrix?"""
+    return any(isinstance(sub, ast.Call) and "zip" in _referenced(sub.func)
+               and any(isinstance(arg, ast.Starred) for arg in sub.args)
+               for sub in ast.walk(node))
+
+
+def test_affine_dependencies_are_found_only_by_the_vrep_cache():
+    # the dependency RREF is the one taken with the points as columns; a
+    # VRep takes it once, on first use, and keeps its null vectors, and
+    # only is_face's dependency screen reads them, so no query redoes it
+    builders, readers = set(), set()
+    for name, tree in _modules().items():
+        for qualname, func in _functions(tree):
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and "_int_rref" in _referenced(node.func)
+                        and any(map(_transposes, node.args))):
+                    builders.add("%s:%s" % (name, qualname))
+                if (isinstance(node, ast.Attribute)
+                        and node.attr == "_dependencies"):
+                    readers.add("%s:%s" % (name, qualname))
+    assert builders == {"polyhedra.py:VRep._dependencies"}
+    assert readers == {"polyhedra.py:_dependency_screen"}
+
+
 def test_one_2sat_core_runs_the_scc():
     # find_clique and solve_2sat both go through _solve_implications; a
     # second caller of _tarjan_scc would be a second 2SAT path
