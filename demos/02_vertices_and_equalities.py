@@ -3,15 +3,15 @@
 Each clique (one vertex per part) becomes a 0/1 point in 4n^2
 coordinates X[i,j,p,q].  Four families of linear equalities pin the
 affine hull; check_equalities evaluates every instance exactly, and
-reduce/lift move between full coordinates and the n(n+1)/2 that matter.
+reduce/lift move between full coordinates and the n(n+1)/2 that matter:
+a fractional y lifts to a point of the affine hull and reduces back.
 """
 
 from fractions import Fraction
 
 from omegapoly import (
     Assignment, OmegaPoint, ReducedPoint, all_assignments, check_equalities,
-    lift_point, point_to_json, reduce_point, reduced_vertex,
-    vertex_from_assignment,
+    lift_point, reduce_point, reduced_vertex, vertex_from_assignment,
 )
 from omegapoly.omega_core import coord_index, coord_tuples
 
@@ -46,5 +46,5 @@ if lift_point(reduce_point(x)) != x:
 fractional = lift_point(
     ReducedPoint(2, (Fraction(1, 3), Fraction(1, 7), Fraction(2, 5))))
 print("\na fractional point on the affine hull:")
-print(point_to_json(fractional))
+print("  y =", ", ".join(str(v) for v in reduce_point(fractional).y))
 print("equalities still hold:", check_equalities(fractional).ok)

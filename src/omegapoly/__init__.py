@@ -19,8 +19,7 @@ from .neighborly import (EdgeCertificate, certificate_from_json,
 from .omega_core import (EqualityReport, OmegaPoint, ReducedPoint,
                          all_assignments, all_vertices, check_equalities,
                          independent_family, lift_point, omega_dimension,
-                         point_from_json, point_to_json, reduce_point,
-                         reduced_vertex, reduced_vertex_vrep,
+                         reduce_point, reduced_vertex, reduced_vertex_vrep,
                          vertex_from_assignment)
 from .omega3_census import (CaseReport, CensusReport, PairClass, analyze_pair,
                             census_to_json, classify_pair, edges_via_hull,
@@ -44,8 +43,8 @@ __all__ = [
     "facet_census", "find_clique", "graph_from_json", "graph_to_json",
     "hrep_from_text", "hrep_to_text", "independent_family", "is_clique",
     "is_face", "lift_point", "linear_form", "lp_solve", "omega_dimension",
-    "point_from_json", "point_to_json", "reduce_point", "reduced_vertex",
-    "reduced_vertex_vrep", "regular_polytope", "solve_2sat", "to_2cnf",
-    "verify_certificate", "vertex_from_assignment", "vrep_from_text",
-    "vrep_to_text", "without_edges",
+    "reduce_point", "reduced_vertex", "reduced_vertex_vrep",
+    "regular_polytope", "solve_2sat", "to_2cnf", "verify_certificate",
+    "vertex_from_assignment", "vrep_from_text", "vrep_to_text",
+    "without_edges",
 ]

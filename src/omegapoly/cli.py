@@ -37,13 +37,6 @@ from .guards import (DEFAULT_BRUTEFORCE_BOUND, DEFAULT_HULL_MAX_DIM,
                      json_fields, json_list, json_number, json_positive_int,
                      parse_json, text_int)
 
-_GUARD_HINTS = {
-    "bruteforce": "--max-bruteforce (env OMEGA_MAX_BRUTEFORCE)",
-    "hull-dim": "--max-hull-dim (env OMEGA_MAX_HULL_DIM)",
-    "hull-points": "--max-hull-points (env OMEGA_MAX_HULL_POINTS)",
-    "census": "--allow-large",
-}
-
 # attribute -> (environment variable, default, what it bounds)
 _GUARDS = {
     "max_bruteforce": ("OMEGA_MAX_BRUTEFORCE", DEFAULT_BRUTEFORCE_BOUND,
@@ -53,6 +46,12 @@ _GUARDS = {
     "max_hull_points": ("OMEGA_MAX_HULL_POINTS", DEFAULT_HULL_MAX_POINTS,
                         "the hull point-count bound"),
 }
+
+# ScaleGuardError.guard -> how to raise it: max_hull_dim trips "hull-dim"
+_GUARD_HINTS = {
+    attr[4:].replace("_", "-"): "--%s (env %s)" % (attr.replace("_", "-"), env)
+    for attr, (env, _, _) in _GUARDS.items()}
+_GUARD_HINTS["census"] = "--allow-large"
 
 
 def _int_flag(text: str) -> int:

@@ -69,7 +69,11 @@ class Assignment:
 
     @classmethod
     def from_code(cls, n: int, code: int) -> Assignment:
-        """The assignment of n parts with the given vertex code."""
+        """The assignment of n parts with the given vertex code; both are
+        ints (a bool or a float is refused)."""
+        if not (is_int(n) and is_int(code)):
+            raise ValueError("n and vertex code must be integers, got %s "
+                             "and %s" % (_shown(n, repr), _shown(code, repr)))
         if code < 0 or code >> n:
             raise ValueError("vertex code %s out of range for %s parts"
                              % (_shown(code), _shown(n)))

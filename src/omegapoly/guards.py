@@ -42,7 +42,11 @@ class ScaleGuardError(ValueError):
 
 
 def check_bruteforce(n: int, bound: int, what: str) -> None:
-    """Reject part counts whose 2**n enumeration would be hopeless."""
+    """Reject part counts whose 2**n enumeration would be hopeless, and by
+    the int rule an n or a bound that is not an int (a bool or a float)."""
+    if not (is_int(n) and is_int(bound)):
+        raise ValueError("%s: n and bound must be integers, got %s and %s"
+                         % (what, _shown(n, repr), _shown(bound, repr)))
     if n > bound:
         raise ScaleGuardError(
             "bruteforce", bound, n,

@@ -21,13 +21,11 @@ parametrization; reduce_point and lift_point convert back and forth.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph2p import Assignment, part_bit, positions
-from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
-                     json_fields, json_number, json_positive_int, parse_json)
+from .guards import DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce, is_int
 from . import polyhedra
 from .polyhedra import VRep
 
@@ -104,8 +102,15 @@ class ReducedPoint:
         return self.y[reduced_index(self.n, i, j)]
 
 
+def _int_n(n) -> None:
+    """The int rule for a part count: a bool or a float is refused."""
+    if not is_int(n):
+        raise ValueError("n must be an integer, got %s" % (_shown(n, repr),))
+
+
 def _code(n: int, a: Assignment) -> int:
     """The vertex code of a, once a is checked to have n parts."""
+    _int_n(n)
     if a.n != n:
         raise ValueError("assignment has %d parts, expected %s"
                          % (a.n, _shown(n)))
@@ -263,6 +268,7 @@ def independent_family(n: int) -> list[Assignment]:
     The all-twos assignment, the n assignments with a single 1, and the
     C(n, 2) assignments with exactly two 1s, in that order.
     """
+    _int_n(n)
     if n < 1:
         raise ValueError("need at least one part")
     twos = sum(part_bit(n, i) for i in range(1, n + 1))
@@ -279,57 +285,3 @@ def omega_dimension(n: int, bound: int = DEFAULT_BRUTEFORCE_BOUND) -> int:
     vertices = all_vertices(n, bound)
     return polyhedra.affine_rank(VRep(coord_count(n), [v.coords for v in vertices]))
 
-
-# --- serialization --------------------------------------------------------
-
-def point_to_dict(x: OmegaPoint) -> dict:
-    """Canonical JSON object; stores the reduced coordinates only."""
-    r = reduce_point(x)
-    return reduced_to_dict(r)
-
-
-def reduced_to_dict(r: ReducedPoint) -> dict:
-    vals = {"%d,%d" % (i, j): str(r.value(i, j)) for (i, j) in reduced_pairs(r.n)}
-    return {"n": r.n, "reduced": vals}
-
-
-def point_from_dict(obj: dict) -> OmegaPoint:
-    return lift_point(reduced_from_dict(obj))
-
-
-def reduced_from_dict(obj: dict) -> ReducedPoint:
-    """Read {"n": n, "reduced": {"i,j": value}} by the rules of convert:
-    n is a positive int and every value an int or a fraction string."""
-    n = json_positive_int(obj, "n")
-    (raw,) = json_fields(obj, "reduced")
-    if not isinstance(raw, dict):
-        raise ValueError('"reduced" must be an object')
-    y = {}
-    for key, val in raw.items():
-        try:
-            i, j = (int(t) for t in key.split(","))
-        except ValueError:
-            raise ValueError('reduced key %s is not "i,j"'
-                             % (_shown(key),)) from None
-        if (i, j) in y:
-            raise ValueError("reduced coordinate %d,%d is given twice (key %s)"
-                             % (i, j, _shown(key)))
-        reduced_index(n, i, j)
-        try:
-            y[i, j] = json_number(val, "reduced")
-        except ValueError:  # read again to name the key, quoted only here
-            json_number(val, "reduced %s" % (_shown(key),))
-    # checked only now, so a large n costs nothing before it is refused
-    if len(y) != reduced_count(n):
-        raise ValueError("reduced coordinates: %d given, %s expected for "
-                         "n = %s" % (len(y), _shown(reduced_count(n)),
-                                     _shown(n)))
-    return ReducedPoint(n, tuple(y[ij] for ij in reduced_pairs(n)))
-
-
-def point_to_json(x: OmegaPoint) -> str:
-    return json.dumps(point_to_dict(x), indent=1)
-
-
-def point_from_json(text: str) -> OmegaPoint:
-    return point_from_dict(parse_json(text))

@@ -18,7 +18,7 @@ DEMO_STDOUT = {
     "01_cliques_and_2sat.py":
         "d84f5856df336fe6042b2cc544649ee0e2081d71ef18916953b1c5ac03155e76",
     "02_vertices_and_equalities.py":
-        "bf6eb1309602d6ef41037da0f11a402e4b276ac14a8554c492c2cf1acc55ef05",
+        "e8417c7ea89ceeebc24884aabcf4e562b88dad8c1c9639c5220c3e89858614d4",
     "03_dimension_and_family.py":
         "efacf1759bf336b5394ed295c9d142ece9f3d6d7a7ddee7ca886ef304908376a",
     "04_edge_certificates.py":

@@ -1,13 +1,12 @@
-import json
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
+from omegapoly import neighborly, omega3_census
 from omegapoly import omega_core as oc
 from omegapoly import polyhedra as ph
-from omegapoly.graph2p import Assignment
+from omegapoly.graph2p import Assignment, graph_from_json
 from omegapoly.guards import ScaleGuardError
 
 
@@ -160,96 +159,9 @@ def test_all_vertices_guard():
     assert err.value.guard == "bruteforce"
 
 
-def test_point_json_round_trip():
-    x = oc.vertex_from_assignment(3, Assignment((1, 2, 1)))
-    assert oc.point_from_json(oc.point_to_json(x)) == x
-
-    r = oc.ReducedPoint(2, (Fraction(1, 3), Fraction(1, 12), Fraction(2, 5)))
-    x = oc.lift_point(r)
-    obj = oc.point_to_dict(x)
-    assert obj["reduced"]["1,2"] == "1/12"
-    assert oc.point_from_dict(obj) == x
-
-
-@pytest.mark.parametrize("reduced", [
-    {"1,1": 0, "1,2": 0, "2,2": 0, "k" * 100000: 0},
-    {"1,1": 0, "1,2": 0, "2,2": "v" * 100000},
-    {"1,1": 0, "1,2": 0, "2,2": 0, " " * 100000 + "1,1": 0},
-    {"1,1": 0, "1,2": 0, "2,2": 0, "1," + "9" * 4000: 0},
-], ids=["long-key", "long-value", "long-repeated-key", "long-index"])
-def test_point_json_cuts_a_long_bad_value_short(reduced):
-    with pytest.raises(ValueError) as info:
-        oc.point_from_json(json.dumps({"n": 2, "reduced": reduced}))
-    message = str(info.value)
-    assert "\n" not in message and len(message) < 200
-
-
-def test_reduced_from_dict_validation():
-    with pytest.raises(ValueError):
-        oc.reduced_from_dict({"n": 2, "reduced": {"1,1": "1"}})
-    with pytest.raises(ValueError):
-        oc.reduced_from_dict({"n": 0, "reduced": {}})
-    with pytest.raises(ValueError):
-        oc.reduced_from_dict({"n": 2, "reduced": {"1,1": "1", "2,1": "0",
-                                                  "2,2": "0"}})
-    # the rules of convert: numbers are ints or fraction strings, n is a
-    # positive int, and a missing key or a malformed "i,j" is one line
-    good = {"1,1": "1/10", "1,2": 0, "2,2": "-3"}
-    assert oc.reduced_from_dict({"n": 2, "reduced": good}).y == (
-        Fraction(1, 10), 0, -3)
-    bad = [
-        ({"n": 2, "reduced": dict(good, **{"1,1": 0.1})}, "0.1"),
-        ({"n": 2, "reduced": dict(good, **{"1,1": True})}, "true"),
-        ({"n": 2, "reduced": dict(good, **{"1,1": "1/0"})}, "1/0"),
-        ({"n": 2, "reduced": dict(good, **{"1,1": [1]})}, "1"),
-        ({"n": True, "reduced": {"1,1": "1"}}, '"n"'),
-        ({"n": 2.0, "reduced": good}, '"n"'),
-        ({"n": 2}, '"reduced"'),
-        ({"reduced": good}, '"n"'),
-        ([], '"n"'),
-        ({"n": 2, "reduced": [["1,1", "1"]]}, '"reduced"'),
-        ({"n": 2, "reduced": dict(good, **{"1": "0"})}, '"1"'),
-        ({"n": 2, "reduced": dict(good, **{"1,2,2": "0"})}, '"1,2,2"'),
-        ({"n": 2, "reduced": dict(good, **{"a,b": "0"})}, '"a,b"'),
-        ({"n": 2, "reduced": dict(good, **{"1,3": "0"})}, "1 <= i <= j"),
-        ({"n": 1, "reduced": {"1,1": "1/3", " 01 ,1": "1/2"}},
-         "1,1 is given twice"),
-    ]
-    for obj, word in bad:
-        with pytest.raises(ValueError) as err:
-            oc.reduced_from_dict(obj)
-        msg = str(err.value)
-        assert word in msg and "\n" not in msg
-
-
-@pytest.mark.parametrize("n", [4000, 10 ** 9])
-def test_a_large_declared_n_is_refused_by_its_count(n):
-    # the point is read key by key before n sizes anything, so one key
-    # against a large n is one short line, not a list of every missing pair
-    text = '{"n": %d, "reduced": {"1,1": 0}}' % n
-    start = time.perf_counter()
-    with pytest.raises(ValueError) as err:
-        oc.point_from_json(text)
-    assert time.perf_counter() - start < 1
-    msg = str(err.value)
-    assert msg == "reduced coordinates: 1 given, %d expected for n = %d" % (
-        oc.reduced_count(n), n)
-    assert len(msg) < 200
-
-
-def test_an_n_whose_count_is_too_long_for_str_is_refused_by_its_count():
-    # n(n+1)/2 of a 4,000-digit n has 8,000 digits, past the limit of str,
-    # so the count is shown by its size and n cut short
-    with pytest.raises(ValueError) as err:
-        oc.point_from_json('{"n": %s, "reduced": {"1,1": 0}}' % ("9" * 4000))
-    msg = str(err.value)
-    assert msg.startswith("reduced coordinates: 1 given, an integer of over ")
-    assert msg.endswith("... (4000 characters)") and len(msg) < 200
-
-
 def test_json_past_the_digit_limit_is_refused_in_a_line_of_its_own():
     with pytest.raises(ValueError) as err:
-        oc.point_from_json('{"n": %s, "reduced": {}}' % ("9" * 5000))
+        graph_from_json('{"n": %s, "missing_edges": []}' % ("9" * 5000))
     assert str(err.value).startswith("JSON holds an integer of over ")
     assert "set_int_max_str_digits" not in str(err.value)
 
@@ -275,7 +187,9 @@ def test_an_n_past_the_digit_limit_is_named_in_the_part_count_message(build):
      "expected an integer of over 4300 digits coordinates, got 0"),
     (lambda huge: oc.ReducedPoint(huge, ()),
      "expected an integer of over 4300 digits reduced coordinates, got 0"),
-], ids=["coord", "coord_index", "OmegaPoint", "ReducedPoint"])
+    (lambda huge: oc.reduced_index(2, 1, huge),
+     "need 1 <= i <= j <= n, got (1, an integer of over 4300 digits)"),
+], ids=["coord", "coord_index", "OmegaPoint", "ReducedPoint", "reduced_index"])
 def test_an_int_past_the_digit_limit_is_named_in_the_index_messages(call,
                                                                    message):
     # the caller's ints are echoed by _shown, not formatted with %d
@@ -295,3 +209,49 @@ def test_a_vertex_code_round_trips_in_assignment_order():
     for code in (-1, 8):
         with pytest.raises(ValueError):
             Assignment.from_code(3, code)
+
+
+_A, _B = Assignment((1, 2)), Assignment((2, 2))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: oc.all_assignments(3.0),
+     "all_assignments: n and bound must be integers, got 3.0 and 20"),
+    (lambda: oc.all_assignments(True),
+     "all_assignments: n and bound must be integers, got True and 20"),
+    (lambda: oc.all_assignments(2, 20.0),
+     "all_assignments: n and bound must be integers, got 2 and 20.0"),
+    (lambda: oc.all_vertices(2.0),
+     "all_assignments: n and bound must be integers, got 2.0 and 20"),
+    (lambda: oc.reduced_vertex_vrep(2.0),
+     "all_assignments: n and bound must be integers, got 2.0 and 20"),
+    (lambda: oc.omega_dimension(2.0),
+     "all_assignments: n and bound must be integers, got 2.0 and 20"),
+    (lambda: omega3_census.facet_census(3.0),
+     "all_assignments: n and bound must be integers, got 3.0 and 20"),
+    (lambda: omega3_census.edges_via_hull(3.0),
+     "all_assignments: n and bound must be integers, got 3.0 and 20"),
+    (lambda: neighborly.edge_certificate(2.0, _A, _B),
+     "edge_certificate: n and bound must be integers, got 2.0 and 20"),
+    (lambda: oc.independent_family(2.0), "n must be an integer, got 2.0"),
+    (lambda: oc.independent_family(True), "n must be an integer, got True"),
+    (lambda: oc.vertex_from_assignment(2.0, _A),
+     "n must be an integer, got 2.0"),
+    (lambda: oc.reduced_vertex(2.0, _A), "n must be an integer, got 2.0"),
+    (lambda: Assignment.from_code(2, True),
+     "n and vertex code must be integers, got 2 and True"),
+    (lambda: Assignment.from_code(2, 1.0),
+     "n and vertex code must be integers, got 2 and 1.0"),
+    (lambda: Assignment.from_code(2.0, 1),
+     "n and vertex code must be integers, got 2.0 and 1"),
+], ids=["all_assignments", "all_assignments-bool", "all_assignments-bound",
+        "all_vertices", "reduced_vertex_vrep", "omega_dimension",
+        "facet_census", "edges_via_hull", "edge_certificate",
+        "independent_family", "independent_family-bool",
+        "vertex_from_assignment", "reduced_vertex", "from_code-bool",
+        "from_code-float", "from_code-n"])
+def test_a_float_or_bool_part_count_is_refused_by_the_int_rule(call, message):
+    # a float n failed in a shift or in range(), and a bool ran as 1 part
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

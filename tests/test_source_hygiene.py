@@ -92,6 +92,19 @@ def test_json_text_is_parsed_only_by_parse_json():
                    for node in ast.walk(tree))
 
 
+def test_json_readers_are_used_only_where_a_json_format_is_read():
+    # omega_core holds the vertex geometry alone; JSON is read only by
+    # the modules whose format a command reads and by the certificate
+    # reader
+    modules = _modules()
+    readers = {name for name, _ in _functions(modules.pop("guards.py"))
+               if name == "parse_json" or name.startswith("json_")}
+    users = {name for name, tree in modules.items()
+             if readers & _referenced(tree)}
+    assert users == {"cli.py", "graph2p.py", "neighborly.py"}
+    assert "json" not in _outside_imports(modules["omega_core.py"])
+
+
 def _referenced(node) -> set[str]:
     """Every name node refers to: bare names, attributes and imports."""
     names = set()
