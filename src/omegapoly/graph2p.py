@@ -81,8 +81,11 @@ class Assignment:
 
     def rho(self, part: int) -> int:
         """Chosen position of the given part (parts are 1-based)."""
+        if not is_int(part):
+            raise ValueError("part %s is not an integer"
+                             % (_shown(part, repr),))
         if not 1 <= part <= len(self.choice):
-            raise ValueError("part %r out of range" % (part,))
+            raise ValueError("part %s out of range" % (_shown(part),))
         return self.choice[part - 1]
 
     def __str__(self) -> str:

@@ -308,9 +308,11 @@ class FaceVerdict:
     kind is one of "facet", "proper_face", "not_face", "empty",
     "whole_polytope".  For the first two, form supports the polytope with
     equality exactly on the subset and dimension is the face dimension.
-    "not_face" carries no form: it rests either on a point outside the
-    subset that lies in the subset's affine hull or on the exact optimum
-    of the face LP being 0, and no witness of either is returned yet.
+    "not_face" carries no form.  It rests on one of three facts, and no
+    witness of any is returned yet: a point outside the subset lies in
+    the subset's affine hull; the subset spans a hyperplane of a
+    full-dimensional polytope and two outside points lie on opposite
+    sides of it; or the exact optimum of the face LP is 0.
     """
 
     kind: str
@@ -342,8 +344,15 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
       differences of S from its first point, against which each outside
       difference is tested.
 
-    Both give the same answer and the same dimension.  Only a subset that
-    passes the screen gets the LP.
+    Both give the same answer, dimension and facet normal.  When the
+    polytope is full-dimensional and aff(S) is a hyperplane (a facet
+    candidate), the screen also decides S without an LP: every hyperplane
+    through S contains aff(S), so aff(S) is the only one that can support
+    S, and S is a facet iff every outside point lies strictly on one side
+    of it (Ziegler, Lectures on Polytopes).  Its form is the integer normal of
+    aff(S), oriented to make the outside points positive.  Only a subset
+    of lower dimension, or any subset of a polytope that is not
+    full-dimensional, gets the LP, and only if it passes the screen.
 
     The LP looks for a hyperplane f . x = f . s0 through the subset (s0
     its first point) with every other point strictly on the positive
@@ -352,7 +361,9 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     means there is none, and the verdict is "not_face".  The diagonal
     rectangle {0000, 0011, 1100, 1111} of the 4-cube passes the screen
     and is refused this way: its hull meets that of {0101, 1010} at the
-    centre.
+    centre.  On a facet candidate the LP's equalities would pin f to the
+    normal's line and its inequalities make f a positive multiple of the
+    normal, so both routes give one coprime form.
 
     The points are read as the integers Q / D over one common D that v
     clears on first use and keeps, with its affine rank (for the facet
@@ -384,37 +395,53 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     outside = [i for i in range(npts) if i not in inside]
     screen = (_dependency_screen if len(outside) < len(idx) - 1
               else _span_screen)
-    dimension = screen(v, idx, outside)
-    if dimension is None:
+    found = screen(v, idx, outside)
+    if found is None:
         return FaceVerdict("not_face")
 
+    dimension, f = found
     d = v.dim
     pts, D = v._integers
     s0 = pts[idx[0]]
-    diffs = [[a - b for a, b in zip(p, s0)] for p in pts]
-    rows = [diffs[i] + [-D, 0] for i in outside]
-    rows.append([0] * d + [-D, -D])
-    n_ineq = len(rows)
-    rows += [diffs[i] + [0, 0] for i in idx[1:]]
-    status, _, _, x, _ = _int_lp([0] * d + [1], rows, n_ineq)
-    if status != "optimal":
-        raise RuntimeError("face LP came out %s; it is feasible and bounded "
-                           "by construction" % (status,))
+    if f is None:  # no facet candidate: the face LP
+        diffs = [[a - b for a, b in zip(p, s0)] for p in pts]
+        rows = [diffs[i] + [-D, 0] for i in outside]
+        rows.append([0] * d + [-D, -D])
+        n_ineq = len(rows)
+        rows += [diffs[i] + [0, 0] for i in idx[1:]]
+        status, _, _, x, _ = _int_lp([0] * d + [1], rows, n_ineq)
+        if status != "optimal":
+            raise RuntimeError("face LP came out %s; it is feasible and "
+                               "bounded by construction" % (status,))
+        if x[d] <= 0:
+            return FaceVerdict("not_face")
+        f = x[:d]  # the separator is f / den, its rhs f . s0 / (den D)
 
-    f = x[:d]  # the separator is f / den, its rhs f . s0 / (den D)
-    if x[d] > 0:
-        kind = ("facet" if dimension == v._affine_rank - 1
-                else "proper_face")
-        form = _coprime_form([c * D for c in f] + [_dot(f, s0)])
-        return FaceVerdict(kind, form, dimension)
-    return FaceVerdict("not_face")
+    kind = "facet" if dimension == v._affine_rank - 1 else "proper_face"
+    form = _coprime_form([c * D for c in f] + [_dot(f, s0)])
+    return FaceVerdict(kind, form, dimension)
 
 
-def _span_screen(v: VRep, idx: list[int], outside: list[int]) -> int | None:
-    """dim aff(S) for the points S at the sorted indices idx, or None when
-    a point at an index in outside lies in aff(S): one integer RREF of the
-    differences of S from its first point, each outside difference tested
-    against its row space, whose rank is the dimension."""
+def _is_facet_candidate(v: VRep, dimension: int) -> bool:
+    """Is a subset with dim aff(S) = dimension a facet candidate: aff(S) a
+    hyperplane of a full-dimensional polytope?"""
+    return dimension == v.dim - 1 == v._affine_rank - 1
+
+
+def _span_screen(v: VRep, idx: list[int], outside: list[int]
+                 ) -> tuple[int, list[int] | None] | None:
+    """(dim aff(S), normal) for the points S at the sorted indices idx, or
+    None when S is no face: one integer RREF of the differences of S from
+    its first point, each outside difference tested against its row
+    space, whose rank is the dimension.
+
+    A point at an index in outside (O) that lies in aff(S) makes S no
+    face.  normal is None unless S is a facet candidate; then it is the
+    integer normal of aff(S), the one null vector of the RREF, with
+    every point of O on its positive side, and S is a facet.  Points of O
+    on both sides make S no face.  For a facet candidate the values of
+    the normal on O replace the row space test.
+    """
     pts = v._integers[0]
     s0 = pts[idx[0]]
 
@@ -422,16 +449,26 @@ def _span_screen(v: VRep, idx: list[int], outside: list[int]) -> int | None:
         return [a - b for a, b in zip(pts[i], s0)]
 
     span, den, pivots = _int_rref(map(diff, idx[1:]))
-    if any(_in_row_space(diff(i), span, den, pivots) for i in outside):
-        return None
-    return len(pivots)
+    if not _is_facet_candidate(v, len(pivots)):
+        if any(_in_row_space(diff(i), span, den, pivots) for i in outside):
+            return None
+        return len(pivots), None
+    # aff(S) is the hyperplane normal . (x - s0) = 0, so the sign of that
+    # value both tests a point for aff(S) (zero) and gives its side
+    normal = _null_basis(span, den, pivots, v.dim)[0]
+    sides = {(x > 0) - (x < 0) for x in (_dot(normal, diff(i))
+                                         for i in outside)}
+    if sides == {1}:
+        return len(pivots), normal
+    if sides == {-1}:
+        return len(pivots), [-c for c in normal]
+    return None
 
 
-def _dependency_screen(v: VRep, idx: list[int],
-                       outside: list[int]) -> int | None:
+def _dependency_screen(v: VRep, idx: list[int], outside: list[int]
+                       ) -> tuple[int, list[int] | None] | None:
     """_span_screen's answer from the affine dependencies of the points,
-    cut to the columns in outside (O): the matrix A.  idx is not read; it
-    keeps the signature of _span_screen.
+    cut to the columns in outside (O): the matrix A.
 
     An outside point w lies in aff(S) iff some dependency is nonzero at w
     and zero at the rest of O, that is iff the unit vector e_w is in the
@@ -440,12 +477,27 @@ def _dependency_screen(v: VRep, idx: list[int],
     witness.  Otherwise the k dependencies span k - rank(A) that vanish
     on O, which are those of S, so dim aff(S) = affine rank - |O| +
     rank(A).
+
+    A facet candidate has rank(A) = |O| - 1.  Let g be an affine function
+    whose zero set is the hyperplane aff(S).  For every dependency lam,
+    sum lam_w g(w) over O is 0, since g vanishes on S, so the values of g
+    on O are a multiple of A's one null vector; none of them is zero,
+    since no point of O lies in aff(S).  Entries of both signs make S no
+    face.  Otherwise S is a facet, and only then is the normal built, by
+    the span screen on the points of S and the first point of O, which
+    orients it.
     """
     cut = [[lam[w] for w in outside] for lam in v._dependencies]
-    rref, _, pivots = _int_rref(cut)
+    rref, den, pivots = _int_rref(cut)
     if any(sum(map(bool, row)) == 1 for row in rref):
         return None
-    return v._affine_rank - len(outside) + len(pivots)
+    dimension = v._affine_rank - len(outside) + len(pivots)
+    if not _is_facet_candidate(v, dimension):
+        return dimension, None
+    sides = _null_basis(rref, den, pivots, len(outside))[0]
+    if min(sides) < 0 < max(sides):
+        return None
+    return _span_screen(v, idx, outside[:1])
 
 
 # --- fixtures -------------------------------------------------------------

@@ -54,3 +54,25 @@ def symmetry_group(n):
                 group.add(hg)
                 frontier.append(hg)
     return group
+
+
+def census_to_dict(report):
+    """The census report as the dict that census_to_json writes: its
+    json.dumps(..., indent=1) is the reference for the writer."""
+    facets = []
+    for rec in report.facets:
+        facets.append({
+            "coeffs": [str(c) for c in rec.form.coeffs],
+            "rhs": str(rec.form.rhs),
+            "vertices_on": rec.vertices_on,
+        })
+    out = {
+        "n": report.n,
+        "facets": facets,
+        "facet_count": report.facet_count,
+        "per_vertex_incidence": report.per_vertex_incidence,
+    }
+    if report.orbits is not None:
+        out["orbits"] = [{"size": o.size, "representative": o.representative}
+                         for o in report.orbits]
+    return out

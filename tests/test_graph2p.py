@@ -34,6 +34,20 @@ def test_assignment_basics():
         a.rho(4)
 
 
+@pytest.mark.parametrize("part,message", [
+    (True, "part True is not an integer"),
+    (1.5, "part 1.5 is not an integer"),
+    (10 ** 5000, "part an integer of over %d digits out of range"
+     % sys.get_int_max_str_digits()),
+], ids=["bool", "float", "huge"])
+def test_rho_refuses_a_part_that_is_not_one(part, message):
+    # True == 1 read part 1, a float reached the tuple index as a
+    # TypeError, and a huge int broke the message
+    with pytest.raises(ValueError) as info:
+        g2.Assignment((1, 2)).rho(part)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("choice", [(True, 2), (1.0, 2), (1, 2.0)])
 def test_assignment_entries_are_the_ints_1_and_2(choice):
     # True == 1 and 1.0 == 1, but a bool would reach certificate JSON as

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from omegapoly import omega_core as oc
 from omegapoly import polyhedra as ph
 from omegapoly.graph2p import Assignment
 from omegapoly.guards import ScaleGuardError
-from oracles import generator_permutations, symmetry_group, tight_masks
+from oracles import (census_to_dict, generator_permutations,
+                     symmetry_group, tight_masks)
 
 
 def all3():
@@ -206,7 +208,7 @@ def test_facet_orbits_refuse_a_missing_image():
 def test_census_orbits_optional():
     report = o3.facet_census(2, include_orbits=False)
     assert report.orbits is None
-    obj = o3.census_to_dict(report)
+    obj = json.loads(o3.census_to_json(report))
     assert "orbits" not in obj
 
 
@@ -252,6 +254,19 @@ def test_census_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_census_json_is_the_indented_dump(n):
+    # census_to_json writes the bytes itself; json.dumps with indent=1 is
+    # the reference, with and without orbits
+    for orbits in (True, False):
+        report = o3.facet_census(n, allow_large=True, include_orbits=orbits)
+        assert o3.census_to_json(report) == json.dumps(
+            census_to_dict(report), indent=1)
+    empty = o3.CensusReport(n, (), 0, 0, ())
+    assert o3.census_to_json(empty) == json.dumps(census_to_dict(empty),
+                                                  indent=1)
+
+
 def test_census_five_parts_opt_in():
     report = o3.facet_census(5, allow_large=True)
     assert report.facet_count == 368
@@ -274,7 +289,7 @@ def test_census_guards():
 
 
 def test_census_json_layout():
-    obj = o3.census_to_dict(o3.facet_census(2))
+    obj = json.loads(o3.census_to_json(o3.facet_census(2)))
     assert obj["n"] == 2
     assert obj["facet_count"] == 4
     assert obj["per_vertex_incidence"] == 3

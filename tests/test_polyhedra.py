@@ -821,14 +821,19 @@ def test_lp_pivot_counts(monkeypatch):
     res = ph.lp_solve(ph.linear_form([1], 0), h)
     assert res.status == "infeasible" and res.pivots == (1, 0)
     assert ph.LpResult("infeasible").pivots is None
-    # the one face LP behind a square facet of the 3-cube, which is_face
-    # hands to the integer LP core directly: its artificials sit on rhs-0
-    # equalities, so phase 1 only drives them out (7 pivots, none in
-    # phase 2, with one artificial per row)
+    # the one face LP behind an edge of the 3-cube, which is_face hands to
+    # the integer LP core directly: its one artificial sits on an rhs-0
+    # equality, so phase 1 only drives it out
     pivots = _record_face_lps(monkeypatch)
-    verdict = ph.is_face(ph.regular_polytope("cube", 3), [0, 1, 2, 3])
-    assert verdict.kind == "facet"
-    assert pivots == [(2, 2)]
+    cube = ph.regular_polytope("cube", 3)
+    verdict = ph.is_face(cube, [0, 1])
+    assert (verdict.kind, verdict.dimension) == ("proper_face", 1)
+    assert pivots == [(1, 3)]
+    # a square facet spans a hyperplane of the cube, which decides it
+    # without an LP
+    pivots.clear()
+    assert ph.is_face(cube, [0, 1, 2, 3]).kind == "facet"
+    assert pivots == []
 
 
 def _record_flips(monkeypatch) -> list:
@@ -922,14 +927,19 @@ def test_simplex_raises_on_a_revisited_basis(monkeypatch):
 
 
 def test_face_lp_pivot_totals(monkeypatch):
-    # summed (phase 1, phase 2) pivots of the face LPs of all 28 n = 3 pair
-    # complements and all 120 n = 4 pairs, pinned as work counts
+    # summed (phase 1, phase 2) pivots of the face LPs of all 28 n = 3
+    # pairs and all 120 n = 4 pairs, pinned as work counts.  The 28 n = 3
+    # pair complements span hyperplanes of the full-dimensional polytope,
+    # so none of them reaches an LP
     pivots = _record_face_lps(monkeypatch)
     v = omega_core.reduced_vertex_vrep(3)
     for a, b in itertools.combinations(range(8), 2):
         ph.is_face(v, [k for k in range(8) if k not in (a, b)])
+    assert pivots == []
+    for pair in itertools.combinations(range(8), 2):
+        assert ph.is_face(v, pair).kind == "proper_face"
     assert len(pivots) == 28
-    assert [sum(p) for p in zip(*pivots)] == [140, 81]
+    assert [sum(p) for p in zip(*pivots)] == [28, 147]
     pivots.clear()
     # the width of every n = 4 pair face LP tableau, rhs left out: one
     # column for each of the 11 free variables (10 coordinates and t),
@@ -961,6 +971,24 @@ def test_face_lp_pivot_totals(monkeypatch):
     for k in range(16):
         assert ph.is_face(v, [k]).kind == "proper_face"
     assert len(pivots) == 16 and all(p[0] == 0 for p in pivots)
+
+
+def test_a_faces_query_mix_makes_12_face_lps(monkeypatch):
+    # the mix of the benchmark's faces pass: all 28 n = 3 pair complements
+    # (16 facets), 12 seeded n = 4 pairs (edges) and every second n = 4
+    # pair complement (60 non-faces).  The screens decide the complements,
+    # so only the edges reach the LP
+    lps = _record_face_lps(monkeypatch)
+    v3 = omega_core.reduced_vertex_vrep(3)
+    v4 = omega_core.reduced_vertex_vrep(4)
+    n3 = list(itertools.combinations(range(8), 2))
+    n4 = list(itertools.combinations(range(16), 2))
+    queries = [(v3, [k for k in range(8) if k not in p]) for p in n3]
+    queries += [(v4, p) for p in random.Random(1).sample(n4, 12)]
+    queries += [(v4, [k for k in range(16) if k not in p]) for p in n4[::2]]
+    kinds = Counter(ph.is_face(v, subset).kind for v, subset in queries)
+    assert kinds == {"facet": 16, "proper_face": 12, "not_face": 72}
+    assert len(lps) == 12
 
 
 # one dual numerator read off the final tableau is put off by one; the
@@ -1018,8 +1046,9 @@ def test_dual_checks_survive_python_O_after_phase_1():
 
 def test_dual_checks_survive_python_O_through_is_face():
     # is_face builds its LP on integers and calls the core directly; the
-    # first dual belongs to an outside point's row, which has a t entry
-    call = "ph.is_face(ph.regular_polytope('cube', 3), [0, 1, 2, 3])"
+    # first dual belongs to an outside point's row, which has a t entry.
+    # A cube edge reaches the LP, where a cube facet would not
+    call = "ph.is_face(ph.regular_polytope('cube', 3), [0, 1])"
     assert _run_optimized(call) == "1 dual stationarity failed\n"
 
 
@@ -1209,15 +1238,22 @@ def _route_agreement_inputs():
 
 def test_the_span_and_dependency_screens_agree():
     # the screens are two routes to one answer: None when an outside point
-    # lies in the subset's affine hull, else the hull's dimension
+    # lies in the subset's affine hull or a facet candidate's hyperplane
+    # has outside points on both sides, else the hull's dimension and, for
+    # a facet, its oriented normal
     answers = []
     for v, subsets in _route_agreement_inputs():
         for subset in subsets:
             span, dependency = _both_screens(v, subset)
             assert span == dependency, (v, subset)
             answers.append(span)
-    assert set(answers) == {None, 0, 1, 2, 3, 4, 5, 6}
+    assert ({a if a is None else a[0] for a in answers}
+            == {None, 0, 1, 2, 3, 4, 5, 6})
     assert len(answers) == 255 + 255 + 63 + 120 + 100 + 127 + 127
+    # the facets: every one of n = 3 (16), the 3-cube (6), the 3-cross
+    # polytope (8) and the rational set (7); no n = 4 or n = 5 pair
+    # complement is one, and the flat set is not full-dimensional
+    assert sum(a is not None and a[1] is not None for a in answers) == 37
 
 
 def test_a_simplex_has_no_affine_dependency():
@@ -1227,7 +1263,9 @@ def test_a_simplex_has_no_affine_dependency():
     assert v._dependencies == []
     for size in range(1, 6):
         for subset in itertools.combinations(range(5), size):
-            assert _both_screens(v, set(subset)) == (size - 1, size - 1)
+            span, dependency = _both_screens(v, set(subset))
+            assert span == dependency and span[0] == size - 1
+            assert (span[1] is not None) == (size == 4)
     verdict = ph.is_face(v, [0, 1, 2, 4])
     assert (verdict.kind, verdict.dimension) == ("facet", 3)
 
@@ -1237,7 +1275,7 @@ def test_a_pyramid_apex_complement_is_a_facet():
     # rank 0, and the base has dimension 3 - 1 + 0 = 2, a facet
     v = ph.VRep(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
     assert v._dependencies == [[4, -4, -4, 4, 0]]
-    assert _both_screens(v, {0, 1, 2, 3}) == (2, 2)
+    assert _both_screens(v, {0, 1, 2, 3}) == ((2, [0, 0, 4]),) * 2
     verdict = ph.is_face(v, [0, 1, 2, 3])
     assert verdict == ph.FaceVerdict("facet", ph.linear_form([0, 0, 1], 0), 2)
 
@@ -1289,6 +1327,92 @@ def test_is_face_agrees_with_hull_tight_sets(kind, d):
         # a facet plus any outside vertex is never a face
         extra = next(k for k in range(npts) if k not in tight)
         assert ph.is_face(v, sorted(tight) + [extra]).kind == "not_face"
+
+
+def _hull_facets(v) -> dict:
+    """{tight bitmask: form} of the hull's facets: the double description's
+    answer, independent of is_face's routes."""
+    h, masks = ph._hull_with_masks(v)
+    return dict(zip(masks, h.inequalities))
+
+
+def _indices(mask: int) -> list[int]:
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+@pytest.mark.parametrize("v", [omega_core.reduced_vertex_vrep(3),
+                               ph.regular_polytope("cube", 3),
+                               ph.regular_polytope("cross", 3)],
+                         ids=["n3", "cube3", "cross3"])
+def test_is_face_says_facet_exactly_on_hull_tight_sets(v, monkeypatch):
+    # a facet candidate is decided by the sign of its one hyperplane on
+    # the outside points: "facet", with the hull's form, on every tight
+    # set, and on no other nonempty proper subset
+    lps = _record_face_lps(monkeypatch)
+    facets = _hull_facets(v)
+    npts = len(v.points)
+    for mask in range(1, (1 << npts) - 1):
+        before = len(lps)
+        verdict = ph.is_face(v, _indices(mask))
+        assert (verdict.kind == "facet") == (mask in facets), mask
+        if mask in facets:
+            assert verdict == ph.FaceVerdict("facet", facets[mask], v.dim - 1)
+            assert len(lps) == before
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_is_face_near_each_hull_facet(n, monkeypatch):
+    # each facet tight set T of n = 4 and n = 5 is a facet with the hull's
+    # form and no LP; T plus an outside point is no face; T less a point
+    # spans the same hyperplane, which holds that point, unless T is a
+    # simplex, whose faces are all faces.  A simplex facet less a point
+    # is a face of dimension dim - 2, which only the LP decides; at n = 5
+    # the 2,880 such LPs would take over ten seconds, so only the first
+    # point of a simplex facet is dropped there
+    lps = _record_face_lps(monkeypatch)
+    v = omega_core.reduced_vertex_vrep(n)
+    npts = len(v.points)
+    for mask, form in _hull_facets(v).items():
+        tight = _indices(mask)
+        assert ph.is_face(v, tight) == ph.FaceVerdict("facet", form, v.dim - 1)
+        for k in range(npts):
+            if not mask >> k & 1:
+                assert ph.is_face(v, sorted(tight + [k])).kind == "not_face"
+        assert lps == []
+        simplex = len(tight) == v.dim
+        dropped = tight[:1] if simplex and n == 5 else tight
+        for k in dropped:
+            verdict = ph.is_face(v, [j for j in tight if j != k])
+            if simplex:
+                assert (verdict.kind, verdict.dimension) == ("proper_face",
+                                                             v.dim - 2)
+            else:
+                assert verdict.kind == "not_face"
+        assert len(lps) == (len(dropped) if simplex else 0)
+        lps.clear()
+
+
+def test_a_flat_polytope_takes_the_lp_on_every_facet(monkeypatch):
+    # the 3-cube on the hyperplane x4 = x1 + 1 of Q^4 is not
+    # full-dimensional, so no subset is a facet candidate: each of its 6
+    # facets, of dimension 2 = affine rank - 1, is found by one LP, whose
+    # form is one of many that support it
+    lps = _record_face_lps(monkeypatch)
+    v = ph.VRep(4, [p + (p[0] + 1,)
+                    for p in ph.regular_polytope("cube", 3).points])
+    assert ph.affine_rank(v) == 3
+    forms = {}
+    for mask in _hull_facets(v):
+        verdict = ph.is_face(v, _indices(mask))
+        assert (verdict.kind, verdict.dimension) == ("facet", 2)
+        forms[tuple(_indices(mask))] = (verdict.form.coeffs, verdict.form.rhs)
+    assert len(lps) == 6
+    assert forms == {(0, 1, 2, 3): ((1, 0, 0, 0), 0),
+                     (4, 5, 6, 7): ((-1, 0, 0, 0), -1),
+                     (0, 1, 4, 5): ((0, 1, 0, 0), 0),
+                     (2, 3, 6, 7): ((0, -1, 0, 0), -1),
+                     (0, 2, 4, 6): ((0, 0, 1, 0), 0),
+                     (1, 3, 5, 7): ((0, 0, -1, 0), -1)}
 
 
 def test_positive_verdict_forms_support_exactly():
