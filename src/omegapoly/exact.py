@@ -20,16 +20,47 @@ def _int_pivot(tab: list[list[int]], den: int, r: int, c: int) -> int:
     matrix with den = 1, den stays the absolute determinant of the pivot
     columns, which are den times unit vectors, and every division is exact
     (Bareiss; the integer pivoting of Avis's lrs).
+
+    Almost every pivot on 0/1 data is unimodular, p = den, and takes
+    _unit_pivot's sparse update.  With f = row_i[c] and b = row_r[j], the
+    new entry (a * den - f * b) / den = a - f * b / den is an integer, and
+    so is a, so den divides f * b: each entry becomes a - f * b // den,
+    exactly, and a - f * b when den = 1.  Only the nonzero columns of row
+    r change anything, and a row with f = 0 stays as it is.
+
+    Rows are replaced by new lists, never changed in place, so the
+    caller's row lists stay as they were.
     """
     if tab[r][c] < 0:
         tab[r] = [-x for x in tab[r]]
     prow = tab[r]
     p = prow[c]
+    if p == den:
+        _unit_pivot(tab, den, r, c)
+        return p
     for i, row in enumerate(tab):
-        f = row[c]
-        if i != r and (f or p != den):
+        if i != r:
+            f = row[c]
             tab[i] = [(a * p - f * b) // den for a, b in zip(row, prow)]
     return p
+
+
+def _unit_pivot(tab: list[list[int]], den: int, r: int, c: int) -> None:
+    """_int_pivot's update for a pivot entry tab[r][c] equal to den:
+    row_i - row_i[c] * row_r / den on the nonzero columns of row r, for
+    each row i != r with row_i[c] != 0, into a new list."""
+    support = [(j, b) for j, b in enumerate(tab[r]) if b]
+    for i, row in enumerate(tab):
+        f = row[c]
+        if f and i != r:
+            row = row.copy()
+            if den == 1:
+                for j, b in support:
+                    row[j] -= f * b
+            else:
+                for j, b in support:
+                    row[j] -= f * b // den
+            tab[i] = row
 
 
 def _clear_matrix(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:

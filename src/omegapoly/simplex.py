@@ -1,18 +1,19 @@
 """The integer simplex core _int_lp, which also checks its duals on integers;
 lp_solve and is_face in polyhedra both call it.  Imports only exact."""
 
-from .exact import _dot, _int_pivot
+from .exact import _dot, _int_pivot, _unit_pivot
 
 
 def _price_out(tab, den, basis, cost):
     """Reset the objective row (the tableau's last row) to den * (z - c).
-    Basic columns are den times unit vectors, so each division is exact."""
-    obj = [-x * den for x in cost] + [0] * (len(tab[-1]) - len(cost))
+    It starts at -den * c.  Each basic entry is den and its column is
+    zero in every other row, so a _unit_pivot on it clears the objective
+    row's entry and changes no other row; that entry is still -den * c
+    there, a multiple of den, so each division is exact."""
+    tab[-1] = [-x * den for x in cost] + [0] * (len(tab[-1]) - len(cost))
     for i, bv in enumerate(basis):
-        f = obj[bv] // den
-        if f:
-            obj = [a - f * b for a, b in zip(obj, tab[i])]
-    tab[-1] = obj
+        if tab[-1][bv]:
+            _unit_pivot(tab, den, i, bv)
 
 
 def _negate_column(tab, orient, k):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import os
@@ -265,6 +266,51 @@ def test_rref_matches_fraction_gauss_jordan(case):
     assert [[Fraction(x, den) for x in row] for row in mat] == expected_rows
 
 
+def _bareiss_pivot(tab, den, r, c):
+    """The plain Bareiss step on entry (r, c) of tab / den, the reference
+    for _int_pivot: row r negated if its entry is negative, every entry
+    of every other row (a * p - f * b) / den, each division checked."""
+    prow = [-x for x in tab[r]] if tab[r][c] < 0 else list(tab[r])
+    p = prow[c]
+    out = []
+    for i, row in enumerate(tab):
+        if i == r:
+            out.append(prow)
+            continue
+        quotients = [divmod(a * p - row[c] * b, den)
+                     for a, b in zip(row, prow)]
+        assert all(rem == 0 for _, rem in quotients)
+        out.append([q for q, _ in quotients])
+    return out, p
+
+
+def test_int_pivot_matches_the_plain_bareiss_update():
+    # seeded runs of pivots on sparse random tableaux [A | I], each pivot
+    # on a nonzero entry anywhere, as the simplex takes them: after every
+    # pivot the kernel's tab and den equal the plain Bareiss formula's.
+    # The runs reach every case of the sparse route and the general one
+    rng = random.Random(28)
+    seen = Counter()
+    for _ in range(200):
+        nrows, ncols = rng.randint(2, 5), rng.randint(2, 6)
+        tab = [[rng.choice((0, 0, 0, 1, 1, -1, 2, -3)) for _ in range(ncols)]
+               + [int(k == i) for k in range(nrows)] for i in range(nrows)]
+        den = 1
+        for _ in range(6):
+            r, c = rng.choice([(i, j) for i, row in enumerate(tab)
+                               for j, x in enumerate(row) if x])
+            p = abs(tab[r][c])
+            seen["p == den == 1" if p == den == 1
+                 else "p == den > 1" if p == den else "p != den"] += 1
+            seen["negative pivot"] += tab[r][c] < 0
+            seen["zero in pivot column"] += any(
+                row[c] == 0 for i, row in enumerate(tab) if i != r)
+            expected = _bareiss_pivot(tab, den, r, c)
+            den = exact._int_pivot(tab, den, r, c)
+            assert (tab, den) == expected
+    assert len(seen) == 5 and min(seen.values()) >= 20, seen
+
+
 def _brute_force_facets(points):
     """Tight sets of the facets of conv(points): try the hyperplane through
     every k-subset, k the affine dimension, and keep the one-sided ones
@@ -426,6 +472,29 @@ def test_cached_integers_agree_with_uncached_values():
         other = ph.VRep(v.dim, v.points)
         assert ph.affine_rank(other) == rank
         assert ph._hull_with_masks(other) == ph._hull_with_masks(v) == hull
+
+
+def test_the_kernel_changes_no_row_list_it_is_given():
+    # _int_pivot replaces rows and never changes one, so the VRep caches
+    # stay as they were through every route that pivots, and so do the
+    # differences _hull_with_masks reuses as its DD constraints after
+    # their RREF.  A pivot that updated rows in place left the caches
+    # alone but corrupted those: it found 16 edges at n = 3 and 45 at
+    # n = 4
+    for n, facets, edges in ((3, 16, 28), (4, 56, 120)):
+        v = omega_core.reduced_vertex_vrep(n)
+        integers = copy.deepcopy(v._integers)
+        dependencies = copy.deepcopy(v._dependencies)
+        npts = len(v.points)
+        for k in (1, 2, npts - 2):
+            for subset in itertools.combinations(range(npts), k):
+                ph.is_face(v, subset)
+        assert ph.affine_rank(v) == v.dim
+        hull, masks = ph._hull_with_masks(v)
+        assert v._integers == integers
+        assert v._dependencies == dependencies
+        assert len(hull.inequalities) == len(masks) == facets
+        assert omega3_census.edges_via_hull(n) == edges
 
 
 def test_hull_masks_match_tight_masks():
@@ -926,21 +995,48 @@ def test_simplex_raises_on_a_revisited_basis(monkeypatch):
         ph.lp_solve(ph.linear_form([2, -1, 0, -1], 0), h)
 
 
+def _record_pivot_mix(monkeypatch) -> dict:
+    """Patch the exact kernel so that each pivot appends whether it is
+    unimodular with den = 1 (|p| == den == 1): under "lp" for the
+    simplex's pivots, which _price_out does not make, and under "rref"
+    for those of _int_rref."""
+    mix = {"lp": [], "rref": []}
+    for module, key in ((simplex, "lp"), (exact, "rref")):
+        def recording(tab, den, r, c, pivot=module._int_pivot,
+                      seen=mix[key]):
+            seen.append(abs(tab[r][c]) == den == 1)
+            return pivot(tab, den, r, c)
+
+        monkeypatch.setattr(module, "_int_pivot", recording)
+    return mix
+
+
 def test_face_lp_pivot_totals(monkeypatch):
     # summed (phase 1, phase 2) pivots of the face LPs of all 28 n = 3
     # pairs and all 120 n = 4 pairs, pinned as work counts.  The 28 n = 3
     # pair complements span hyperplanes of the full-dimensional polytope,
     # so none of them reaches an LP
     pivots = _record_face_lps(monkeypatch)
+    mix = _record_pivot_mix(monkeypatch)
     v = omega_core.reduced_vertex_vrep(3)
     for a, b in itertools.combinations(range(8), 2):
         ph.is_face(v, [k for k in range(8) if k not in (a, b)])
-    assert pivots == []
+    assert pivots == [] and mix["lp"] == []
+    # a fresh VRep, so that the pairs pay for its affine rank, as at n = 4
+    v = omega_core.reduced_vertex_vrep(3)
+    mix["rref"].clear()
     for pair in itertools.combinations(range(8), 2):
         assert ph.is_face(v, pair).kind == "proper_face"
     assert len(pivots) == 28
     assert [sum(p) for p in zip(*pivots)] == [28, 147]
+    # the pivot mix the kernel's sparse route is for: 162 of the 175 face
+    # LP pivots, and all 34 RREF pivots (28 span screens and the 6 of the
+    # affine rank), are unimodular with den = 1
+    assert [sum(mix["lp"]), len(mix["lp"])] == [162, 175]
+    assert mix["rref"] == [True] * 34
     pivots.clear()
+    mix["lp"].clear()
+    mix["rref"].clear()
     # the width of every n = 4 pair face LP tableau, rhs left out: one
     # column for each of the 11 free variables (10 coordinates and t),
     # the 15 surplus columns of the 14 outside points and the cap, and
@@ -964,6 +1060,8 @@ def test_face_lp_pivot_totals(monkeypatch):
         assert [k for k, s in enumerate(slacks) if s == 0] == list(pair)
     assert len(pivots) == 120
     assert [sum(p) for p in zip(*pivots)] == [120, 1054]
+    assert [sum(mix["lp"]), len(mix["lp"])] == [1032, 1174]
+    assert mix["rref"] == [True] * 130
     assert widths == {27}
     # a single vertex gives a face LP with no equality, whose rows all
     # hold at x = 0: it starts feasible and makes no phase 1 pivot

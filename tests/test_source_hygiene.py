@@ -211,6 +211,44 @@ def test_affine_dependencies_are_found_only_by_the_vrep_cache():
     assert readers == {"polyhedra.py:_dependency_screen"}
 
 
+def _updates_a_row(node) -> bool:
+    """Is node a Gauss-Jordan row update: a comprehension over zip(...)
+    whose element is a - f * b on the zipped entries or the Bareiss
+    (a * p - f * b) // den, or an entry update row[j] -= f * b (or
+    f * b // den)?  The double description's ray combinations
+    dv * u - du * v scale both rays and divide by nothing, so they are
+    not row updates."""
+    def multiple(expr):
+        if isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.FloorDiv):
+            expr = expr.left
+        return isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Mult)
+
+    if isinstance(node, ast.AugAssign):
+        return (isinstance(node.op, ast.Sub)
+                and isinstance(node.target, ast.Subscript)
+                and multiple(node.value))
+    if not (isinstance(node, (ast.ListComp, ast.GeneratorExp))
+            and any("zip" in _referenced(gen.iter)
+                    for gen in node.generators)):
+        return False
+    elt = node.elt
+    if isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.FloorDiv):
+        elt = elt.left
+        return isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Sub)
+    return (isinstance(elt, ast.BinOp) and isinstance(elt.op, ast.Sub)
+            and isinstance(elt.left, ast.Name) and multiple(elt.right))
+
+
+def test_rows_are_eliminated_only_in_the_exact_kernel():
+    # one exact kernel: RREF, the simplex's pivots and its pricing all
+    # run _int_pivot's updates, so no other function updates a row
+    holders = {"%s:%s" % (name, qualname)
+               for name, tree in _modules().items()
+               for qualname, func in _functions(tree)
+               for node in ast.walk(func) if _updates_a_row(node)}
+    assert holders == {"exact.py:_int_pivot", "exact.py:_unit_pivot"}
+
+
 def test_one_2sat_core_runs_the_scc():
     # find_clique and solve_2sat both go through _solve_implications; a
     # second caller of _tarjan_scc would be a second 2SAT path
