@@ -1,11 +1,12 @@
 """Vertex-pair case analysis for three parts, and facet censuses.
 
 Relabeling the n parts and swapping the two vertices inside any part
-give a symmetry group of order n! * 2^n.  It acts on the vertices only,
-as permutations of the vertex indices.  The group preserves how many
-parts a pair agrees on, and reaches every pair with the same count, so
-for n = 3 a pair of distinct vertices falls into one of three classes,
-and the class decides what the other six vertices are:
+give a symmetry group of order n! * 2^n.  It acts on the vertices as
+permutations of the vertex indices, and on forms in the reduced
+coordinates so that a form's values move with the vertices.  The group
+preserves how many parts a pair agrees on, and reaches every pair with
+the same count, so for n = 3 a pair of distinct vertices falls into one
+of three classes, and the class decides what the other six vertices are:
 
     0 agreeing parts  ->  "disjoint":       the pair misses a facet that
                           contains the other six vertices (a six-term
@@ -23,9 +24,11 @@ Each case form is written straight from the pair, and every pair is
 checked on its own: the form on all eight vertices, and a face LP on
 the six.
 
-facet_census and edges_via_hull read the facets' tight sets from double
-description: the first reports counts, per-facet vertex counts, the
-constant per-vertex incidence and facet orbits, the second counts 1-faces.
+facet_census runs double description on the tangent cone at one vertex
+and closes the facets through it under the group: it reports counts,
+per-facet vertex counts, the constant per-vertex incidence and facet
+orbits.  edges_via_hull reads the facets' tight sets from the double
+description of the whole hull and counts 1-faces.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from fractions import Fraction
 
 from .graph2p import Assignment, part_bit, positions
 from .guards import ScaleGuardError, _shown
-from . import omega_core, polyhedra
-from .omega_core import coord_count, coord_index
+from . import dd, omega_core, polyhedra
+from .exact import _coprime, _dot
+from .omega_core import (coord_count, coord_index, reduced_count,
+                         reduced_index, reduced_pairs)
 from .polyhedra import FaceVerdict, LinearForm
 
 _ZERO = Fraction(0)
@@ -195,17 +200,120 @@ def _orbit_generators(n: int) -> list[tuple[int, int]]:
     return gens
 
 
+def _form_actions(n: int) -> list:
+    """The generators of _orbit_generators, in the same order, acting on
+    integer forms (c..., r) in the reduced coordinates, read as
+    c . y >= r: the image of a form takes the value at the image of each
+    vertex that the form takes at the vertex, so it is tight on the
+    delta-swapped mask.  Each action is an involution and is unimodular,
+    so a coprime form stays coprime, and costs O(n^2).
+
+    Transposing parts t and t + 1 moves the coefficient of y[i,j] to
+    y[s(i),s(j)] and keeps r.  Swapping the vertices of part 1 replaces
+    y[1,1] by 1 - y[1,1] and y[1,j] by y[j,j] - y[1,j], which gives
+    c'[1,1] = -c[1,1], c'[1,j] = -c[1,j], c'[j,j] = c[j,j] + c[1,j] and
+    r' = r - c[1,1].
+    """
+    d = reduced_count(n)
+    actions = []
+    for t in range(1, n):
+        s = {t: t + 1, t + 1: t}
+        perm = [reduced_index(n, *sorted((s.get(i, i), s.get(j, j))))
+                for i, j in reduced_pairs(n)] + [d]
+        actions.append(lambda form, perm=perm: tuple([form[k] for k in perm]))
+    pairs = [(reduced_index(n, 1, j), reduced_index(n, j, j))
+             for j in range(2, n + 1)]
+
+    def swap_part_1(form):
+        c = list(form)
+        for one_j, jj in pairs:
+            c[jj] += c[one_j]
+            c[one_j] = -c[one_j]
+        c[d] -= c[0]
+        c[0] = -c[0]
+        return tuple(c)
+
+    actions.append(swap_part_1)
+    return actions
+
+
+def _base_code(n: int) -> int:
+    """The vertex whose tangent cone the census runs on: rho(i) = 2 on
+    exactly the even parts (code 0b01010 = 10 for n = 5).  The work of a
+    double description, taken as the sum over its split steps of the
+    squared number of rays entering them, depends on the vertex: for
+    n = 5 it is 457k at code 10, the fourth lowest of the 32 and within
+    1% of the lowest, 946k at code 0 and 3.66M at code 31, against 1.67M
+    for the hull of all 32 points.  For n = 4 code 5 ties for the lowest."""
+    return sum(part_bit(n, i) for i in range(2, n + 1, 2))
+
+
+def _census_facets(n: int, base: int
+                   ) -> tuple[list[tuple[tuple[int, ...], int]], list[int]]:
+    """Every facet of the reduced polytope as (coprime integer form
+    (c..., r) for c . y >= r, tight mask over the vertex codes), sorted
+    as polyhedra._hull_with_masks sorts them, and the orbit of each under
+    _orbit_generators, named by the tangent facet mask it was reached from.
+
+    The facets through vertex base are the extreme rays of the tangent
+    cone {c : c . (p_k - p_base) >= 0 for every code k != base}, found by
+    double description with the constraints in increasing k, each ray
+    with the mask of its tight constraints.  Every facet holds a vertex
+    and the group is transitive on vertices, so closing these under the
+    generators, acting on masks by delta swaps and on forms by
+    _form_actions, gives every facet; each tangent facet not yet reached
+    starts a new orbit.  A form that reaches a tangent facet's mask must
+    be the form the double description gave it.
+    """
+    pts, D = omega_core.reduced_vertex_vrep(n)._integers
+    pb = pts[base]
+    cons = [tuple([x - b for x, b in zip(p, pb)])
+            for k, p in enumerate(pts) if k != base]
+    below = (1 << base) - 1
+    forms = {}
+    for c, mask in dd._dd_extreme_rays(len(pb), cons):
+        mask = (mask & below) | (mask & ~below) << 1 | 1 << base
+        forms[mask] = _coprime([D * x for x in c] + [_dot(c, pb)])
+
+    gens = list(zip(_orbit_generators(n), _form_actions(n)))
+    orbit_of: dict[int, int] = {}
+    for seed in list(forms):
+        if seed in orbit_of:
+            continue
+        orbit_of[seed] = seed
+        frontier = [seed]
+        while frontier:
+            mask = frontier.pop()
+            form = forms[mask]
+            for (shift, select), act in gens:
+                moved = ((mask >> shift) ^ mask) & select
+                image = mask ^ moved ^ (moved << shift)
+                if image in orbit_of:
+                    continue
+                orbit_of[image] = seed
+                frontier.append(image)
+                image_form = act(form)
+                if forms.setdefault(image, image_form) != image_form:
+                    raise RuntimeError("group image of a facet through the "
+                                       "base vertex is not its tangent cone "
+                                       "form; census is inconsistent")
+    facets = sorted((form, mask) for mask, form in forms.items())
+    return facets, [orbit_of[mask] for _, mask in facets]
+
+
 def facet_census(n: int, include_orbits: bool = True,
                  allow_large: bool = False) -> CensusReport:
     """Full facet description of the reduced polytope for small n.
 
-    Facets come from double description, and which vertices each facet
-    holds is the tight-set bitmask the double description keeps with
-    each ray (polyhedra._hull_with_masks), so no separate incidence pass
-    runs.  n up to 4 takes milliseconds; n = 5 runs double description
-    in dimension 15, takes about 0.03 s in-process on a 2-core x86-64
-    VM, and must be requested explicitly via allow_large.  n > 5 is
-    refused with or without it.
+    The facets through one vertex come from double description on its
+    tangent cone, and the rest from their images under the symmetry
+    group (_census_facets); each facet keeps the mask of the vertices it
+    holds, so no separate incidence pass runs, and its orbits are those
+    of the closure.  The vertex is the one with rho(i) = 2 on exactly
+    the even parts (_base_code).  n up to 4 takes milliseconds; n = 5
+    runs double description in dimension 15 on 31 constraints, takes
+    about 0.02 s in-process on a 2-core x86-64 VM, and must be requested
+    explicitly via allow_large.  n > 5 is refused with or without it.
     """
     if n < 2:
         raise ValueError("census needs n >= 2")
@@ -221,64 +329,38 @@ def facet_census(n: int, include_orbits: bool = True,
             "n = 5)" % (_shown(n), CENSUS_DEFAULT_MAX))
 
     assigns = omega_core.all_assignments(n)
-    vrep = omega_core.reduced_vertex_vrep(n)
-    hrep, masks = polyhedra._hull_with_masks(vrep)
-    if hrep.equalities:
-        raise RuntimeError("reduced vertex set is unexpectedly degenerate")
+    facets, orbit_of = _census_facets(n, _base_code(n))
 
     records = []
     incidence = [0] * len(assigns)
-    for form, mask in zip(hrep.inequalities, masks):
+    for form, mask in facets:
         tight = []
         for k, a in enumerate(assigns):
             if mask >> k & 1:
                 tight.append(a)
                 incidence[k] += 1
-        records.append(FacetRecord(form, tuple(tight), len(tight)))
+        records.append(FacetRecord(polyhedra._int_form(form), tuple(tight),
+                                   len(tight)))
 
     counts = set(incidence)
     if len(counts) != 1:
         raise RuntimeError("per-vertex facet incidence is not constant: %r"
                            % (sorted(counts),))
 
-    orbits = _facet_orbits(n, masks) if include_orbits else None
+    orbits = _orbit_records(orbit_of) if include_orbits else None
     return CensusReport(n, tuple(records), len(records), counts.pop(), orbits)
 
 
-def _facet_orbits(n, masks):
-    """Orbits of the facets, given as tight-set bitmasks over the vertex
-    indices, under the generators of _orbit_generators.
-
-    A facet's image under a generator is the facet whose tight mask is
-    the image of its mask, one delta swap (Knuth, TAOCP 4A, 7.1.3).
-    Facets are visited in index order, so each orbit's representative is
-    its first member.
-    """
-    gens = _orbit_generators(n)
-    facet_of_mask = {mask: k for k, mask in enumerate(masks)}
-    seen = [False] * len(masks)
-    orbits = []
-    for start, start_mask in enumerate(masks):
-        if seen[start]:
-            continue
-        seen[start] = True
-        size = 1
-        frontier = [start_mask]
-        while frontier:
-            mask = frontier.pop()
-            for shift, select in gens:
-                moved = ((mask >> shift) ^ mask) & select
-                image = mask ^ moved ^ (moved << shift)
-                k = facet_of_mask.get(image)
-                if k is None:
-                    raise RuntimeError("symmetry image of a facet is not a "
-                                       "facet; census is inconsistent")
-                if not seen[k]:
-                    seen[k] = True
-                    size += 1
-                    frontier.append(image)
-        orbits.append(OrbitRecord(size, start))
-    return tuple(orbits)
+def _orbit_records(orbit_of: list[int]) -> tuple[OrbitRecord, ...]:
+    """Size and smallest facet index of each orbit, given the orbit of
+    each facet in index order: an orbit's representative is its first
+    member, and orbits are listed by representative."""
+    first: dict[int, int] = {}
+    sizes: dict[int, int] = {}
+    for k, label in enumerate(orbit_of):
+        first.setdefault(label, k)
+        sizes[label] = sizes.get(label, 0) + 1
+    return tuple(OrbitRecord(sizes[label], k) for label, k in first.items())
 
 
 def edges_via_hull(n: int) -> int:

@@ -1,5 +1,8 @@
 """Independent routes that the tests check the package against."""
 
+import itertools
+from math import gcd
+
 from omegapoly.exact import _clear_matrix, _dot
 from omegapoly.omega3_census import _orbit_generators
 
@@ -76,3 +79,42 @@ def census_to_dict(report):
         out["orbits"] = [{"size": o.size, "representative": o.representative}
                          for o in report.orbits]
     return out
+
+
+def switched_hypermetric_forms(n, b):
+    """The switched hypermetric inequalities of type b on the nodes 0..n,
+    as coprime integer forms (c..., r) for c . y >= r in the reduced
+    coordinates of n parts.
+
+    b is zero-padded to n + 1 entries and placed on the nodes in every
+    order.  Switching sum_{i<j} b_i b_j d_ij <= 0 by a node set S negates
+    the terms of the pairs that S separates and moves their sum to the
+    right: sum v_ij d_ij <= -sum_{ij in delta(S)} b_i b_j (Deza & Laurent,
+    Geometry of Cuts and Metrics, 1997).  The covariance map reads the
+    cut of code z off its reduced vertex as d_0i = y_ii and
+    d_ij = y_ii + y_jj - 2 y_ij for parts i < j.
+    """
+    nodes = range(n + 1)
+    pairs = list(itertools.combinations(nodes, 2))
+    padded = tuple(b) + (0,) * (n + 1 - len(b))
+    forms = set()
+    for order in set(itertools.permutations(padded)):
+        for switch in range(1 << (n + 1)):
+            a = {}  # the left side sum v_ij d_ij over the reduced y[i,j]
+            rhs = 0
+            for i, j in pairs:
+                w = order[i] * order[j]
+                if (switch >> i ^ switch >> j) & 1:
+                    w = -w
+                    rhs += w
+                if i == 0:
+                    a[j, j] = a.get((j, j), 0) + w
+                else:
+                    a[i, i] = a.get((i, i), 0) + w
+                    a[j, j] = a.get((j, j), 0) + w
+                    a[i, j] = a.get((i, j), 0) - 2 * w
+            form = [-a.get((i, j), 0) for i in range(1, n + 1)
+                    for j in range(i, n + 1)] + [-rhs]
+            g = gcd(*form)
+            forms.add(tuple(x // g for x in form))
+    return forms

@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,7 @@ from omegapoly import polyhedra as ph
 from omegapoly.graph2p import Assignment
 from omegapoly.guards import ScaleGuardError
 from oracles import (census_to_dict, generator_permutations,
-                     symmetry_group, tight_masks)
+                     switched_hypermetric_forms, symmetry_group, tight_masks)
 
 
 def all3():
@@ -192,17 +194,115 @@ def test_census_three_parts():
         assert tight == set(rec.tight)
 
 
-def test_facet_orbits_refuse_a_missing_image():
-    # orbits are found on tight bitmasks; with one facet left out, a
-    # symmetry image of another facet has no mask to land on
-    vrep = oc.reduced_vertex_vrep(3)
-    report = o3.facet_census(3)
-    masks = tight_masks([rec.form for rec in report.facets], vrep)
-    orbits = o3._facet_orbits(3, masks)
-    assert orbits == report.orbits
-    assert [(o.size, o.representative) for o in orbits] == [(12, 0), (4, 2)]
-    with pytest.raises(RuntimeError, match="not a facet"):
-        o3._facet_orbits(3, masks[1:])
+def test_census_refuses_a_form_action_off_the_tangent_cone(monkeypatch):
+    # a group image that lands on the mask of a facet through the base
+    # vertex must be the form the double description gave that facet; a
+    # part-1 swap that keeps the rhs gives another one
+    actions = o3._form_actions
+
+    def wrong_rhs(n):
+        *transpositions, swap = actions(n)
+        return transpositions + [lambda form: swap(form)[:-1] + form[-1:]]
+
+    assert [(o.size, o.representative)
+            for o in o3.facet_census(3).orbits] == [(12, 0), (4, 2)]
+    monkeypatch.setattr(o3, "_form_actions", wrong_rhs)
+    with pytest.raises(RuntimeError, match="not its tangent cone form"):
+        o3.facet_census(3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_census_equals_the_full_hull(n):
+    # the tangent cone at any base vertex, closed under the group, gives
+    # the forms, masks and order of the DD over all the points, and the
+    # same orbits: every base for n <= 4, a few for n = 5
+    hrep, masks = ph._hull_with_masks(oc.reduced_vertex_vrep(n))
+    hull = list(zip(hrep.inequalities, masks))
+    report = o3.facet_census(n, allow_large=True)
+    assert [(rec.form, sum(1 << a.code for a in rec.tight))
+            for rec in report.facets] == hull
+    for base in range(1 << n) if n <= 4 else (0, 10, 21, 31):
+        facets, orbit_of = o3._census_facets(n, base)
+        assert [(ph._int_form(form), mask) for form, mask in facets] == hull
+        assert o3._orbit_records(orbit_of) == report.orbits
+
+
+def test_census_runs_on_the_even_parts_vertex(monkeypatch):
+    # rho(i) = 2 on exactly the even parts; at n = 5 that is code 10, the
+    # fourth cheapest of the 32 tangent cones and the only one pinned
+    assert [o3._base_code(n) for n in (2, 3, 4, 5)] == [1, 2, 5, 10]
+    bases = []
+    route = o3._census_facets
+
+    def recorded(n, base):
+        bases.append((n, base))
+        return route(n, base)
+
+    monkeypatch.setattr(o3, "_census_facets", recorded)
+    for n in (2, 3, 4, 5):
+        o3.facet_census(n, allow_large=True)
+    assert bases == [(2, 1), (3, 2), (4, 5), (5, 10)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_census_orbits_are_the_group_orbits_of_the_forms(n):
+    # orbits from the forms alone: tight sets by evaluation, and each
+    # orbit as the images of its first member under the whole group
+    report = o3.facet_census(n, allow_large=True)
+    masks = tight_masks([rec.form for rec in report.facets],
+                        oc.reduced_vertex_vrep(n))
+    index = {mask: k for k, mask in enumerate(masks)}
+    orbits, seen = [], set()
+    for k, mask in enumerate(masks):
+        if k in seen:
+            continue
+        members = {index[sum(1 << g[b] for b in range(1 << n)
+                             if mask >> b & 1)] for g in symmetry_group(n)}
+        seen |= members
+        orbits.append(o3.OrbitRecord(len(members), k))
+    assert tuple(orbits) == report.orbits
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_form_actions_follow_the_delta_swaps(n):
+    # each generator acts on forms as an involution that keeps the gcd,
+    # and takes every facet form to a facet form tight on exactly the
+    # delta-swapped mask
+    facets, _ = o3._census_facets(n, o3._base_code(n))
+    forms = {form for form, _ in facets}
+    vrep = oc.reduced_vertex_vrep(n)
+    rng = random.Random(n)
+    for (shift, select), act in zip(o3._orbit_generators(n),
+                                    o3._form_actions(n)):
+        for _ in range(50):
+            form = tuple(rng.randint(-9, 9)
+                         for _ in range(oc.reduced_count(n) + 1))
+            assert act(act(form)) == form
+            assert math.gcd(*act(form)) == math.gcd(*form)
+        for form, mask in facets:
+            image = act(form)
+            assert act(image) == form and image in forms
+            moved = ((mask >> shift) ^ mask) & select
+            assert tight_masks([ph._int_form(image)], vrep) == [
+                mask ^ moved ^ (moved << shift)]
+
+
+# hypermetric types b with sum 1: triangle, pentagonal and the n = 5 one
+HYPERMETRIC_TYPES = ((1, 1, -1), (1, 1, 1, -1, -1), (2, 1, 1, -1, -1, -1))
+
+
+@pytest.mark.parametrize("n, sizes", [(3, [16]), (4, [40, 16]),
+                                      (5, [80, 96, 192])])
+def test_census_is_the_switched_hypermetric_family(n, sizes):
+    # every facet for n <= 5 is a switched hypermetric inequality on the
+    # n + 1 nodes of the cut polytope, and every such inequality of these
+    # types is a facet (Deza & Laurent); past n = 5 that stops holding
+    families = [switched_hypermetric_forms(n, b) for b in HYPERMETRIC_TYPES
+                if len(b) <= n + 1]
+    assert [len(family) for family in families] == sizes
+    report = o3.facet_census(n, allow_large=True)
+    assert set().union(*families) == {(*rec.form.coeffs, rec.form.rhs)
+                                      for rec in report.facets}
 
 
 def test_census_orbits_optional():

@@ -603,7 +603,9 @@ N5_DD_STEPS = [7, 19, 29, 41, 68, 59, 89, 131, 186, 143, 267, 426, 379, 618,
 N5_DD_CANDIDATES = {"count": 6540, "planes": 60}
 
 
-def test_dd_work_on_the_n5_census_is_pinned(monkeypatch):
+def _counted_dd_work(monkeypatch):
+    """Lists of the rays entering each DD split step and counts of the
+    partner candidates of each route, filled in by every later DD run."""
     steps, found = [], {"count": 0, "planes": 0}
     tables, by_count, by_planes = (dd._byte_tables, dd._partners_by_count,
                                    dd._partners_by_planes)
@@ -625,10 +627,42 @@ def test_dd_work_on_the_n5_census_is_pinned(monkeypatch):
     monkeypatch.setattr(dd, "_byte_tables", counted_tables)
     monkeypatch.setattr(dd, "_partners_by_count", counted_count)
     monkeypatch.setattr(dd, "_partners_by_planes", counted_planes)
+    return steps, found
+
+
+def test_dd_work_on_the_n5_census_is_pinned(monkeypatch):
+    steps, found = _counted_dd_work(monkeypatch)
     _, masks = ph._hull_with_masks(omega_core.reduced_vertex_vrep(5))
     assert steps == N5_DD_STEPS
     assert len(masks) == 368
     assert found == N5_DD_CANDIDATES
+
+
+# the same work on the DD behind facet_census(5): the tangent cone at its
+# base vertex (code 10), 31 constraints in dimension 15, whose rays are
+# the 210 facets through that vertex
+N5_TANGENT_STEPS = [7, 18, 23, 32, 46, 43, 64, 87, 117, 99, 172, 218, 205,
+                    319, 297, 327]
+N5_TANGENT_CANDIDATES = {"count": 3122, "planes": 0}
+
+
+def test_dd_on_the_n5_census_tangent_cone_is_pinned(monkeypatch):
+    calls = []
+    kernel = dd._dd_extreme_rays
+
+    def recorded(m, cons):
+        rays = kernel(m, cons)
+        calls.append((m, cons, rays))
+        return rays
+
+    monkeypatch.setattr(dd, "_dd_extreme_rays", recorded)
+    steps, found = _counted_dd_work(monkeypatch)
+    omega3_census.facet_census(5, allow_large=True)
+    ((m, cons, rays),) = calls
+    assert (m, len(cons), len(rays)) == (15, 31, 210)
+    assert steps == N5_TANGENT_STEPS
+    assert found == N5_TANGENT_CANDIDATES
+    assert rays == _reference_dd(m, cons)
 
 
 def test_partner_routes_and_table_entries_agree_on_seeded_masks():

@@ -268,18 +268,28 @@ def test_certificates_import_only_graphs_and_guards():
     assert imports == {"graph2p", "guards"}
 
 
+def _callers(name: str) -> set[str]:
+    """module:function for each function of the package that calls name."""
+    return {"%s:%s" % (module, qualname)
+            for module, tree in _modules().items()
+            for qualname, func in _functions(tree)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and name in _referenced(node.func)}
+
+
 def test_hull_masks_are_read_by_the_hull_and_the_census_alone():
-    # the facet tight masks are private to polyhedra; outside it, only the
-    # census module reads them, for facet_census and edges_via_hull
-    callers = {"%s:%s" % (name, qualname)
-               for name, tree in _modules().items()
-               for qualname, func in _functions(tree)
-               for node in ast.walk(func)
-               if isinstance(node, ast.Call)
-               and "_hull_with_masks" in _referenced(node.func)}
-    assert callers == {"polyhedra.py:convex_hull_facets",
-                       "omega3_census.py:facet_census",
-                       "omega3_census.py:edges_via_hull"}
+    # the facet tight masks are private to polyhedra; outside it, only
+    # edges_via_hull reads them.  facet_census runs its own tangent-cone
+    # route, so the full hull stays an independent check of the census
+    assert _callers("_hull_with_masks") == {
+        "polyhedra.py:convex_hull_facets", "omega3_census.py:edges_via_hull"}
+
+
+def test_double_description_runs_for_the_hull_and_the_census_alone():
+    # two routes reach the DD kernel: the hull of a point set, and the
+    # tangent cone at one vertex behind the census
+    assert _callers("_dd_extreme_rays") == {
+        "polyhedra.py:_hull_with_masks", "omega3_census.py:_census_facets"}
 
 
 def test_vertices_are_walked_as_codes():
