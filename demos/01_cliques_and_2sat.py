@@ -32,7 +32,7 @@ print("first few:", ", ".join(str(a) for a in cliques[:4]))
 # the same graph as a 2CNF
 cnf = to_2cnf(g)
 print("\n2CNF: %d variables, %d clauses (one per missing edge)"
-      % (cnf.num_vars, len(cnf.clauses)))
+      % (g.n, len(cnf)))
 
 found = find_clique(g)
 print("2SAT solver picks:", found)

@@ -8,10 +8,10 @@ programming, face tests, edge certificates and the three-part case
 analysis are exact and reproducible.
 """
 
-from .graph2p import (Assignment, Cnf2, Graph2P, VertexRef,
-                      assignment_from_text, complete_graph, enumerate_cliques,
-                      find_clique, graph_from_json, graph_to_json, is_clique,
-                      solve_2sat, to_2cnf, without_edges)
+from .graph2p import (Assignment, Graph2P, VertexRef, assignment_from_text,
+                      complete_graph, enumerate_cliques, find_clique,
+                      graph_from_json, graph_to_json, is_clique, solve_2sat,
+                      to_2cnf, without_edges)
 from .guards import ScaleGuardError
 from .neighborly import (EdgeCertificate, certificate_from_json,
                          certificate_to_json, edge_certificate,
@@ -32,7 +32,7 @@ from .polyhedra import (FaceVerdict, HRep, LinearForm, LpResult, VRep,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment", "CaseReport", "CensusReport", "Cnf2", "EdgeCertificate",
+    "Assignment", "CaseReport", "CensusReport", "EdgeCertificate",
     "EqualityReport", "FaceVerdict", "Graph2P", "HRep", "LinearForm",
     "LpResult", "OmegaPoint", "PairClass", "ReducedPoint", "ScaleGuardError",
     "VRep", "VertexRef", "affine_rank", "all_assignments", "all_vertices",

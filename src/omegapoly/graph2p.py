@@ -12,13 +12,15 @@ rho(i) = p and rho(j) = q, which is the two-literal clause
 
     (not x_i if p = 1 else x_i)  or  (not x_j if q = 1 else x_j)
 
-so models of the 2CNF are precisely the cliques.
+so models of the 2CNF are precisely the cliques.  A literal is an int
+code, 2 (v - 1) for x_v and 2 (v - 1) + 1 for not x_v, so the clause
+is the pair (2 i - p, 2 j - q); to_2cnf writes these, and find_clique
+and solve_2sat solve them with one 2SAT core, _solve_implications.
 
 A clique is also a vertex of the clique polytope, and the package
 names a vertex by its code: the n-bit int with bit n - i set iff
 rho(i) = 2 (part_bit).  Assignment is the parse and print shell.
-find_clique and solve_2sat share one 2SAT core, _solve_implications,
-on int literal codes.  A Graph2P is stored as its complement.
+A Graph2P is stored as its complement.
 """
 
 from __future__ import annotations
@@ -271,47 +273,11 @@ def enumerate_cliques(g: Graph2P,
 
 # --- 2CNF ---------------------------------------------------------------
 
-Literal = tuple[int, bool]  # (variable 1..num_vars, True = positive)
-
-
-@dataclass(frozen=True)
-class Cnf2:
-    """A 2CNF: every clause has exactly two literals (repeats allowed)."""
-
-    num_vars: int
-    clauses: tuple[tuple[Literal, Literal], ...]
-
-    def __post_init__(self):
-        num_vars = self.num_vars
-        if not is_int(num_vars):
-            raise ValueError("num_vars must be an integer")
-        if num_vars < 1:
-            raise ValueError("need at least one variable")
-        _check_parts(num_vars)  # each variable stands for a part
-        for cl in self.clauses:
-            if len(cl) != 2:
-                raise ValueError("clause %s does not have two literals"
-                                 % (_shown(cl, repr),))
-            for var, pol in cl:
-                if not is_int(var):
-                    raise ValueError("literal variable %s is not an integer"
-                                     % (_shown(var, repr),))
-                if not 1 <= var <= num_vars:
-                    raise ValueError("literal variable %s out of range"
-                                     % (_shown(var),))
-                if not isinstance(pol, bool):
-                    raise ValueError("literal polarity must be bool")
-
-
-def to_2cnf(g: Graph2P) -> Cnf2:
-    """One variable per part, one clause per absent cross-part edge.
-
-    The clause forbidding rho(i) = p uses literal (i, p == 2): for p = 1
-    the literal is "not x_i" (x_i true means rho(i) = 1), for p = 2 it
-    is "x_i".
-    """
-    return Cnf2(g.n, tuple([((i, p == 2), (j, q == 2))
-                            for i, j, p, q in g._keys]))
+def to_2cnf(g: Graph2P) -> tuple[tuple[int, int], ...]:
+    """One clause per absent cross-part edge, in key order, over one
+    variable per part: the literal codes (2 i - p, 2 j - q) of the key
+    (i, j, p, q), each of which forbids its vertex."""
+    return tuple([(2 * i - p, 2 * j - q) for i, j, p, q in g._keys])
 
 
 def _tarjan_scc(adj: list[list[int]]) -> list[int]:
@@ -367,10 +333,6 @@ def _tarjan_scc(adj: list[list[int]]) -> list[int]:
     return comp
 
 
-def _lit_node(var: int, pol: bool) -> int:
-    return 2 * (var - 1) + (0 if pol else 1)
-
-
 def _solve_implications(num_vars: int, clauses) -> tuple[int, ...] | None:
     """The 2SAT core: part choices satisfying clauses, or None.
 
@@ -394,29 +356,32 @@ def _solve_implications(num_vars: int, clauses) -> tuple[int, ...] | None:
     return tuple([1 if x < y else 2 for x, y in zip(pos, neg)])
 
 
-def _satisfies(c: Cnf2, a: Assignment) -> bool:
-    if a.n < c.num_vars:
-        raise ValueError("assignment has %d parts, formula has %s variables"
-                         % (a.n, _shown(c.num_vars)))
-    rho = a.choice
-    for (v1, p1), (v2, p2) in c.clauses:
-        if (rho[v1 - 1] == 1) != p1 and (rho[v2 - 1] == 1) != p2:
-            return False
-    return True
+def solve_2sat(num_vars: int, clauses: Iterable) -> Assignment | None:
+    """A model of the 2CNF over variables 1..num_vars, decoded as part
+    choices, or None if there is none.
 
-
-def solve_2sat(c: Cnf2) -> Assignment | None:
-    """A satisfying assignment decoded as part choices, or None.
-
-    The model found is checked against every clause of c.
+    Each clause is a pair of int literal codes below 2 num_vars, coded as
+    in to_2cnf and _solve_implications; anything else is refused.  The
+    model found is checked against every clause.
     """
-    choice = _solve_implications(
-        c.num_vars, [(_lit_node(v1, p1), _lit_node(v2, p2))
-                     for (v1, p1), (v2, p2) in c.clauses])
+    _check_parts(num_vars)  # each variable stands for a part
+    if num_vars < 1:
+        raise ValueError("need at least one variable")
+    clauses = tuple(clauses)
+    top = 2 * num_vars
+    for clause in clauses:
+        if not (isinstance(clause, (tuple, list)) and len(clause) == 2
+                and all(is_int(k) and 0 <= k < top for k in clause)):
+            raise ValueError("clause %s is not a pair of literal codes "
+                             "0..%d" % (_shown(clause, repr), top - 1))
+    choice = _solve_implications(num_vars, clauses)
     if choice is None:
         return None
     result = Assignment(choice)
-    if not _satisfies(c, result):
+    # literal k holds when part (k >> 1) + 1 chose (k & 1) + 1: rho = 1,
+    # x true, for an even k, and rho = 2 for an odd one
+    if not all(choice[a >> 1] == (a & 1) + 1 or choice[b >> 1] == (b & 1) + 1
+               for a, b in clauses):
         raise RuntimeError("2SAT assignment %s violates a clause" % (result,))
     return result
 
@@ -424,12 +389,10 @@ def solve_2sat(c: Cnf2) -> Assignment | None:
 def find_clique(g: Graph2P) -> Assignment | None:
     """A clique of g via the 2SAT reduction, or None if there is none.
 
-    The clauses are those of to_2cnf(g), in the same order, coded
-    straight from the missing-edge keys: the literal forbidding
-    rho(i) = p has code 2 i - p.
+    The clauses are those of to_2cnf(g), handed to the 2SAT core
+    unchecked, since a graph's keys are checked when it is built.
     """
-    choice = _solve_implications(g.n, [(2 * i - p, 2 * j - q)
-                                       for i, j, p, q in g._keys])
+    choice = _solve_implications(g.n, to_2cnf(g))
     if choice is None:
         return None
     result = Assignment(choice)

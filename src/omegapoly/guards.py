@@ -27,9 +27,9 @@ class ScaleGuardError(ValueError):
 
     guard names which limit tripped: "bruteforce", "hull-dim",
     "hull-points", "census" (n = 5 without allow_large), "census-max"
-    (n > 5) or "graph-parts" (a graph, built or read from JSON, or a Cnf2
-    past GRAPH_MAX_PARTS parts or variables); nothing overrides the last
-    two.
+    (n > 5) or "graph-parts" (a graph, built or read from JSON, or a
+    2CNF given to solve_2sat, past GRAPH_MAX_PARTS parts or variables);
+    nothing overrides the last two.
     The command line uses it to point at the override flag where there is
     one.
     """

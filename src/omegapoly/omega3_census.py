@@ -265,7 +265,7 @@ def _census_facets(n: int, base: int
     starts a new orbit.  A form that reaches a tangent facet's mask must
     be the form the double description gave it.
     """
-    pts, D = omega_core.reduced_vertex_vrep(n)._integers
+    pts = [omega_core.reduced_bits(n, z) for z in range(1 << n)]
     pb = pts[base]
     cons = [tuple([x - b for x, b in zip(p, pb)])
             for k, p in enumerate(pts) if k != base]
@@ -273,7 +273,7 @@ def _census_facets(n: int, base: int
     forms = {}
     for c, mask in dd._dd_extreme_rays(len(pb), cons):
         mask = (mask & below) | (mask & ~below) << 1 | 1 << base
-        forms[mask] = _coprime([D * x for x in c] + [_dot(c, pb)])
+        forms[mask] = _coprime([*c, _dot(c, pb)])
 
     gens = list(zip(_orbit_generators(n), _form_actions(n)))
     orbit_of: dict[int, int] = {}

@@ -244,22 +244,25 @@ def lift_point(r: ReducedPoint) -> OmegaPoint:
     return out
 
 
-def _reduced_y(n: int, z: int) -> tuple[Fraction, ...]:
-    """y[i,j] = [rho(i) = 1][rho(j) = 1] at code z: the AND of the two
-    clear bits of parts i and j."""
-    return tuple([_ZERO if z & (part_bit(n, i) | part_bit(n, j)) else _ONE
+def reduced_bits(n: int, z: int) -> tuple[int, ...]:
+    """The reduced vertex of code z as the ints 0 and 1:
+    y[i,j] = [rho(i) = 1][rho(j) = 1], the AND of the two clear bits of
+    parts i and j."""
+    return tuple([0 if z & (part_bit(n, i) | part_bit(n, j)) else 1
                   for (i, j) in reduced_pairs(n)])
 
 
 def reduced_vertex(n: int, a: Assignment) -> ReducedPoint:
     """The reduced vertex of a, without the full-space detour."""
-    return ReducedPoint(n, _reduced_y(n, _code(n, a)))
+    return ReducedPoint(n, tuple([_ONE if b else _ZERO
+                                  for b in reduced_bits(n, _code(n, a))]))
 
 
 def reduced_vertex_vrep(n: int,
                         bound: int = DEFAULT_BRUTEFORCE_BOUND) -> VRep:
     """All 2^n reduced vertices as a VRep, in assignment order."""
-    return VRep(reduced_count(n), [_reduced_y(n, z) for z in _codes(n, bound)])
+    return VRep(reduced_count(n),
+                [reduced_bits(n, z) for z in _codes(n, bound)])
 
 
 def independent_family(n: int) -> list[Assignment]:

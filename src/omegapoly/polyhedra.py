@@ -27,10 +27,20 @@ Vector = tuple[Fraction, ...]
 _SMALL = tuple(Fraction(k) for k in range(-64, 65))
 
 
+def _exact(x) -> Fraction:
+    """A new Fraction(x) for an int or a Fraction.  A float, a bool or
+    anything else is refused: Fraction(0.1) is not the 0.1 that was meant,
+    and True would be read as 1."""
+    if isinstance(x, Fraction) or is_int(x):
+        return Fraction(x)
+    raise ValueError("entry %s is not an int or a Fraction"
+                     % (_shown(x, repr),))
+
+
 def _frac_vector(xs: Iterable) -> Vector:
-    """Fraction(x) for each x, shared from _SMALL for a small int."""
+    """_exact(x) for each x, shared from _SMALL for a small int."""
     return tuple([_SMALL[x + 64] if type(x) is int and -64 <= x <= 64
-                  else Fraction(x) for x in xs])
+                  else _exact(x) for x in xs])
 
 
 @dataclass(frozen=True)
@@ -55,7 +65,7 @@ class LinearForm:
 
 
 def linear_form(coeffs: Iterable, rhs) -> LinearForm:
-    return LinearForm(_frac_vector(coeffs), Fraction(rhs))
+    return LinearForm(_frac_vector(coeffs), _exact(rhs))
 
 
 class VRep:

@@ -63,7 +63,7 @@ def test_an_n_past_the_digit_limit_is_named_in_the_part_count_message():
     # (a graph that large is refused by the parts ceiling when built)
     huge = 10 ** 5000
     checks = [
-        (lambda: g2.Cnf2(huge, ()), "graph with an integer of over "),
+        (lambda: g2.solve_2sat(huge, ()), "graph with an integer of over "),
         (lambda: g2.Graph2P(huge, missing=[((1, 1), (0, 1))]),
          "graph with an integer of over "),
     ]
@@ -155,40 +155,50 @@ def test_removing_all_edges_between_two_parts_kills_all_cliques():
     assert g2.find_clique(g) is None
 
 
+# literal codes: 2 (v - 1) is x_v and 2 (v - 1) + 1 is not x_v
+X1, NOT_X1, X2, NOT_X2, X3 = 0, 1, 2, 3, 4
+
+
 def test_to_2cnf_clause_encoding():
-    g = g2.without_edges(g2.complete_graph(2), [((1, 1), (2, 1))])
-    c = g2.to_2cnf(g)
-    assert c.num_vars == 2
     # forbidding the pair (1,1),(2,1) is the clause (not x1 or not x2)
-    assert c.clauses == (((1, False), (2, False)),)
+    g = g2.without_edges(g2.complete_graph(2), [((1, 1), (2, 1))])
+    assert g2.to_2cnf(g) == ((NOT_X1, NOT_X2),) == ((1, 3),)
     g = g2.without_edges(g2.complete_graph(2), [((1, 2), (2, 2))])
-    assert g2.to_2cnf(g).clauses == (((1, True), (2, True)),)
+    assert g2.to_2cnf(g) == ((X1, X2),) == ((0, 2),)
+    assert g2.to_2cnf(g2.complete_graph(3)) == ()
 
 
 def test_solve_2sat_forced_and_unsat():
-    c = g2.Cnf2(1, (((1, True), (1, True)),))
-    a = g2.solve_2sat(c)
+    a = g2.solve_2sat(1, [(X1, X1)])
     assert a is not None and a.rho(1) == 1
-    c = g2.Cnf2(1, (((1, False), (1, False)),))
-    a = g2.solve_2sat(c)
+    a = g2.solve_2sat(1, [(NOT_X1, NOT_X1)])
     assert a is not None and a.rho(1) == 2
-    c = g2.Cnf2(1, (((1, True), (1, True)), ((1, False), (1, False))))
-    assert g2.solve_2sat(c) is None
+    assert g2.solve_2sat(1, [(X1, X1), (NOT_X1, NOT_X1)]) is None
     # implication chain x1 -> x2 -> x3 with x1 forced true
-    c = g2.Cnf2(3, (((1, True), (1, True)),
-                    ((1, False), (2, True)),
-                    ((2, False), (3, True))))
-    a = g2.solve_2sat(c)
+    a = g2.solve_2sat(3, [(X1, X1), (NOT_X1, X2), (NOT_X2, X3)])
     assert a is not None and a.choice == (1, 1, 1)
+    # the clauses may come as lists, and from a generator
+    a = g2.solve_2sat(2, ([NOT_X1, NOT_X2] for _ in range(2)))
+    assert a is not None and a.choice != (1, 1)
+
+
+CNF_REFUSALS = [
+    (0, (), "need at least one variable"),
+    (-3, (), "need at least one variable"),
+    (1, ((0, 2),), "clause (0, 2) is not a pair of literal codes 0..1"),
+    # (variable, polarity) pairs are not literal codes
+    (2, (((1, True), (2, True)),),
+     "clause ((1, True), (2, True)) is not a pair of literal codes 0..3"),
+    (2, (0, 1), "clause 0 is not a pair of literal codes 0..3"),
+    (2, ([0, 1, 2],), "clause a list is not a pair of literal codes 0..3"),
+]
 
 
 def test_cnf2_validation():
-    with pytest.raises(ValueError):
-        g2.Cnf2(0, ())
-    with pytest.raises(ValueError):
-        g2.Cnf2(1, (((1, True), (2, True)),))
-    with pytest.raises(ValueError):
-        g2.Cnf2(2, (((1, 1), (2, True)),))  # polarity must be bool
+    for num_vars, clauses, message in CNF_REFUSALS:
+        with pytest.raises(ValueError) as info:
+            g2.solve_2sat(num_vars, clauses)
+        assert str(info.value) == message
 
 
 def test_find_clique_agrees_with_enumeration():
@@ -232,7 +242,7 @@ def test_every_three_part_graph_against_enumeration():
             assert found is None
             no_clique += 1
         # both entry points read the same clauses in the same order
-        assert found == g2.solve_2sat(g2.to_2cnf(g))
+        assert found == g2.solve_2sat(g.n, g2.to_2cnf(g))
     assert no_clique == NO_CLIQUE_THREE_PART_GRAPHS
 
 
@@ -241,9 +251,11 @@ def test_every_three_part_graph_against_enumeration():
 NO_CLIQUE_THREE_PART_GRAPHS = 1699
 
 
-def _satisfies(a: g2.Assignment, c: g2.Cnf2) -> bool:
-    return all(any((a.rho(var) == 1) == pol for (var, pol) in cl)
-               for cl in c.clauses)
+def _satisfies(a: g2.Assignment, clauses) -> bool:
+    # code k is the literal on variable k // 2 + 1, positive iff k is even,
+    # and x_v is true iff rho(v) = 1
+    return all(any((a.rho(k // 2 + 1) == 1) == (k % 2 == 0) for k in cl)
+               for cl in clauses)
 
 
 def test_cnf_models_are_exactly_the_cliques():
@@ -268,14 +280,11 @@ def test_solve_2sat_agrees_with_brute_force():
     rng = random.Random(20260816)
     for _ in range(200):
         nv = rng.randint(1, 10)
-        clauses = []
-        for _ in range(rng.randint(0, 3 * nv)):
-            clauses.append(((rng.randint(1, nv), rng.random() < 0.5),
-                            (rng.randint(1, nv), rng.random() < 0.5)))
-        c = g2.Cnf2(nv, tuple(clauses))
+        c = [(rng.randrange(2 * nv), rng.randrange(2 * nv))
+             for _ in range(rng.randint(0, 3 * nv))]
         sat = any(_satisfies(g2.Assignment(ch), c)
                   for ch in itertools.product((1, 2), repeat=nv))
-        got = g2.solve_2sat(c)
+        got = g2.solve_2sat(nv, c)
         if sat:
             assert got is not None
             assert _satisfies(got, c)
@@ -311,7 +320,7 @@ def test_graph_intake_builds_one_key_per_pair():
                                                       [[2, 2], [1, 1]]]})
     assert g.missing_edges() == [(g2.VertexRef(1, 1), g2.VertexRef(2, 2))]
     assert repr(g) == "Graph2P(n=3, edges=11)"
-    assert g2.to_2cnf(g).clauses == (((1, False), (2, True)),)
+    assert g2.to_2cnf(g) == ((1, 2),)
     assert g2.graph_to_dict(g)["missing_edges"] == [[[1, 1], [2, 2]]]
 
     # tuple rows, VertexRef rows and int subclasses from Python are read
@@ -395,14 +404,14 @@ def test_a_graph_built_in_python_meets_the_parts_ceiling(n, message):
 
 
 def test_a_2cnf_meets_the_parts_ceiling():
-    # each variable stands for a part, so Cnf2 is held to the ceiling a
-    # Graph2P is held to
+    # each variable stands for a part, so solve_2sat holds its 2CNF to
+    # the ceiling a Graph2P is held to
     with pytest.raises(ScaleGuardError) as info:
-        g2.Cnf2(100000, ())
+        g2.solve_2sat(100000, ())
     assert (info.value.guard, str(info.value)) == (
         "graph-parts", "graph with 100000 parts is out of reach: n = 10000 "
                        "is the largest graph")
-    assert g2.Cnf2(10000, ()).num_vars == 10000
+    assert g2.solve_2sat(10000, ()).n == 10000
 
 
 @pytest.mark.parametrize("build, message", [
@@ -418,53 +427,66 @@ def test_a_2cnf_meets_the_parts_ceiling():
      "vertex VertexRef(part=2, pos=True): pos must be 1 or 2"),
     (lambda: g2.complete_graph(2).has_edge((1.0, 1), (2, 1)),
      "vertex VertexRef(part=1.0, pos=1): part must be an integer"),
-    (lambda: g2.Cnf2(2.0, ()), "num_vars must be an integer"),
-    (lambda: g2.Cnf2(2, (((1.0, True), (2, True)),)),
-     "literal variable 1.0 is not an integer"),
-    (lambda: g2.Cnf2(2, (((1, True), (True, True)),)),
-     "literal variable True is not an integer"),
+    (lambda: g2.solve_2sat(2.0, ()), "n must be an integer"),
+    (lambda: g2.solve_2sat(2, ((1.0, 2),)),
+     "clause (1.0, 2) is not a pair of literal codes 0..3"),
+    (lambda: g2.solve_2sat(2, ((1, True),)),
+     "clause (1, True) is not a pair of literal codes 0..3"),
+    (lambda: g2.solve_2sat(2, ((False, 3),)),
+     "clause (False, 3) is not a pair of literal codes 0..3"),
+    (lambda: g2.solve_2sat(2, ((0, -1),)),
+     "clause (0, -1) is not a pair of literal codes 0..3"),
+    (lambda: g2.solve_2sat(2, ((4, 0),)),
+     "clause (4, 0) is not a pair of literal codes 0..3"),
 ], ids=["float-n", "bool-n", "float-part", "bool-part", "float-pos",
         "bool-pos", "float-part-in-has-edge", "float-num-vars",
-        "float-variable", "bool-variable"])
+        "float-variable", "bool-variable", "bool-code", "negative-code",
+        "code-of-twice-num-vars"])
 def test_graphs_and_2cnfs_built_in_python_hold_to_ints(build, message):
     # True == 1 and 1.0 == 1, so without the check a float n built a
     # graph that JSON cannot read back, a bool part was read as part 1,
-    # and a float part or variable reached the 2SAT core as a TypeError
+    # and a float code reached the 2SAT core as a TypeError; a bool code
+    # would be read as x_1 or not x_1, a negative one as a list index
+    # from the end, and one of 2 num_vars as an IndexError
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
 
 
 @pytest.mark.parametrize("clause, shown", [
-    (((1, True),), "((1, True),)"),
-    (((10 ** 5000, True), (1, True), (2, False)),
-     "an integer of over 4300 digits"),
+    ((1,), "(1,)"),
+    ((10 ** 5000, 1, 2), "an integer of over 4300 digits"),
 ], ids=["one-literal", "past-the-digit-limit"])
 def test_a_clause_without_two_literals_is_echoed_by_shown(clause, shown):
     with pytest.raises(ValueError) as info:
-        g2.Cnf2(3, (clause,))
-    assert str(info.value) == "clause %s does not have two literals" % shown
+        g2.solve_2sat(3, (clause,))
+    assert str(info.value) == ("clause %s is not a pair of literal codes 0..5"
+                               % shown)
 
 
 def test_clique_check_survives_python_O():
-    # -O strips assert statements; the check after solving must still
-    # run, so the 2SAT core is made to return a non-clique
+    # -O strips assert statements; the checks after solving must still
+    # run, so the 2SAT core is made to return a non-clique, which is also
+    # a model that violates the clause
     script = """
 import sys
 from omegapoly import graph2p as g2
 g = g2.without_edges(g2.complete_graph(2), [((1, 1), (2, 1))])
 g2._solve_implications = lambda num_vars, clauses: (1, 1)
-try:
-    g2.find_clique(g)
-except RuntimeError as exc:
-    print(sys.flags.optimize, exc)
+for solve in (lambda: g2.find_clique(g),
+              lambda: g2.solve_2sat(g.n, g2.to_2cnf(g))):
+    try:
+        solve()
+    except RuntimeError as exc:
+        print(sys.flags.optimize, exc)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1 2SAT answer 1,1 is not a clique\n"
+    assert proc.stdout == ("1 2SAT answer 1,1 is not a clique\n"
+                           "1 2SAT assignment 1,1 violates a clause\n")
 
 
 # Seeded graphs shaped like the benchmark's: about 3n missing edges, a

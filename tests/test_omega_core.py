@@ -153,6 +153,18 @@ def test_reduced_vertex_vrep_shape():
     assert ph.affine_rank(v) == 6
 
 
+def test_reduced_bits_are_the_reduced_vertices_as_ints():
+    # the census reads its tangent cone from these rows, so they must be
+    # the VRep's points and the reduced vertices, as plain 0/1 ints
+    for n in (1, 2, 3, 5):
+        vrep = oc.reduced_vertex_vrep(n)
+        for z, point in enumerate(vrep.points):
+            bits = oc.reduced_bits(n, z)
+            assert bits == point
+            assert bits == oc.reduced_vertex(n, Assignment.from_code(n, z)).y
+            assert {type(b) for b in bits} == {int}
+
+
 def test_all_vertices_guard():
     with pytest.raises(ScaleGuardError) as err:
         oc.all_vertices(25)

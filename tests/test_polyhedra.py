@@ -75,13 +75,37 @@ def test_a_long_point_of_the_wrong_dimension_is_cut_short():
                               "5001-digits", "3/2", "4/2"])
 def test_forms_take_small_ints_from_one_shared_table(x):
     # an int in -64..64 gets the one shared Fraction of its value, and
-    # every other input, inside the table's range or not, gets a
-    # Fraction equal to Fraction(x)
+    # every other int or Fraction, inside the table's range or not, gets
+    # a Fraction equal to Fraction(x); a bool is refused
+    if type(x) is bool:
+        for call in (ph._frac_vector, ph._int_form):
+            with pytest.raises(ValueError) as info:
+                call([x, x])
+            assert str(info.value) == "entry True is not an int or a Fraction"
+        return
     for got in (*ph._frac_vector([x, x]), *ph._int_form([x, x]).coeffs,
                 ph._int_form([x, x]).rhs):
         assert got == Fraction(x) and type(got) is Fraction
     shared = type(x) is int and -64 <= x <= 64
     assert (ph._frac_vector([x])[0] is ph._int_form([0, x]).rhs) == shared
+
+
+@pytest.mark.parametrize("build, shown", [
+    (lambda: ph.VRep(1, [(0,), (0.1,)]), "0.1"),
+    (lambda: ph.VRep(1, [(0,), (True,)]), "True"),
+    (lambda: ph.VRep(2, [(0, "1")]), "'1'"),
+    (lambda: ph.linear_form([0.1], 0), "0.1"),
+    (lambda: ph.linear_form([1], 0.5), "0.5"),
+    (lambda: ph.linear_form([False, 1], 0), "False"),
+    (lambda: ph.linear_form([1], "1/2"), "'1/2'"),
+], ids=["vrep-float", "vrep-bool", "vrep-str", "form-float", "rhs-float",
+        "form-bool", "rhs-str"])
+def test_points_and_forms_refuse_inexact_entries(build, shown):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 0.1, and
+    # True was stored as 1, so an inexact entry is refused, not converted
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == "entry %s is not an int or a Fraction" % shown
 
 
 # --- hull fixtures -----------------------------------------------------------

@@ -277,6 +277,21 @@ def _callers(name: str) -> set[str]:
             if isinstance(node, ast.Call) and name in _referenced(node.func)}
 
 
+def test_find_clique_takes_its_clauses_from_to_2cnf():
+    # one clause encoder: the 2SAT core is reached from find_clique and
+    # solve_2sat alone, and find_clique hands it what to_2cnf writes, so
+    # no second copy of the literal codes can drift from the first
+    assert _callers("_solve_implications") == {
+        "graph2p.py:find_clique", "graph2p.py:solve_2sat"}
+    find = dict(_functions(_modules()["graph2p.py"]))["find_clique"]
+    args = [node.args for node in ast.walk(find)
+            if isinstance(node, ast.Call)
+            and "_solve_implications" in _referenced(node.func)]
+    assert [(isinstance(clauses, ast.Call)
+             and _referenced(clauses.func) == {"to_2cnf"})
+            for _, clauses in args] == [True]
+
+
 def test_hull_masks_are_read_by_the_hull_and_the_census_alone():
     # the facet tight masks are private to polyhedra; outside it, only
     # edges_via_hull reads them.  facet_census runs its own tangent-cone
