@@ -41,12 +41,18 @@ class ScaleGuardError(ValueError):
         self.requested = requested
 
 
-def check_bruteforce(n: int, bound: int, what: str) -> None:
-    """Reject part counts whose 2**n enumeration would be hopeless, and by
-    the int rule an n or a bound that is not an int (a bool or a float)."""
+def check_ints(n, bound, what: str) -> None:
+    """The int rule for a part count and its brute-force bound: an n or a
+    bound that is not an int (a bool, a float, a str, None) is refused."""
     if not (is_int(n) and is_int(bound)):
         raise ValueError("%s: n and bound must be integers, got %s and %s"
                          % (what, _shown(n, repr), _shown(bound, repr)))
+
+
+def check_bruteforce(n: int, bound: int, what: str) -> None:
+    """Reject part counts whose 2**n enumeration would be hopeless, and by
+    the int rule (check_ints) an n or a bound that is not an int."""
+    check_ints(n, bound, what)
     if n > bound:
         raise ScaleGuardError(
             "bruteforce", bound, n,

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph2p import Assignment, part_bit, positions
-from .guards import ScaleGuardError, _shown
+from .guards import (DEFAULT_BRUTEFORCE_BOUND, ScaleGuardError, _shown,
+                     check_ints)
 from . import dd, omega_core, polyhedra
 from .exact import _coprime, _dot
 from .omega_core import (coord_count, coord_index, reduced_count,
@@ -160,11 +161,29 @@ def analyze_pair(a: Assignment, b: Assignment) -> CaseReport:
 
 # --- facet census ------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FacetRecord:
-    form: LinearForm                  # reduced-space inequality, canonical
-    tight: tuple[Assignment, ...]     # vertices satisfied with equality
-    vertices_on: int
+    """One facet of the n-part census as the ints it was found as; the
+    Fraction form and the tight assignments are built on request."""
+
+    n: int
+    int_form: tuple[int, ...]         # coprime (c..., r): c . y >= r
+    mask: int                         # bit k: vertex code k is tight
+
+    @property
+    def form(self) -> LinearForm:
+        """The reduced-space inequality, canonical, as Fractions."""
+        return polyhedra._int_form(self.int_form)
+
+    @property
+    def tight(self) -> tuple[Assignment, ...]:
+        """The vertices satisfied with equality, in code order."""
+        assigns = omega_core.all_assignments(self.n)
+        return tuple([a for k, a in enumerate(assigns) if self.mask >> k & 1])
+
+    @property
+    def vertices_on(self) -> int:
+        return self.mask.bit_count()
 
 
 @dataclass(frozen=True)
@@ -307,14 +326,18 @@ def facet_census(n: int, include_orbits: bool = True,
 
     The facets through one vertex come from double description on its
     tangent cone, and the rest from their images under the symmetry
-    group (_census_facets); each facet keeps the mask of the vertices it
-    holds, so no separate incidence pass runs, and its orbits are those
-    of the closure.  The vertex is the one with rho(i) = 2 on exactly
-    the even parts (_base_code).  n up to 4 takes milliseconds; n = 5
-    runs double description in dimension 15 on 31 constraints, takes
-    about 0.02 s in-process on a 2-core x86-64 VM, and must be requested
-    explicitly via allow_large.  n > 5 is refused with or without it.
+    group (_census_facets).  Each record keeps its facet as found, the
+    coprime int form and the mask of the vertices it holds, so the
+    incidence is counted from the masks, and the orbits are those of the
+    closure.  The vertex is the one with rho(i) = 2 on exactly the even
+    parts (_base_code).  n up to 4 takes milliseconds; n = 5 runs double
+    description in dimension 15 on 31 constraints, takes about 0.011 s
+    in-process (best of forty runs) on a 2-core x86-64 VM, and must be
+    requested explicitly via allow_large.  n > 5 is refused with or
+    without it.  An n that is not an int is refused first, with the int
+    rule's message for all_assignments.
     """
+    check_ints(n, DEFAULT_BRUTEFORCE_BOUND, "all_assignments")
     if n < 2:
         raise ValueError("census needs n >= 2")
     if n > CENSUS_OPTIN_MAX:
@@ -328,27 +351,18 @@ def facet_census(n: int, include_orbits: bool = True,
             "census for %s parts exceeds bound %d (pass allow_large for "
             "n = 5)" % (_shown(n), CENSUS_DEFAULT_MAX))
 
-    assigns = omega_core.all_assignments(n)
     facets, orbit_of = _census_facets(n, _base_code(n))
+    records = tuple([FacetRecord(n, form, mask) for form, mask in facets])
 
-    records = []
-    incidence = [0] * len(assigns)
-    for form, mask in facets:
-        tight = []
-        for k, a in enumerate(assigns):
-            if mask >> k & 1:
-                tight.append(a)
-                incidence[k] += 1
-        records.append(FacetRecord(polyhedra._int_form(form), tuple(tight),
-                                   len(tight)))
-
+    masks = [mask for _, mask in facets]
+    incidence = [column.bit_count() for column in dd._columns(masks, 1 << n)]
     counts = set(incidence)
     if len(counts) != 1:
         raise RuntimeError("per-vertex facet incidence is not constant: %r"
                            % (sorted(counts),))
 
     orbits = _orbit_records(orbit_of) if include_orbits else None
-    return CensusReport(n, tuple(records), len(records), counts.pop(), orbits)
+    return CensusReport(n, records, len(records), counts.pop(), orbits)
 
 
 def _orbit_records(orbit_of: list[int]) -> tuple[OrbitRecord, ...]:
@@ -372,6 +386,7 @@ def edges_via_hull(n: int) -> int:
     holding both, so the pair is an edge iff that intersection holds no
     third vertex.
     """
+    check_ints(n, DEFAULT_BRUTEFORCE_BOUND, "all_assignments")
     if not 2 <= n <= 4:
         raise ValueError("geometric edge count is supported for n = 2..4")
     vrep = omega_core.reduced_vertex_vrep(n)
@@ -392,8 +407,9 @@ def edges_via_hull(n: int) -> int:
 # --- serialization ------------------------------------------------------------
 
 # a facet and an orbit as json.dumps(indent=1) lays them out in the
-# census's lists; a coefficient or rhs is the str of a Fraction, which
-# needs no escaping, and a census form has at least one coefficient
+# census's lists; a coefficient or rhs is the str of an int, which is the
+# str of the same Fraction and needs no escaping, and a census form has
+# at least one coefficient
 _FACET_JSON = ('  {\n   "coeffs": [\n    "%s"\n   ],\n   "rhs": "%s",\n'
                '   "vertices_on": %d\n  }')
 _ORBIT_JSON = '  {\n   "size": %d,\n   "representative": %d\n  }'
@@ -412,11 +428,12 @@ def census_to_json(report: CensusReport) -> str:
     d = {"n", "facets": [{"coeffs": [str], "rhs": str, "vertices_on"},
     ...], "facet_count", "per_vertex_incidence"}, plus "orbits":
     [{"size", "representative"}, ...] when the report has orbits; a form
-    prints as the str of its Fractions.  The text is written directly,
-    since json.dumps with indent runs Python's pure-Python encoder, which
-    took about half the time of writing an n = 5 census."""
-    facets = [_FACET_JSON % ('",\n    "'.join(map(str, f.form.coeffs)),
-                             f.form.rhs, f.vertices_on)
+    prints as the str of its Fractions, that is of its ints.  The text is
+    written directly, since json.dumps with indent runs Python's
+    pure-Python encoder, which took about half the time of writing an
+    n = 5 census."""
+    facets = [_FACET_JSON % ('",\n    "'.join(map(str, f.int_form[:-1])),
+                             f.int_form[-1], f.mask.bit_count())
               for f in report.facets]
     text = ('{\n "n": %d,\n "facets": %s,\n "facet_count": %d,\n'
             ' "per_vertex_incidence": %d'

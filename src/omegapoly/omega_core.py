@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph2p import Assignment, part_bit, positions
-from .guards import DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce, is_int
+from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
+                     check_ints, is_int)
 from . import polyhedra
 from .polyhedra import VRep
 
@@ -261,8 +262,8 @@ def reduced_vertex(n: int, a: Assignment) -> ReducedPoint:
 def reduced_vertex_vrep(n: int,
                         bound: int = DEFAULT_BRUTEFORCE_BOUND) -> VRep:
     """All 2^n reduced vertices as a VRep, in assignment order."""
-    return VRep(reduced_count(n),
-                [reduced_bits(n, z) for z in _codes(n, bound)])
+    codes = _codes(n, bound)  # the int rule, before reduced_count reads n
+    return VRep(reduced_count(n), [reduced_bits(n, z) for z in codes])
 
 
 def independent_family(n: int) -> list[Assignment]:
@@ -283,6 +284,7 @@ def independent_family(n: int) -> list[Assignment]:
 
 def omega_dimension(n: int, bound: int = DEFAULT_BRUTEFORCE_BOUND) -> int:
     """Affine dimension of the vertex set, computed from scratch."""
+    check_ints(n, bound, "all_assignments")
     if n < 2:
         raise ValueError("dimension needs n >= 2")
     vertices = all_vertices(n, bound)

@@ -227,6 +227,29 @@ def test_census_equals_the_full_hull(n):
         assert o3._orbit_records(orbit_of) == report.orbits
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_census_records_derive_their_views_from_the_ints(n):
+    # a record keeps the coprime int form and the tight mask; form, tight
+    # and vertices_on are read from them, and the mask is exactly the
+    # set of vertices the form is tight on
+    report = o3.facet_census(n, allow_large=True)
+    points = oc.reduced_vertex_vrep(n).points
+    assigns = oc.all_assignments(n)
+    for rec in report.facets:
+        *coeffs, rhs = rec.int_form
+        assert all(type(c) is int for c in rec.int_form)
+        assert math.gcd(*rec.int_form) == 1
+        assert rec.form == ph.LinearForm(tuple(map(Fraction, coeffs)),
+                                         Fraction(rhs))
+        assert rec.tight == tuple(a for k, a in enumerate(assigns)
+                                  if rec.mask >> k & 1)
+        slacks = [rec.form.slack(p) for p in points]
+        assert min(slacks) == 0
+        assert rec.mask == sum(1 << k for k, t in enumerate(slacks) if t == 0)
+        assert rec.vertices_on == len(rec.tight) == rec.mask.bit_count()
+        assert rec.n == n
+
+
 def test_census_runs_on_the_even_parts_vertex(monkeypatch):
     # rho(i) = 2 on exactly the even parts; at n = 5 that is code 10, the
     # fourth cheapest of the 32 tangent cones and the only one pinned

@@ -243,6 +243,22 @@ _A, _B = Assignment((1, 2)), Assignment((2, 2))
      "all_assignments: n and bound must be integers, got 3.0 and 20"),
     (lambda: omega3_census.edges_via_hull(3.0),
      "all_assignments: n and bound must be integers, got 3.0 and 20"),
+    (lambda: omega3_census.facet_census("3"),
+     "all_assignments: n and bound must be integers, got '3' and 20"),
+    (lambda: omega3_census.facet_census(None),
+     "all_assignments: n and bound must be integers, got None and 20"),
+    (lambda: omega3_census.edges_via_hull("3"),
+     "all_assignments: n and bound must be integers, got '3' and 20"),
+    (lambda: omega3_census.edges_via_hull(None),
+     "all_assignments: n and bound must be integers, got None and 20"),
+    (lambda: oc.omega_dimension("3"),
+     "all_assignments: n and bound must be integers, got '3' and 20"),
+    (lambda: oc.omega_dimension(None),
+     "all_assignments: n and bound must be integers, got None and 20"),
+    (lambda: oc.reduced_vertex_vrep("3"),
+     "all_assignments: n and bound must be integers, got '3' and 20"),
+    (lambda: oc.reduced_vertex_vrep(None),
+     "all_assignments: n and bound must be integers, got None and 20"),
     (lambda: neighborly.edge_certificate(2.0, _A, _B),
      "edge_certificate: n and bound must be integers, got 2.0 and 20"),
     (lambda: oc.independent_family(2.0), "n must be an integer, got 2.0"),
@@ -258,12 +274,17 @@ _A, _B = Assignment((1, 2)), Assignment((2, 2))
      "n and vertex code must be integers, got 2.0 and 1"),
 ], ids=["all_assignments", "all_assignments-bool", "all_assignments-bound",
         "all_vertices", "reduced_vertex_vrep", "omega_dimension",
-        "facet_census", "edges_via_hull", "edge_certificate",
+        "facet_census", "edges_via_hull", "facet_census-str",
+        "facet_census-none", "edges_via_hull-str", "edges_via_hull-none",
+        "omega_dimension-str", "omega_dimension-none",
+        "reduced_vertex_vrep-str", "reduced_vertex_vrep-none",
+        "edge_certificate",
         "independent_family", "independent_family-bool",
         "vertex_from_assignment", "reduced_vertex", "from_code-bool",
         "from_code-float", "from_code-n"])
 def test_a_float_or_bool_part_count_is_refused_by_the_int_rule(call, message):
-    # a float n failed in a shift or in range(), and a bool ran as 1 part
+    # a float n failed in a shift or in range(), a bool ran as 1 part, and
+    # a str or None n failed in a comparison or a sum before the int rule
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message

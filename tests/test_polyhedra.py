@@ -629,14 +629,17 @@ N5_DD_CANDIDATES = {"count": 6540, "planes": 60}
 
 def _counted_dd_work(monkeypatch):
     """Lists of the rays entering each DD split step and counts of the
-    partner candidates of each route, filled in by every later DD run."""
-    steps, found = [], {"count": 0, "planes": 0}
+    partner candidates of each route, filled in by every later DD run,
+    and a list of the tables the steps built, as the runs leave them."""
+    steps, found, built = [], {"count": 0, "planes": 0}, []
     tables, by_count, by_planes = (dd._byte_tables, dd._partners_by_count,
                                    dd._partners_by_planes)
 
     def counted_tables(masks):
         steps.append(len(masks))
-        return tables(masks)
+        made = tables(masks)
+        built.extend(made)
+        return made
 
     def counted_count(*args):
         partners = by_count(*args)
@@ -651,11 +654,11 @@ def _counted_dd_work(monkeypatch):
     monkeypatch.setattr(dd, "_byte_tables", counted_tables)
     monkeypatch.setattr(dd, "_partners_by_count", counted_count)
     monkeypatch.setattr(dd, "_partners_by_planes", counted_planes)
-    return steps, found
+    return steps, found, built
 
 
 def test_dd_work_on_the_n5_census_is_pinned(monkeypatch):
-    steps, found = _counted_dd_work(monkeypatch)
+    steps, found, _ = _counted_dd_work(monkeypatch)
     _, masks = ph._hull_with_masks(omega_core.reduced_vertex_vrep(5))
     assert steps == N5_DD_STEPS
     assert len(masks) == 368
@@ -668,6 +671,9 @@ def test_dd_work_on_the_n5_census_is_pinned(monkeypatch):
 N5_TANGENT_STEPS = [7, 18, 23, 32, 46, 43, 64, 87, 117, 99, 172, 218, 205,
                     319, 297, 327]
 N5_TANGENT_CANDIDATES = {"count": 3122, "planes": 0}
+# the table entries of two or more bits that its adjacency tests fill in,
+# of the 11,856 such entries in the 48 tables its steps build
+N5_TANGENT_FILLED = 3667
 
 
 def test_dd_on_the_n5_census_tangent_cone_is_pinned(monkeypatch):
@@ -680,26 +686,39 @@ def test_dd_on_the_n5_census_tangent_cone_is_pinned(monkeypatch):
         return rays
 
     monkeypatch.setattr(dd, "_dd_extreme_rays", recorded)
-    steps, found = _counted_dd_work(monkeypatch)
+    steps, found, built = _counted_dd_work(monkeypatch)
     omega3_census.facet_census(5, allow_large=True)
     ((m, cons, rays),) = calls
     assert (m, len(cons), len(rays)) == (15, 31, 210)
     assert steps == N5_TANGENT_STEPS
     assert found == N5_TANGENT_CANDIDATES
+    assert len(built) == 48
+    assert sum(table[v] is not None for table in built
+               for v in range(256) if v & (v - 1)) == N5_TANGENT_FILLED
     assert rays == _reference_dd(m, cons)
 
 
 def test_partner_routes_and_table_entries_agree_on_seeded_masks():
     # the popcount scan and the bit-sliced planes pick the same minus
-    # rays, which hold the low positions as in a DD step, and every table
-    # entry is the set of rays tight on its byte
+    # rays, which hold the low positions as in a DD step; a table is
+    # built with its single-bit entries alone, and every entry read
+    # through _table_entry is the set of rays tight on its byte.  The
+    # fixed cases are no rays, rays with empty masks, and a whole byte
+    # of constraints no ray is tight on below one that is
     rng = random.Random(15)
+    cases = [([], 0), ([0], 1), ([0, 0, 0], 2), ([1 << 20, 0, 1 << 20], 1)]
     for _ in range(150):
         width, density = rng.randint(1, 50), rng.random()
         masks = [sum(1 << c for c in range(width) if rng.random() < density)
                  for _ in range(rng.randint(1, 70))]
-        split = rng.randint(0, len(masks))
+        cases.append((masks, rng.randint(0, len(masks))))
+    for masks, split in cases:
         tables = dd._byte_tables(masks)
+        assert len(tables) == (max(masks, default=0).bit_length() + 7) // 8
+        for table in tables:
+            assert len(table) == 256
+            assert [v for v in range(256) if table[v] is None] == [
+                v for v in range(256) if v & (v - 1)]
         minus = [(None, mask, None, 1 << pos)
                  for pos, mask in enumerate(masks[:split])]
         minus_bits = (1 << split) - 1
@@ -712,11 +731,11 @@ def test_partner_routes_and_table_entries_agree_on_seeded_masks():
                                              zeros - need)
                 assert got == sum(e[3] for e in want)
         for k, table in enumerate(tables):
-            assert len(table) == 256
-            for v in range(256):
-                assert table[v] == sum(1 << pos
-                                       for pos, mask in enumerate(masks)
-                                       if mask >> 8 * k & v == v)
+            for v in rng.sample(range(256), 256):
+                assert dd._table_entry(table, v) == sum(
+                    1 << pos for pos, mask in enumerate(masks)
+                    if mask >> 8 * k & v == v)
+            assert None not in table
 
 
 # the hull of the 48 vertices of the n = 6 reduced polytope with

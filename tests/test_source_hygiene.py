@@ -307,6 +307,14 @@ def test_double_description_runs_for_the_hull_and_the_census_alone():
         "polyhedra.py:_hull_with_masks", "omega3_census.py:_census_facets"}
 
 
+def test_table_entries_are_filled_by_the_dd_alone():
+    # a DD table holds None for an entry of two or more bits until the
+    # adjacency test first reads it; _table_entry fills it, recursing on
+    # the rest of the byte, and no other code may read an unfilled table
+    assert _callers("_table_entry") == {
+        "dd.py:_dd_extreme_rays", "dd.py:_table_entry"}
+
+
 def test_vertices_are_walked_as_codes():
     # graph2p defines the vertex code, and every 2^n loop runs over
     # range(1 << n): no other module reads a part through rho(), none
