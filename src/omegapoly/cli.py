@@ -34,8 +34,8 @@ from . import graph2p, neighborly, omega3_census, omega_core, polyhedra
 from .graph2p import assignment_from_text
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, DEFAULT_HULL_MAX_DIM,
                      DEFAULT_HULL_MAX_POINTS, ScaleGuardError, _shown,
-                     json_fields, json_list, json_number, json_positive_int,
-                     parse_json, text_int)
+                     check_count, json_fields, json_list, json_number,
+                     json_positive_int, parse_json, text_int)
 
 # attribute -> (environment variable, default, what it bounds)
 _GUARDS = {
@@ -86,8 +86,7 @@ def _settle_guards(args):
             except ValueError:
                 raise ValueError("%s=%s is not an integer"
                                  % (env, _shown(raw, repr)))
-        if val < 1:
-            raise ValueError("%s must be at least 1" % (attr.replace("_", "-"),))
+        check_count(val, args.command, 1, "--" + attr.replace("_", "-"))
         setattr(args, attr, val)
 
 
@@ -156,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_vertices(args) -> int:
-    if args.n < 1:
-        raise ValueError("need at least one part")
     for a in omega_core.all_assignments(args.n, args.max_bruteforce):
         if args.reduced:
             coords = omega_core.reduced_vertex(args.n, a).y
@@ -215,8 +212,6 @@ def _verify_rows(n: int, bound: int):
 
 
 def _cmd_verify(args) -> int:
-    if args.n < 1:
-        raise ValueError("need at least one part")
     rows = _verify_rows(args.n, args.max_bruteforce)
     width = max(len(name) for name, _, _ in rows) + 2
     for name, ok, detail in rows:
@@ -228,8 +223,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    if args.n < 2:
-        raise ValueError("hull needs n >= 2")
+    check_count(args.n, "hull", 2)
     vrep = omega_core.reduced_vertex_vrep(args.n, args.max_bruteforce)
     hrep = polyhedra.convex_hull_facets(vrep, args.max_hull_dim,
                                         args.max_hull_points)

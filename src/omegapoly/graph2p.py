@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, GRAPH_MAX_PARTS,
-                     ScaleGuardError, _shown, check_bruteforce, is_int,
-                     parse_json)
+                     ScaleGuardError, _shown, check_bruteforce, check_count,
+                     is_int, parse_json)
 
 
 class VertexRef(NamedTuple):
@@ -71,12 +71,11 @@ class Assignment:
 
     @classmethod
     def from_code(cls, n: int, code: int) -> Assignment:
-        """The assignment of n parts with the given vertex code; both are
-        ints (a bool or a float is refused)."""
-        if not (is_int(n) and is_int(code)):
-            raise ValueError("n and vertex code must be integers, got %s "
-                             "and %s" % (_shown(n, repr), _shown(code, repr)))
-        if code < 0 or code >> n:
+        """The assignment of n parts with the given vertex code; both pass
+        the count rule (check_count), n from 1 and the code from 0."""
+        check_count(n, "Assignment.from_code", 1)
+        check_count(code, "Assignment.from_code", 0, "vertex code")
+        if code >> n:
             raise ValueError("vertex code %s out of range for %s parts"
                              % (_shown(code), _shown(n)))
         return cls(positions(n, code))
@@ -169,11 +168,10 @@ def _edge(key: tuple[int, int, int, int]) -> Edge:
     return (VertexRef(i, p), VertexRef(j, q))
 
 
-def _check_parts(n: int) -> None:
-    """Refuse an n that is not an int, and a graph past GRAPH_MAX_PARTS
-    parts, which nothing overrides."""
-    if not is_int(n):
-        raise ValueError("n must be an integer")
+def _check_parts(n: int, what: str, name: str = "n") -> None:
+    """Refuse by the count rule an n that is not a part count for what,
+    and a graph past GRAPH_MAX_PARTS parts, which nothing overrides."""
+    check_count(n, what, 1, name)
     if n > GRAPH_MAX_PARTS:
         raise ScaleGuardError(
             "graph-parts", GRAPH_MAX_PARTS, n,
@@ -196,9 +194,7 @@ class Graph2P:
     """
 
     def __init__(self, n: int, *, missing: Iterable = ()):
-        _check_parts(n)
-        if n < 1:
-            raise ValueError("need at least one part")
+        _check_parts(n, "Graph2P")
         self.n = n
         # sorting first keeps the runs of the input, which is cheaper
         # than sorting a set; dict.fromkeys then drops the repeats
@@ -364,9 +360,7 @@ def solve_2sat(num_vars: int, clauses: Iterable) -> Assignment | None:
     in to_2cnf and _solve_implications; anything else is refused.  The
     model found is checked against every clause.
     """
-    _check_parts(num_vars)  # each variable stands for a part
-    if num_vars < 1:
-        raise ValueError("need at least one variable")
+    _check_parts(num_vars, "solve_2sat", "num_vars")  # each variable is a part
     clauses = tuple(clauses)
     top = 2 * num_vars
     for clause in clauses:
@@ -418,7 +412,7 @@ def graph_from_dict(obj: dict) -> Graph2P:
                          '"missing_edges"')
     n = obj["n"]
     # checked here too, so a bad or large n is refused before any row is read
-    _check_parts(n)
+    _check_parts(n, "graph_from_dict")
     rows = obj["missing_edges"]
     if not isinstance(rows, list) or not _are_edge_rows(rows):
         raise ValueError('"missing_edges" must be a list of '

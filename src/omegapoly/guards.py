@@ -5,7 +5,10 @@ Every guarded operation takes the bound as a keyword argument so callers
 (including the command line driver) can raise it deliberately, except
 for the fixed ceilings, which nothing overrides.  parse_json is the
 guard on reading JSON; exact_number, text_int and the json_* readers
-below hold the rules for exact input.  Imports no package module.
+below hold the rules for exact input.  check_count is the one rule for
+a part count or a dimension, which every entry point that takes one
+applies first, directly or through check_bruteforce.  Imports no
+package module.
 """
 
 import json
@@ -41,18 +44,26 @@ class ScaleGuardError(ValueError):
         self.requested = requested
 
 
-def check_ints(n, bound, what: str) -> None:
-    """The int rule for a part count and its brute-force bound: an n or a
-    bound that is not an int (a bool, a float, a str, None) is refused."""
+def check_count(x, what: str, least: int, name: str = "n") -> None:
+    """The count rule: refuse an x that is not an int (a bool, a float, a
+    str, None) or is below least, naming the function what and the
+    argument name."""
+    if not is_int(x):
+        raise ValueError("%s: %s must be an integer, got %s"
+                         % (what, name, _shown(x, repr)))
+    if x < least:
+        raise ValueError("%s: %s must be at least %d, got %s"
+                         % (what, name, least, _shown(x)))
+
+
+def check_bruteforce(n: int, bound: int, what: str, least: int = 1) -> None:
+    """The count rule for a part count n whose 2**n enumeration is behind
+    bound: an n or a bound that is not an int is refused, then an n below
+    least (check_count), then an n past bound (ScaleGuardError)."""
     if not (is_int(n) and is_int(bound)):
         raise ValueError("%s: n and bound must be integers, got %s and %s"
                          % (what, _shown(n, repr), _shown(bound, repr)))
-
-
-def check_bruteforce(n: int, bound: int, what: str) -> None:
-    """Reject part counts whose 2**n enumeration would be hopeless, and by
-    the int rule (check_ints) an n or a bound that is not an int."""
-    check_ints(n, bound, what)
+    check_count(n, what, least)
     if n > bound:
         raise ScaleGuardError(
             "bruteforce", bound, n,

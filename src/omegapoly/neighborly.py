@@ -133,15 +133,14 @@ def edge_certificate(n: int, a: Assignment, b: Assignment,
     """Build the certificate for the pair {a, b}.
 
     The recorded evaluations come from _closed_form, not from a scan of
-    alpha; verify_certificate is the check by enumeration.
+    alpha; verify_certificate is the check by enumeration.  n passes the
+    count rule, from 2 parts, before it is compared with a and b.
     """
-    if n < 2:
-        raise ValueError("need at least two parts")
+    check_bruteforce(n, bound, "edge_certificate", least=2)
     if a.n != n or b.n != n:
         raise ValueError("assignments must have %s parts" % (_shown(n),))
     if a == b:
         raise ValueError("assignments must be distinct")
-    check_bruteforce(n, bound, "edge_certificate")
 
     za, zb = a.code, b.code
     mark_a, mark_b = _marked_edges(n, za, zb)

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph2p import Assignment, part_bit, positions
-from .guards import (DEFAULT_BRUTEFORCE_BOUND, ScaleGuardError, _shown,
-                     check_ints)
+from .guards import ScaleGuardError, _shown, check_count
 from . import dd, omega_core, polyhedra
 from .exact import _coprime, _dot
 from .omega_core import (coord_count, coord_index, reduced_count,
@@ -334,12 +333,10 @@ def facet_census(n: int, include_orbits: bool = True,
     description in dimension 15 on 31 constraints, takes about 0.011 s
     in-process (best of forty runs) on a 2-core x86-64 VM, and must be
     requested explicitly via allow_large.  n > 5 is refused with or
-    without it.  An n that is not an int is refused first, with the int
-    rule's message for all_assignments.
+    without it.  An n that is not an int, or is below 2, is refused first,
+    by the count rule (check_count) for facet_census.
     """
-    check_ints(n, DEFAULT_BRUTEFORCE_BOUND, "all_assignments")
-    if n < 2:
-        raise ValueError("census needs n >= 2")
+    check_count(n, "facet_census", 2)
     if n > CENSUS_OPTIN_MAX:
         raise ScaleGuardError(
             "census-max", CENSUS_OPTIN_MAX, n,
@@ -384,10 +381,11 @@ def edges_via_hull(n: int) -> int:
     set to facets and reads which vertices each facet is tight on.  The
     smallest face holding two vertices is the intersection of the facets
     holding both, so the pair is an edge iff that intersection holds no
-    third vertex.
+    third vertex.  An n that is not an int, or is below 2, is refused by
+    the count rule (check_count) for edges_via_hull.
     """
-    check_ints(n, DEFAULT_BRUTEFORCE_BOUND, "all_assignments")
-    if not 2 <= n <= 4:
+    check_count(n, "edges_via_hull", 2)
+    if n > 4:
         raise ValueError("geometric edge count is supported for n = 2..4")
     vrep = omega_core.reduced_vertex_vrep(n)
     _, masks = polyhedra._hull_with_masks(vrep)

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .graph2p import Assignment, part_bit, positions
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
-                     check_ints, is_int)
+                     check_count)
 from . import polyhedra
 from .polyhedra import VRep
 
@@ -79,6 +79,7 @@ class OmegaPoint:
     coords: tuple[Fraction, ...]
 
     def __post_init__(self):
+        check_count(self.n, "OmegaPoint", 1)
         if len(self.coords) != coord_count(self.n):
             raise ValueError("expected %s coordinates, got %d" % (
                 _shown(coord_count(self.n)), len(self.coords)))
@@ -95,6 +96,7 @@ class ReducedPoint:
     y: tuple[Fraction, ...]
 
     def __post_init__(self):
+        check_count(self.n, "ReducedPoint", 1)
         if len(self.y) != reduced_count(self.n):
             raise ValueError("expected %s reduced coordinates, got %d" % (
                 _shown(reduced_count(self.n)), len(self.y)))
@@ -103,25 +105,14 @@ class ReducedPoint:
         return self.y[reduced_index(self.n, i, j)]
 
 
-def _int_n(n) -> None:
-    """The int rule for a part count: a bool or a float is refused."""
-    if not is_int(n):
-        raise ValueError("n must be an integer, got %s" % (_shown(n, repr),))
-
-
-def _code(n: int, a: Assignment) -> int:
-    """The vertex code of a, once a is checked to have n parts."""
-    _int_n(n)
+def _code(n: int, a: Assignment, what: str) -> int:
+    """The vertex code of a, once the count rule has passed n for what
+    and a is checked to have n parts."""
+    check_count(n, what, 1)
     if a.n != n:
         raise ValueError("assignment has %d parts, expected %s"
                          % (a.n, _shown(n)))
     return a.code
-
-
-def _codes(n: int, bound: int) -> range:
-    """The 2^n vertex codes, in assignment order, behind the guard."""
-    check_bruteforce(n, bound, "all_assignments")
-    return range(1 << n)
 
 
 def _vertex(n: int, z: int) -> OmegaPoint:
@@ -133,19 +124,21 @@ def _vertex(n: int, z: int) -> OmegaPoint:
 
 def vertex_from_assignment(n: int, a: Assignment) -> OmegaPoint:
     """The 0/1 vertex of an assignment: X[i,j,p,q] = [p = rho(i)][q = rho(j)]."""
-    return _vertex(n, _code(n, a))
+    return _vertex(n, _code(n, a, "vertex_from_assignment"))
 
 
 def all_assignments(n: int,
                     bound: int = DEFAULT_BRUTEFORCE_BOUND) -> list[Assignment]:
     """The 2^n assignments in lexicographic order, which is code order."""
-    return [Assignment.from_code(n, z) for z in _codes(n, bound)]
+    check_bruteforce(n, bound, "all_assignments")
+    return [Assignment.from_code(n, z) for z in range(1 << n)]
 
 
 def all_vertices(n: int,
                  bound: int = DEFAULT_BRUTEFORCE_BOUND) -> list[OmegaPoint]:
     """The 2^n vertices in lexicographic assignment order."""
-    return [_vertex(n, z) for z in _codes(n, bound)]
+    check_bruteforce(n, bound, "all_vertices")
+    return [_vertex(n, z) for z in range(1 << n)]
 
 
 @dataclass(frozen=True)
@@ -255,15 +248,16 @@ def reduced_bits(n: int, z: int) -> tuple[int, ...]:
 
 def reduced_vertex(n: int, a: Assignment) -> ReducedPoint:
     """The reduced vertex of a, without the full-space detour."""
-    return ReducedPoint(n, tuple([_ONE if b else _ZERO
-                                  for b in reduced_bits(n, _code(n, a))]))
+    bits = reduced_bits(n, _code(n, a, "reduced_vertex"))
+    return ReducedPoint(n, tuple([_ONE if b else _ZERO for b in bits]))
 
 
 def reduced_vertex_vrep(n: int,
                         bound: int = DEFAULT_BRUTEFORCE_BOUND) -> VRep:
     """All 2^n reduced vertices as a VRep, in assignment order."""
-    codes = _codes(n, bound)  # the int rule, before reduced_count reads n
-    return VRep(reduced_count(n), [reduced_bits(n, z) for z in codes])
+    check_bruteforce(n, bound, "reduced_vertex_vrep")
+    return VRep(reduced_count(n),
+                [reduced_bits(n, z) for z in range(1 << n)])
 
 
 def independent_family(n: int) -> list[Assignment]:
@@ -272,9 +266,7 @@ def independent_family(n: int) -> list[Assignment]:
     The all-twos assignment, the n assignments with a single 1, and the
     C(n, 2) assignments with exactly two 1s, in that order.
     """
-    _int_n(n)
-    if n < 1:
-        raise ValueError("need at least one part")
+    check_count(n, "independent_family", 1)
     twos = sum(part_bit(n, i) for i in range(1, n + 1))
     codes = [twos] + [twos ^ part_bit(n, i) for i in range(1, n + 1)]
     codes += [twos ^ part_bit(n, i) ^ part_bit(n, j)
@@ -284,9 +276,7 @@ def independent_family(n: int) -> list[Assignment]:
 
 def omega_dimension(n: int, bound: int = DEFAULT_BRUTEFORCE_BOUND) -> int:
     """Affine dimension of the vertex set, computed from scratch."""
-    check_ints(n, bound, "all_assignments")
-    if n < 2:
-        raise ValueError("dimension needs n >= 2")
+    check_bruteforce(n, bound, "omega_dimension", least=2)
     vertices = all_vertices(n, bound)
     return polyhedra.affine_rank(VRep(coord_count(n), [v.coords for v in vertices]))
 

@@ -17,7 +17,8 @@ from .dd import _dd_extreme_rays
 from .exact import (_clear_matrix, _coprime, _dot, _in_row_space,
                     _int_affine_rank, _int_rref, _null_basis)
 from .guards import (DEFAULT_HULL_MAX_DIM, DEFAULT_HULL_MAX_POINTS,
-                     ScaleGuardError, _shown, exact_number, is_int, text_int)
+                     ScaleGuardError, _shown, check_count, exact_number,
+                     is_int, text_int)
 from .simplex import _int_lp
 
 Vector = tuple[Fraction, ...]
@@ -79,8 +80,7 @@ class VRep:
     """
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
+        check_count(dim, "VRep", 1, "dim")
         pts = tuple(_frac_vector(p) for p in points)
         for p in pts:
             if len(p) != dim:
@@ -132,6 +132,7 @@ class HRep:
     equalities: tuple[LinearForm, ...]
 
     def __post_init__(self):
+        check_count(self.dim, "HRep", 1, "dim")
         for kind, forms in (("inequality", self.inequalities),
                             ("equality", self.equalities)):
             for k, f in enumerate(forms):
@@ -181,8 +182,10 @@ def convex_hull_facets(v: VRep,
     (D, (P_i - P_0) at the pivots).  A ray (b, c) gives the facet
     c . x >= c . x_0 - b in the pivot coordinates, scaled by D to
     (c D at the pivots, c . P_0 - b D).  Fractions are built only for
-    the returned forms.
+    the returned forms.  Each bound passes the count rule, from 1.
     """
+    check_count(max_dim, "convex_hull_facets", 1, "max_dim")
+    check_count(max_points, "convex_hull_facets", 1, "max_points")
     if v.dim > max_dim:
         raise ScaleGuardError(
             "hull-dim", max_dim, v.dim,
@@ -514,8 +517,7 @@ def _dependency_screen(v: VRep, idx: list[int], outside: list[int]
 
 def regular_polytope(kind: str, d: int) -> VRep:
     """Standard simplex, unit cube, or cross polytope vertices in Q^d."""
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    check_count(d, "regular_polytope", 1, "d")
     if kind == "simplex":
         pts = [(0,) * d]
         pts += [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]

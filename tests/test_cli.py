@@ -485,6 +485,32 @@ def test_a_long_int_argument_is_cut_short(capsys, argv):
     assert len(err.encode("ascii")) < 200
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("vertices", "--n", "0"), "all_assignments: n must be at least 1, got 0"),
+    (("vertices", "--n", "-1"),
+     "all_assignments: n must be at least 1, got -1"),
+    (("verify", "--n", "0"), "all_vertices: n must be at least 1, got 0"),
+    (("verify", "--n", "-1"), "all_vertices: n must be at least 1, got -1"),
+    (("hull", "--n", "0"), "hull: n must be at least 2, got 0"),
+    (("hull", "--n", "-1"), "hull: n must be at least 2, got -1"),
+    (("hull", "--n", "1"), "hull: n must be at least 2, got 1"),
+    (("census", "--n", "0"), "facet_census: n must be at least 2, got 0"),
+    (("census", "--n", "-1"), "facet_census: n must be at least 2, got -1"),
+    (("edge-cert", "--n", "0", "--a", "1,1", "--b", "1,2"),
+     "edge_certificate: n must be at least 2, got 0"),
+    (("edge-cert", "--n", "-1", "--a", "1,1", "--b", "1,2"),
+     "edge_certificate: n must be at least 2, got -1"),
+    (("vertices", "--n", "2", "--max-bruteforce", "0"),
+     "vertices: --max-bruteforce must be at least 1, got 0"),
+], ids=["vertices-0", "vertices--1", "verify-0", "verify--1", "hull-0",
+        "hull--1", "hull-1", "census-0", "census--1", "edge-cert-0",
+        "edge-cert--1", "max-bruteforce-0"])
+def test_a_count_below_its_least_exits_2_with_one_line(capsys, argv, line):
+    # the count rule's message, from the function that refused the count
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: %s\n" % (line,))
+
+
 @pytest.mark.parametrize("argv", [
     ("vertices", "--n", "9" * 5000),
     ("census", "--n", "9" * 5000),

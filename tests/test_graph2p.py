@@ -183,8 +183,9 @@ def test_solve_2sat_forced_and_unsat():
 
 
 CNF_REFUSALS = [
-    (0, (), "need at least one variable"),
-    (-3, (), "need at least one variable"),
+    (0, (), "solve_2sat: num_vars must be at least 1, got 0"),
+    (-1, (), "solve_2sat: num_vars must be at least 1, got -1"),
+    (-3, (), "solve_2sat: num_vars must be at least 1, got -3"),
     (1, ((0, 2),), "clause (0, 2) is not a pair of literal codes 0..1"),
     # (variable, polarity) pairs are not literal codes
     (2, (((1, True), (2, True)),),
@@ -354,7 +355,12 @@ BAD_SHAPE = ('"missing_edges" must be a list of [[part, pos], [part, pos]] '
 
 
 @pytest.mark.parametrize("bad, message", [
-    ({"n": "3", "missing_edges": []}, "n must be an integer"),
+    ({"n": "3", "missing_edges": []},
+     "graph_from_dict: n must be an integer, got '3'"),
+    ({"n": 0, "missing_edges": []},
+     "graph_from_dict: n must be at least 1, got 0"),
+    ({"n": -1, "missing_edges": 5},
+     "graph_from_dict: n must be at least 1, got -1"),
     ({"n": 2}, NEEDS_KEYS),
     ({"missing_edges": []}, NEEDS_KEYS),
     ([2, []], NEEDS_KEYS),
@@ -371,7 +377,7 @@ BAD_SHAPE = ('"missing_edges" must be a list of [[part, pos], [part, pos]] '
      "vertex VertexRef(part=1, pos=3): pos must be 1 or 2"),
     # every row's shape is checked before any row's range
     ({"n": 2, "missing_edges": [[[1, 1], [3, 1]], [[1, 1], [2]]]}, BAD_SHAPE),
-], ids=["string-n", "no-missing-edges", "no-n", "not-an-object",
+], ids=["string-n", "zero-n", "negative-n", "no-missing-edges", "no-n", "not-an-object",
         "edge-of-ints", "short-vertex", "scalar-missing-edges", "bool-pos",
         "part-out-of-range", "same-part", "pos-3", "shape-before-range"])
 def test_graph_json_messages(bad, message):
@@ -415,8 +421,10 @@ def test_a_2cnf_meets_the_parts_ceiling():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: g2.Graph2P(2.5), "n must be an integer"),
-    (lambda: g2.Graph2P(True), "n must be an integer"),
+    (lambda: g2.Graph2P(2.5), "Graph2P: n must be an integer, got 2.5"),
+    (lambda: g2.Graph2P(True), "Graph2P: n must be an integer, got True"),
+    (lambda: g2.Graph2P(0), "Graph2P: n must be at least 1, got 0"),
+    (lambda: g2.Graph2P(-1), "Graph2P: n must be at least 1, got -1"),
     (lambda: g2.Graph2P(2, missing=[((1.0, 1), (2, 1))]),
      "vertex VertexRef(part=1.0, pos=1): part must be an integer"),
     (lambda: g2.Graph2P(2, missing=[((1, 1), (True, 2))]),
@@ -427,7 +435,8 @@ def test_a_2cnf_meets_the_parts_ceiling():
      "vertex VertexRef(part=2, pos=True): pos must be 1 or 2"),
     (lambda: g2.complete_graph(2).has_edge((1.0, 1), (2, 1)),
      "vertex VertexRef(part=1.0, pos=1): part must be an integer"),
-    (lambda: g2.solve_2sat(2.0, ()), "n must be an integer"),
+    (lambda: g2.solve_2sat(2.0, ()),
+     "solve_2sat: num_vars must be an integer, got 2.0"),
     (lambda: g2.solve_2sat(2, ((1.0, 2),)),
      "clause (1.0, 2) is not a pair of literal codes 0..3"),
     (lambda: g2.solve_2sat(2, ((1, True),)),
@@ -438,7 +447,7 @@ def test_a_2cnf_meets_the_parts_ceiling():
      "clause (0, -1) is not a pair of literal codes 0..3"),
     (lambda: g2.solve_2sat(2, ((4, 0),)),
      "clause (4, 0) is not a pair of literal codes 0..3"),
-], ids=["float-n", "bool-n", "float-part", "bool-part", "float-pos",
+], ids=["float-n", "bool-n", "zero-n", "negative-n", "float-part", "bool-part", "float-pos",
         "bool-pos", "float-part-in-has-edge", "float-num-vars",
         "float-variable", "bool-variable", "bool-code", "negative-code",
         "code-of-twice-num-vars"])

@@ -224,6 +224,45 @@ def test_a_vertex_code_round_trips_in_assignment_order():
 
 
 _A, _B = Assignment((1, 2)), Assignment((2, 2))
+_SQUARE = ph.regular_polytope("cube", 2)
+
+# each entry point that takes a count: its name in the count rule's
+# messages, a call on the count x, the argument's name and its least value
+_COUNTED = [
+    ("all_assignments", oc.all_assignments, "n", 1),
+    ("all_vertices", oc.all_vertices, "n", 1),
+    ("reduced_vertex_vrep", oc.reduced_vertex_vrep, "n", 1),
+    ("vertex_from_assignment", lambda x: oc.vertex_from_assignment(x, _A),
+     "n", 1),
+    ("reduced_vertex", lambda x: oc.reduced_vertex(x, _A), "n", 1),
+    ("independent_family", oc.independent_family, "n", 1),
+    ("OmegaPoint", lambda x: oc.OmegaPoint(x, ()), "n", 1),
+    ("ReducedPoint", lambda x: oc.ReducedPoint(x, ()), "n", 1),
+    ("omega_dimension", oc.omega_dimension, "n", 2),
+    ("facet_census", omega3_census.facet_census, "n", 2),
+    ("edges_via_hull", omega3_census.edges_via_hull, "n", 2),
+    ("edge_certificate", lambda x: neighborly.edge_certificate(x, _A, _B),
+     "n", 2),
+    ("Assignment.from_code", lambda x: Assignment.from_code(x, 0), "n", 1),
+    ("Assignment.from_code", lambda x: Assignment.from_code(2, x),
+     "vertex code", 0),
+    ("VRep", lambda x: ph.VRep(x, []), "dim", 1),
+    ("HRep", lambda x: ph.HRep(x, (), ()), "dim", 1),
+    ("regular_polytope", lambda x: ph.regular_polytope("cube", x), "d", 1),
+    ("convex_hull_facets",
+     lambda x: ph.convex_hull_facets(_SQUARE, max_dim=x), "max_dim", 1),
+    ("convex_hull_facets",
+     lambda x: ph.convex_hull_facets(_SQUARE, max_points=x), "max_points", 1),
+]
+
+# one below the least value, 0 and -1, where below it, for every entry
+# point above
+_BELOW_LEAST = [
+    pytest.param(lambda f=f, x=x: f(x),
+                 "%s: %s must be at least %d, got %d" % (what, name, least, x),
+                 id="%s-%s-%d" % (what, name.replace(" ", "-"), x))
+    for what, f, name, least in _COUNTED
+    for x in sorted({least - 1, 0, -1}, reverse=True) if x < least]
 
 
 @pytest.mark.parametrize("call, message", [
@@ -234,44 +273,65 @@ _A, _B = Assignment((1, 2)), Assignment((2, 2))
     (lambda: oc.all_assignments(2, 20.0),
      "all_assignments: n and bound must be integers, got 2 and 20.0"),
     (lambda: oc.all_vertices(2.0),
-     "all_assignments: n and bound must be integers, got 2.0 and 20"),
+     "all_vertices: n and bound must be integers, got 2.0 and 20"),
     (lambda: oc.reduced_vertex_vrep(2.0),
-     "all_assignments: n and bound must be integers, got 2.0 and 20"),
+     "reduced_vertex_vrep: n and bound must be integers, got 2.0 and 20"),
     (lambda: oc.omega_dimension(2.0),
-     "all_assignments: n and bound must be integers, got 2.0 and 20"),
+     "omega_dimension: n and bound must be integers, got 2.0 and 20"),
     (lambda: omega3_census.facet_census(3.0),
-     "all_assignments: n and bound must be integers, got 3.0 and 20"),
+     "facet_census: n must be an integer, got 3.0"),
     (lambda: omega3_census.edges_via_hull(3.0),
-     "all_assignments: n and bound must be integers, got 3.0 and 20"),
+     "edges_via_hull: n must be an integer, got 3.0"),
     (lambda: omega3_census.facet_census("3"),
-     "all_assignments: n and bound must be integers, got '3' and 20"),
+     "facet_census: n must be an integer, got '3'"),
     (lambda: omega3_census.facet_census(None),
-     "all_assignments: n and bound must be integers, got None and 20"),
+     "facet_census: n must be an integer, got None"),
     (lambda: omega3_census.edges_via_hull("3"),
-     "all_assignments: n and bound must be integers, got '3' and 20"),
+     "edges_via_hull: n must be an integer, got '3'"),
     (lambda: omega3_census.edges_via_hull(None),
-     "all_assignments: n and bound must be integers, got None and 20"),
+     "edges_via_hull: n must be an integer, got None"),
     (lambda: oc.omega_dimension("3"),
-     "all_assignments: n and bound must be integers, got '3' and 20"),
+     "omega_dimension: n and bound must be integers, got '3' and 20"),
     (lambda: oc.omega_dimension(None),
-     "all_assignments: n and bound must be integers, got None and 20"),
+     "omega_dimension: n and bound must be integers, got None and 20"),
     (lambda: oc.reduced_vertex_vrep("3"),
-     "all_assignments: n and bound must be integers, got '3' and 20"),
+     "reduced_vertex_vrep: n and bound must be integers, got '3' and 20"),
     (lambda: oc.reduced_vertex_vrep(None),
-     "all_assignments: n and bound must be integers, got None and 20"),
+     "reduced_vertex_vrep: n and bound must be integers, got None and 20"),
     (lambda: neighborly.edge_certificate(2.0, _A, _B),
      "edge_certificate: n and bound must be integers, got 2.0 and 20"),
-    (lambda: oc.independent_family(2.0), "n must be an integer, got 2.0"),
-    (lambda: oc.independent_family(True), "n must be an integer, got True"),
+    (lambda: oc.independent_family(2.0),
+     "independent_family: n must be an integer, got 2.0"),
+    (lambda: oc.independent_family(True),
+     "independent_family: n must be an integer, got True"),
     (lambda: oc.vertex_from_assignment(2.0, _A),
-     "n must be an integer, got 2.0"),
-    (lambda: oc.reduced_vertex(2.0, _A), "n must be an integer, got 2.0"),
+     "vertex_from_assignment: n must be an integer, got 2.0"),
+    (lambda: oc.reduced_vertex(2.0, _A),
+     "reduced_vertex: n must be an integer, got 2.0"),
     (lambda: Assignment.from_code(2, True),
-     "n and vertex code must be integers, got 2 and True"),
+     "Assignment.from_code: vertex code must be an integer, got True"),
     (lambda: Assignment.from_code(2, 1.0),
-     "n and vertex code must be integers, got 2 and 1.0"),
+     "Assignment.from_code: vertex code must be an integer, got 1.0"),
     (lambda: Assignment.from_code(2.0, 1),
-     "n and vertex code must be integers, got 2.0 and 1"),
+     "Assignment.from_code: n must be an integer, got 2.0"),
+    (lambda: neighborly.edge_certificate("2", _A, _B),
+     "edge_certificate: n and bound must be integers, got '2' and 20"),
+    (lambda: neighborly.edge_certificate(None, _A, _B),
+     "edge_certificate: n and bound must be integers, got None and 20"),
+    (lambda: ph.VRep(2.0, [(0, 0)]), "VRep: dim must be an integer, got 2.0"),
+    (lambda: ph.VRep("2", [(0, 0)]), "VRep: dim must be an integer, got '2'"),
+    (lambda: ph.HRep(2.0, (), ()), "HRep: dim must be an integer, got 2.0"),
+    (lambda: oc.OmegaPoint(2.0, (0,) * 16),
+     "OmegaPoint: n must be an integer, got 2.0"),
+    (lambda: oc.ReducedPoint(2.0, (0,) * 3),
+     "ReducedPoint: n must be an integer, got 2.0"),
+    (lambda: ph.regular_polytope("cube", True),
+     "regular_polytope: d must be an integer, got True"),
+    (lambda: ph.convex_hull_facets(_SQUARE, max_dim=15.0),
+     "convex_hull_facets: max_dim must be an integer, got 15.0"),
+    (lambda: ph.convex_hull_facets(_SQUARE, max_points=None),
+     "convex_hull_facets: max_points must be an integer, got None"),
+    *_BELOW_LEAST,
 ], ids=["all_assignments", "all_assignments-bool", "all_assignments-bound",
         "all_vertices", "reduced_vertex_vrep", "omega_dimension",
         "facet_census", "edges_via_hull", "facet_census-str",
@@ -281,10 +341,17 @@ _A, _B = Assignment((1, 2)), Assignment((2, 2))
         "edge_certificate",
         "independent_family", "independent_family-bool",
         "vertex_from_assignment", "reduced_vertex", "from_code-bool",
-        "from_code-float", "from_code-n"])
+        "from_code-float", "from_code-n", "edge_certificate-str",
+        "edge_certificate-none", "VRep-float", "VRep-str", "HRep-float",
+        "OmegaPoint-float", "ReducedPoint-float",
+        "regular_polytope-bool", "convex_hull_facets-max_dim-float",
+        "convex_hull_facets-max_points-none",
+        *[param.id for param in _BELOW_LEAST]])
 def test_a_float_or_bool_part_count_is_refused_by_the_int_rule(call, message):
-    # a float n failed in a shift or in range(), a bool ran as 1 part, and
-    # a str or None n failed in a comparison or a sum before the int rule
+    # a float n failed in a shift or in range(), a bool ran as 1 part, a
+    # str or None n failed in a comparison or a sum, and a negative n in
+    # a shift, before the count rule; each refusal is one line that names
+    # the function called
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value) == message

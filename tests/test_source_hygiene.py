@@ -395,3 +395,24 @@ def test_every_name_the_benchmark_reaches_resolves():
                if not callable(getattr(
                    importlib.import_module("omegapoly." + mod), name, None))]
     assert missing == []
+
+
+def test_the_count_rule_is_written_out_in_guards_alone():
+    # check_count holds the count rule's two message formats, and every
+    # other check of a part count or a dimension calls it; a copy of the
+    # rule in another module drifts from it, as check_ints and
+    # omega_core._int_n did before they were deleted
+    formats = ("must be an integer, got", "must be at least")
+    holders = {"%s:%s" % (name, qualname)
+               for name, tree in _modules().items()
+               for qualname, func in _functions(tree)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Constant)
+               and isinstance(node.value, str)
+               and any(text in node.value for text in formats)}
+    assert holders == {"guards.py:check_count"}
+    names = set()
+    for tree in _modules().values():
+        names |= _referenced(tree) | {qualname.split(".")[-1]
+                                      for qualname, _ in _functions(tree)}
+    assert not {"check_ints", "_int_n"} & names
