@@ -35,7 +35,7 @@ from .graph2p import assignment_from_text
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, DEFAULT_HULL_MAX_DIM,
                      DEFAULT_HULL_MAX_POINTS, ScaleGuardError, _shown,
                      check_count, json_fields, json_list, json_number,
-                     json_positive_int, parse_json, text_int)
+                     parse_json, text_int)
 
 # attribute -> (environment variable, default, what it bounds)
 _GUARDS = {
@@ -252,8 +252,7 @@ def _cmd_edge_cert(args) -> int:
 
 
 def _cmd_face_test(args) -> int:
-    if args.n != 3:
-        raise ValueError("the case analysis is specific to --n 3")
+    check_count(args.n, "face-test", 3, most=3)
     a = assignment_from_text(args.exclude[0])
     b = assignment_from_text(args.exclude[1])
     report = omega3_census.analyze_pair(a, b)
@@ -302,21 +301,21 @@ def _cmd_convert(args) -> int:
     if stripped.startswith("{"):
         obj = parse_json(text)
         kind = obj.get("kind")
+        if kind not in ("V", "H"):
+            raise ValueError('JSON needs "kind": "V" or "H"')
+        (dim,) = json_fields(obj, "dim")
+        check_count(dim, "convert", 1, "dim")
         if kind == "V":
-            dim = json_positive_int(obj, "dim")
             (rows,) = json_fields(obj, "points")
             points = [json_list(row, "a point", json_number, dim)
                       for row in json_list(rows, '"points"')]
             sys.stdout.write(polyhedra.vrep_to_text(
                 polyhedra.VRep(dim, points)))
-        elif kind == "H":
-            dim = json_positive_int(obj, "dim")
+        else:
             ineqs = _json_forms(obj, "inequalities", dim)
             eqs = _json_forms(obj, "equalities", dim)
             sys.stdout.write(polyhedra.hrep_to_text(
                 polyhedra.HRep(dim, ineqs, eqs)))
-        else:
-            raise ValueError('JSON needs "kind": "V" or "H"')
     elif stripped.startswith("V-representation"):
         vrep = polyhedra.vrep_from_text(text)
         out = {"kind": "V", "dim": vrep.dim,

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, GRAPH_MAX_PARTS,
-                     ScaleGuardError, _shown, check_bruteforce, check_count,
-                     is_int, parse_json)
+                     _shown, check_bruteforce, check_count, is_int,
+                     parse_json)
 
 
 class VertexRef(NamedTuple):
@@ -72,12 +72,13 @@ class Assignment:
     @classmethod
     def from_code(cls, n: int, code: int) -> Assignment:
         """The assignment of n parts with the given vertex code; both pass
-        the count rule (check_count), n from 1 and the code from 0."""
+        the count rule (check_count), n from 1 and the code from 0; the
+        code's top, 2**n - 1, is an n-bit int, so it is tested by shifting."""
         check_count(n, "Assignment.from_code", 1)
         check_count(code, "Assignment.from_code", 0, "vertex code")
         if code >> n:
-            raise ValueError("vertex code %s out of range for %s parts"
-                             % (_shown(code), _shown(n)))
+            raise ValueError("Assignment.from_code: vertex code %s out of "
+                             "range for %s parts" % (_shown(code), _shown(n)))
         return cls(positions(n, code))
 
     def rho(self, part: int) -> int:
@@ -168,17 +169,6 @@ def _edge(key: tuple[int, int, int, int]) -> Edge:
     return (VertexRef(i, p), VertexRef(j, q))
 
 
-def _check_parts(n: int, what: str, name: str = "n") -> None:
-    """Refuse by the count rule an n that is not a part count for what,
-    and a graph past GRAPH_MAX_PARTS parts, which nothing overrides."""
-    check_count(n, what, 1, name)
-    if n > GRAPH_MAX_PARTS:
-        raise ScaleGuardError(
-            "graph-parts", GRAPH_MAX_PARTS, n,
-            "graph with %s parts is out of reach: n = %d is the largest "
-            "graph" % (_shown(n), GRAPH_MAX_PARTS))
-
-
 class Graph2P:
     """Immutable n-partite graph, two vertices per part, cross-part edges only.
 
@@ -194,7 +184,7 @@ class Graph2P:
     """
 
     def __init__(self, n: int, *, missing: Iterable = ()):
-        _check_parts(n, "Graph2P")
+        check_count(n, "Graph2P", 1, most=GRAPH_MAX_PARTS, guard="graph-parts")
         self.n = n
         # sorting first keeps the runs of the input, which is cheaper
         # than sorting a set; dict.fromkeys then drops the repeats
@@ -360,7 +350,8 @@ def solve_2sat(num_vars: int, clauses: Iterable) -> Assignment | None:
     in to_2cnf and _solve_implications; anything else is refused.  The
     model found is checked against every clause.
     """
-    _check_parts(num_vars, "solve_2sat", "num_vars")  # each variable is a part
+    check_count(num_vars, "solve_2sat", 1, "num_vars",  # a variable is a part
+                GRAPH_MAX_PARTS, "graph-parts")
     clauses = tuple(clauses)
     top = 2 * num_vars
     for clause in clauses:
@@ -412,7 +403,8 @@ def graph_from_dict(obj: dict) -> Graph2P:
                          '"missing_edges"')
     n = obj["n"]
     # checked here too, so a bad or large n is refused before any row is read
-    _check_parts(n, "graph_from_dict")
+    check_count(n, "graph_from_dict", 1, most=GRAPH_MAX_PARTS,
+                guard="graph-parts")
     rows = obj["missing_edges"]
     if not isinstance(rows, list) or not _are_edge_rows(rows):
         raise ValueError('"missing_edges" must be a list of '

@@ -6,8 +6,10 @@ Every guarded operation takes the bound as a keyword argument so callers
 for the fixed ceilings, which nothing overrides.  parse_json is the
 guard on reading JSON; exact_number, text_int and the json_* readers
 below hold the rules for exact input.  check_count is the one rule for
-a part count or a dimension, which every entry point that takes one
-applies first, directly or through check_bruteforce.  Imports no
+a part count or a dimension, from below and from above: every entry
+point that takes one applies it first, directly or through
+check_bruteforce, and every size guard refuses through it, in the one
+line "<function>: <name> must be at most <most>, got <x>".  Imports no
 package module.
 """
 
@@ -32,9 +34,10 @@ class ScaleGuardError(ValueError):
     "hull-points", "census" (n = 5 without allow_large), "census-max"
     (n > 5) or "graph-parts" (a graph, built or read from JSON, or a
     2CNF given to solve_2sat, past GRAPH_MAX_PARTS parts or variables);
-    nothing overrides the last two.
-    The command line uses it to point at the override flag where there is
-    one.
+    nothing overrides the last two.  limit is the bound and requested
+    the refused value.  Raised by check_count alone, so the message is
+    always its one line.  The command line uses guard to point at the
+    override flag where there is one.
     """
 
     def __init__(self, guard: str, limit: int, requested: int, message: str):
@@ -44,31 +47,34 @@ class ScaleGuardError(ValueError):
         self.requested = requested
 
 
-def check_count(x, what: str, least: int, name: str = "n") -> None:
+def check_count(x, what: str, least: int, name: str = "n",
+                most: int | None = None, guard: str | None = None) -> None:
     """The count rule: refuse an x that is not an int (a bool, a float, a
-    str, None) or is below least, naming the function what and the
-    argument name."""
+    str, None), is below least or is past most, naming the function what
+    and the argument name.  Past most it raises ScaleGuardError when
+    guard names the bound, and ValueError otherwise."""
     if not is_int(x):
         raise ValueError("%s: %s must be an integer, got %s"
                          % (what, name, _shown(x, repr)))
     if x < least:
         raise ValueError("%s: %s must be at least %d, got %s"
                          % (what, name, least, _shown(x)))
+    if most is not None and x > most:
+        message = "%s: %s must be at most %s, got %s" % (
+            what, name, _shown(most), _shown(x))
+        if guard is None:
+            raise ValueError(message)
+        raise ScaleGuardError(guard, most, x, message)
 
 
 def check_bruteforce(n: int, bound: int, what: str, least: int = 1) -> None:
     """The count rule for a part count n whose 2**n enumeration is behind
     bound: an n or a bound that is not an int is refused, then an n below
-    least (check_count), then an n past bound (ScaleGuardError)."""
+    least or past bound (check_count, guard "bruteforce")."""
     if not (is_int(n) and is_int(bound)):
         raise ValueError("%s: n and bound must be integers, got %s and %s"
                          % (what, _shown(n, repr), _shown(bound, repr)))
-    check_count(n, what, least)
-    if n > bound:
-        raise ScaleGuardError(
-            "bruteforce", bound, n,
-            "%s: %s parts is too large for brute force (bound %d)"
-            % (what, _shown(n), bound))
+    check_count(n, what, least, most=bound, guard="bruteforce")
 
 
 def parse_json(text: str):
@@ -135,13 +141,6 @@ def json_fields(obj, *keys):
         if not isinstance(obj, dict) or key not in obj:
             raise ValueError('JSON input lacks "%s"' % (key,))
     return [obj[key] for key in keys]
-
-
-def json_positive_int(obj, key: str) -> int:
-    (x,) = json_fields(obj, key)
-    if not is_int(x) or x < 1:
-        raise ValueError('"%s" must be a positive integer' % (key,))
-    return x
 
 
 def json_int(x, what: str) -> int:

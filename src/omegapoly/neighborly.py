@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .graph2p import Assignment, VertexRef, part_bit, positions
 from .guards import (DEFAULT_BRUTEFORCE_BOUND, _shown, check_bruteforce,
-                     json_fields, json_int, json_list, json_number,
-                     json_positive_int, parse_json)
+                     check_count, json_fields, json_int, json_list,
+                     json_number, parse_json)
 
 AlphaKey = tuple[int, int, int, int]  # (i, j, p, q) with i > j
 
@@ -225,9 +225,9 @@ def certificate_from_dict(obj: dict) -> EdgeCertificate:
     and a float or bool where an integer belongs is refused, each as a
     one-line ValueError.  So is an alpha entry listed twice.
     """
-    n = json_positive_int(obj, "n")
-    a, b, marked_rows, alpha_rows, f_a, f_b, min_other = json_fields(
-        obj, "a", "b", "marked", "alpha", "F_a", "F_b", "min_other")
+    n, a, b, marked_rows, alpha_rows, f_a, f_b, min_other = json_fields(
+        obj, "n", "a", "b", "marked", "alpha", "F_a", "F_b", "min_other")
+    check_count(n, "certificate_from_dict", 1)
     a = Assignment(json_list(a, '"a"', json_int))
     b = Assignment(json_list(b, '"b"', json_int))
     marked = [tuple(VertexRef(*json_list(w, '"marked"', json_int, 2))

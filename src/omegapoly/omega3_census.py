@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph2p import Assignment, part_bit, positions
-from .guards import ScaleGuardError, _shown, check_count
+from .guards import check_count
 from . import dd, omega_core, polyhedra
 from .exact import _coprime, _dot
 from .omega_core import (coord_count, coord_index, reduced_count,
@@ -332,21 +332,16 @@ def facet_census(n: int, include_orbits: bool = True,
     parts (_base_code).  n up to 4 takes milliseconds; n = 5 runs double
     description in dimension 15 on 31 constraints, takes about 0.011 s
     in-process (best of forty runs) on a 2-core x86-64 VM, and must be
-    requested explicitly via allow_large.  n > 5 is refused with or
-    without it.  An n that is not an int, or is below 2, is refused first,
-    by the count rule (check_count) for facet_census.
+    requested explicitly via allow_large.  The count rule (check_count)
+    for facet_census refuses an n that is not an int or is below 2, then
+    an n past 5 (guard "census-max", with or without allow_large), then
+    an n past 4 without allow_large (guard "census").
     """
-    check_count(n, "facet_census", 2)
-    if n > CENSUS_OPTIN_MAX:
-        raise ScaleGuardError(
-            "census-max", CENSUS_OPTIN_MAX, n,
-            "census for %s parts is out of reach: n = %d is the largest "
-            "census" % (_shown(n), CENSUS_OPTIN_MAX))
-    if n > CENSUS_DEFAULT_MAX and not allow_large:
-        raise ScaleGuardError(
-            "census", CENSUS_DEFAULT_MAX, n,
-            "census for %s parts exceeds bound %d (pass allow_large for "
-            "n = 5)" % (_shown(n), CENSUS_DEFAULT_MAX))
+    check_count(n, "facet_census", 2, most=CENSUS_OPTIN_MAX,
+                guard="census-max")
+    if not allow_large:
+        check_count(n, "facet_census", 2, "n without allow_large",
+                    CENSUS_DEFAULT_MAX, "census")
 
     facets, orbit_of = _census_facets(n, _base_code(n))
     records = tuple([FacetRecord(n, form, mask) for form, mask in facets])
@@ -381,12 +376,10 @@ def edges_via_hull(n: int) -> int:
     set to facets and reads which vertices each facet is tight on.  The
     smallest face holding two vertices is the intersection of the facets
     holding both, so the pair is an edge iff that intersection holds no
-    third vertex.  An n that is not an int, or is below 2, is refused by
-    the count rule (check_count) for edges_via_hull.
+    third vertex.  The count rule (check_count) for edges_via_hull
+    refuses an n that is not an int, is below 2 or is past 4.
     """
-    check_count(n, "edges_via_hull", 2)
-    if n > 4:
-        raise ValueError("geometric edge count is supported for n = 2..4")
+    check_count(n, "edges_via_hull", 2, most=4)
     vrep = omega_core.reduced_vertex_vrep(n)
     _, masks = polyhedra._hull_with_masks(vrep)
     everything = (1 << len(vrep.points)) - 1

@@ -40,6 +40,7 @@ def coord_count(n: int) -> int:
 
 def coord_index(n: int, i: int, j: int, p: int, q: int) -> int:
     """Flat position of X[i,j,p,q] in lexicographic (i, j, p, q) order."""
+    check_count(n, "coord_index", 1)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("parts (%s, %s) out of range 1..%s"
                          % (_shown(i), _shown(j), _shown(n)))
@@ -59,6 +60,7 @@ def reduced_count(n: int) -> int:
 
 def reduced_index(n: int, i: int, j: int) -> int:
     """Flat position of y[i,j] (for i <= j) in lexicographic order."""
+    check_count(n, "reduced_index", 1)
     if not (1 <= i <= j <= n):
         raise ValueError("need 1 <= i <= j <= n, got (%s, %s)"
                          % (_shown(i, repr), _shown(j, repr)))

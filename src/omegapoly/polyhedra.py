@@ -17,8 +17,7 @@ from .dd import _dd_extreme_rays
 from .exact import (_clear_matrix, _coprime, _dot, _in_row_space,
                     _int_affine_rank, _int_rref, _null_basis)
 from .guards import (DEFAULT_HULL_MAX_DIM, DEFAULT_HULL_MAX_POINTS,
-                     ScaleGuardError, _shown, check_count, exact_number,
-                     is_int, text_int)
+                     _shown, check_count, exact_number, is_int, text_int)
 from .simplex import _int_lp
 
 Vector = tuple[Fraction, ...]
@@ -182,18 +181,14 @@ def convex_hull_facets(v: VRep,
     (D, (P_i - P_0) at the pivots).  A ray (b, c) gives the facet
     c . x >= c . x_0 - b in the pivot coordinates, scaled by D to
     (c D at the pivots, c . P_0 - b D).  Fractions are built only for
-    the returned forms.  Each bound passes the count rule, from 1.
+    the returned forms.  Each bound passes the count rule from 1, then
+    bounds v's dim (guard "hull-dim") and its point count ("hull-points").
     """
     check_count(max_dim, "convex_hull_facets", 1, "max_dim")
     check_count(max_points, "convex_hull_facets", 1, "max_points")
-    if v.dim > max_dim:
-        raise ScaleGuardError(
-            "hull-dim", max_dim, v.dim,
-            "hull in dimension %d exceeds bound %d" % (v.dim, max_dim))
-    if len(v.points) > max_points:
-        raise ScaleGuardError(
-            "hull-points", max_points, len(v.points),
-            "hull of %d points exceeds bound %d" % (len(v.points), max_points))
+    check_count(v.dim, "convex_hull_facets", 1, "dim", max_dim, "hull-dim")
+    check_count(len(v.points), "convex_hull_facets", 0, "point count",
+                max_points, "hull-points")
     return _hull_with_masks(v)[0]
 
 

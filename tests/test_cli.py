@@ -502,11 +502,25 @@ def test_a_long_int_argument_is_cut_short(capsys, argv):
      "edge_certificate: n must be at least 2, got -1"),
     (("vertices", "--n", "2", "--max-bruteforce", "0"),
      "vertices: --max-bruteforce must be at least 1, got 0"),
+    (("face-test", "--n", "2", "--exclude", "1,1", "1,2"),
+     "face-test: n must be at least 3, got 2"),
+    (("face-test", "--n", "4", "--exclude", "1,1,1,1", "1,2,2,2"),
+     "face-test: n must be at most 3, got 4"),
+    (("verify", "--n", "21"), "all_vertices: n must be at most 20, got 21; "
+     "raise it with --max-bruteforce (env OMEGA_MAX_BRUTEFORCE)"),
+    (("census", "--n", "5"), "facet_census: n without allow_large must be "
+     "at most 4, got 5; raise it with --allow-large"),
+    (("census", "--n", "6"), "facet_census: n must be at most 5, got 6"),
+    (("hull", "--n", "6"), "convex_hull_facets: dim must be at most 15, "
+     "got 21; raise it with --max-hull-dim (env OMEGA_MAX_HULL_DIM)"),
 ], ids=["vertices-0", "vertices--1", "verify-0", "verify--1", "hull-0",
         "hull--1", "hull-1", "census-0", "census--1", "edge-cert-0",
-        "edge-cert--1", "max-bruteforce-0"])
+        "edge-cert--1", "max-bruteforce-0", "face-test-2", "face-test-4",
+        "verify-21", "census-5", "census-6", "hull-6"])
 def test_a_count_below_its_least_exits_2_with_one_line(capsys, argv, line):
-    # the count rule's message, from the function that refused the count
+    # the count rule's message, from the function that refused the count,
+    # below its least or past its most, with the hint of a guard that a
+    # flag raises
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", "error: %s\n" % (line,))
 
@@ -591,8 +605,12 @@ def test_clique_solve_refuses_too_many_parts(tmp_path, capsys):
     path.write_text('{"n": 400000, "missing_edges": []}', encoding="ascii")
     code, out, err = run(capsys, "clique-solve", "--graph", str(path))
     assert code == 2 and out == ""
-    assert err == ("error: graph with 400000 parts is out of reach: "
-                   "n = 10000 is the largest graph\n")
+    assert err == ("error: graph_from_dict: n must be at most 10000, "
+                   "got 400000\n")
+    path.write_text('{"n": 10001, "missing_edges": []}', encoding="ascii")
+    code, out, err = run(capsys, "clique-solve", "--graph", str(path))
+    assert (code, out, err) == (
+        2, "", "error: graph_from_dict: n must be at most 10000, got 10001\n")
     path.write_text('{"n": 10000, "missing_edges": []}', encoding="ascii")
     code, out, _ = run(capsys, "clique-solve", "--graph", str(path))
     assert code == 0 and out == ",".join(["1"] * 10000) + "\n"
@@ -603,8 +621,7 @@ def test_census_past_five_parts_names_no_override(capsys, extra):
     # no flag reaches n = 6, so the message must not point at one
     code, out, err = run(capsys, "census", "--n", "6", *extra)
     assert code == 2 and out == ""
-    assert err == ("error: census for 6 parts is out of reach: n = 5 is "
-                   "the largest census\n")
+    assert err == "error: facet_census: n must be at most 5, got 6\n"
 
 
 def test_each_subcommand_takes_only_the_guards_it_reads(capsys,

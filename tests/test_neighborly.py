@@ -214,8 +214,10 @@ def _set_w(obj, w):
     (lambda o: _set_w(o, 1.7), 'alpha "w" holds 1.7, not an integer'),
     (lambda o: _set_w(o, True), 'alpha "w" holds true, not an integer'),
     (lambda o: o.pop("marked"), 'JSON input lacks "marked"'),
-    (lambda o: o.__setitem__("n", True), '"n" must be a positive integer'),
-    (lambda o: o.__setitem__("n", 3.0), '"n" must be a positive integer'),
+    (lambda o: o.__setitem__("n", True),
+     "certificate_from_dict: n must be an integer, got True"),
+    (lambda o: o.__setitem__("n", 3.0),
+     "certificate_from_dict: n must be an integer, got 3.0"),
     (lambda o: o.__setitem__("a", [1, 1.0, 1]),
      '"a" holds 1.0, not an integer'),
     (lambda o: o.__setitem__("b", [2, True, 1]),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from omegapoly import graph2p as g2
 from omegapoly import neighborly, omega3_census
 from omegapoly import omega_core as oc
 from omegapoly import polyhedra as ph
@@ -246,6 +247,8 @@ _COUNTED = [
     ("Assignment.from_code", lambda x: Assignment.from_code(x, 0), "n", 1),
     ("Assignment.from_code", lambda x: Assignment.from_code(2, x),
      "vertex code", 0),
+    ("coord_index", lambda x: oc.coord_index(x, 1, 1, 1, 1), "n", 1),
+    ("reduced_index", lambda x: oc.reduced_index(x, 1, 1), "n", 1),
     ("VRep", lambda x: ph.VRep(x, []), "dim", 1),
     ("HRep", lambda x: ph.HRep(x, (), ()), "dim", 1),
     ("regular_polytope", lambda x: ph.regular_polytope("cube", x), "d", 1),
@@ -263,6 +266,63 @@ _BELOW_LEAST = [
                  id="%s-%s-%d" % (what, name.replace(" ", "-"), x))
     for what, f, name, least in _COUNTED
     for x in sorted({least - 1, 0, -1}, reverse=True) if x < least]
+
+# each upper bound of the count rule: the function it names, a call on
+# the count x, the argument's name, the bound and the guard it trips
+# (None for a plain ValueError)
+_BOUNDED = [
+    ("all_assignments", lambda x: oc.all_assignments(x, 3), "n", 3,
+     "bruteforce"),
+    ("all_vertices", lambda x: oc.all_vertices(x, 3), "n", 3, "bruteforce"),
+    ("reduced_vertex_vrep", lambda x: oc.reduced_vertex_vrep(x, 3), "n", 3,
+     "bruteforce"),
+    ("omega_dimension", lambda x: oc.omega_dimension(x, 3), "n", 3,
+     "bruteforce"),
+    ("edge_certificate", lambda x: neighborly.edge_certificate(
+        x, Assignment((1,) * x), Assignment((2,) * x), 3), "n", 3,
+     "bruteforce"),
+    ("verify_certificate", lambda x: neighborly.verify_certificate(
+        neighborly.edge_certificate(x, Assignment((1,) * x),
+                                    Assignment((2,) * x), x), 3), "n", 3,
+     "bruteforce"),
+    ("enumerate_cliques",
+     lambda x: g2.enumerate_cliques(g2.complete_graph(x), 3), "n", 3,
+     "bruteforce"),
+    ("Graph2P", g2.Graph2P, "n", 10000, "graph-parts"),
+    ("solve_2sat", lambda x: g2.solve_2sat(x, ()), "num_vars", 10000,
+     "graph-parts"),
+    ("graph_from_dict",
+     lambda x: g2.graph_from_dict({"n": x, "missing_edges": []}), "n", 10000,
+     "graph-parts"),
+    ("facet_census", lambda x: omega3_census.facet_census(
+        x, include_orbits=False, allow_large=True), "n", 5, "census-max"),
+    ("facet_census", omega3_census.facet_census, "n without allow_large", 4,
+     "census"),
+    ("edges_via_hull", omega3_census.edges_via_hull, "n", 4, None),
+    ("convex_hull_facets", lambda x: ph.convex_hull_facets(
+        ph.regular_polytope("simplex", x), max_dim=3), "dim", 3, "hull-dim"),
+    ("convex_hull_facets", lambda x: ph.convex_hull_facets(
+        ph.VRep(2, [(k, k * k) for k in range(x)]), max_points=4),
+     "point count", 4, "hull-points"),
+]
+
+
+def _refusal(guard, most, x, message):
+    if guard is None:
+        return ValueError(message)
+    return ScaleGuardError(guard, most, x, message)
+
+
+# the bound itself, then one past it, for every bound above: the call is
+# accepted at the bound, and refused past it in one line, with the guard
+# and the numbers on the exception
+_PAST_MOST = [
+    pytest.param(lambda f=f, most=most: (f(most), f(most + 1)),
+                 _refusal(guard, most, most + 1,
+                          "%s: %s must be at most %d, got %d"
+                          % (what, name, most, most + 1)),
+                 id="%s-%s-%d" % (what, name.replace(" ", "-"), most + 1))
+    for what, f, name, most, guard in _BOUNDED]
 
 
 @pytest.mark.parametrize("call, message", [
@@ -331,7 +391,14 @@ _BELOW_LEAST = [
      "convex_hull_facets: max_dim must be an integer, got 15.0"),
     (lambda: ph.convex_hull_facets(_SQUARE, max_points=None),
      "convex_hull_facets: max_points must be an integer, got None"),
+    (lambda: oc.coord_index(2.0, 1, 1, 1, 1),
+     "coord_index: n must be an integer, got 2.0"),
+    (lambda: oc.reduced_index(2.0, 1, 2),
+     "reduced_index: n must be an integer, got 2.0"),
+    (lambda: (Assignment.from_code(2, 3), Assignment.from_code(2, 4)),
+     "Assignment.from_code: vertex code 4 out of range for 2 parts"),
     *_BELOW_LEAST,
+    *_PAST_MOST,
 ], ids=["all_assignments", "all_assignments-bool", "all_assignments-bound",
         "all_vertices", "reduced_vertex_vrep", "omega_dimension",
         "facet_census", "edges_via_hull", "facet_census-str",
@@ -345,13 +412,17 @@ _BELOW_LEAST = [
         "edge_certificate-none", "VRep-float", "VRep-str", "HRep-float",
         "OmegaPoint-float", "ReducedPoint-float",
         "regular_polytope-bool", "convex_hull_facets-max_dim-float",
-        "convex_hull_facets-max_points-none",
-        *[param.id for param in _BELOW_LEAST]])
+        "convex_hull_facets-max_points-none", "coord_index-float",
+        "reduced_index-float", "from_code-code-4",
+        *[param.id for param in _BELOW_LEAST + _PAST_MOST]])
 def test_a_float_or_bool_part_count_is_refused_by_the_int_rule(call, message):
     # a float n failed in a shift or in range(), a bool ran as 1 part, a
     # str or None n failed in a comparison or a sum, and a negative n in
     # a shift, before the count rule; each refusal is one line that names
-    # the function called
+    # the function called, and a row past a bound also pins the exception's
+    # type, guard, limit and requested value
     with pytest.raises(ValueError) as err:
         call()
-    assert str(err.value) == message
+    want = message if isinstance(message, ValueError) else ValueError(message)
+    assert (type(err.value), str(err.value), vars(err.value)) == (
+        type(want), str(want), vars(want))

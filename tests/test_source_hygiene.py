@@ -398,11 +398,13 @@ def test_every_name_the_benchmark_reaches_resolves():
 
 
 def test_the_count_rule_is_written_out_in_guards_alone():
-    # check_count holds the count rule's two message formats, and every
-    # other check of a part count or a dimension calls it; a copy of the
-    # rule in another module drifts from it, as check_ints and
-    # omega_core._int_n did before they were deleted
-    formats = ("must be an integer, got", "must be at least")
+    # check_count holds the count rule's three message formats, and every
+    # other check of a part count or a dimension, from below or above,
+    # calls it; a copy of the rule in another module drifts from it, as
+    # check_ints, omega_core._int_n, graph2p._check_parts and
+    # json_positive_int did before they were deleted
+    formats = ("must be an integer, got", "must be at least",
+               "must be at most")
     holders = {"%s:%s" % (name, qualname)
                for name, tree in _modules().items()
                for qualname, func in _functions(tree)
@@ -411,8 +413,15 @@ def test_the_count_rule_is_written_out_in_guards_alone():
                and isinstance(node.value, str)
                and any(text in node.value for text in formats)}
     assert holders == {"guards.py:check_count"}
+    # and so a size guard's refusal is built in guards alone
+    builders = {name for name, tree in _modules().items()
+                for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and "ScaleGuardError" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))}
+    assert builders == {"guards.py"}
     names = set()
     for tree in _modules().values():
         names |= _referenced(tree) | {qualname.split(".")[-1]
                                       for qualname, _ in _functions(tree)}
-    assert not {"check_ints", "_int_n"} & names
+    assert not {"check_ints", "_int_n", "_check_parts",
+                "json_positive_int"} & names
