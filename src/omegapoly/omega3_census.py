@@ -21,8 +21,10 @@ of three classes, and the class decides what the other six vertices are:
                           across the hyperplane holding the six at 1
 
 Each case form is written straight from the pair, and every pair is
-checked on its own: the form on all eight vertices, and a face LP on
-the six.
+checked on its own: the form on all eight vertices, and is_face on the
+six.  Six vertices of the full-dimensional n = 3 polytope span a
+hyperplane, so is_face decides them by the side of each excluded
+vertex, with no LP and no hull.
 
 facet_census runs double description on the tangent cone at one vertex
 and closes the facets through it under the group: it reports counts,
@@ -136,9 +138,11 @@ _CASES = {
 def analyze_pair(a: Assignment, b: Assignment) -> CaseReport:
     """Write the case form for the pair's class and check it.
 
-    The form's values on all eight vertices and the face LP on the six
-    others are computed once each and checked against the case claims;
-    those two checks are what establish the case.
+    The form's values on all eight vertices and the is_face verdict on
+    the six others are computed once each and checked against the case
+    claims; those two checks are what establish the case.  The six span
+    a hyperplane, so is_face decides them as a facet candidate, by the
+    sides of the excluded pair.
     """
     cls = classify_pair(a, b)
     name, want_excluded, want_other, want_verdict = _CASES[cls.kind]
@@ -381,13 +385,13 @@ def edges_via_hull(n: int) -> int:
     """
     check_count(n, "edges_via_hull", 2, most=4)
     vrep = omega_core.reduced_vertex_vrep(n)
-    _, masks = polyhedra._hull_with_masks(vrep)
+    _, facets = polyhedra._hull_with_masks(vrep)
     everything = (1 << len(vrep.points)) - 1
     count = 0
     for i, j in itertools.combinations(range(len(vrep.points)), 2):
         pair = (1 << i) | (1 << j)
         face = everything
-        for mask in masks:
+        for _, mask in facets:
             if mask & pair == pair:
                 face &= mask
         if face == pair:

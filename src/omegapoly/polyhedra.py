@@ -72,10 +72,12 @@ class VRep:
     """A polytope as a duplicate-free ordered list of points, immutable.
 
     The kernels read the points as integers Q / D over one common D > 0,
-    and is_face also needs their affine rank and, for a subset with few
-    points outside it, their affine dependencies; each is computed on
-    first use (D can have the digits of all the denominators, which
-    convert never needs) and kept, since dim and points are read only.
+    and is_face also needs their affine rank, for a subset with few
+    points outside it their affine dependencies, and for a subset of
+    lower dimension the hull's facets with their tight points; each is
+    computed on first use (D can have the digits of all the denominators,
+    which convert never needs) and kept, since dim and points are read
+    only.
     """
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
@@ -113,6 +115,21 @@ class VRep:
         pts, D = self._integers
         rref, den, pivots = _int_rref([[D] * len(pts), *map(list, zip(*pts))])
         return _null_basis(rref, den, pivots, len(pts))
+
+    @cached_property
+    def _facets(self) -> list[tuple[tuple[int, ...], int]]:
+        """The hull's (coprime integer form (c..., r), tight bitmask)
+        pairs from _hull_with_masks: c . x >= r on every point, with
+        equality on the points of the mask.  Built for is_face under
+        convex_hull_facets' default guards, so a dim past
+        DEFAULT_HULL_MAX_DIM ("hull-dim") or more than
+        DEFAULT_HULL_MAX_POINTS points ("hull-points") is refused by the
+        count rule, naming is_face."""
+        check_count(self.dim, "is_face", 1, "dim", DEFAULT_HULL_MAX_DIM,
+                    "hull-dim")
+        check_count(len(self.points), "is_face", 0, "point count",
+                    DEFAULT_HULL_MAX_POINTS, "hull-points")
+        return _hull_with_masks(self)[1]
 
     def __eq__(self, other):
         return (isinstance(other, VRep)
@@ -192,9 +209,12 @@ def convex_hull_facets(v: VRep,
     return _hull_with_masks(v)[0]
 
 
-def _hull_with_masks(v: VRep) -> tuple[HRep, list[int]]:
-    """convex_hull_facets without its size guards, plus the bitmask of
-    the points each of its inequalities is tight on (bit k for point k).
+def _hull_with_masks(v: VRep
+                     ) -> tuple[HRep, list[tuple[tuple[int, ...], int]]]:
+    """convex_hull_facets without its size guards, plus one (coprime
+    integer form, tight bitmask) pair per inequality, in its order: the
+    ints the inequality was built from, and the points it is tight on
+    (bit k for point k).
 
     Constraint k of the double description is point k, so the tight
     bitmask the DD keeps with each ray is the facet's incidence over the
@@ -230,7 +250,7 @@ def _hull_with_masks(v: VRep) -> tuple[HRep, list[int]]:
         facets.sort()
     hrep = HRep(d, tuple(_int_form(f) for f, _ in facets),
                 tuple(map(_int_form, equalities)))
-    return hrep, [mask for _, mask in facets]
+    return hrep, facets
 
 
 # --- linear programming --------------------------------------------------
@@ -320,7 +340,8 @@ class FaceVerdict:
     witness of any is returned yet: a point outside the subset lies in
     the subset's affine hull; the subset spans a hyperplane of a
     full-dimensional polytope and two outside points lie on opposite
-    sides of it; or the exact optimum of the face LP is 0.
+    sides of it; or the facets that hold the subset also hold a point
+    outside it.
     """
 
     kind: str
@@ -354,33 +375,34 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
 
     Both give the same answer, dimension and facet normal.  When the
     polytope is full-dimensional and aff(S) is a hyperplane (a facet
-    candidate), the screen also decides S without an LP: every hyperplane
-    through S contains aff(S), so aff(S) is the only one that can support
-    S, and S is a facet iff every outside point lies strictly on one side
-    of it (Ziegler, Lectures on Polytopes).  Its form is the integer normal of
-    aff(S), oriented to make the outside points positive.  Only a subset
-    of lower dimension, or any subset of a polytope that is not
-    full-dimensional, gets the LP, and only if it passes the screen.
+    candidate), the screen also decides S: every hyperplane through S
+    contains aff(S), so aff(S) is the only one that can support S, and S
+    is a facet iff every outside point lies strictly on one side of it
+    (Ziegler, Lectures on Polytopes).  Its form is the integer normal of
+    aff(S), oriented to make the outside points positive.
 
-    The LP looks for a hyperplane f . x = f . s0 through the subset (s0
-    its first point) with every other point strictly on the positive
-    side, maximizing the smallest slack t (capped at 1, which scaling
-    makes harmless).  A positive optimum certifies a face.  Optimum zero
-    means there is none, and the verdict is "not_face".  The diagonal
-    rectangle {0000, 0011, 1100, 1111} of the 4-cube passes the screen
-    and is refused this way: its hull meets that of {0101, 1010} at the
-    centre.  On a facet candidate the LP's equalities would pin f to the
-    normal's line and its inequalities make f a positive multiple of the
-    normal, so both routes give one coprime form.
+    Only a subset of lower dimension, or any subset of a polytope that
+    is not full-dimensional, passes the screen undecided, and the
+    closure decides it (_closure_form): S is a face iff it equals the
+    intersection of the facets that hold it (Kaibel & Pfetsch, Comput.
+    Geom. 23, 2002).  The diagonal rectangle {0000, 0011, 1100, 1111} of
+    the 4-cube passes the screen and is refused this way: no facet of
+    the cube holds both 0000 and 1111, so that intersection is every
+    vertex.  For a face, the sum of the holding facets' forms is tight
+    exactly on S, and its coprime multiple is the returned form.  The sum
+    is checked on every point with ints, and a mismatch raises
+    RuntimeError.
 
-    The points are read as the integers Q / D over one common D that v
-    clears on first use and keeps, with its affine rank (for the facet
-    and whole_polytope verdicts), so a query pays for neither.  The LP rows
-    come straight from integer differences: (Q_i - Q_s0) . f - D t >= 0
-    for each point outside, -D t >= -D for the cap and (Q_i - Q_s0) . f
-    = 0 for each other point of the subset.  That is the Fraction LP
-    scaled by D, so _int_lp takes the pivots it would.  Fractions are
-    built only for the returned form, and the ranks are integer RREFs.
+    Cost: the points are read as the integers Q / D over one common D
+    that v clears on first use and keeps, with its affine rank (for the
+    facet and whole_polytope verdicts), so a query pays for neither.
+    The closure reads the hull's (form, tight mask) pairs, which v builds
+    by double description on the first query that reaches it and keeps,
+    under convex_hull_facets' default guards (VRep._facets); after that
+    a query costs its screen, one mask test per facet and one int
+    evaluation of the sum per point.  A subset the screen decides never
+    builds the hull.  Fractions are built only for the returned form,
+    and the ranks are integer RREFs.
 
     A point index must be an int (not a bool) in range(len(v.points));
     anything else is refused with a ValueError.
@@ -408,26 +430,47 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
         return FaceVerdict("not_face")
 
     dimension, f = found
-    d = v.dim
-    pts, D = v._integers
-    s0 = pts[idx[0]]
-    if f is None:  # no facet candidate: the face LP
-        diffs = [[a - b for a, b in zip(p, s0)] for p in pts]
-        rows = [diffs[i] + [-D, 0] for i in outside]
-        rows.append([0] * d + [-D, -D])
-        n_ineq = len(rows)
-        rows += [diffs[i] + [0, 0] for i in idx[1:]]
-        status, _, _, x, _ = _int_lp([0] * d + [1], rows, n_ineq)
-        if status != "optimal":
-            raise RuntimeError("face LP came out %s; it is feasible and "
-                               "bounded by construction" % (status,))
-        if x[d] <= 0:
+    if f is None:  # no facet candidate: the closure
+        form = _closure_form(v, idx)
+        if form is None:
             return FaceVerdict("not_face")
-        f = x[:d]  # the separator is f / den, its rhs f . s0 / (den D)
-
+    else:
+        pts, D = v._integers
+        form = [c * D for c in f] + [_dot(f, pts[idx[0]])]
     kind = "facet" if dimension == v._affine_rank - 1 else "proper_face"
-    form = _coprime_form([c * D for c in f] + [_dot(f, s0)])
-    return FaceVerdict(kind, form, dimension)
+    return FaceVerdict(kind, _coprime_form(form), dimension)
+
+
+def _closure_form(v: VRep, idx: list[int]) -> list[int] | None:
+    """The sum (c..., r) of the int forms of the facets of v that hold
+    the points S at the sorted indices idx, or None when the facets
+    holding S also hold a point outside it, so that S is no face.
+
+    Each facet's slack is at least zero on every point, so the sum's is
+    too, and it is zero exactly where every holding facet is tight: on
+    their intersection, which is S.  This is checked on every point,
+    c . Q_k - r D on the integers Q / D, and a mismatch raises
+    RuntimeError.
+    """
+    mask = sum(1 << i for i in idx)
+    closure = (1 << len(v.points)) - 1
+    holding = []
+    for form, tight in v._facets:
+        if tight & mask == mask:
+            closure &= tight
+            holding.append(form)
+    if closure != mask:
+        return None
+    total = [sum(col) for col in zip(*holding)]
+    pts, D = v._integers
+    coeffs, rhs = total[:-1], total[-1] * D
+    for k, p in enumerate(pts):
+        slack = _dot(coeffs, p) - rhs
+        if slack < 0 or (slack == 0) != (mask >> k & 1):
+            raise RuntimeError("the sum of the facets holding %d points is "
+                               "not tight exactly on them at point %d"
+                               % (len(idx), k))
+    return total
 
 
 def _is_facet_candidate(v: VRep, dimension: int) -> bool:

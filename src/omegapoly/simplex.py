@@ -1,5 +1,5 @@
 """The integer simplex core _int_lp, which also checks its duals on integers;
-lp_solve and is_face in polyhedra both call it.  Imports only exact."""
+lp_solve in polyhedra is its one caller.  Imports only exact."""
 
 from .exact import _dot, _int_pivot, _unit_pivot
 
@@ -101,7 +101,7 @@ def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
     entry is +1, and its surplus column starts basic.  Only equalities
     and inequalities with rhs > 0 start on an artificial, and phase 1
     prices those artificials alone (Chvatal, Linear Programming, ch. 8).
-    When they all start at 0, as on the rhs-0 equalities of is_face,
+    When they all start at 0, as on the rhs-0 equalities of a face LP,
     phase 1 makes no simplex pivot and only drives them out.  Each row's
     start column carries its multiplier: a row that starts on its
     surplus gets no artificial, whose column would equal that surplus

@@ -5,6 +5,7 @@ from math import gcd
 
 from omegapoly.exact import _clear_matrix, _dot
 from omegapoly.omega3_census import _orbit_generators
+from omegapoly.polyhedra import HRep, linear_form, lp_solve
 
 
 def tight_masks(forms, v):
@@ -27,6 +28,35 @@ def tight_masks(forms, v):
         masks.append(sum(1 << k for k, p in enumerate(pts)
                          if _dot(coeffs, p) == rhs))
     return masks
+
+
+def face_lp(v, subset):
+    """The face LP of a nonempty proper subset S of the points of the VRep
+    v, solved by the public lp_solve; S is a face iff its optimum is > 0.
+
+    With s0 the first point of S in index order, it looks for a
+    hyperplane f . x = f . s0 through S with every other point strictly
+    on its positive side: maximize t over (f, t) subject to
+    (p - s0) . f - t >= 0 for each point p outside S, then t <= 1, then
+    (p - s0) . f = 0 for each other point p of S, in index order.  A
+    positive optimum gives a supporting form tight exactly on S; optimum
+    zero means no hyperplane through S leaves the rest on one side.  The
+    rows are written on v's integers Q / D, so every row is scaled by
+    D > 0, which moves neither the optimum nor a pivot.
+    """
+    inside = sorted(set(subset))
+    pts, den = v._integers
+    s0 = pts[inside[0]]
+    d = v.dim
+
+    def row(k, t):
+        return linear_form([a - b for a, b in zip(pts[k], s0)] + [t], 0)
+
+    outside = [row(k, -den) for k in range(len(pts)) if k not in inside]
+    cap = linear_form([0] * d + [-den], -den)
+    on = [row(k, 0) for k in inside[1:]]
+    return lp_solve(linear_form([0] * d + [1], 0),
+                    HRep(d + 1, (*outside, cap), tuple(on)))
 
 
 def generator_permutations(n):

@@ -152,18 +152,24 @@ def test_analyze_pair_verdicts_by_class():
             assert report.verdict.kind == "not_face"
 
 
-def test_analyze_pair_solves_one_face_lp_per_pair(monkeypatch):
-    calls = []
-    real = ph.is_face
+def test_analyze_pair_makes_one_face_test_per_pair(monkeypatch):
+    # one is_face call per pair, on the six other vertices: a facet
+    # candidate, which needs neither the hull nor an LP
+    calls, hulls, lps = [], [], []
+    real, hull, core = ph.is_face, ph._hull_with_masks, ph._int_lp
 
     def counting(vrep, subset):
         calls.append(tuple(subset))
         return real(vrep, subset)
 
     monkeypatch.setattr(ph, "is_face", counting)
+    monkeypatch.setattr(ph, "_hull_with_masks",
+                        lambda v: hulls.append(v) or hull(v))
+    monkeypatch.setattr(ph, "_int_lp", lambda *a: lps.append(a) or core(*a))
     for a, b in pairs3():
         o3.analyze_pair(a, b)
     assert len(calls) == 28 and len(set(calls)) == 28
+    assert hulls == [] and lps == []
 
 
 # --- census -------------------------------------------------------------------
@@ -216,14 +222,14 @@ def test_census_equals_the_full_hull(n):
     # the tangent cone at any base vertex, closed under the group, gives
     # the forms, masks and order of the DD over all the points, and the
     # same orbits: every base for n <= 4, a few for n = 5
-    hrep, masks = ph._hull_with_masks(oc.reduced_vertex_vrep(n))
-    hull = list(zip(hrep.inequalities, masks))
+    hrep, hull = ph._hull_with_masks(oc.reduced_vertex_vrep(n))
     report = o3.facet_census(n, allow_large=True)
     assert [(rec.form, sum(1 << a.code for a in rec.tight))
-            for rec in report.facets] == hull
+            for rec in report.facets] == [(ph._int_form(form), mask)
+                                          for form, mask in hull]
     for base in range(1 << n) if n <= 4 else (0, 10, 21, 31):
         facets, orbit_of = o3._census_facets(n, base)
-        assert [(ph._int_form(form), mask) for form, mask in facets] == hull
+        assert facets == hull
         assert o3._orbit_records(orbit_of) == report.orbits
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from omegapoly import (dd, exact, omega3_census, omega_core, polyhedra as ph,
                        simplex)
 from omegapoly.guards import ScaleGuardError
-from oracles import tight_masks
+from oracles import face_lp, tight_masks
 
 
 def frac(a, b=1):
@@ -514,20 +514,23 @@ def test_the_kernel_changes_no_row_list_it_is_given():
             for subset in itertools.combinations(range(npts), k):
                 ph.is_face(v, subset)
         assert ph.affine_rank(v) == v.dim
-        hull, masks = ph._hull_with_masks(v)
+        hull, pairs = ph._hull_with_masks(v)
         assert v._integers == integers
         assert v._dependencies == dependencies
-        assert len(hull.inequalities) == len(masks) == facets
+        assert v._facets == pairs
+        assert len(hull.inequalities) == len(pairs) == facets
         assert omega3_census.edges_via_hull(n) == edges
 
 
 def test_hull_masks_match_tight_masks():
     # the DD's own tight sets against the incidence recomputed from the
-    # returned forms, on full-dimensional and flat point sets alike
+    # returned forms, on full-dimensional and flat point sets alike; the
+    # int forms handed back with them are the inequalities' own
     for v in _hull_pin_inputs():
-        hrep, masks = ph._hull_with_masks(v)
+        hrep, pairs = ph._hull_with_masks(v)
         assert hrep == ph.convex_hull_facets(v)
-        assert masks == tight_masks(hrep.inequalities, v)
+        assert [m for _, m in pairs] == tight_masks(hrep.inequalities, v)
+        assert tuple(ph._int_form(f) for f, _ in pairs) == hrep.inequalities
 
 
 def _reference_dd(m, cons):
@@ -659,9 +662,9 @@ def _counted_dd_work(monkeypatch):
 
 def test_dd_work_on_the_n5_census_is_pinned(monkeypatch):
     steps, found, _ = _counted_dd_work(monkeypatch)
-    _, masks = ph._hull_with_masks(omega_core.reduced_vertex_vrep(5))
+    _, pairs = ph._hull_with_masks(omega_core.reduced_vertex_vrep(5))
     assert steps == N5_DD_STEPS
-    assert len(masks) == 368
+    assert len(pairs) == 368
     assert found == N5_DD_CANDIDATES
 
 
@@ -767,6 +770,33 @@ def test_hull_scale_guards():
     # overrides work
     h = ph.convex_hull_facets(v, max_points=32)
     assert len(h.inequalities) == 10
+
+
+@pytest.mark.parametrize("v,subsets,guard,message", [
+    # the 16-simplex and the midpoint of its edge 0, 1
+    (ph.VRep(16, [(0,) * 16]
+             + [tuple(int(k == i) for k in range(16)) for i in range(16)]
+             + [(frac(1, 2),) + (0,) * 15]),
+     (range(1, 17), [0, 1], [0, 2]), "hull-dim",
+     "is_face: dim must be at most 15, got 16"),
+    # 64 points of a parabola and the midpoint of its first chord
+    (ph.VRep(2, [(k, k * k) for k in range(64)] + [(frac(1, 2), frac(1, 2))]),
+     ([1, 2], [0, 1], [5]), "hull-points",
+     "is_face: point count must be at most 64, got 65"),
+], ids=["dim16", "points65"])
+def test_is_face_refuses_a_hull_past_the_default_guards(
+        v, subsets, guard, message, monkeypatch):
+    # a facet candidate and a screened not_face need no hull, so they are
+    # answered; a lower-dimensional face needs the VRep's hull, which runs
+    # under convex_hull_facets' default guards and is refused
+    hulls = _record_hulls(monkeypatch)
+    facet, screened, lower = subsets
+    assert ph.is_face(v, facet).kind == "facet"
+    assert ph.is_face(v, screened).kind == "not_face"
+    with pytest.raises(ScaleGuardError) as err:
+        ph.is_face(v, lower)
+    assert (err.value.guard, str(err.value)) == (guard, message)
+    assert hulls == []
 
 
 # --- linear programming -------------------------------------------------------
@@ -940,9 +970,9 @@ def test_lp_results_are_pinned():
     assert h.hexdigest() == LP_PIN_DIGEST
 
 
-def _record_face_lps(monkeypatch) -> list:
-    """Patch the integer LP core so that each call appends its pivot
-    counts to the returned list."""
+def _record_lps(monkeypatch) -> list:
+    """Patch the integer LP core, as lp_solve calls it, so that each call
+    appends its pivot counts to the returned list."""
     pivots = []
     core = ph._int_lp
 
@@ -953,6 +983,21 @@ def _record_face_lps(monkeypatch) -> list:
 
     monkeypatch.setattr(ph, "_int_lp", recording_core)
     return pivots
+
+
+def _record_hulls(monkeypatch) -> list:
+    """Patch the hull so that each double description of a whole point
+    set, whether for convex_hull_facets or for a VRep's cached facets,
+    appends its VRep to the returned list."""
+    built = []
+    hull = ph._hull_with_masks
+
+    def recording_hull(v):
+        built.append(v)
+        return hull(v)
+
+    monkeypatch.setattr(ph, "_hull_with_masks", recording_hull)
+    return built
 
 
 def test_lp_pivot_counts(monkeypatch):
@@ -967,19 +1012,11 @@ def test_lp_pivot_counts(monkeypatch):
     res = ph.lp_solve(ph.linear_form([1], 0), h)
     assert res.status == "infeasible" and res.pivots == (1, 0)
     assert ph.LpResult("infeasible").pivots is None
-    # the one face LP behind an edge of the 3-cube, which is_face hands to
-    # the integer LP core directly: its one artificial sits on an rhs-0
-    # equality, so phase 1 only drives it out
-    pivots = _record_face_lps(monkeypatch)
+    # the face LP of an edge of the 3-cube: its one artificial sits on an
+    # rhs-0 equality, so phase 1 only drives it out
     cube = ph.regular_polytope("cube", 3)
-    verdict = ph.is_face(cube, [0, 1])
-    assert (verdict.kind, verdict.dimension) == ("proper_face", 1)
-    assert pivots == [(1, 3)]
-    # a square facet spans a hyperplane of the cube, which decides it
-    # without an LP
-    pivots.clear()
-    assert ph.is_face(cube, [0, 1, 2, 3]).kind == "facet"
-    assert pivots == []
+    res = face_lp(cube, [0, 1])
+    assert (res.optimum, res.pivots) == (1, (1, 3))
 
 
 def _record_flips(monkeypatch) -> list:
@@ -1090,30 +1127,19 @@ def _record_pivot_mix(monkeypatch) -> dict:
 
 def test_face_lp_pivot_totals(monkeypatch):
     # summed (phase 1, phase 2) pivots of the face LPs of all 28 n = 3
-    # pairs and all 120 n = 4 pairs, pinned as work counts.  The 28 n = 3
-    # pair complements span hyperplanes of the full-dimensional polytope,
-    # so none of them reaches an LP
-    pivots = _record_face_lps(monkeypatch)
+    # pairs and all 120 n = 4 pairs, pinned as work counts of lp_solve
     mix = _record_pivot_mix(monkeypatch)
     v = omega_core.reduced_vertex_vrep(3)
-    for a, b in itertools.combinations(range(8), 2):
-        ph.is_face(v, [k for k in range(8) if k not in (a, b)])
-    assert pivots == [] and mix["lp"] == []
-    # a fresh VRep, so that the pairs pay for its affine rank, as at n = 4
-    v = omega_core.reduced_vertex_vrep(3)
-    mix["rref"].clear()
+    pivots = []
     for pair in itertools.combinations(range(8), 2):
-        assert ph.is_face(v, pair).kind == "proper_face"
-    assert len(pivots) == 28
+        res = face_lp(v, pair)
+        assert res.optimum > 0
+        pivots.append(res.pivots)
     assert [sum(p) for p in zip(*pivots)] == [28, 147]
     # the pivot mix the kernel's sparse route is for: 162 of the 175 face
-    # LP pivots, and all 34 RREF pivots (28 span screens and the 6 of the
-    # affine rank), are unimodular with den = 1
+    # LP pivots are unimodular with den = 1
     assert [sum(mix["lp"]), len(mix["lp"])] == [162, 175]
-    assert mix["rref"] == [True] * 34
-    pivots.clear()
     mix["lp"].clear()
-    mix["rref"].clear()
     # the width of every n = 4 pair face LP tableau, rhs left out: one
     # column for each of the 11 free variables (10 coordinates and t),
     # the 15 surplus columns of the 14 outside points and the cap, and
@@ -1128,32 +1154,54 @@ def test_face_lp_pivot_totals(monkeypatch):
 
     monkeypatch.setattr(simplex, "_simplex_iterate", recording_iterate)
     v = omega_core.reduced_vertex_vrep(4)
+    pivots = []
     for pair in itertools.combinations(range(16), 2):
-        # an edge has many supporting forms; each one found must be tight
-        # exactly on the pair
+        res = face_lp(v, pair)
+        assert res.optimum > 0
+        pivots.append(res.pivots)
+    assert [sum(p) for p in zip(*pivots)] == [120, 1054]
+    assert [sum(mix["lp"]), len(mix["lp"])] == [1032, 1174]
+    assert widths == {27}
+    # a single vertex gives a face LP with no equality, whose rows all
+    # hold at x = 0: it starts feasible and makes no phase 1 pivot
+    for k in range(16):
+        res = face_lp(v, [k])
+        assert res.optimum > 0 and res.pivots[0] == 0
+
+
+def test_is_face_pivots_only_in_its_screens_and_the_hull(monkeypatch):
+    # is_face makes no LP.  On the 28 n = 3 pairs, all of its 40 RREF
+    # pivots are unimodular with den = 1: the 28 span screens, the 6 of
+    # the affine rank and the 6 of the hull's affine hull
+    lps = _record_lps(monkeypatch)
+    mix = _record_pivot_mix(monkeypatch)
+    v = omega_core.reduced_vertex_vrep(3)
+    for pair in itertools.combinations(range(8), 2):
+        assert ph.is_face(v, pair).kind == "proper_face"
+    assert lps == [] and mix["lp"] == []
+    assert mix["rref"] == [True] * 40
+    mix["rref"].clear()
+    # n = 4: an edge has many supporting forms; the closure's must be
+    # tight exactly on the pair.  120 span screens, 10 pivots of the
+    # affine rank and 10 of the hull
+    v = omega_core.reduced_vertex_vrep(4)
+    for pair in itertools.combinations(range(16), 2):
         form = ph.is_face(v, pair).form
         slacks = [form.slack(p) for p in v.points]
         assert min(slacks) == 0
         assert [k for k, s in enumerate(slacks) if s == 0] == list(pair)
-    assert len(pivots) == 120
-    assert [sum(p) for p in zip(*pivots)] == [120, 1054]
-    assert [sum(mix["lp"]), len(mix["lp"])] == [1032, 1174]
-    assert mix["rref"] == [True] * 130
-    assert widths == {27}
-    # a single vertex gives a face LP with no equality, whose rows all
-    # hold at x = 0: it starts feasible and makes no phase 1 pivot
-    pivots.clear()
-    for k in range(16):
-        assert ph.is_face(v, [k]).kind == "proper_face"
-    assert len(pivots) == 16 and all(p[0] == 0 for p in pivots)
+    assert lps == [] and mix["lp"] == []
+    assert mix["rref"] == [True] * 140
 
 
-def test_a_faces_query_mix_makes_12_face_lps(monkeypatch):
+def test_a_faces_query_mix_builds_one_hull(monkeypatch):
     # the mix of the benchmark's faces pass: all 28 n = 3 pair complements
     # (16 facets), 12 seeded n = 4 pairs (edges) and every second n = 4
     # pair complement (60 non-faces).  The screens decide the complements,
-    # so only the edges reach the LP
-    lps = _record_face_lps(monkeypatch)
+    # so only the edges reach the closure, which builds the n = 4 hull
+    # once and no n = 3 hull; no query makes an LP
+    lps = _record_lps(monkeypatch)
+    hulls = _record_hulls(monkeypatch)
     v3 = omega_core.reduced_vertex_vrep(3)
     v4 = omega_core.reduced_vertex_vrep(4)
     n3 = list(itertools.combinations(range(8), 2))
@@ -1163,7 +1211,7 @@ def test_a_faces_query_mix_makes_12_face_lps(monkeypatch):
     queries += [(v4, [k for k in range(16) if k not in p]) for p in n4[::2]]
     kinds = Counter(ph.is_face(v, subset).kind for v, subset in queries)
     assert kinds == {"facet": 16, "proper_face": 12, "not_face": 72}
-    assert len(lps) == 12
+    assert lps == [] and hulls == [v4]
 
 
 # one dual numerator read off the final tableau is put off by one; the
@@ -1219,12 +1267,32 @@ def test_dual_checks_survive_python_O_after_phase_1():
     assert _run_optimized(call) == "1 dual stationarity failed\n"
 
 
-def test_dual_checks_survive_python_O_through_is_face():
-    # is_face builds its LP on integers and calls the core directly; the
-    # first dual belongs to an outside point's row, which has a t entry.
-    # A cube edge reaches the LP, where a cube facet would not
-    call = "ph.is_face(ph.regular_polytope('cube', 3), [0, 1])"
-    assert _run_optimized(call) == "1 dual stationarity failed\n"
+# the rhs of the first cached facet form that holds a cube edge is put
+# off by one, so the sum of the holding forms is no longer tight on the
+# edge; the closure's check must refuse it even when asserts are stripped
+_OFF_BY_ONE_FACET = """
+import sys
+from omegapoly import polyhedra as ph
+v = ph.regular_polytope('cube', 3)
+k = next(k for k, (_, mask) in enumerate(v._facets) if mask & 3 == 3)
+form, mask = v._facets[k]
+v._facets[k] = (form[:-1] + (form[-1] + 1,), mask)
+try:
+    print(ph.is_face(v, [0, 1]))
+except RuntimeError as exc:
+    print(sys.flags.optimize, exc)
+"""
+
+
+def test_closure_check_survives_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _OFF_BY_ONE_FACET],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("1 the sum of the facets holding 2 points is "
+                           "not tight exactly on them at point 0\n")
 
 
 def test_hrep_rejects_forms_of_the_wrong_dimension():
@@ -1302,19 +1370,23 @@ def test_midpoint_of_a_segment_is_not_a_face():
     assert verdict.form is None
 
 
-def test_not_face_whose_lp_has_dependent_equalities(monkeypatch):
-    lps = _record_face_lps(monkeypatch)
+def test_not_face_whose_differences_are_dependent(monkeypatch):
+    hulls = _record_hulls(monkeypatch)
     v = ph.regular_polytope("cube", 4)
     # 13 of the 16 vertices span the whole space, so the affine-hull
-    # screen refuses them before their 12 dependent equalities reach an LP
+    # screen refuses them before their 12 dependent differences reach the
+    # closure
     subset = (0, 1, 3, 4, 5, 6, 7, 10, 11, 12, 13, 14, 15)
     assert ph.is_face(v, subset).kind == "not_face"
-    assert lps == []
+    assert hulls == []
     # the diagonal rectangle 0000, 0011, 1100, 1111: 1111 - 0000 is the sum
     # of the other two differences, and no other vertex lies in its plane,
-    # so its dependent equalities do reach the LP, whose optimum is 0
+    # so it reaches the closure, which builds the hull: no facet holds
+    # both 0000 and 1111, so the closure is every vertex.  The face LP
+    # agrees, with optimum 0
     assert ph.is_face(v, (0, 3, 12, 15)).kind == "not_face"
-    assert len(lps) == 1
+    assert hulls == [v]
+    assert face_lp(v, (0, 3, 12, 15)).optimum == 0
 
 
 def test_zero_difference_is_in_every_row_space():
@@ -1332,8 +1404,10 @@ def test_zero_difference_is_in_every_row_space():
 def test_screen_decides_every_n4_pair_complement(monkeypatch):
     # a pair complement holds 14 of the 16 vertices of the n = 4 polytope,
     # which span all of its 10 dimensions; no third vertex lies on the line
-    # through a pair, so each pair is an edge found by one LP
-    lps = _record_face_lps(monkeypatch)
+    # through a pair, so each pair is an edge found by the closure, which
+    # builds the hull on the first pair and keeps it
+    lps = _record_lps(monkeypatch)
+    hulls = _record_hulls(monkeypatch)
     # and the points are cleared to integers once for all 240 queries
     cleared = []
     clear = ph._clear_matrix
@@ -1345,7 +1419,8 @@ def test_screen_decides_every_n4_pair_complement(monkeypatch):
     monkeypatch.setattr(ph, "_clear_matrix", counting_clear)
     # the shape of every RREF is_face takes: the (10 + 1) x 16 one of the
     # affine dependencies once, then a 5 x 2 cut of its 5 dependencies for
-    # each complement and a 1 x 10 span of differences for each pair
+    # each complement, a 1 x 10 span of differences for each pair, and
+    # the 15 x 10 one of the hull's differences once
     shapes = []
     rref = ph._int_rref
 
@@ -1361,15 +1436,16 @@ def test_screen_decides_every_n4_pair_complement(monkeypatch):
     for a, b in pairs:
         complement = [k for k in range(16) if k not in (a, b)]
         assert ph.is_face(v, complement).kind == "not_face"
-    assert lps == []
-    for k, pair in enumerate(pairs):
+    assert hulls == []
+    for pair in pairs:
         verdict = ph.is_face(v, pair)
         assert (verdict.kind, verdict.dimension) == ("proper_face", 1)
-        assert len(lps) == k + 1
+        assert hulls == [v]
+    assert lps == []
     assert cleared == [v.points]
     assert shapes[0] == (11, 16)
     assert sorted(Counter(shapes).items()) == [((1, 10), 120), ((5, 2), 120),
-                                               ((11, 16), 1)]
+                                               ((11, 16), 1), ((15, 10), 1)]
 
 
 def _both_screens(v, subset):
@@ -1507,8 +1583,8 @@ def test_is_face_agrees_with_hull_tight_sets(kind, d):
 def _hull_facets(v) -> dict:
     """{tight bitmask: form} of the hull's facets: the double description's
     answer, independent of is_face's routes."""
-    h, masks = ph._hull_with_masks(v)
-    return dict(zip(masks, h.inequalities))
+    h, pairs = ph._hull_with_masks(v)
+    return {mask: form for (_, mask), form in zip(pairs, h.inequalities)}
 
 
 def _indices(mask: int) -> list[int]:
@@ -1522,38 +1598,43 @@ def _indices(mask: int) -> list[int]:
 def test_is_face_says_facet_exactly_on_hull_tight_sets(v, monkeypatch):
     # a facet candidate is decided by the sign of its one hyperplane on
     # the outside points: "facet", with the hull's form, on every tight
-    # set, and on no other nonempty proper subset
-    lps = _record_face_lps(monkeypatch)
+    # set, and on no other nonempty proper subset.  No facet builds the
+    # VRep's hull; the first subset that reaches the closure does
     facets = _hull_facets(v)
+    hulls = _record_hulls(monkeypatch)
     npts = len(v.points)
     for mask in range(1, (1 << npts) - 1):
-        before = len(lps)
+        before = len(hulls)
         verdict = ph.is_face(v, _indices(mask))
         assert (verdict.kind == "facet") == (mask in facets), mask
         if mask in facets:
             assert verdict == ph.FaceVerdict("facet", facets[mask], v.dim - 1)
-            assert len(lps) == before
+            assert len(hulls) == before
+    assert hulls == [v]
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_is_face_near_each_hull_facet(n, monkeypatch):
     # each facet tight set T of n = 4 and n = 5 is a facet with the hull's
-    # form and no LP; T plus an outside point is no face; T less a point
-    # spans the same hyperplane, which holds that point, unless T is a
-    # simplex, whose faces are all faces.  A simplex facet less a point
-    # is a face of dimension dim - 2, which only the LP decides; at n = 5
-    # the 2,880 such LPs would take over ten seconds, so only the first
-    # point of a simplex facet is dropped there
-    lps = _record_face_lps(monkeypatch)
+    # form, without the VRep's hull; T plus an outside point is no face;
+    # T less a point spans the same hyperplane, which holds that point,
+    # unless T is a simplex, whose faces are all faces.  A simplex facet
+    # less a point is a face of dimension dim - 2, which only the closure
+    # decides, from the hull that the first one builds; at n = 5 only the
+    # first point of a simplex facet is dropped, to keep the test short
     v = omega_core.reduced_vertex_vrep(n)
+    facets = _hull_facets(v)
+    lps = _record_lps(monkeypatch)
+    hulls = _record_hulls(monkeypatch)
     npts = len(v.points)
-    for mask, form in _hull_facets(v).items():
+    for mask, form in facets.items():
         tight = _indices(mask)
+        built = list(hulls)
         assert ph.is_face(v, tight) == ph.FaceVerdict("facet", form, v.dim - 1)
         for k in range(npts):
             if not mask >> k & 1:
                 assert ph.is_face(v, sorted(tight + [k])).kind == "not_face"
-        assert lps == []
+        assert hulls == built
         simplex = len(tight) == v.dim
         dropped = tight[:1] if simplex and n == 5 else tight
         for k in dropped:
@@ -1561,27 +1642,32 @@ def test_is_face_near_each_hull_facet(n, monkeypatch):
             if simplex:
                 assert (verdict.kind, verdict.dimension) == ("proper_face",
                                                              v.dim - 2)
+                assert hulls == [v]
             else:
                 assert verdict.kind == "not_face"
-        assert len(lps) == (len(dropped) if simplex else 0)
-        lps.clear()
+                assert hulls == built
+    assert hulls == [v] and lps == []
 
 
-def test_a_flat_polytope_takes_the_lp_on_every_facet(monkeypatch):
+def test_a_flat_polytope_takes_the_closure_on_every_facet(monkeypatch):
     # the 3-cube on the hyperplane x4 = x1 + 1 of Q^4 is not
     # full-dimensional, so no subset is a facet candidate: each of its 6
-    # facets, of dimension 2 = affine rank - 1, is found by one LP, whose
-    # form is one of many that support it
-    lps = _record_face_lps(monkeypatch)
+    # facets, of dimension 2 = affine rank - 1, is found by the closure,
+    # from the one hull the first facet builds, with the hull's form, one
+    # of many that support it
     v = ph.VRep(4, [p + (p[0] + 1,)
                     for p in ph.regular_polytope("cube", 3).points])
+    facets = _hull_facets(v)
+    lps = _record_lps(monkeypatch)
+    hulls = _record_hulls(monkeypatch)
     assert ph.affine_rank(v) == 3
     forms = {}
-    for mask in _hull_facets(v):
+    for mask in facets:
         verdict = ph.is_face(v, _indices(mask))
         assert (verdict.kind, verdict.dimension) == ("facet", 2)
+        assert verdict.form == facets[mask]
         forms[tuple(_indices(mask))] = (verdict.form.coeffs, verdict.form.rhs)
-    assert len(lps) == 6
+    assert lps == [] and hulls == [v]
     assert forms == {(0, 1, 2, 3): ((1, 0, 0, 0), 0),
                      (4, 5, 6, 7): ((-1, 0, 0, 0), -1),
                      (0, 1, 4, 5): ((0, 1, 0, 0), 0),
@@ -1634,10 +1720,10 @@ def _face_pin_queries():
 
 
 # sha256 over repr((kind, dimension, form)) of the verdicts of
-# _face_pin_queries (a not_face verdict has form None); the facet and
-# proper-face verdicts are those of the face LP built on Fraction forms
-FACE_PIN_DIGEST = ("b0593a4c7521c4029fc364c8c94b8d0a"
-                   "83e5d8c0a68479c851ca59ef51aed01a")
+# _face_pin_queries (a not_face verdict has form None); a proper face's
+# form is the coprime sum of the hull facets that hold it
+FACE_PIN_DIGEST = ("9d8c8975cbd159861e3e2e005b45348b"
+                   "ad21f0e56a0a2099f8c88a3eb0e1a732")
 # sha256 over repr((kind, dimension)) of the same verdicts: what a face
 # is does not depend on which supporting form is returned for it
 FACE_KIND_DIGEST = ("82c387ae32c2efa4deafcabad7069e3d"
@@ -1664,9 +1750,9 @@ def _face_lattice(v):
     included: the facet masks of _hull_with_masks closed under
     intersection, since a face is the intersection of the facets that
     hold it (Kaibel & Pfetsch 2002)."""
-    _, facets = ph._hull_with_masks(v)
+    _, pairs = ph._hull_with_masks(v)
     faces = {(1 << len(v.points)) - 1}
-    for mask in facets:
+    for _, mask in pairs:
         faces |= {face & mask for face in faces}
     faces.discard(0)
     return faces
@@ -1694,8 +1780,41 @@ FACE_LATTICE_PINS = {
 }
 
 
+def _record_closures(monkeypatch) -> list:
+    """Patch is_face's closure so that each subset that reaches it
+    appends its sorted point indices to the returned list."""
+    reached = []
+    closure = ph._closure_form
+
+    def recording_closure(v, idx):
+        reached.append(tuple(idx))
+        return closure(v, idx)
+
+    monkeypatch.setattr(ph, "_closure_form", recording_closure)
+    return reached
+
+
+def _check_against_the_face_lp(v, masks, expected, monkeypatch) -> list:
+    """is_face(v, S).is_face for the subset S of each mask, checked against
+    the face LP oracle on each S that reaches the closure and against
+    expected(mask), an independent answer, on each S the screens decide."""
+    reached = _record_closures(monkeypatch)
+    verdicts = []
+    for mask in masks:
+        subset = _indices(mask)
+        before = len(reached)
+        verdict = ph.is_face(v, subset).is_face
+        if len(reached) > before:
+            assert verdict == (face_lp(v, subset).optimum > 0), subset
+        else:
+            assert verdict == expected(mask), subset
+        verdicts.append(verdict)
+    assert 0 < len(reached) < len(verdicts)
+    return verdicts
+
+
 @pytest.mark.parametrize("n", sorted(FACE_LATTICE_PINS))
-def test_face_lattice_is_pinned(n):
+def test_face_lattice_is_pinned(n, monkeypatch):
     f_vector, triples, bad_quadruples = FACE_LATTICE_PINS[n]
     v = omega_core.reduced_vertex_vrep(n)
     faces = _face_lattice(v)
@@ -1717,21 +1836,23 @@ def test_face_lattice_is_pinned(n):
         masks = random.Random(0).sample(range(1, 1 << npts), 400)
     else:
         masks = range(1, 1 << npts)
-    # the closure and the LP route agree on every nonempty subset for
-    # n = 3, and on 400 seeded ones, faces and non-faces, for n = 4
-    verdicts = [ph.is_face(v, [k for k in range(npts)
-                               if mask >> k & 1]).is_face for mask in masks]
+    # is_face agrees with the face lattice, on every nonempty subset for
+    # n = 3 and on 400 seeded ones, faces and non-faces, for n = 4: with
+    # the face LP where it takes the closure, and with this lattice where
+    # its screens decide
+    verdicts = _check_against_the_face_lp(v, masks, faces.__contains__,
+                                          monkeypatch)
     assert verdicts == [mask in faces for mask in masks]
     assert True in verdicts and False in verdicts
 
 
-def test_the_lp_route_agrees_with_the_closure_for_five_parts():
+def test_the_lp_route_agrees_with_the_closure_for_five_parts(monkeypatch):
     # S is a face iff it equals the intersection of the facets holding it
     # (Kaibel & Pfetsch 2002).  Seeded subsets of the 32 vertices: a third
     # drawn at a random size, a third intersections of random facets
     # (faces), and a third such faces with one more vertex
     v = omega_core.reduced_vertex_vrep(5)
-    _, facets = ph._hull_with_masks(v)
+    facets = [mask for _, mask in ph._hull_with_masks(v)[1]]
     everything = (1 << 32) - 1
     rng = random.Random(5)
     masks = []
@@ -1755,9 +1876,10 @@ def test_the_lp_route_agrees_with_the_closure_for_five_parts():
                 out &= facet
         return out
 
-    verdicts = [ph.is_face(v, [k for k in range(32) if mask >> k & 1]).is_face
-                for mask in masks]
-    assert verdicts == [closure(mask) == mask for mask in masks]
+    # is_face takes this closure itself, so the face LP is the check
+    # wherever it does; the closure checks the screens' verdicts
+    verdicts = _check_against_the_face_lp(
+        v, masks, lambda mask: closure(mask) == mask, monkeypatch)
     assert 100 < verdicts.count(True) < 500
 
 

@@ -293,11 +293,13 @@ def test_find_clique_takes_its_clauses_from_to_2cnf():
 
 
 def test_hull_masks_are_read_by_the_hull_and_the_census_alone():
-    # the facet tight masks are private to polyhedra; outside it, only
-    # edges_via_hull reads them.  facet_census runs its own tangent-cone
-    # route, so the full hull stays an independent check of the census
+    # the facet tight masks are private to polyhedra, where a VRep keeps
+    # them for is_face's closure; outside it, only edges_via_hull reads
+    # them.  facet_census runs its own tangent-cone route, so the full
+    # hull stays an independent check of the census
     assert _callers("_hull_with_masks") == {
-        "polyhedra.py:convex_hull_facets", "omega3_census.py:edges_via_hull"}
+        "polyhedra.py:convex_hull_facets", "polyhedra.py:VRep._facets",
+        "omega3_census.py:edges_via_hull"}
 
 
 def test_double_description_runs_for_the_hull_and_the_census_alone():
@@ -305,6 +307,13 @@ def test_double_description_runs_for_the_hull_and_the_census_alone():
     # tangent cone at one vertex behind the census
     assert _callers("_dd_extreme_rays") == {
         "polyhedra.py:_hull_with_masks", "omega3_census.py:_census_facets"}
+
+
+def test_the_simplex_core_is_called_by_lp_solve_alone():
+    # is_face decides every subset by its screens and the hull's facet
+    # incidence, so it makes no LP; lp_solve is the one way in to the
+    # integer simplex
+    assert _callers("_int_lp") == {"polyhedra.py:lp_solve"}
 
 
 def test_table_entries_are_filled_by_the_dd_alone():
