@@ -386,15 +386,11 @@ def edges_via_hull(n: int) -> int:
     check_count(n, "edges_via_hull", 2, most=4)
     vrep = omega_core.reduced_vertex_vrep(n)
     _, facets = polyhedra._hull_with_masks(vrep)
-    everything = (1 << len(vrep.points)) - 1
+    npts = len(vrep.points)
     count = 0
-    for i, j in itertools.combinations(range(len(vrep.points)), 2):
+    for i, j in itertools.combinations(range(npts), 2):
         pair = (1 << i) | (1 << j)
-        face = everything
-        for _, mask in facets:
-            if mask & pair == pair:
-                face &= mask
-        if face == pair:
+        if polyhedra._closure(facets, pair, npts)[0] == pair:
             count += 1
     return count
 

@@ -453,12 +453,7 @@ def _closure_form(v: VRep, idx: list[int]) -> list[int] | None:
     RuntimeError.
     """
     mask = sum(1 << i for i in idx)
-    closure = (1 << len(v.points)) - 1
-    holding = []
-    for form, tight in v._facets:
-        if tight & mask == mask:
-            closure &= tight
-            holding.append(form)
+    closure, holding = _closure(v._facets, mask, len(v.points))
     if closure != mask:
         return None
     total = [sum(col) for col in zip(*holding)]
@@ -471,6 +466,22 @@ def _closure_form(v: VRep, idx: list[int]) -> list[int] | None:
                                "not tight exactly on them at point %d"
                                % (len(idx), k))
     return total
+
+
+def _closure(facets: list[tuple[tuple[int, ...], int]], mask: int,
+             npts: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(closure, holding) for the points at the bits of mask, from a
+    hull's (form, tight mask) pairs over npts points: holding is the
+    forms of the facets tight on every one of them, and closure the
+    intersection of those facets' tight masks, the smallest face that
+    holds the points (all npts when no facet does)."""
+    closure = (1 << npts) - 1
+    holding = []
+    for form, tight in facets:
+        if tight & mask == mask:
+            closure &= tight
+            holding.append(form)
+    return closure, holding
 
 
 def _is_facet_candidate(v: VRep, dimension: int) -> bool:

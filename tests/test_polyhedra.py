@@ -1163,10 +1163,17 @@ def test_face_lp_pivot_totals(monkeypatch):
     assert [sum(mix["lp"]), len(mix["lp"])] == [1032, 1174]
     assert widths == {27}
     # a single vertex gives a face LP with no equality, whose rows all
-    # hold at x = 0: it starts feasible and makes no phase 1 pivot
+    # hold at x = 0: it starts feasible and makes no phase 1 pivot.
+    # is_face takes each vertex through the closure and calls it a 0-face
+    # whose form is tight on that vertex alone
     for k in range(16):
         res = face_lp(v, [k])
         assert res.optimum > 0 and res.pivots[0] == 0
+        verdict = ph.is_face(v, [k])
+        assert (verdict.kind, verdict.dimension) == ("proper_face", 0)
+        slacks = [verdict.form.slack(p) for p in v.points]
+        assert min(slacks) == 0
+        assert [j for j, s in enumerate(slacks) if s == 0] == [k]
 
 
 def test_is_face_pivots_only_in_its_screens_and_the_hull(monkeypatch):

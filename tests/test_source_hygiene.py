@@ -300,6 +300,10 @@ def test_hull_masks_are_read_by_the_hull_and_the_census_alone():
     assert _callers("_hull_with_masks") == {
         "polyhedra.py:convex_hull_facets", "polyhedra.py:VRep._facets",
         "omega3_census.py:edges_via_hull"}
+    # and both read the smallest face holding a point set through one
+    # closure, so is_face and the edge count cannot drift apart
+    assert _callers("_closure") == {
+        "polyhedra.py:_closure_form", "omega3_census.py:edges_via_hull"}
 
 
 def test_double_description_runs_for_the_hull_and_the_census_alone():
