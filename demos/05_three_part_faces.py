@@ -43,7 +43,9 @@ for kind in ("disjoint", "shared_edge", "shared_vertex"):
     print("  values on removed pair: %s, on the rest: %s"
           % ([str(v) for v in sorted(report.excluded_values)],
              sorted(str(v) for v in set(report.other_values))))
-    print("  LP verdict on the six: %s" % report.verdict.kind)
+    # the six span a hyperplane: is_face decides them by the sides of
+    # the removed pair
+    print("  is_face verdict on the six: %s" % report.verdict.kind)
     if report.verdict.kind == "facet":
         print("  face dimension %d (ambient 6)" % report.verdict.dimension)
 

@@ -9,16 +9,15 @@ Exit codes: 0 on success or a passing verification, 1 when a
 verification check fails, 2 on usage errors including tripped size
 guards.  All numeric output is exact rational text; no floats anywhere.
 
-Guards can be raised per invocation with --max-bruteforce,
---max-hull-dim and --max-hull-points or the matching environment
-variables OMEGA_MAX_BRUTEFORCE, OMEGA_MAX_HULL_DIM, OMEGA_MAX_HULL_POINTS.
-A subcommand accepts only the guards it reads: hull all three; vertices,
-verify, edge-cert and clique-solve only --max-bruteforce; census,
-face-test and convert none.
+The brute-force guard can be raised per invocation with
+--max-bruteforce or the environment variable OMEGA_MAX_BRUTEFORCE.  A
+subcommand accepts it only if it reads it: vertices, verify, edge-cert
+and clique-solve do; hull, census, face-test and convert read no guard.
+hull prints the facets that facet_census finds, so it takes n up to 5.
 
 main may be called any number of times in one process.  The parser is
 built on the first call and reused; every call parses into a fresh
-namespace and reads its guards, flag first and then environment, anew.
+namespace and reads its guard, flag first and then environment, anew.
 """
 
 from __future__ import annotations
@@ -32,26 +31,18 @@ import sys
 
 from . import graph2p, neighborly, omega3_census, omega_core, polyhedra
 from .graph2p import assignment_from_text
-from .guards import (DEFAULT_BRUTEFORCE_BOUND, DEFAULT_HULL_MAX_DIM,
-                     DEFAULT_HULL_MAX_POINTS, ScaleGuardError, _shown,
+from .guards import (DEFAULT_BRUTEFORCE_BOUND, ScaleGuardError, _shown,
                      check_count, json_fields, json_list, json_number,
                      parse_json, text_int)
 
-# attribute -> (environment variable, default, what it bounds)
-_GUARDS = {
-    "max_bruteforce": ("OMEGA_MAX_BRUTEFORCE", DEFAULT_BRUTEFORCE_BOUND,
-                       "the brute-force part bound"),
-    "max_hull_dim": ("OMEGA_MAX_HULL_DIM", DEFAULT_HULL_MAX_DIM,
-                     "the hull dimension bound"),
-    "max_hull_points": ("OMEGA_MAX_HULL_POINTS", DEFAULT_HULL_MAX_POINTS,
-                        "the hull point-count bound"),
-}
+# the one guard a flag raises: the brute-force part bound
+_BRUTEFORCE_ENV = "OMEGA_MAX_BRUTEFORCE"
 
-# ScaleGuardError.guard -> how to raise it: max_hull_dim trips "hull-dim"
+# ScaleGuardError.guard -> how to raise it
 _GUARD_HINTS = {
-    attr[4:].replace("_", "-"): "--%s (env %s)" % (attr.replace("_", "-"), env)
-    for attr, (env, _, _) in _GUARDS.items()}
-_GUARD_HINTS["census"] = "--allow-large"
+    "bruteforce": "--max-bruteforce (env %s)" % (_BRUTEFORCE_ENV,),
+    "census": "--allow-large",
+}
 
 
 def _int_flag(text: str) -> int:
@@ -62,32 +53,30 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_guards(sub, *attrs):
-    """Give sub a --max-... flag for each guard it reads, and only those."""
-    for attr in attrs:
-        _, default, what = _GUARDS[attr]
-        sub.add_argument("--" + attr.replace("_", "-"), type=_int_flag,
-                         default=None,
-                         help="override %s (default %d)" % (what, default))
-    sub.set_defaults(guards=attrs)
+def _add_bruteforce_guard(sub):
+    """Give sub, which reads the brute-force bound, its --max-bruteforce."""
+    sub.add_argument("--max-bruteforce", type=_int_flag, default=None,
+                     help="override the brute-force part bound (default %d)"
+                          % (DEFAULT_BRUTEFORCE_BOUND,))
 
 
 def _settle_guards(args):
-    """Resolve each guard the subcommand reads: flag, then environment."""
-    for attr in getattr(args, "guards", ()):
-        env, default, _ = _GUARDS[attr]
-        val = getattr(args, attr)
-        raw = os.environ.get(env)
-        if val is None and raw is None:
-            val = default
-        elif val is None:
-            try:
-                val = int(raw)
-            except ValueError:
-                raise ValueError("%s=%s is not an integer"
-                                 % (env, _shown(raw, repr)))
-        check_count(val, args.command, 1, "--" + attr.replace("_", "-"))
-        setattr(args, attr, val)
+    """Resolve the brute-force bound, if the subcommand reads it: flag,
+    then environment, then default."""
+    if not hasattr(args, "max_bruteforce"):
+        return
+    val = args.max_bruteforce
+    raw = os.environ.get(_BRUTEFORCE_ENV)
+    if val is None and raw is None:
+        val = DEFAULT_BRUTEFORCE_BOUND
+    elif val is None:
+        try:
+            val = int(raw)
+        except ValueError:
+            raise ValueError("%s=%s is not an integer"
+                             % (_BRUTEFORCE_ENV, _shown(raw, repr)))
+    check_count(val, args.command, 1, "--max-bruteforce")
+    args.max_bruteforce = val
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,18 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--reduced", action="store_true",
                    help="print the n(n+1)/2 reduced coordinates instead of "
                         "the full 4n^2")
-    _add_guards(s, "max_bruteforce")
+    _add_bruteforce_guard(s)
     s.set_defaults(func=_cmd_vertices)
 
     s = subs.add_parser("verify", help="run the bundled checks for one n")
     s.add_argument("--n", type=_int_flag, required=True)
-    _add_guards(s, "max_bruteforce")
+    _add_bruteforce_guard(s)
     s.set_defaults(func=_cmd_verify)
 
     s = subs.add_parser("hull", help="facets of the reduced polytope as "
                                      "H-representation text")
     s.add_argument("--n", type=_int_flag, required=True)
-    _add_guards(s, "max_bruteforce", "max_hull_dim", "max_hull_points")
     s.set_defaults(func=_cmd_hull)
 
     s = subs.add_parser("census", help="facet census as JSON")
@@ -128,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=_int_flag, required=True)
     s.add_argument("--a", required=True, help='assignment like "1,2,1"')
     s.add_argument("--b", required=True, help='assignment like "2,1,1"')
-    _add_guards(s, "max_bruteforce")
+    _add_bruteforce_guard(s)
     s.set_defaults(func=_cmd_edge_cert)
 
     s = subs.add_parser("face-test",
@@ -143,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph", required=True, help="path to graph JSON")
     s.add_argument("--enumerate", action="store_true",
                    help="list every clique instead of finding one")
-    _add_guards(s, "max_bruteforce")
+    _add_bruteforce_guard(s)
     s.set_defaults(func=_cmd_clique_solve)
 
     s = subs.add_parser("convert", help="convert cdd-style text to JSON "
@@ -224,9 +212,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_hull(args) -> int:
     check_count(args.n, "hull", 2)
-    vrep = omega_core.reduced_vertex_vrep(args.n, args.max_bruteforce)
-    hrep = polyhedra.convex_hull_facets(vrep, args.max_hull_dim,
-                                        args.max_hull_points)
+    report = omega3_census.facet_census(args.n, include_orbits=False,
+                                        allow_large=True)
+    # no equalities: the polytope is full-dimensional in reduced coordinates
+    hrep = polyhedra.HRep(omega_core.reduced_count(args.n),
+                          tuple(rec.form for rec in report.facets), ())
     sys.stdout.write(polyhedra.hrep_to_text(hrep))
     return 0
 

@@ -29,8 +29,9 @@ vertex, with no LP and no hull.
 facet_census runs double description on the tangent cone at one vertex
 and closes the facets through it under the group: it reports counts,
 per-facet vertex counts, the constant per-vertex incidence and facet
-orbits.  edges_via_hull reads the facets' tight sets from the double
-description of the whole hull and counts 1-faces.
+orbits.  It is the one source of the polytope's facets: the hull
+command prints its forms, and edges_via_hull reads its tight sets and
+counts 1-faces.
 """
 
 from __future__ import annotations
@@ -376,17 +377,18 @@ def _orbit_records(orbit_of: list[int]) -> tuple[OrbitRecord, ...]:
 def edges_via_hull(n: int) -> int:
     """Count vertex pairs that are 1-faces, from the facet incidence.
 
-    Independent of the certificate route: converts the reduced vertex
-    set to facets and reads which vertices each facet is tight on.  The
-    smallest face holding two vertices is the intersection of the facets
-    holding both, so the pair is an edge iff that intersection holds no
-    third vertex.  The count rule (check_count) for edges_via_hull
-    refuses an n that is not an int, is below 2 or is past 4.
+    Independent of the certificate route: reads which vertices each
+    facet of facet_census is tight on.  The smallest face holding two
+    vertices is the intersection of the facets holding both, so the pair
+    is an edge iff that intersection holds no third vertex.  The count
+    rule (check_count) for edges_via_hull refuses an n that is not an int
+    or is below 2; facet_census's then refuses an n past 5 (guard
+    "census-max").
     """
-    check_count(n, "edges_via_hull", 2, most=4)
-    vrep = omega_core.reduced_vertex_vrep(n)
-    _, facets = polyhedra._hull_with_masks(vrep)
-    npts = len(vrep.points)
+    check_count(n, "edges_via_hull", 2)
+    report = facet_census(n, include_orbits=False, allow_large=True)
+    facets = [(rec.int_form, rec.mask) for rec in report.facets]
+    npts = 1 << n
     count = 0
     for i, j in itertools.combinations(range(npts), 2):
         pair = (1 << i) | (1 << j)

@@ -51,8 +51,8 @@ def test_every_vertex_pair_is_an_edge_certificates_and_geometry():
             assert cert.min_other >= 2
             assert neighborly.verify_certificate(cert)
             pairs_done += 1
-    counts = {n: omega3_census.edges_via_hull(n) for n in (2, 3, 4)}
-    assert counts == {2: 6, 3: 28, 4: 120}
+    counts = {n: omega3_census.edges_via_hull(n) for n in (2, 3, 4, 5)}
+    assert counts == {2: 6, 3: 28, 4: 120, 5: 496}
     ok("edges: %d certified pairs over n = 2..6; geometric counts %s"
        % (pairs_done, sorted(counts.values())))
 

@@ -18,9 +18,7 @@ from omegapoly.guards import exact_number
 
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
-    for name in ("OMEGA_MAX_BRUTEFORCE", "OMEGA_MAX_HULL_DIM",
-                 "OMEGA_MAX_HULL_POINTS"):
-        monkeypatch.delenv(name, raising=False)
+    monkeypatch.delenv("OMEGA_MAX_BRUTEFORCE", raising=False)
 
 
 def run(capsys, *argv):
@@ -100,6 +98,16 @@ def test_hull_output_parses_back(capsys):
     assert h.dim == 3
     assert len(h.inequalities) == 4
     assert h.equalities == ()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hull_matches_the_hull_of_all_vertices(capsys, n):
+    # the command prints the census's facets; the general hull of all
+    # 2^n reduced vertices is an independent route to the same text
+    code, out, _ = run(capsys, "hull", "--n", str(n))
+    assert code == 0
+    assert out == polyhedra.hrep_to_text(polyhedra.convex_hull_facets(
+        omega_core.reduced_vertex_vrep(n)))
 
 
 def test_census_json(capsys):
@@ -511,8 +519,7 @@ def test_a_long_int_argument_is_cut_short(capsys, argv):
     (("census", "--n", "5"), "facet_census: n without allow_large must be "
      "at most 4, got 5; raise it with --allow-large"),
     (("census", "--n", "6"), "facet_census: n must be at most 5, got 6"),
-    (("hull", "--n", "6"), "convex_hull_facets: dim must be at most 15, "
-     "got 21; raise it with --max-hull-dim (env OMEGA_MAX_HULL_DIM)"),
+    (("hull", "--n", "6"), "facet_census: n must be at most 5, got 6"),
 ], ids=["vertices-0", "vertices--1", "verify-0", "verify--1", "hull-0",
         "hull--1", "hull-1", "census-0", "census--1", "edge-cert-0",
         "edge-cert--1", "max-bruteforce-0", "face-test-2", "face-test-4",
@@ -594,10 +601,6 @@ def test_guard_trips_name_their_override(capsys):
     assert "--max-bruteforce" in err
     assert "OMEGA_MAX_BRUTEFORCE" in err
 
-    code, _, err = run(capsys, "hull", "--n", "2", "--max-hull-dim", "2")
-    assert code == 2
-    assert "--max-hull-dim" in err
-
 
 def test_clique_solve_refuses_too_many_parts(tmp_path, capsys):
     # 34 bytes that used to ask the solver for 146 MB
@@ -626,21 +629,24 @@ def test_census_past_five_parts_names_no_override(capsys, extra):
 
 def test_each_subcommand_takes_only_the_guards_it_reads(capsys,
                                                         monkeypatch):
-    code, _, err = run(capsys, "census", "--n", "3", "--max-hull-dim", "3")
+    code, _, err = run(capsys, "census", "--n", "3", "--max-bruteforce", "3")
+    assert code == 2 and "--max-bruteforce" in err
+    code, _, err = run(capsys, "hull", "--n", "3", "--max-hull-dim", "3")
     assert code == 2 and "--max-hull-dim" in err
-    code, _, _ = run(capsys, "clique-solve", "--graph", "g.json",
-                     "--max-hull-points", "9")
-    assert code == 2
-    # census reads no guard, so a bad guard variable cannot break it
+    # census and hull read no guard, so a bad guard variable cannot break
+    # them, and no variable of the hull guards is read at all
+    monkeypatch.setenv("OMEGA_MAX_BRUTEFORCE", "x")
     monkeypatch.setenv("OMEGA_MAX_HULL_DIM", "x")
     code, out, _ = run(capsys, "census", "--n", "3")
     assert code == 0 and json.loads(out)["facet_count"] == 16
+    code, out, _ = run(capsys, "hull", "--n", "3")
+    assert code == 0 and len(polyhedra.hrep_from_text(out).inequalities) == 16
     flags = {name: sorted(a.dest for a in sub._actions
                           if a.dest.startswith("max_"))
              for name, sub in _subcommands().items()}
     assert flags == {
         "vertices": ["max_bruteforce"], "verify": ["max_bruteforce"],
-        "hull": ["max_bruteforce", "max_hull_dim", "max_hull_points"],
+        "hull": [],
         "census": [], "edge-cert": ["max_bruteforce"], "face-test": [],
         "clique-solve": ["max_bruteforce"], "convert": []}
 
@@ -652,16 +658,16 @@ def _subcommands():
 
 
 def test_env_defaults_and_flag_precedence(capsys, monkeypatch):
-    monkeypatch.setenv("OMEGA_MAX_HULL_DIM", "2")
-    code, _, err = run(capsys, "hull", "--n", "2")
-    assert code == 2 and "hull" in err
+    # the environment beats the default
+    monkeypatch.setenv("OMEGA_MAX_BRUTEFORCE", "2")
+    code, _, err = run(capsys, "vertices", "--n", "3")
+    assert code == 2 and "must be at most 2, got 3" in err
     # an explicit flag beats the environment
-    code, out, _ = run(capsys, "hull", "--n", "2", "--max-hull-dim", "3")
-    assert code == 0
-    assert len(polyhedra.hrep_from_text(out).inequalities) == 4
+    code, out, _ = run(capsys, "vertices", "--n", "3", "--max-bruteforce", "3")
+    assert code == 0 and len(out.splitlines()) == 8
 
-    monkeypatch.setenv("OMEGA_MAX_HULL_DIM", "banana")
-    code, _, err = run(capsys, "hull", "--n", "2")
+    monkeypatch.setenv("OMEGA_MAX_BRUTEFORCE", "banana")
+    code, _, err = run(capsys, "vertices", "--n", "3")
     assert code == 2 and "not an integer" in err
 
 

@@ -133,19 +133,21 @@ def test_certificate_argument_validation():
 def test_geometric_edge_count_two_parts():
     # four vertices, every pair an edge
     assert omega3_census.edges_via_hull(2) == 6
-    with pytest.raises(ValueError):
-        omega3_census.edges_via_hull(5)
+    # the census reaches n = 5 and refuses n = 6 for the edge count too
+    with pytest.raises(ScaleGuardError) as refused:
+        omega3_census.edges_via_hull(6)
+    assert refused.value.guard == "census-max"
 
 
 @pytest.mark.parametrize("kind,d,edges", [("cube", 3, 12), ("cross", 3, 12),
                                           ("cube", 4, 32), ("cross", 4, 24)])
-def test_geometric_edge_count_finds_non_edges(monkeypatch, kind, d, edges):
+def test_geometric_edge_count_finds_non_edges(kind, d, edges):
     # the reduced polytopes are 2-neighborly, so use fixtures whose
-    # diagonals are not edges to see the incidence test say no
+    # diagonals are not edges to see the facet closure, which
+    # edges_via_hull shares with is_face, say no
     v = polyhedra.regular_polytope(kind, d)
-    monkeypatch.setattr(omega3_census.omega_core, "reduced_vertex_vrep",
-                        lambda n: v)
-    assert omega3_census.edges_via_hull(3) == edges
+    pairs = itertools.combinations(range(len(v.points)), 2)
+    assert sum(polyhedra.is_face(v, pair).is_face for pair in pairs) == edges
 
 
 def test_certificate_json_round_trip():

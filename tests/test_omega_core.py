@@ -268,8 +268,9 @@ _BELOW_LEAST = [
     for x in sorted({least - 1, 0, -1}, reverse=True) if x < least]
 
 # each upper bound of the count rule: the function it names, a call on
-# the count x, the argument's name, the bound and the guard it trips
-# (None for a plain ValueError)
+# the count x, the argument's name, the bound, the guard it trips (None
+# for a plain ValueError) and, for an entry point that leaves the bound
+# to a function it calls, the name of that function
 _BOUNDED = [
     ("all_assignments", lambda x: oc.all_assignments(x, 3), "n", 3,
      "bruteforce"),
@@ -298,7 +299,8 @@ _BOUNDED = [
         x, include_orbits=False, allow_large=True), "n", 5, "census-max"),
     ("facet_census", omega3_census.facet_census, "n without allow_large", 4,
      "census"),
-    ("edges_via_hull", omega3_census.edges_via_hull, "n", 4, None),
+    ("edges_via_hull", omega3_census.edges_via_hull, "n", 5, "census-max",
+     "facet_census"),
     ("convex_hull_facets", lambda x: ph.convex_hull_facets(
         ph.regular_polytope("simplex", x), max_dim=3), "dim", 3, "hull-dim"),
     ("convex_hull_facets", lambda x: ph.convex_hull_facets(
@@ -320,9 +322,10 @@ _PAST_MOST = [
     pytest.param(lambda f=f, most=most: (f(most), f(most + 1)),
                  _refusal(guard, most, most + 1,
                           "%s: %s must be at most %d, got %d"
-                          % (what, name, most, most + 1)),
+                          % (named[0] if named else what, name, most,
+                             most + 1)),
                  id="%s-%s-%d" % (what, name.replace(" ", "-"), most + 1))
-    for what, f, name, most, guard in _BOUNDED]
+    for what, f, name, most, guard, *named in _BOUNDED]
 
 
 @pytest.mark.parametrize("call, message", [

@@ -519,7 +519,9 @@ def test_the_kernel_changes_no_row_list_it_is_given():
         assert v._dependencies == dependencies
         assert v._facets == pairs
         assert len(hull.inequalities) == len(pairs) == facets
-        assert omega3_census.edges_via_hull(n) == edges
+        assert sum(ph._closure(pairs, (1 << i) | (1 << j), npts)[0]
+                   == (1 << i) | (1 << j)
+                   for i, j in itertools.combinations(range(npts), 2)) == edges
 
 
 def test_hull_masks_match_tight_masks():

@@ -293,17 +293,32 @@ def test_find_clique_takes_its_clauses_from_to_2cnf():
 
 
 def test_hull_masks_are_read_by_the_hull_and_the_census_alone():
-    # the facet tight masks are private to polyhedra, where a VRep keeps
-    # them for is_face's closure; outside it, only edges_via_hull reads
-    # them.  facet_census runs its own tangent-cone route, so the full
-    # hull stays an independent check of the census
+    # the hull's tight masks are private to polyhedra, where a VRep keeps
+    # them for is_face's closure.  The polytope's facets come from
+    # facet_census's tangent-cone route alone, so the full hull of all
+    # 2^n vertices stays an independent check of the census
     assert _callers("_hull_with_masks") == {
-        "polyhedra.py:convex_hull_facets", "polyhedra.py:VRep._facets",
-        "omega3_census.py:edges_via_hull"}
+        "polyhedra.py:convex_hull_facets", "polyhedra.py:VRep._facets"}
+    assert _callers("_census_facets") == {"omega3_census.py:facet_census"}
     # and both read the smallest face holding a point set through one
     # closure, so is_face and the edge count cannot drift apart
     assert _callers("_closure") == {
         "polyhedra.py:_closure_form", "omega3_census.py:edges_via_hull"}
+
+
+def test_the_hull_command_and_the_edge_count_read_the_census():
+    # one facet source: the hull command and edges_via_hull take the
+    # census's records and build no hull of their own
+    functions = {"%s:%s" % (module, qualname): func
+                 for module, tree in _modules().items()
+                 for qualname, func in _functions(tree)}
+    for reader in ("cli.py:_cmd_hull", "omega3_census.py:edges_via_hull"):
+        called = {name for node in ast.walk(functions[reader])
+                  if isinstance(node, ast.Call)
+                  for name in _referenced(node.func)}
+        assert "facet_census" in called, reader
+        assert not called & {"convex_hull_facets", "reduced_vertex_vrep",
+                              "_hull_with_masks"}, reader
 
 
 def test_double_description_runs_for_the_hull_and_the_census_alone():
