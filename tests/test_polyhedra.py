@@ -1203,12 +1203,19 @@ def test_is_face_pivots_only_in_its_screens_and_the_hull(monkeypatch):
     assert mix["rref"] == [True] * 140
 
 
+# sha256 over repr((kind, dimension, form)) of the verdicts of the faces
+# query mix below, in query order (a not_face verdict has form None)
+FACES_MIX_DIGEST = ("ac7a2ad90edbc54d2111c03f30264aaa"
+                    "f4a80eff7250f29c27895ec7f584539d")
+
+
 def test_a_faces_query_mix_builds_one_hull(monkeypatch):
     # the mix of the benchmark's faces pass: all 28 n = 3 pair complements
     # (16 facets), 12 seeded n = 4 pairs (edges) and every second n = 4
     # pair complement (60 non-faces).  The screens decide the complements,
     # so only the edges reach the closure, which builds the n = 4 hull
-    # once and no n = 3 hull; no query makes an LP
+    # once and no n = 3 hull; no query makes an LP.  The verdicts,
+    # forms included, are pinned
     lps = _record_lps(monkeypatch)
     hulls = _record_hulls(monkeypatch)
     v3 = omega_core.reduced_vertex_vrep(3)
@@ -1218,9 +1225,15 @@ def test_a_faces_query_mix_builds_one_hull(monkeypatch):
     queries = [(v3, [k for k in range(8) if k not in p]) for p in n3]
     queries += [(v4, p) for p in random.Random(1).sample(n4, 12)]
     queries += [(v4, [k for k in range(16) if k not in p]) for p in n4[::2]]
-    kinds = Counter(ph.is_face(v, subset).kind for v, subset in queries)
+    verdicts = [ph.is_face(v, subset) for v, subset in queries]
+    kinds = Counter(verdict.kind for verdict in verdicts)
     assert kinds == {"facet": 16, "proper_face": 12, "not_face": 72}
     assert lps == [] and hulls == [v4]
+    h = hashlib.sha256()
+    for verdict in verdicts:
+        h.update(repr((verdict.kind, verdict.dimension,
+                       verdict.form)).encode("ascii"))
+    assert h.hexdigest() == FACES_MIX_DIGEST
 
 
 # one dual numerator read off the final tableau is put off by one; the
