@@ -48,11 +48,15 @@ def _int_pivot(tab: list[list[int]], den: int, r: int, c: int) -> int:
 def _unit_pivot(tab: list[list[int]], den: int, r: int, c: int) -> None:
     """_int_pivot's update for a pivot entry tab[r][c] equal to den:
     row_i - row_i[c] * row_r / den on the nonzero columns of row r, for
-    each row i != r with row_i[c] != 0, into a new list."""
-    support = [(j, b) for j, b in enumerate(tab[r]) if b]
+    each row i != r with row_i[c] != 0, into a new list.  Those columns
+    are listed on the first such row, so a pivot that updates no row
+    (one row, or a column already clear) lists none."""
+    support = None
     for i, row in enumerate(tab):
         f = row[c]
         if f and i != r:
+            if support is None:
+                support = [(j, b) for j, b in enumerate(tab[r]) if b]
             row = row.copy()
             if den == 1:
                 for j, b in support:
@@ -77,11 +81,14 @@ def _int_rref(rows: Iterable[list[int]]
     """RREF of an integer matrix as M / den; returns the nonzero rows of
     M, den and the pivot columns.  The given row lists are not changed."""
     mat = list(rows)
+    nrows = len(mat)
     den, pivots = 1, []
     for c in range(len(mat[0]) if mat else 0):
         r = len(pivots)
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
+        for pr in range(r, nrows):
+            if mat[pr][c]:
+                break
+        else:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         den = _int_pivot(mat, den, r, c)
@@ -115,9 +122,17 @@ def _int_affine_rank(points: Sequence[Sequence[int]]) -> int:
 def _in_row_space(w: Sequence[int], span: list[list[int]], den: int,
                   pivots: list[int]) -> bool:
     """Is the integer vector w in the row space of span / den, an RREF
-    from _int_rref?  Only w = sum_k w[pivots[k]] span[k] / den can be."""
-    return all(x * den == sum(w[c] * row[k] for c, row in zip(pivots, span))
-               for k, x in enumerate(w))
+    from _int_rref?  Only w = sum_k w[pivots[k]] span[k] / den can be.
+
+    w * den is reduced once by each pivot row k with w[pivots[k]] != 0,
+    by _unit_pivot on the pivot entry den, which leaves the rest zero
+    iff w is in the row space.  A row with w[pivots[k]] = 0 costs a
+    test, and an empty span leaves w * den as it is."""
+    tab = [*span, [x * den for x in w]]
+    for r, c in enumerate(pivots):
+        if w[c]:
+            _unit_pivot(tab, den, r, c)
+    return not any(tab[-1])
 
 
 def _coprime(vec: Sequence[int]) -> tuple[int, ...]:

@@ -77,14 +77,38 @@ def check_bruteforce(n: int, bound: int, what: str, least: int = 1) -> None:
     check_count(n, what, least, most=bound, guard="bruteforce")
 
 
+class _RepeatedKey(ValueError):
+    """A JSON object that gives one key twice."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The dict of a JSON object's (key, value) pairs, refusing a key given
+    twice, which a plain dict would settle by keeping the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey("JSON object gives the key %s twice"
+                                   % (_shown(key),))
+            seen.add(key)
+    return obj
+
+
+# one decoder for the process: json.loads with a hook builds a new one on
+# every call
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def parse_json(text: str):
-    """json.loads, with nesting too deep for the parser and an int past
-    Python's digit limit each refused in a one-line ValueError of its own."""
+    """The JSON value of text, with a key given twice in one object,
+    nesting too deep for the parser and an int past Python's digit limit
+    each refused in a one-line ValueError of its own."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply to read") from None
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, _RepeatedKey):
         raise
     except ValueError:
         raise ValueError("JSON holds an integer of over %d digits"

@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Sequence
 
 from .dd import _dd_extreme_rays
@@ -401,28 +402,37 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
     under convex_hull_facets' default guards (VRep._facets); after that
     a query costs its screen, one mask test per facet and one int
     evaluation of the sum per point.  A subset the screen decides never
-    builds the hull.  Fractions are built only for the returned form,
-    and the ranks are integer RREFs.
+    builds the hull.  A screen costs one integer RREF (of the differences
+    of S, or of the cut dependencies) and, in the span screen, one row
+    space test per outside point, which reduces that point's difference
+    once by the pivot rows it meets (_in_row_space).  S and O come from
+    one pass over the point indices.  Fractions are built only for the
+    returned form, and the ranks are integer RREFs.
 
     A point index must be an int (not a bool) in range(len(v.points));
-    anything else is refused with a ValueError.
+    anything else is refused with a ValueError.  An int subclass other
+    than bool, such as an IntEnum member, is read as its value.
     """
     npts = len(v.points)
-    inside = set()
+    inside = [False] * npts
     for i in subset:
-        if not is_int(i):
+        if type(i) is not int and not is_int(i):
             raise ValueError("point index %s is not an integer"
                              % (_shown(i, repr),))
         if not 0 <= i < npts:
             raise ValueError("point index %s out of range" % (_shown(i),))
-        inside.add(i)
-    if not inside:
+        inside[i] = True
+    idx, outside = [], []
+    for i, held in enumerate(inside):
+        if held:
+            idx.append(i)
+        else:
+            outside.append(i)
+    if not idx:
         return FaceVerdict(kind="empty", dimension=-1)
-    if len(inside) == npts:
+    if not outside:
         return FaceVerdict(kind="whole_polytope", dimension=affine_rank(v))
 
-    idx = sorted(inside)
-    outside = [i for i in range(npts) if i not in inside]
     screen = (_dependency_screen if len(outside) < len(idx) - 1
               else _span_screen)
     found = screen(v, idx, outside)
@@ -506,19 +516,18 @@ def _span_screen(v: VRep, idx: list[int], outside: list[int]
     """
     pts = v._integers[0]
     s0 = pts[idx[0]]
-
-    def diff(i):
-        return [a - b for a, b in zip(pts[i], s0)]
-
-    span, den, pivots = _int_rref(map(diff, idx[1:]))
+    span, den, pivots = _int_rref([list(map(sub, pts[i], s0))
+                                   for i in idx[1:]])
     if not _is_facet_candidate(v, len(pivots)):
-        if any(_in_row_space(diff(i), span, den, pivots) for i in outside):
+        if any(_in_row_space(list(map(sub, pts[i], s0)), span, den, pivots)
+               for i in outside):
             return None
         return len(pivots), None
     # aff(S) is the hyperplane normal . (x - s0) = 0, so the sign of that
     # value both tests a point for aff(S) (zero) and gives its side
     normal = _null_basis(span, den, pivots, v.dim)[0]
-    sides = {(x > 0) - (x < 0) for x in (_dot(normal, diff(i))
+    base = _dot(normal, s0)
+    sides = {(x > 0) - (x < 0) for x in (_dot(normal, pts[i]) - base
                                          for i in outside)}
     if sides == {1}:
         return len(pivots), normal
@@ -549,7 +558,7 @@ def _dependency_screen(v: VRep, idx: list[int], outside: list[int]
     the span screen on the points of S and the first point of O, which
     orients it.
     """
-    cut = [[lam[w] for w in outside] for lam in v._dependencies]
+    cut = [list(map(lam.__getitem__, outside)) for lam in v._dependencies]
     rref, den, pivots = _int_rref(cut)
     if any(sum(map(bool, row)) == 1 for row in rref):
         return None

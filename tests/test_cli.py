@@ -619,6 +619,32 @@ def test_clique_solve_refuses_too_many_parts(tmp_path, capsys):
     assert code == 0 and out == ",".join(["1"] * 10000) + "\n"
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("clique-solve", '{"n": 3, "missing_edges": [[[1,1],[2,2]]], "n": 4}',
+     "n"),
+    ("convert", '{"kind": "V", "dim": 1, "points": [[0], [1]], "dim": 2}',
+     "dim"),
+    ("convert", '{"kind": "H", "dim": 1, "inequalities": '
+                '[{"coeffs": [1], "rhs": 0, "rhs": 1}], "equalities": []}',
+     "rhs"),
+], ids=["clique-solve", "convert-V", "convert-H-nested"])
+def test_a_key_given_twice_is_refused(tmp_path, capsys, command, text, key):
+    # the last value used to win without a word: the graph was read with
+    # n = 4 and solved to 1,1,1,1, exit 0
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="ascii")
+    flag = "--graph" if command == "clique-solve" else "--input"
+    code, out, err = run(capsys, command, flag, str(path))
+    assert (code, out, err) == (
+        2, "", 'error: JSON object gives the key "%s" twice\n' % (key,))
+    # the same text with the key given once is read
+    once = text.replace(', "n": 4', "").replace(', "dim": 2', "").replace(
+        '"rhs": 0, ', "")
+    path.write_text(once, encoding="ascii")
+    code, out, err = run(capsys, command, flag, str(path))
+    assert code == 0 and err == "" and out
+
+
 @pytest.mark.parametrize("extra", [(), ("--allow-large",)])
 def test_census_past_five_parts_names_no_override(capsys, extra):
     # no flag reaches n = 6, so the message must not point at one

@@ -1,4 +1,5 @@
 import copy
+import enum
 import hashlib
 import itertools
 import os
@@ -1345,17 +1346,27 @@ def test_is_face_trivial_cases():
         ph.is_face(v, [99])
 
 
+class _Point(enum.IntEnum):
+    ONE = 1
+
+
 @pytest.mark.parametrize("subset,message", [
     ([True, 2], "point index True is not an integer"),
     ([0, 1.0], "point index 1.0 is not an integer"),
     (["a"], "point index 'a' is not an integer"),
     ([10 ** 5000], "point index an integer of over %d digits out of range"
      % sys.get_int_max_str_digits()),
-], ids=["bool", "float", "str", "huge"])
+    ([_Point.ONE, 2], None),
+], ids=["bool", "float", "str", "huge", "intenum"])
 def test_is_face_refuses_an_index_that_is_not_a_point(subset, message):
     # True == 1, so a bool was read as point 1; a float or a str reached
-    # the range test as a TypeError, and a huge int broke the message
+    # the range test as a TypeError, and a huge int broke the message.
+    # An int subclass other than bool is read as its value, behind the
+    # plain int's fast path
     v = ph.regular_polytope("simplex", 3)
+    if message is None:
+        assert ph.is_face(v, subset) == ph.is_face(v, list(map(int, subset)))
+        return
     with pytest.raises(ValueError) as info:
         ph.is_face(v, subset)
     assert str(info.value) == message
@@ -1421,6 +1432,56 @@ def test_zero_difference_is_in_every_row_space():
     assert exact._in_row_space([0, 0], span, den, pivots)
     assert exact._in_row_space([3, 6], span, den, pivots)
     assert not exact._in_row_space([0, 1], span, den, pivots)
+
+
+def _fraction_rank(rows) -> int:
+    """Rank of an integer matrix by Gaussian elimination over Fractions,
+    apart from the integer kernel."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        prow = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] / prow[c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+        rank += 1
+    return rank
+
+
+def test_in_row_space_agrees_with_fraction_elimination():
+    # w is in the row space of M iff appending it leaves the rank of M as
+    # it is; M is seeded, its RREF often has den > 1, and every second w
+    # is a combination of its rows, nudged or not
+    rng = random.Random(37)
+    dens, verdicts = Counter(), Counter()
+    for _ in range(300):
+        width = rng.randint(1, 7)
+        m = [[rng.randint(-4, 4) for _ in range(width)]
+             for _ in range(rng.randint(0, 5))]
+        span, den, pivots = exact._int_rref(m)
+        kept = copy.deepcopy(span)
+        dens[den > 1] += 1
+        coeffs = [rng.randint(-3, 3) for _ in m]
+        combo = [sum(a * row[k] for a, row in zip(coeffs, m))
+                 for k in range(width)]
+        nudged = combo.copy()
+        nudged[rng.randrange(width)] += rng.choice((-1, 1))
+        free = [rng.randint(-4, 4) for _ in range(width)]
+        for w in (combo, nudged, free):
+            held = exact._in_row_space(w, span, den, pivots)
+            assert held == (_fraction_rank(m + [w]) == _fraction_rank(m))
+            verdicts[held] += 1
+        assert exact._in_row_space(combo, span, den, pivots)
+        assert span == kept
+    assert dens[True] > 100 and min(verdicts.values()) > 200
+    # an empty span holds the zero vector alone: no pivot row reduces w,
+    # so a nonzero w stays nonzero
+    assert not exact._in_row_space([0, 3], [], 1, [])
+    assert not exact._in_row_space([5], *exact._int_rref([]))
 
 
 def test_screen_decides_every_n4_pair_complement(monkeypatch):

@@ -74,17 +74,22 @@ def test_the_kernel_layers_import_only_what_they_rest_on():
 
 
 def test_json_text_is_parsed_only_by_parse_json():
-    # parse_json turns too-deep nesting into a one-line error; a second
-    # json.loads would bypass it
+    # parse_json turns too-deep nesting and a key given twice into
+    # one-line errors; a second json.loads, or a second decode call, would
+    # bypass it
     modules = _modules()
     calls = [(name, node.lineno) for name, tree in modules.items()
              for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and "loads" in _referenced(node.func)]
+             and _referenced(node.func) & {"loads", "decode", "raw_decode"}]
     (parse_json,) = [func for qualname, func in
                      _functions(modules["guards.py"])
                      if qualname == "parse_json"]
     assert [(name, parse_json.lineno <= line <= parse_json.end_lineno)
             for name, line in calls] == [("guards.py", True)]
+    # and its decoder, which refuses the repeated key, is the only one
+    assert [name for name, tree in modules.items()
+            for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and "JSONDecoder" in _referenced(node.func)] == ["guards.py"]
     # and no module or demo reaches json.loads under another name
     assert not any(isinstance(node, ast.ImportFrom) and node.module == "json"
                    for root in (SRC, ROOT / "demos")
