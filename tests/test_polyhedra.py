@@ -950,11 +950,16 @@ LP_OPTIMA_DIGEST = ("fd340550785c1c1a19639ed6005f262d"
 # and multipliers differ from those of the artificial start
 LP_PIN_DIGEST = ("954930707178a2f5ebc9be6dfd2536b2"
                  "09e893f0003252377c708af963e28546")
+# sha256 over repr((status, pivots)) of the same solves: the work of each
+# phase, which Bland's rule fixes, so any change of tableau layout that
+# keeps the rule keeps it too
+LP_PIVOTS_DIGEST = ("2bca509de66d952884c847968dee970a"
+                    "15629ccfe1db1e974842429ee956fdcc")
 
 
 def test_lp_results_are_pinned():
     rng = random.Random(20261018)
-    h, optima = hashlib.sha256(), hashlib.sha256()
+    h, optima, pivots = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     statuses = set()
     for _ in range(400):
         objective, hrep = _seeded_lp(rng)
@@ -968,9 +973,11 @@ def test_lp_results_are_pinned():
             optima.update(repr((res.status, res.optimum)).encode("ascii"))
             h.update(repr((res.status, res.optimum, res.argument,
                            res.dual)).encode("ascii"))
+            pivots.update(repr((res.status, res.pivots)).encode("ascii"))
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert optima.hexdigest() == LP_OPTIMA_DIGEST
     assert h.hexdigest() == LP_PIN_DIGEST
+    assert pivots.hexdigest() == LP_PIVOTS_DIGEST
 
 
 def _record_lps(monkeypatch) -> list:
