@@ -624,11 +624,13 @@ def _parse_block(text: str, expected_header: str):
     lines = [ln for ln in lines if ln and not ln.startswith("*")]
     if not lines or lines[0] != expected_header:
         raise ValueError("expected header %r" % (expected_header,))
-    linearity: list[int] = []
+    linearity: list[int] | None = None
     i = 1
     while i < len(lines) and lines[i] != "begin":
         toks = lines[i].split()
         if toks[0] == "linearity" and len(toks) >= 2:
+            if linearity is not None:
+                raise ValueError("a second linearity line")
             count = text_int(toks[1])
             linearity = [text_int(t) for t in toks[2:]]
             if len(linearity) != count:
@@ -662,7 +664,7 @@ def _parse_block(text: str, expected_header: str):
             raise ValueError("row %d has a zero denominator" % (k + 1,))
     if body[nrows] != "end":
         raise ValueError("missing end")
-    return rows, ncols - 1, linearity
+    return rows, ncols - 1, linearity or []
 
 
 def vrep_from_text(text: str) -> VRep:

@@ -16,61 +16,30 @@ def _price_out(tab, den, basis, cost):
             _unit_pivot(tab, den, i, bv)
 
 
-def _negate_column(tab, orient, k):
-    """Store the other orientation of free variable k: x-_k for x+_k or
-    back.  Its column is nonbasic, so the tableau stays a basis form."""
-    for row in tab:
-        row[k] = -row[k]
-    orient[k] = -orient[k]
-
-
-def _simplex_iterate(tab, den, basis, orient, allowed):
-    """Run primal simplex to optimality on the integer tableau tab / den.
-
-    Columns 0..d-1, d = len(orient), belong to the free variables x =
-    x+ - x-, one column each: column k holds x+_k where orient[k] is 1
-    and x-_k = -x+_k where it is -1, and these columns may always enter.
-    Of the other columns only those in allowed may.  Bland's rule runs on
-    the labels of the split tableau, with both halves of every free
-    variable: x+_k is label k, x-_k label d + k and column c >= d label
-    c + d.  A free variable enters in the orientation whose reduced cost
-    is negative, its column negated first if it holds the other one; a
-    basic column is never negated, so orient names each basic label.
-    Every pivot is the one the split tableau takes, on the same column.
+def _simplex_iterate(tab, den, basis, ncols):
+    """Run primal simplex to optimality on the integer tableau tab / den,
+    where only the first ncols columns may enter.
 
     Returns (den, pivots made, False if unbounded).  Entering and leaving
-    follow Bland's rule (smallest improving label, ratio ties broken by
-    smallest basic label), which cannot cycle.  Ratios rhs / coef with
-    coef > 0 are compared by cross-multiplying.  The basis and orient
-    name the split basis, so a (basis, orient) state seen before can
-    only come from a faulty tableau, and it raises RuntimeError instead
-    of looping forever.
+    follow Bland's rule on the column order: the smallest column with a
+    negative reduced cost enters, and ratio ties go to the smallest basic
+    column.  Ratios rhs / coef with coef > 0 are compared by
+    cross-multiplying.  Bland's rule cannot cycle, so a basis seen before
+    can only come from a faulty tableau, and it raises RuntimeError
+    instead of looping forever.
     """
-    d = len(orient)
-
-    def label(c):
-        return c if c < d and orient[c] > 0 else c + d
-
     pivots = 0
     seen = set()
     while True:
-        state = (tuple(basis), tuple(orient))
+        state = tuple(basis)
         if state in seen:
             raise RuntimeError("simplex revisited a basis, which Bland's "
                                "rule rules out; the tableau is faulty")
         seen.add(state)
         obj = tab[-1]
-        # x+_k improves where orient[k] * obj[k] < 0; when no x+ label
-        # does, x-_k improves wherever obj[k] != 0
-        enter = next((k for k in range(d) if orient[k] * obj[k] < 0), None)
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
         if enter is None:
-            enter = next((k for k in range(d) if obj[k]), None)
-        if enter is None:
-            enter = next((j for j in allowed if obj[j] < 0), None)
-            if enter is None:
-                return den, pivots, True
-        elif obj[enter] > 0:
-            _negate_column(tab, orient, enter)
+            return den, pivots, True
         leave = None
         for i, bv in enumerate(basis):
             coef = tab[i][enter]
@@ -78,7 +47,7 @@ def _simplex_iterate(tab, den, basis, orient, allowed):
                 continue
             if leave is not None:
                 cmp = tab[i][-1] * tab[leave][enter] - tab[leave][-1] * coef
-                if cmp > 0 or (cmp == 0 and label(bv) > label(basis[leave])):
+                if cmp > 0 or (cmp == 0 and bv > basis[leave]):
                     continue
             leave = i
         if leave is None:
@@ -93,8 +62,11 @@ def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
 
     rows are [coeffs..., rhs] with d coefficients: the first n_ineq mean
     coeffs . x >= rhs, the rest coeffs . x = rhs.  Two-phase simplex with
-    Bland's rule on the integer tableau tab / den (_int_pivot), with one
-    column per free variable (see _simplex_iterate).
+    Bland's rule (_simplex_iterate) on the integer tableau tab / den
+    (_int_pivot), whose columns are x+ | x- | surplus | artificial, with
+    x = x+ - x-.  Pivots keep each x- column the negative of its x+
+    column, the objective row included, so the first nonzero real entry
+    of a row is always in an x+ column.
 
     The start basis holds x = 0 wherever it can.  An inequality with
     rhs <= 0 holds there; it is written negated, so that its surplus
@@ -121,43 +93,41 @@ def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
     these numerators before returning.  Otherwise den, x and y are None.
     """
     d, m = len(cost), len(rows)
-    nreal = d + n_ineq  # x | surplus
+    nreal = 2 * d + n_ineq  # x+ | x- | surplus
 
     # each row starts basic on its surplus column if x = 0 satisfies it,
     # else on an artificial column of its own
     start, nart = [], 0
     for i, row in enumerate(rows):
         if i < n_ineq and row[-1] <= 0:
-            start.append(d + i)
+            start.append(2 * d + i)
         else:
             start.append(nreal + nart)
             nart += 1
 
-    # rows are x | surplus | artificial | rhs, flipped to rhs >= 0 (and
-    # a surplus start too, so that its surplus entry is +1); the last row
-    # is the objective row den * (z - c)
+    # rows are x+ | x- | surplus | artificial | rhs, flipped to rhs >= 0
+    # (and a surplus start too, so that its surplus entry is +1); the
+    # last row is the objective row den * (z - c)
     tab: list[list[int]] = []
     signs: list[int] = []
     for i, (*coeffs, rhs) in enumerate(rows):
         sign = -1 if rhs < 0 or start[i] < nreal else 1
-        row = ([sign * x for x in coeffs] + [0] * (n_ineq + nart)
-               + [sign * rhs])
+        plus = [sign * x for x in coeffs]
+        row = plus + [-x for x in plus] + [0] * (n_ineq + nart) + [sign * rhs]
         if i < n_ineq:
-            row[d + i] = -sign
+            row[2 * d + i] = -sign
         row[start[i]] = 1
         signs.append(sign)
         tab.append(row)
     tab.append([0] * (nreal + nart + 1))
     basis = list(start)
-    orient = [1] * d
 
     # phase 1: maximize minus the sum of the artificials, which all start
     # basic.  At z = 0 the start is already feasible and optimal
     _price_out(tab, 1, basis, [0] * nreal + [-1] * nart)
     den, phase1 = 1, 0
     if tab[-1][-1] != 0:
-        den, phase1, bounded = _simplex_iterate(
-            tab, 1, basis, orient, range(d, nreal + nart))
+        den, phase1, bounded = _simplex_iterate(tab, 1, basis, nreal + nart)
         if not bounded:
             raise RuntimeError("phase 1 came out unbounded, which its "
                                "construction rules out")
@@ -165,27 +135,24 @@ def _int_lp(cost: list[int], rows: list[list[int]], n_ineq: int):
             return "infeasible", (phase1, 0), None, None, None
 
     # drive leftover artificials out of the basis, each on its row's
-    # first nonzero label, which is x+_k before any x-; a row with no real
-    # entry left is redundant and keeps its artificial basic at zero
+    # first nonzero real column; a row with no real entry left is
+    # redundant and keeps its artificial basic at zero
     for i in range(m):
         if basis[i] >= nreal:
             col = next((j for j in range(nreal) if tab[i][j] != 0), None)
             if col is not None:
-                if col < d and orient[col] < 0:
-                    _negate_column(tab, orient, col)
                 den = _int_pivot(tab, den, i, col)
                 basis[i] = col
                 phase1 += 1
 
     # phase 2
-    _price_out(tab, den, basis, [o * c for o, c in zip(orient, cost)])
-    den, phase2, bounded = _simplex_iterate(tab, den, basis, orient,
-                                            range(d, nreal))
+    _price_out(tab, den, basis, cost + [-c for c in cost])
+    den, phase2, bounded = _simplex_iterate(tab, den, basis, nreal)
     if not bounded:
         return "unbounded", (phase1, phase2), None, None, None
 
     values = dict(zip(basis, (row[-1] for row in tab)))
-    x = [orient[k] * values.get(k, 0) for k in range(d)]
+    x = [values.get(k, 0) - values.get(d + k, 0) for k in range(d)]
     # the objective row's start columns hold den * c_B B^-1; with the
     # sign flips undone, y / den is the multiplier of each row
     y = [signs[i] * tab[-1][c] for i, c in enumerate(start)]

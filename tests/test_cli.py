@@ -429,6 +429,9 @@ DEEP_ARRAY = "[" * 200000 + "]" * 200000
     pytest.param("convert", "H-representation\nlinearity 2 1 1\nbegin\n"
                             "2 2 rational\n0 1\n0 -1\nend\n",
                  id="cdd-repeated-linearity"),
+    pytest.param("convert", "H-representation\nlinearity 1 1\nlinearity 1 2\n"
+                            "begin\n2 3 rational\n0 1 0\n0 0 1\nend\n",
+                 id="cdd-second-linearity-line"),
     # a long number that parses is echoed cut short too
     pytest.param("convert", "V-representation\nbegin\n1 2 rational\n%s 1\n"
                             "end\n" % ("7" * 4000,),

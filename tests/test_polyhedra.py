@@ -1029,52 +1029,51 @@ def test_lp_pivot_counts(monkeypatch):
     assert (res.optimum, res.pivots) == (1, (1, 3))
 
 
-def _record_flips(monkeypatch) -> list:
-    """Patch the column negation of the LP core so that each call appends
-    (free variable, its orientation before the flip) to the returned
-    list: (k, 1) stores x-_k in place of x+_k, (k, -1) flips it back."""
-    flips = []
-    negate = simplex._negate_column
+def _record_entering(monkeypatch) -> list:
+    """Patch the pivot of the LP core so that each pivot appends its
+    column, the one that enters the basis, to the returned list.  The
+    columns are x+ | x- | surplus | artificial: with d free variables,
+    x+_k is column k and x-_k column d + k."""
+    entering = []
+    pivot = simplex._int_pivot
 
-    def recording_negate(tab, orient, k):
-        flips.append((k, orient[k]))
-        negate(tab, orient, k)
+    def recording_pivot(tab, den, r, c):
+        entering.append(c)
+        return pivot(tab, den, r, c)
 
-    monkeypatch.setattr(simplex, "_negate_column", recording_negate)
-    return flips
+    monkeypatch.setattr(simplex, "_int_pivot", recording_pivot)
+    return entering
 
 
 def test_lp_enters_negative_free_variables(monkeypatch):
-    # each optimum needs negative coordinates, so x-_k enters: the free
-    # variable's one column is negated before the pivot, and the argument
-    # is read back with the sign of the stored orientation
-    flips = _record_flips(monkeypatch)
+    # each optimum needs negative coordinates, so x-_k enters, and the
+    # argument is read back as x+ - x-
+    entering = _record_entering(monkeypatch)
     h = ph.HRep(1, (ph.linear_form([1], -2),), ())
     res = ph.lp_solve(ph.linear_form([-1], 0), h)
     assert (res.optimum, res.argument, res.dual) == (2, (-2,), (-1,))
-    assert res.pivots == (0, 1) and flips == [(0, 1)]
-    flips.clear()
+    assert res.pivots == (0, 1) and entering == [1]
+    entering.clear()
     h = ph.HRep(2, (ph.linear_form([1, 0], -2), ph.linear_form([0, 1], -3)),
                 ())
     res = ph.lp_solve(ph.linear_form([1, 1], 0), h, "min")
     assert (res.optimum, res.argument, res.dual) == (-5, (-2, -3), (1, 1))
-    assert res.pivots == (0, 2) and flips == [(0, 1), (1, 1)]
+    assert res.pivots == (0, 2) and entering == [2, 3]
 
 
 def test_lp_flips_a_free_column_back_on_re_entry(monkeypatch):
-    # x0 + x1 <= -1 fails at the origin; no x+ label improves phase 1, so
+    # x0 + x1 <= -1 fails at the origin; no x+ column improves phase 1, so
     # x-_0 enters and phase 1 stops at (-1, 0).  Phase 2 lowers x1 to its
     # bound -5 through x-_1, which takes the row of x-_0, so x0 leaves the
-    # basis at 0; then x+_0 re-enters, its column negated back, and rises
-    # to 4
-    flips = _record_flips(monkeypatch)
+    # basis at 0; then x+_0 enters and rises to 4
+    entering = _record_entering(monkeypatch)
     h = ph.HRep(2, (ph.linear_form([-1, -1], 1), ph.linear_form([0, 1], -5),
                     ph.linear_form([-1, 0], -10)), ())
     objective = ph.linear_form([1, 0], 0)
     res = ph.lp_solve(objective, h)
     assert (res.optimum, res.argument, res.dual) == (4, (4, -5), (-1, -1, 0))
     assert res.pivots == (1, 2)
-    assert flips == [(0, 1), (1, 1), (0, -1)]
+    assert entering == [2, 3, 0]
     assert_dual_identities(res, objective, h, "max")
 
 
@@ -1085,9 +1084,9 @@ def _hrep_of_rows(d, ineqs, eqs):
 
 
 def test_lp_ratio_ties_rank_x_minus_after_every_x_plus():
-    # x-_a shares its column with x+_a but ranks after every x+ label in
-    # Bland's ratio ties, as in the split tableau; breaking these ties on
-    # the column index instead takes 14 and 9 phase-1 pivots, not 12 and 7
+    # the x- columns come after every x+ column, so Bland's ratio ties
+    # rank x-_a there too; ranking x-_a next to x+_a instead takes 14 and
+    # 9 phase-1 pivots, not 12 and 7
     h = _hrep_of_rows(4, [[1, -2, 1, 0, 1], [-1, 2, 1, -1, -1],
                           [1, 2, 2, 1, 0], [-1, -1, 0, -1, -1],
                           [-2, -1, 2, 1, 0]],
@@ -1107,16 +1106,25 @@ def test_lp_ratio_ties_rank_x_minus_after_every_x_plus():
 
 
 def test_simplex_raises_on_a_revisited_basis(monkeypatch):
-    # without the column negation the tableau no longer matches the
-    # orientation it records, and the first LP above cycles; the repeat
-    # of a (basis, orient) state must raise, not loop forever
-    monkeypatch.setattr(simplex, "_negate_column", lambda tab, orient, k: None)
+    # a pivot that leaves the tableau as it is keeps the same column
+    # entering on the same row, so the basis after the first pivot comes
+    # back after the second and must raise there.  A third pivot means
+    # the guard let the repeat through, and would loop forever
+    pivots = []
+
+    def stuck_pivot(tab, den, r, c):
+        pivots.append((r, c))
+        assert len(pivots) <= 2, "the revisited basis did not raise"
+        return den
+
+    monkeypatch.setattr(simplex, "_int_pivot", stuck_pivot)
     h = _hrep_of_rows(4, [[1, -2, 1, 0, 1], [-1, 2, 1, -1, -1],
                           [1, 2, 2, 1, 0], [-1, -1, 0, -1, -1],
                           [-2, -1, 2, 1, 0]],
                       [[-1, -2, 0, -2, 1], [1, -2, 2, -1, 0]])
     with pytest.raises(RuntimeError, match="revisited a basis"):
         ph.lp_solve(ph.linear_form([2, -1, 0, -1], 0), h)
+    assert len(pivots) == 2 and pivots[0] == pivots[1]
 
 
 def _record_pivot_mix(monkeypatch) -> dict:
@@ -1150,11 +1158,10 @@ def test_face_lp_pivot_totals(monkeypatch):
     # LP pivots are unimodular with den = 1
     assert [sum(mix["lp"]), len(mix["lp"])] == [162, 175]
     mix["lp"].clear()
-    # the width of every n = 4 pair face LP tableau, rhs left out: one
-    # column for each of the 11 free variables (10 coordinates and t),
-    # the 15 surplus columns of the 14 outside points and the cap, and
-    # one artificial for the one equality.  Split into x+ and x-, with an
-    # artificial on every row, it was 22 + 15 + 16 = 53
+    # the width of every n = 4 pair face LP tableau, rhs left out: an x+
+    # and an x- column for each of the 11 free variables (10 coordinates
+    # and t), the 15 surplus columns of the 14 outside points and the
+    # cap, and one artificial for the one equality, 11 + 11 + 15 + 1
     widths = set()
     iterate = simplex._simplex_iterate
 
@@ -1171,7 +1178,7 @@ def test_face_lp_pivot_totals(monkeypatch):
         pivots.append(res.pivots)
     assert [sum(p) for p in zip(*pivots)] == [120, 1054]
     assert [sum(mix["lp"]), len(mix["lp"])] == [1032, 1174]
-    assert widths == {27}
+    assert widths == {38}
     # a single vertex gives a face LP with no equality, whose rows all
     # hold at x = 0: it starts feasible and makes no phase 1 pivot.
     # is_face takes each vertex through the closure and calls it a 0-face
@@ -1255,8 +1262,8 @@ _OFF_BY_ONE_DUAL = """
 import sys
 from omegapoly import polyhedra as ph, simplex
 iterate = simplex._simplex_iterate
-def off_by_one(tab, den, basis, orient, allowed):
-    den, pivots, bounded = iterate(tab, den, basis, orient, allowed)
+def off_by_one(tab, den, basis, ncols):
+    den, pivots, bounded = iterate(tab, den, basis, ncols)
     tab[-1][-2] += den
     return den, pivots, bounded
 simplex._simplex_iterate = off_by_one
