@@ -119,22 +119,6 @@ def _int_affine_rank(points: Sequence[Sequence[int]]) -> int:
                           for p in points[1:]])[2])
 
 
-def _in_row_space(w: Sequence[int], span: list[list[int]], den: int,
-                  pivots: list[int]) -> bool:
-    """Is the integer vector w in the row space of span / den, an RREF
-    from _int_rref?  Only w = sum_k w[pivots[k]] span[k] / den can be.
-
-    w * den is reduced once by each pivot row k with w[pivots[k]] != 0,
-    by _unit_pivot on the pivot entry den, which leaves the rest zero
-    iff w is in the row space.  A row with w[pivots[k]] = 0 costs a
-    test, and an empty span leaves w * den as it is."""
-    tab = [*span, [x * den for x in w]]
-    for r, c in enumerate(pivots):
-        if w[c]:
-            _unit_pivot(tab, den, r, c)
-    return not any(tab[-1])
-
-
 def _coprime(vec: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
     g = gcd(*vec)

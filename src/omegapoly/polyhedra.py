@@ -15,8 +15,8 @@ from operator import sub
 from typing import Iterable, Sequence
 
 from .dd import _dd_extreme_rays
-from .exact import (_clear_matrix, _coprime, _dot, _in_row_space,
-                    _int_affine_rank, _int_rref, _null_basis)
+from .exact import (_clear_matrix, _coprime, _dot, _int_affine_rank,
+                    _int_rref, _null_basis)
 from .guards import (DEFAULT_HULL_MAX_DIM, DEFAULT_HULL_MAX_POINTS,
                      _shown, check_count, exact_number, is_int, text_int)
 from .simplex import _int_lp
@@ -73,12 +73,11 @@ class VRep:
     """A polytope as a duplicate-free ordered list of points, immutable.
 
     The kernels read the points as integers Q / D over one common D > 0,
-    and is_face also needs their affine rank, for a subset with few
-    points outside it their affine dependencies, and for a subset of
-    lower dimension the hull's facets with their tight points; each is
-    computed on first use (D can have the digits of all the denominators,
-    which convert never needs) and kept, since dim and points are read
-    only.
+    and is_face also needs their affine rank, their affine dependencies,
+    and for a subset of lower dimension the hull's facets with their
+    tight points; each is computed on first use (D can have the digits
+    of all the denominators, which convert never needs) and kept, since
+    dim and points are read only.
     """
 
     def __init__(self, dim: int, points: Iterable[Sequence]):
@@ -107,15 +106,21 @@ class VRep:
         return _int_affine_rank(self._integers[0])
 
     @cached_property
-    def _dependencies(self) -> list[list[int]]:
-        """The affine dependencies of the points, one integer row lam per
-        non-pivot point f of the RREF R / den of the (dim + 1) x npts
-        matrix whose column i is (D, Q_i): den at f and -R[row][f] at each
-        pivot point.  Its null vectors are exactly the lam with
-        sum lam_i = 0 and sum lam_i p_i = 0, and these rows span them."""
+    def _dependencies(self) -> tuple[list[list[int]], tuple[bool, ...]]:
+        """(rows, free): the affine dependencies of the points, and which
+        points are free, from the RREF R / den of the (dim + 1) x npts
+        matrix whose column i is (D, Q_i).  Point i is free (free[i]) when
+        column i is no pivot column.  Each free point f gives one integer
+        row lam: den at f, -R[row][f] at each pivot point and 0 at every
+        other free point.  The null vectors of that matrix are exactly the
+        lam with sum lam_i = 0 and sum lam_i p_i = 0, and these rows span
+        them."""
         pts, D = self._integers
         rref, den, pivots = _int_rref([[D] * len(pts), *map(list, zip(*pts))])
-        return _null_basis(rref, den, pivots, len(pts))
+        free = [True] * len(pts)
+        for c in pivots:
+            free[c] = False
+        return _null_basis(rref, den, pivots, len(pts)), tuple(free)
 
     @cached_property
     def _facets(self) -> list[tuple[tuple[int, ...], int]]:
@@ -359,28 +364,18 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
 
     A face F of a polytope P is P intersected with aff(F), so a point
     outside the subset S that lies in aff(S) makes it "not_face" at once:
-    no hyperplane through S leaves that point strictly on one side.  A
-    screen looks for such a point with linear algebra alone, and also
-    gives dim aff(S), the face dimension.  Which screen runs depends only
-    on the sizes of S and of the set O of points outside it:
-
-    - |O| < |S| - 1: the dependency screen (_dependency_screen).  It
-      reads the affine dependencies of all the points, which v computes
-      once and keeps, cut to the columns in O: a matrix of |O| columns,
-      where the other screen's has |S| - 1 rows.  So the complement of a
-      small set of points costs an RREF of a few columns, not one of
-      nearly every point.
-    - otherwise the span screen (_span_screen): one integer RREF of the
-      differences of S from its first point, against which each outside
-      difference is tested.
-
-    Both give the same answer, dimension and facet normal.  When the
-    polytope is full-dimensional and aff(S) is a hyperplane (a facet
-    candidate), the screen also decides S: every hyperplane through S
-    contains aff(S), so aff(S) is the only one that can support S, and S
-    is a facet iff every outside point lies strictly on one side of it
-    (Ziegler, Lectures on Polytopes).  Its form is the integer normal of
-    aff(S), oriented to make the outside points positive.
+    no hyperplane through S leaves that point strictly on one side.  One
+    screen (_dependency_screen) looks for such a point with linear
+    algebra alone, and also gives dim aff(S), the face dimension: it
+    reads the affine dependencies of all the points, which v finds once
+    and keeps, cut to the columns of the set O of points outside S.
+    When the polytope is full-dimensional and aff(S) is a hyperplane (a
+    facet candidate), the screen also decides S: every hyperplane
+    through S contains aff(S), so aff(S) is the only one that can
+    support S, and S is a facet iff every outside point lies strictly on
+    one side of it (Ziegler, Lectures on Polytopes).  Its form is the
+    integer normal of aff(S), oriented to make the outside points
+    positive (_facet_normal).
 
     Only a subset of lower dimension, or any subset of a polytope that
     is not full-dimensional, passes the screen undecided, and the
@@ -396,18 +391,18 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
 
     Cost: the points are read as the integers Q / D over one common D
     that v clears on first use and keeps, with its affine rank (for the
-    facet and whole_polytope verdicts), so a query pays for neither.
-    The closure reads the hull's (form, tight mask) pairs, which v builds
-    by double description on the first query that reaches it and keeps,
-    under convex_hull_facets' default guards (VRep._facets); after that
-    a query costs its screen, one mask test per facet and one int
-    evaluation of the sum per point.  A subset the screen decides never
-    builds the hull.  A screen costs one integer RREF (of the differences
-    of S, or of the cut dependencies) and, in the span screen, one row
-    space test per outside point, which reduces that point's difference
-    once by the pivot rows it meets (_in_row_space).  S and O come from
-    one pass over the point indices.  Fractions are built only for the
-    returned form, and the ranks are integer RREFs.
+    facet and whole_polytope verdicts) and its affine dependencies, so a
+    query pays for none of them.  The closure reads the hull's (form,
+    tight mask) pairs, which v builds by double description on the first
+    query that reaches it and keeps, under convex_hull_facets' default
+    guards (VRep._facets); after that a query costs its screen, one mask
+    test per facet and one int evaluation of the sum per point.  A
+    subset the screen decides never builds the hull.  The screen costs
+    one integer RREF of the cut dependencies, whose columns at O's free
+    points arrive reduced, and a facet one more, of the differences of
+    S, for its normal.  S and O, free points first, come from one pass
+    over the point indices.  Fractions are built only for the returned
+    form, and the ranks are integer RREFs.
 
     A point index must be an int (not a bool) in range(len(v.points));
     anything else is refused with a ValueError.  An int subclass other
@@ -422,20 +417,22 @@ def is_face(v: VRep, subset: Iterable[int]) -> FaceVerdict:
         if not 0 <= i < npts:
             raise ValueError("point index %s out of range" % (_shown(i),))
         inside[i] = True
-    idx, outside = [], []
+    if True not in inside:
+        return FaceVerdict(kind="empty", dimension=-1)
+    if False not in inside:
+        return FaceVerdict(kind="whole_polytope", dimension=affine_rank(v))
+
+    free = v._dependencies[1]
+    idx, outside, pivot_out = [], [], []
     for i, held in enumerate(inside):
         if held:
             idx.append(i)
-        else:
+        elif free[i]:
             outside.append(i)
-    if not idx:
-        return FaceVerdict(kind="empty", dimension=-1)
-    if not outside:
-        return FaceVerdict(kind="whole_polytope", dimension=affine_rank(v))
-
-    screen = (_dependency_screen if len(outside) < len(idx) - 1
-              else _span_screen)
-    found = screen(v, idx, outside)
+        else:
+            pivot_out.append(i)
+    outside += pivot_out
+    found = _dependency_screen(v, idx, outside)
     if found is None:
         return FaceVerdict("not_face")
 
@@ -494,51 +491,10 @@ def _closure(facets: list[tuple[tuple[int, ...], int]], mask: int,
     return closure, holding
 
 
-def _is_facet_candidate(v: VRep, dimension: int) -> bool:
-    """Is a subset with dim aff(S) = dimension a facet candidate: aff(S) a
-    hyperplane of a full-dimensional polytope?"""
-    return dimension == v.dim - 1 == v._affine_rank - 1
-
-
-def _span_screen(v: VRep, idx: list[int], outside: list[int]
-                 ) -> tuple[int, list[int] | None] | None:
-    """(dim aff(S), normal) for the points S at the sorted indices idx, or
-    None when S is no face: one integer RREF of the differences of S from
-    its first point, each outside difference tested against its row
-    space, whose rank is the dimension.
-
-    A point at an index in outside (O) that lies in aff(S) makes S no
-    face.  normal is None unless S is a facet candidate; then it is the
-    integer normal of aff(S), the one null vector of the RREF, with
-    every point of O on its positive side, and S is a facet.  Points of O
-    on both sides make S no face.  For a facet candidate the values of
-    the normal on O replace the row space test.
-    """
-    pts = v._integers[0]
-    s0 = pts[idx[0]]
-    span, den, pivots = _int_rref([list(map(sub, pts[i], s0))
-                                   for i in idx[1:]])
-    if not _is_facet_candidate(v, len(pivots)):
-        if any(_in_row_space(list(map(sub, pts[i], s0)), span, den, pivots)
-               for i in outside):
-            return None
-        return len(pivots), None
-    # aff(S) is the hyperplane normal . (x - s0) = 0, so the sign of that
-    # value both tests a point for aff(S) (zero) and gives its side
-    normal = _null_basis(span, den, pivots, v.dim)[0]
-    base = _dot(normal, s0)
-    sides = {(x > 0) - (x < 0) for x in (_dot(normal, pts[i]) - base
-                                         for i in outside)}
-    if sides == {1}:
-        return len(pivots), normal
-    if sides == {-1}:
-        return len(pivots), [-c for c in normal]
-    return None
-
-
 def _dependency_screen(v: VRep, idx: list[int], outside: list[int]
                        ) -> tuple[int, list[int] | None] | None:
-    """_span_screen's answer from the affine dependencies of the points,
+    """(dim aff(S), normal) for the points S at the sorted indices idx, or
+    None when S is no face, from the affine dependencies of the points
     cut to the columns in outside (O): the matrix A.
 
     An outside point w lies in aff(S) iff some dependency is nonzero at w
@@ -549,26 +505,49 @@ def _dependency_screen(v: VRep, idx: list[int], outside: list[int]
     on O, which are those of S, so dim aff(S) = affine rank - |O| +
     rank(A).
 
-    A facet candidate has rank(A) = |O| - 1.  Let g be an affine function
-    whose zero set is the hyperplane aff(S).  For every dependency lam,
-    sum lam_w g(w) over O is 0, since g vanishes on S, so the values of g
-    on O are a multiple of A's one null vector; none of them is zero,
-    since no point of O lies in aff(S).  Entries of both signs make S no
-    face.  Otherwise S is a facet, and only then is the normal built, by
-    the span screen on the points of S and the first point of O, which
-    orients it.
+    normal is None unless S is a facet candidate: the polytope is
+    full-dimensional and aff(S) a hyperplane, so rank(A) = |O| - 1.  Let
+    g be an affine function whose zero set is aff(S).  For every
+    dependency lam, sum lam_w g(w) over O is 0, since g vanishes on S,
+    so the values of g on O are a multiple of A's one null vector; none
+    of them is zero, since no point of O lies in aff(S).  Entries of both
+    signs make S no face.  Otherwise S is a facet, and only then is its
+    normal built (_facet_normal).
+
+    The answer does not depend on the order of O, but its cost does.
+    is_face lists O's free points (VRep._dependencies) first: each
+    dependency is den at its own free point and 0 at every other, so
+    those columns of A arrive reduced (with den = 1, as for the reduced
+    vertices of n = 3, 4 and 5, their pivots update no row), and the
+    elimination works on the at most dim + 1 other columns of O.
     """
-    cut = [list(map(lam.__getitem__, outside)) for lam in v._dependencies]
+    cut = [list(map(lam.__getitem__, outside))
+           for lam in v._dependencies[0]]
     rref, den, pivots = _int_rref(cut)
     if any(sum(map(bool, row)) == 1 for row in rref):
         return None
     dimension = v._affine_rank - len(outside) + len(pivots)
-    if not _is_facet_candidate(v, dimension):
+    if not dimension == v.dim - 1 == v._affine_rank - 1:
         return dimension, None
     sides = _null_basis(rref, den, pivots, len(outside))[0]
     if min(sides) < 0 < max(sides):
         return None
-    return _span_screen(v, idx, outside[:1])
+    return dimension, _facet_normal(v, idx, outside[0])
+
+
+def _facet_normal(v: VRep, idx: list[int], w: int) -> list[int]:
+    """The integer normal of the hyperplane aff(S) through the points S at
+    the sorted indices idx, positive at the point w off it: the one null
+    vector of the integer RREF of the differences of S from its first
+    point."""
+    pts = v._integers[0]
+    s0 = pts[idx[0]]
+    span, den, pivots = _int_rref([list(map(sub, pts[i], s0))
+                                   for i in idx[1:]])
+    normal = _null_basis(span, den, pivots, v.dim)[0]
+    if _dot(normal, pts[w]) < _dot(normal, s0):
+        return [-c for c in normal]
+    return normal
 
 
 # --- fixtures -------------------------------------------------------------

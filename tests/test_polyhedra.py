@@ -1194,20 +1194,26 @@ def test_face_lp_pivot_totals(monkeypatch):
 
 
 def test_is_face_pivots_only_in_its_screens_and_the_hull(monkeypatch):
-    # is_face makes no LP.  On the 28 n = 3 pairs, all of its 40 RREF
-    # pivots are unimodular with den = 1: the 28 span screens, the 6 of
-    # the affine rank and the 6 of the hull's affine hull
+    # is_face makes no LP.  On the 28 n = 3 pairs, all of its 47 RREF
+    # pivots are unimodular with den = 1: the 7 of the affine
+    # dependencies, one for each of the 28 screens, whose cut A is one
+    # dependency on 6 outside points, the 6 of the affine rank and the 6
+    # of the hull's affine hull
     lps = _record_lps(monkeypatch)
     mix = _record_pivot_mix(monkeypatch)
     v = omega_core.reduced_vertex_vrep(3)
     for pair in itertools.combinations(range(8), 2):
         assert ph.is_face(v, pair).kind == "proper_face"
     assert lps == [] and mix["lp"] == []
-    assert mix["rref"] == [True] * 40
+    assert mix["rref"] == [True] * 47
     mix["rref"].clear()
     # n = 4: an edge has many supporting forms; the closure's must be
-    # tight exactly on the pair.  120 span screens, 10 pivots of the
-    # affine rank and 10 of the hull
+    # tight exactly on the pair.  11 pivots of the affine dependencies,
+    # 5 for each of the 120 screens, whose cut A has rank 14 - 9, 10 of
+    # the affine rank and 10 of the hull.  All but 12 are unimodular with
+    # den = 1: the last pivot of each of the 12 pairs (k, 15) with k not
+    # free.  15 is a free point, and with it in S its dependency, whose
+    # entries include 2 and -3, has no column of its own in A
     v = omega_core.reduced_vertex_vrep(4)
     for pair in itertools.combinations(range(16), 2):
         form = ph.is_face(v, pair).form
@@ -1215,7 +1221,7 @@ def test_is_face_pivots_only_in_its_screens_and_the_hull(monkeypatch):
         assert min(slacks) == 0
         assert [k for k, s in enumerate(slacks) if s == 0] == list(pair)
     assert lps == [] and mix["lp"] == []
-    assert mix["rref"] == [True] * 140
+    assert [sum(mix["rref"]), len(mix["rref"])] == [619, 631]
 
 
 # sha256 over repr((kind, dimension, form)) of the verdicts of the faces
@@ -1436,21 +1442,11 @@ def test_not_face_whose_differences_are_dependent(monkeypatch):
     assert face_lp(v, (0, 3, 12, 15)).optimum == 0
 
 
-def test_zero_difference_is_in_every_row_space():
-    # the screen's test of an outside point whose difference is zero:
-    # zero lies in every affine hull, even that of a single point, whose
-    # RREF has no rows
-    assert exact._in_row_space([0, 0], [], 1, [])
-    span, den, pivots = exact._int_rref([[2, 4]])
-    assert (span, den, pivots) == ([[2, 4]], 2, [0])
-    assert exact._in_row_space([0, 0], span, den, pivots)
-    assert exact._in_row_space([3, 6], span, den, pivots)
-    assert not exact._in_row_space([0, 1], span, den, pivots)
-
-
-def _fraction_rank(rows) -> int:
-    """Rank of an integer matrix by Gaussian elimination over Fractions,
-    apart from the integer kernel."""
+def _fraction_echelon(rows) -> list:
+    """The nonzero rows of a row echelon form of a matrix, by Gaussian
+    elimination over Fractions, apart from the integer kernel; there are
+    as many as its rank.  Rows already in echelon form are not changed,
+    so appending a row to them costs the reduction of that row alone."""
     rows = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     for c in range(len(rows[0]) if rows else 0):
@@ -1460,42 +1456,11 @@ def _fraction_rank(rows) -> int:
         rows[rank], rows[pr] = rows[pr], rows[rank]
         prow = rows[rank]
         for i in range(rank + 1, len(rows)):
-            f = rows[i][c] / prow[c]
-            rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
+            if rows[i][c]:
+                f = rows[i][c] / prow[c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
         rank += 1
-    return rank
-
-
-def test_in_row_space_agrees_with_fraction_elimination():
-    # w is in the row space of M iff appending it leaves the rank of M as
-    # it is; M is seeded, its RREF often has den > 1, and every second w
-    # is a combination of its rows, nudged or not
-    rng = random.Random(37)
-    dens, verdicts = Counter(), Counter()
-    for _ in range(300):
-        width = rng.randint(1, 7)
-        m = [[rng.randint(-4, 4) for _ in range(width)]
-             for _ in range(rng.randint(0, 5))]
-        span, den, pivots = exact._int_rref(m)
-        kept = copy.deepcopy(span)
-        dens[den > 1] += 1
-        coeffs = [rng.randint(-3, 3) for _ in m]
-        combo = [sum(a * row[k] for a, row in zip(coeffs, m))
-                 for k in range(width)]
-        nudged = combo.copy()
-        nudged[rng.randrange(width)] += rng.choice((-1, 1))
-        free = [rng.randint(-4, 4) for _ in range(width)]
-        for w in (combo, nudged, free):
-            held = exact._in_row_space(w, span, den, pivots)
-            assert held == (_fraction_rank(m + [w]) == _fraction_rank(m))
-            verdicts[held] += 1
-        assert exact._in_row_space(combo, span, den, pivots)
-        assert span == kept
-    assert dens[True] > 100 and min(verdicts.values()) > 200
-    # an empty span holds the zero vector alone: no pivot row reduces w,
-    # so a nonzero w stays nonzero
-    assert not exact._in_row_space([0, 3], [], 1, [])
-    assert not exact._in_row_space([5], *exact._int_rref([]))
+    return rows[:rank]
 
 
 def test_screen_decides_every_n4_pair_complement(monkeypatch):
@@ -1515,9 +1480,9 @@ def test_screen_decides_every_n4_pair_complement(monkeypatch):
 
     monkeypatch.setattr(ph, "_clear_matrix", counting_clear)
     # the shape of every RREF is_face takes: the (10 + 1) x 16 one of the
-    # affine dependencies once, then a 5 x 2 cut of its 5 dependencies for
-    # each complement, a 1 x 10 span of differences for each pair, and
-    # the 15 x 10 one of the hull's differences once
+    # affine dependencies once, then a cut of its 5 dependencies for each
+    # query, 5 x 2 for a complement and 5 x 14 for a pair, and the
+    # 15 x 10 one of the hull's differences once
     shapes = []
     rref = ph._int_rref
 
@@ -1541,20 +1506,66 @@ def test_screen_decides_every_n4_pair_complement(monkeypatch):
     assert lps == []
     assert cleared == [v.points]
     assert shapes[0] == (11, 16)
-    assert sorted(Counter(shapes).items()) == [((1, 10), 120), ((5, 2), 120),
+    assert sorted(Counter(shapes).items()) == [((5, 2), 120), ((5, 14), 120),
                                                ((11, 16), 1), ((15, 10), 1)]
 
 
-def _both_screens(v, subset):
-    """(span screen, dependency screen) answers on one subset."""
+def _screen(v, subset, order=None):
+    """The dependency screen's answer on one subset, with the outside
+    points O listed as is_face lists them, free points first, or sorted
+    by the given key."""
     idx = sorted(subset)
-    outside = [k for k in range(len(v.points)) if k not in subset]
-    return (ph._span_screen(v, idx, outside),
-            ph._dependency_screen(v, idx, outside))
+    free = v._dependencies[1]
+    outside = sorted((k for k in range(len(v.points)) if k not in subset),
+                     key=order or (lambda k: not free[k]))
+    return ph._dependency_screen(v, idx, outside)
+
+
+def _fraction_det(rows) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination over
+    Fractions, apart from the integer kernel."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        pr = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def _screen_oracle(v, subset):
+    """The screen's answer by Fraction elimination on the points
+    themselves: None when a point w outside S lies in aff(S), that is
+    when appending w - s0 to the differences of S leaves their rank as it
+    is, or when S spans a hyperplane of a full-dimensional polytope with
+    outside points on both sides of it; else (dim aff(S), whether S is a
+    facet).  The side of w is the sign of the determinant of an echelon
+    basis of the differences with w - s0 appended."""
+    idx = sorted(subset)
+    s0 = v.points[idx[0]]
+    diffs = [[a - b for a, b in zip(v.points[i], s0)] for i in idx[1:]]
+    offs = [[a - b for a, b in zip(p, s0)]
+            for k, p in enumerate(v.points) if k not in subset]
+    basis = _fraction_echelon(diffs)
+    rank = len(basis)
+    if any(len(_fraction_echelon(basis + [w])) == rank for w in offs):
+        return None
+    if not rank == v.dim - 1 == len(_fraction_echelon(basis + offs)) - 1:
+        return rank, False
+    if len({_fraction_det(basis + [w]) > 0 for w in offs}) == 2:
+        return None
+    return rank, True
 
 
 def _route_agreement_inputs():
-    """(VRep, subsets) pairs on which the two screens must agree."""
+    """(VRep, subsets) pairs on which the screen is checked."""
     for v in (omega_core.reduced_vertex_vrep(3),
               ph.regular_polytope("cube", 3),
               ph.regular_polytope("cross", 3)):
@@ -1584,17 +1595,28 @@ def _route_agreement_inputs():
                   for mask in range(1, 1 << npts)]
 
 
-def test_the_span_and_dependency_screens_agree():
-    # the screens are two routes to one answer: None when an outside point
-    # lies in the subset's affine hull or a facet candidate's hyperplane
-    # has outside points on both sides, else the hull's dimension and, for
-    # a facet, its oriented normal
+def test_the_dependency_screen_agrees_with_fraction_ranks():
+    # the one screen against Fraction elimination: None when an outside
+    # point lies in the subset's affine hull or a facet candidate's
+    # hyperplane has outside points on both sides, else the hull's
+    # dimension and, for a facet, a normal of aff(S) positive on every
+    # outside point.  Listing O in index order, not free points first,
+    # changes the work but not the answer
     answers = []
     for v, subsets in _route_agreement_inputs():
+        pts = v._integers[0]
         for subset in subsets:
-            span, dependency = _both_screens(v, subset)
-            assert span == dependency, (v, subset)
-            answers.append(span)
+            found = _screen(v, subset)
+            assert found == _screen(v, subset, order=int), (v, subset)
+            facet = found is not None and found[1] is not None
+            expected = _screen_oracle(v, subset)
+            assert (found and (found[0], facet)) == expected, (v, subset)
+            if facet:
+                s0 = pts[subset[0]]
+                values = [exact._dot(found[1], p) - exact._dot(found[1], s0)
+                          for p in pts]
+                assert [k for k, x in enumerate(values) if x <= 0] == subset
+            answers.append(found)
     assert ({a if a is None else a[0] for a in answers}
             == {None, 0, 1, 2, 3, 4, 5, 6})
     assert len(answers) == 255 + 255 + 63 + 120 + 100 + 127 + 127
@@ -1605,27 +1627,70 @@ def test_the_span_and_dependency_screens_agree():
 
 
 def test_a_simplex_has_no_affine_dependency():
-    # no dependency leaves A empty, of rank 0: nothing is ever refused
-    # and dim aff(S) = |S| - 1
+    # no dependency leaves A empty, of rank 0, and no point free: nothing
+    # is ever refused and dim aff(S) = |S| - 1
     v = ph.regular_polytope("simplex", 4)
-    assert v._dependencies == []
+    assert v._dependencies == ([], (False,) * 5)
     for size in range(1, 6):
         for subset in itertools.combinations(range(5), size):
-            span, dependency = _both_screens(v, set(subset))
-            assert span == dependency and span[0] == size - 1
-            assert (span[1] is not None) == (size == 4)
+            found = _screen(v, subset)
+            assert found[0] == size - 1
+            assert (found[1] is not None) == (size == 4)
+            assert (found[0], size == 4) == _screen_oracle(v, subset)
     verdict = ph.is_face(v, [0, 1, 2, 4])
     assert (verdict.kind, verdict.dimension) == ("facet", 3)
 
 
 def test_a_pyramid_apex_complement_is_a_facet():
-    # the apex is in no affine dependency, so its one column of A is zero:
-    # rank 0, and the base has dimension 3 - 1 + 0 = 2, a facet
+    # the base's fourth corner is the one free point, and the apex is in
+    # no affine dependency, so its one column of A is zero: rank 0, and
+    # the base has dimension 3 - 1 + 0 = 2, a facet
     v = ph.VRep(3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 1)])
-    assert v._dependencies == [[4, -4, -4, 4, 0]]
-    assert _both_screens(v, {0, 1, 2, 3}) == ((2, [0, 0, 4]),) * 2
+    assert v._dependencies == ([[4, -4, -4, 4, 0]],
+                               (False, False, False, True, False))
+    assert _screen(v, [0, 1, 2, 3]) == (2, [0, 0, 4])
     verdict = ph.is_face(v, [0, 1, 2, 3])
     assert verdict == ph.FaceVerdict("facet", ph.linear_form([0, 0, 1], 0), 2)
+
+
+def _count_row_updates(monkeypatch) -> list:
+    """Patch the exact kernel's pivot so that each call adds to the one
+    entry of the returned list the rows other than the pivot row that
+    it replaced, which are the rows it updated."""
+    updated = [0]
+    pivot = exact._int_pivot
+
+    def counting(tab, den, r, c):
+        rows = tab.copy()
+        p = pivot(tab, den, r, c)
+        updated[0] += sum(old is not new
+                          for i, (old, new) in enumerate(zip(rows, tab))
+                          if i != r)
+        return p
+
+    monkeypatch.setattr(exact, "_int_pivot", counting)
+    return updated
+
+
+def test_free_points_first_keep_the_screen_cheap(monkeypatch):
+    # a deterministic count of the screen's work on the 32 n = 5
+    # vertices, each a 0-face decided by the closure, with the VRep's
+    # caches built beforehand.  The cut A of a vertex has 16 rows and
+    # 31 columns, 15 or 16 of them at free points.  With those first,
+    # their pivots update no row, and the 32 screens update 240 rows;
+    # with O in index order the same screens update 4,573
+    v = omega_core.reduced_vertex_vrep(5)
+    assert sum(v._dependencies[1]) == 16
+    assert v._affine_rank == 15 and len(v._facets) == 368
+    updated = _count_row_updates(monkeypatch)
+    for k in range(32):
+        verdict = ph.is_face(v, [k])
+        assert (verdict.kind, verdict.dimension) == ("proper_face", 0)
+    assert updated == [240]
+    updated[0] = 0
+    for k in range(32):
+        assert _screen(v, [k], order=int) == (0, None)
+    assert updated == [4573]
 
 
 def test_vrep_points_are_read_only():
@@ -1894,7 +1959,7 @@ def _record_closures(monkeypatch) -> list:
 def _check_against_the_face_lp(v, masks, expected, monkeypatch) -> list:
     """is_face(v, S).is_face for the subset S of each mask, checked against
     the face LP oracle on each S that reaches the closure and against
-    expected(mask), an independent answer, on each S the screens decide."""
+    expected(mask), an independent answer, on each S the screen decides."""
     reached = _record_closures(monkeypatch)
     verdicts = []
     for mask in masks:
@@ -1974,7 +2039,7 @@ def test_the_lp_route_agrees_with_the_closure_for_five_parts(monkeypatch):
         return out
 
     # is_face takes this closure itself, so the face LP is the check
-    # wherever it does; the closure checks the screens' verdicts
+    # wherever it does; the closure checks the screen's verdicts
     verdicts = _check_against_the_face_lp(
         v, masks, lambda mask: closure(mask) == mask, monkeypatch)
     assert 100 < verdicts.count(True) < 500

@@ -199,8 +199,10 @@ def _transposes(node) -> bool:
 
 def test_affine_dependencies_are_found_only_by_the_vrep_cache():
     # the dependency RREF is the one taken with the points as columns; a
-    # VRep takes it once, on first use, and keeps its null vectors, and
-    # only is_face's dependency screen reads them, so no query redoes it
+    # VRep takes it once, on first use, and keeps its null vectors and
+    # free points, and only is_face (for the free points, to list them
+    # first among the outside points) and its dependency screen read
+    # them, so no query redoes it
     builders, readers = set(), set()
     for name, tree in _modules().items():
         for qualname, func in _functions(tree):
@@ -213,7 +215,8 @@ def test_affine_dependencies_are_found_only_by_the_vrep_cache():
                         and node.attr == "_dependencies"):
                     readers.add("%s:%s" % (name, qualname))
     assert builders == {"polyhedra.py:VRep._dependencies"}
-    assert readers == {"polyhedra.py:_dependency_screen"}
+    assert readers == {"polyhedra.py:is_face",
+                       "polyhedra.py:_dependency_screen"}
 
 
 def _updates_a_row(node) -> bool:
