@@ -1653,6 +1653,40 @@ def test_a_pyramid_apex_complement_is_a_facet():
     assert verdict == ph.FaceVerdict("facet", ph.linear_form([0, 0, 1], 0), 2)
 
 
+def test_affine_dependencies_agree_with_fraction_elimination():
+    # seeded point sets with fractional coordinates, so the RREF often
+    # has den > 1.  Point k is free iff (1, p_k) is a combination of the
+    # (1, p_i) before it, by Fraction elimination; each free point's row
+    # is nonzero there and 0 at every other free point, and is an affine
+    # dependency: sum lam_i = 0 and sum lam_i p_i = 0.  The rows are thus
+    # independent, and as many as the points less affine rank + 1, so
+    # they span the dependencies
+    rng = random.Random(41)
+    dens, sizes = Counter(), Counter()
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        pts = {tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                     for _ in range(d))
+               for _ in range(rng.randint(1, 8))}
+        v = ph.VRep(d, sorted(pts))
+        rows, free = v._dependencies
+        lifted = [[1, *p] for p in v.points]
+        ranks = [len(_fraction_echelon(lifted[:k]))
+                 for k in range(len(lifted) + 1)]
+        assert list(free) == [a == b for a, b in zip(ranks, ranks[1:])]
+        assert ranks[-1] == ph.affine_rank(v) + 1
+        assert len(rows) == sum(free) == len(v.points) - ranks[-1]
+        frees = [k for k, held in enumerate(free) if held]
+        for row, f in zip(rows, frees):
+            assert [k for k in frees if row[k]] == [f]
+            assert sum(row) == 0
+            for c in range(d):
+                assert sum(lam * p[c] for lam, p in zip(row, v.points)) == 0
+            dens[row[f] > 1] += 1
+        sizes[len(rows) > 0] += 1
+    assert dens[True] > 50 and min(sizes.values()) > 20
+
+
 def _count_row_updates(monkeypatch) -> list:
     """Patch the exact kernel's pivot so that each call adds to the one
     entry of the returned list the rows other than the pivot row that
