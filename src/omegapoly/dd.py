@@ -117,8 +117,8 @@ def _dd_extreme_rays(m: int, cons: list[tuple[int, ...]]
     A step builds the single-bit entries, the columns of its constraints,
     by one transposition of the masks, and fills an entry of more bits
     when the adjacency test first reads it (_table_entry): the DD on the
-    n = 5 census tangent cone fills 3,667 of the 11,856 such entries of
-    its 48 tables.  Positions are laid out minus rays first, then zero,
+    n = 5 census face cone fills 1,222 of the 10,621 such entries of
+    its 43 tables.  Positions are laid out minus rays first, then zero,
     then plus rays, so the minus rays are the low len(minus) bits.  A
     pair needs at least cone_dim - 2 common zeros.  Every ray kept is
     extreme, so tight on cone_dim - 1 or more (slack >= 1); each plus ray

@@ -26,8 +26,8 @@ six.  Six vertices of the full-dimensional n = 3 polytope span a
 hyperplane, so is_face decides them by the side of each excluded
 vertex, with no LP and no hull.
 
-facet_census runs double description on the tangent cone at one vertex
-and closes the facets through it under the group: it reports counts,
+facet_census runs double description on the cone of facets through one
+triangle face and closes them under the group: it reports counts,
 per-facet vertex counts, the constant per-vertex incidence and facet
 orbits.  It is the one source of the polytope's facets: the hull
 command prints its forms, and edges_via_hull reads its tight sets and
@@ -43,7 +43,7 @@ from fractions import Fraction
 from .graph2p import Assignment, part_bit, positions
 from .guards import check_count
 from . import dd, omega_core, polyhedra
-from .exact import _coprime, _dot
+from .exact import _coprime, _dot, _int_rref, _null_basis
 from .omega_core import (coord_count, coord_index, reduced_count,
                          reduced_index, reduced_pairs)
 from .polyhedra import FaceVerdict, LinearForm
@@ -261,14 +261,28 @@ def _form_actions(n: int) -> list:
 
 
 def _base_code(n: int) -> int:
-    """The vertex whose tangent cone the census runs on: rho(i) = 2 on
-    exactly the even parts (code 0b01010 = 10 for n = 5).  The work of a
-    double description, taken as the sum over its split steps of the
-    squared number of rays entering them, depends on the vertex: for
-    n = 5 it is 457k at code 10, the fourth lowest of the 32 and within
-    1% of the lowest, 946k at code 0 and 3.66M at code 31, against 1.67M
-    for the hull of all 32 points.  For n = 4 code 5 ties for the lowest."""
+    """The vertex b the census's face is built at (_base_face): rho(i) = 2
+    on exactly the even parts (code 0b01010 = 10 for n = 5).  The work of
+    a double description, taken as the sum over its split steps of the
+    squared number of rays entering them, depends on the vertex.  For the
+    cone of facets through the face at b, n = 5, it is 34,320 at code
+    10, the second lowest of the 32 (34,141 at code 5), and 4.0M at code
+    31; for the tangent cone at the vertex alone it was 457k at code 10
+    and 3.66M at code 31, against 1.67M for the hull of all 32 points."""
     return sum(part_bit(n, i) for i in range(2, n + 1, 2))
+
+
+def _base_face(n: int, base: int) -> tuple[int, ...]:
+    """The vertex codes of the face T the census's double description
+    runs through, base first: for n >= 3 the star triangle
+    {b, b ^ p(n-1) ^ p(n-2), b ^ p(n-1) ^ p(n)} of the three neighbours
+    of b ^ p(n-1), with p = part_bit and b = base; for n = 2 the pair
+    {b, b ^ 3}.  Its codes have one parity and lie pairwise at Hamming
+    distance 2."""
+    if n == 2:
+        return (base, base ^ 3)
+    hub = base ^ part_bit(n, n - 1)
+    return (base, hub ^ part_bit(n, n - 2), hub ^ part_bit(n, n))
 
 
 def _census_facets(n: int, base: int
@@ -278,24 +292,46 @@ def _census_facets(n: int, base: int
     as polyhedra._hull_with_masks sorts them, and the orbit of each under
     _orbit_generators, named by the tangent facet mask it was reached from.
 
-    The facets through vertex base are the extreme rays of the tangent
-    cone {c : c . (p_k - p_base) >= 0 for every code k != base}, found by
-    double description with the constraints in increasing k, each ray
-    with the mask of its tight constraints.  Every facet holds a vertex
-    and the group is transitive on vertices, so closing these under the
-    generators, acting on masks by delta swaps and on forms by
-    _form_actions, gives every facet; each tangent facet not yet reached
-    starts a new orbit.  A form that reaches a tangent facet's mask must
-    be the form the double description gave it.
+    The facets through the face T = _base_face(n, base) are the extreme
+    rays of its tangent cone {c : c . (p_k - p_base) >= 0 for every code
+    k, = 0 for k in T}.  The double description runs on it in the
+    subspace where T's differences vanish: c = lambda . B for the
+    integer null basis B of those differences (exact._null_basis), one
+    constraint (B (p_k - p_base)) per code k outside T, in increasing k.
+    Each ray lambda maps back to c, and T's bits go back into its mask.
+
+    Every facet holds a group image of T: it has at least d = n(n+1)/2
+    vertices, so at least ceil(d/2) of one parity, and the largest set of
+    one parity with no star triangle (for n = 2, no pair at distance 2)
+    has 1, 2, 4, 5 and 10 codes for n = 2, ..., 6, below ceil(d/2) = 2,
+    3, 5, 8 and 11.  The group is transitive on star triangles (and on
+    distance-2 pairs).  So closing these facets under the generators,
+    acting on masks by delta swaps and on forms by _form_actions, gives
+    every facet; each tangent facet not yet reached starts a new orbit.
+    The lemma is checked by exhaustive search for n <= 6 only, so n >= 7
+    needs it checked again before the "census-max" guard moves.
+
+    Two checks guard the form actions: a form that reaches a tangent
+    facet's mask must be the form the double description gave it, and
+    every image form must be tight at the lowest vertex of its image
+    mask.
     """
     pts = [omega_core.reduced_bits(n, z) for z in range(1 << n)]
     pb = pts[base]
-    cons = [tuple([x - b for x, b in zip(p, pb)])
-            for k, p in enumerate(pts) if k != base]
-    below = (1 << base) - 1
+    face = _base_face(n, base)
+    rref, den, pivots = _int_rref([[x - b for x, b in zip(pts[t], pb)]
+                                   for t in face[1:]])
+    basis = _null_basis(rref, den, pivots, len(pb))
+    offsets = [_dot(u, pb) for u in basis]
+    cons = [_coprime([_dot(u, p) - o for u, o in zip(basis, offsets)])
+            for k, p in enumerate(pts) if k not in face]
+    columns, inserts = list(zip(*basis)), sorted(face)
     forms = {}
-    for c, mask in dd._dd_extreme_rays(len(pb), cons):
-        mask = (mask & below) | (mask & ~below) << 1 | 1 << base
+    for lam, mask in dd._dd_extreme_rays(len(basis), cons):
+        for t in inserts:
+            below = (1 << t) - 1
+            mask = (mask & below) | (mask & ~below) << 1 | 1 << t
+        c = [_dot(lam, column) for column in columns]
         forms[mask] = _coprime([*c, _dot(c, pb)])
 
     gens = list(zip(_orbit_generators(n), _form_actions(n)))
@@ -316,10 +352,13 @@ def _census_facets(n: int, base: int
                 orbit_of[image] = seed
                 frontier.append(image)
                 image_form = act(form)
-                if forms.setdefault(image, image_form) != image_form:
-                    raise RuntimeError("group image of a facet through the "
-                                       "base vertex is not its tangent cone "
-                                       "form; census is inconsistent")
+                # the point is one entry shorter, so the dot leaves r out
+                low = pts[(image & -image).bit_length() - 1]
+                if (forms.setdefault(image, image_form) != image_form
+                        or _dot(low, image_form) != image_form[-1]):
+                    raise RuntimeError("group image of a facet is not its "
+                                       "tangent cone form or not tight on "
+                                       "its mask; census is inconsistent")
     facets = sorted((form, mask) for mask, form in forms.items())
     return facets, [orbit_of[mask] for _, mask in facets]
 
@@ -328,19 +367,20 @@ def facet_census(n: int, include_orbits: bool = True,
                  allow_large: bool = False) -> CensusReport:
     """Full facet description of the reduced polytope for small n.
 
-    The facets through one vertex come from double description on its
-    tangent cone, and the rest from their images under the symmetry
-    group (_census_facets).  Each record keeps its facet as found, the
-    coprime int form and the mask of the vertices it holds, so the
-    incidence is counted from the masks, and the orbits are those of the
-    closure.  The vertex is the one with rho(i) = 2 on exactly the even
-    parts (_base_code).  n up to 4 takes milliseconds; n = 5 runs double
-    description in dimension 15 on 31 constraints, takes about 0.011 s
-    in-process (best of forty runs) on a 2-core x86-64 VM, and must be
-    requested explicitly via allow_large.  The count rule (check_count)
-    for facet_census refuses an n that is not an int or is below 2, then
-    an n past 5 (guard "census-max", with or without allow_large), then
-    an n past 4 without allow_large (guard "census").
+    The facets through one face, a star triangle of three vertices, come
+    from double description on its tangent cone, and the rest from their
+    images under the symmetry group (_census_facets).  Each record keeps
+    its facet as found, the coprime int form and the mask of the vertices
+    it holds, so the incidence is counted from the masks, and the orbits
+    are those of the closure.  The face is built at the vertex with
+    rho(i) = 2 on exactly the even parts (_base_code, _base_face).  n up
+    to 4 takes milliseconds; n = 5 runs double description in dimension
+    13 on 29 constraints, takes about 0.0055 s in-process (best of forty
+    runs) on a 2-core x86-64 VM, and must be requested explicitly via
+    allow_large.  The count rule (check_count) for facet_census refuses
+    an n that is not an int or is below 2, then an n past 5 (guard
+    "census-max", with or without allow_large), then an n past 4 without
+    allow_large (guard "census").
     """
     check_count(n, "facet_census", 2, most=CENSUS_OPTIN_MAX,
                 guard="census-max")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ import omegapoly
 from omegapoly import omega3_census as o3
 from omegapoly import omega_core as oc
 from omegapoly import polyhedra as ph
-from omegapoly.graph2p import Assignment
+from omegapoly.graph2p import Assignment, part_bit
 from omegapoly.guards import ScaleGuardError
 from oracles import (census_to_dict, generator_permutations,
                      switched_hypermetric_forms, symmetry_group, tight_masks)
@@ -217,11 +218,157 @@ def test_census_refuses_a_form_action_off_the_tangent_cone(monkeypatch):
         o3.facet_census(3)
 
 
+def _form_action_mutants():
+    """Two wrong form actions that are still involutions: the
+    transposition of parts 2 and 3 that also swaps the first two
+    coefficients it keeps in place, and the part-1 swap without its
+    c[2,2] += c[1,2] update."""
+    actions = o3._form_actions
+
+    def kept_pair_swapped(n):
+        acts = actions(n)
+        transpose, d = acts[1], oc.reduced_count(n)
+        kept = [k for k, x in enumerate(transpose(tuple(range(d + 1))))
+                if x == k < d]
+
+        def act(form):
+            c = list(transpose(form))
+            c[kept[0]], c[kept[1]] = c[kept[1]], c[kept[0]]
+            return tuple(c)
+
+        acts[1] = act
+        return acts
+
+    def update_dropped(n):
+        *transpositions, swap = actions(n)
+        one_2, two_2 = oc.reduced_index(n, 1, 2), oc.reduced_index(n, 2, 2)
+
+        def act(form):
+            c = list(swap(form))
+            c[two_2] -= form[one_2]
+            return tuple(c)
+
+        return transpositions + [act]
+
+    return {"transposition": kept_pair_swapped, "part_1_swap": update_dropped}
+
+
+@pytest.mark.parametrize("mutant", ["transposition", "part_1_swap"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_census_refuses_mutated_form_actions(monkeypatch, n, mutant):
+    # the closure takes each image form from the actions, so a wrong one
+    # must be caught: at n = 3 the transposition only by a seed whose
+    # double description form it misses, the part-1 swap only by an
+    # image that is not tight at the lowest vertex of its mask
+    monkeypatch.setattr(o3, "_form_actions", _form_action_mutants()[mutant])
+    with pytest.raises(RuntimeError, match="census is inconsistent"):
+        o3._census_facets(n, o3._base_code(n))
+
+
+def _face_images(n):
+    """The masks of the group images of the census's base face, by
+    closing its mask under the delta swaps of the generators."""
+    start = sum(1 << k for k in o3._base_face(n, o3._base_code(n)))
+    seen, frontier = {start}, [start]
+    while frontier:
+        mask = frontier.pop()
+        for shift, select in o3._orbit_generators(n):
+            moved = ((mask >> shift) ^ mask) & select
+            image = mask ^ moved ^ (moved << shift)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
+def _largest_set_without(codes, blocks):
+    """The size of the largest subset of codes that holds no block (a
+    mask over the codes) whole, by branch and bound: take or leave the
+    lowest code still open, where taking it closes every code that would
+    complete a block with the codes taken."""
+    local = {c: 1 << i for i, c in enumerate(codes)}
+    blocks = [sum(local[c] for c in codes if mask >> c & 1)
+              for mask in blocks]
+    # the rest of each block through code i, for i in order
+    rests = [[block ^ bit for block in blocks if block & bit]
+             for bit in local.values()]
+    best = 0
+
+    def grow(taken, count, open_):
+        nonlocal best
+        if count + open_.bit_count() <= best:
+            return
+        if not open_:
+            best = count
+            return
+        low = open_ & -open_
+        closed = 0
+        for rest in rests[low.bit_length() - 1]:
+            left = rest & ~taken
+            if left & (left - 1) == 0:
+                closed |= left
+        grow(taken | low, count + 1, (open_ ^ low) & ~closed)
+        grow(taken, count, open_ ^ low)
+
+    grow(0, 0, (1 << len(codes)) - 1)
+    return best
+
+
+@pytest.mark.parametrize("n, largest", [(2, 1), (3, 2), (4, 4), (5, 5),
+                                        (6, 10)])
+def test_every_facet_must_hold_an_image_of_the_base_face(n, largest):
+    # the base face's images are the star triangles (for n = 2, the pairs
+    # at distance 2).  A facet holds at least d vertices, so at least
+    # ceil(d/2) of one parity, and no set of one parity that large
+    # escapes every image: the census's completeness lemma, by search
+    images = _face_images(n)
+    if n == 2:
+        stars = {1 << x | 1 << (x ^ 3) for x in range(4)}
+    else:
+        stars = {sum(1 << (hub ^ part_bit(n, i)) for i in trio)
+                 for hub in range(1 << n)
+                 for trio in itertools.combinations(range(1, n + 1), 3)}
+    assert images == stars
+    half = -(-oc.reduced_count(n) // 2)
+    for parity in (0, 1):
+        codes = [c for c in range(1 << n) if c.bit_count() % 2 == parity]
+        within = sum(1 << c for c in codes)
+        blocks = [mask for mask in images if mask & ~within == 0]
+        assert _largest_set_without(codes, blocks) == largest < half
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_hull_facet_holds_an_image_of_the_base_face(n):
+    # the same lemma read off the hull of all 2^n vertices, which does
+    # not go through the census
+    images = _face_images(n)
+    _, hull = ph._hull_with_masks(oc.reduced_vertex_vrep(n))
+    for _, mask in hull:
+        assert any(image & ~mask == 0 for image in images)
+
+
+# sha256 over repr((form, mask)) of each facet of _census_facets(6), in
+# order, taken from the tangent cone at the base vertex (63 constraints
+# in dimension 21, about 15 s) before the census moved to the cone of its
+# base face
+N6_CENSUS_DIGEST = ("287da46d5919e21d804e5bb0cad5d1e9"
+                    "071595128652f2cabd2ebb039e19f456")
+
+
+def test_n6_census_is_pinned():
+    facets, orbit_of = o3._census_facets(6, o3._base_code(6))
+    assert len(facets) == 116764 and len(set(orbit_of)) == 24
+    h = hashlib.sha256()
+    for facet in facets:
+        h.update(repr(facet).encode())
+    assert h.hexdigest() == N6_CENSUS_DIGEST
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_census_equals_the_full_hull(n):
-    # the tangent cone at any base vertex, closed under the group, gives
-    # the forms, masks and order of the DD over all the points, and the
-    # same orbits: every base for n <= 4, a few for n = 5
+    # the cone of the face at any base vertex, closed under the group,
+    # gives the forms, masks and order of the DD over all the points, and
+    # the same orbits: every base for n <= 4, a few for n = 5
     hrep, hull = ph._hull_with_masks(oc.reduced_vertex_vrep(n))
     report = o3.facet_census(n, allow_large=True)
     assert [(rec.form, sum(1 << a.code for a in rec.tight))
@@ -257,8 +404,9 @@ def test_census_records_derive_their_views_from_the_ints(n):
 
 
 def test_census_runs_on_the_even_parts_vertex(monkeypatch):
-    # rho(i) = 2 on exactly the even parts; at n = 5 that is code 10, the
-    # fourth cheapest of the 32 tangent cones and the only one pinned
+    # rho(i) = 2 on exactly the even parts; at n = 5 that is code 10,
+    # whose face cone is the second cheapest of the 32 and the only one
+    # pinned
     assert [o3._base_code(n) for n in (2, 3, 4, 5)] == [1, 2, 5, 10]
     bases = []
     route = o3._census_facets

@@ -155,7 +155,7 @@ def test_reduced_vertex_vrep_shape():
 
 
 def test_reduced_bits_are_the_reduced_vertices_as_ints():
-    # the census reads its tangent cone from these rows, so they must be
+    # the census reads its face cone from these rows, so they must be
     # the VRep's points and the reduced vertices, as plain 0/1 ints
     for n in (1, 2, 3, 5):
         vrep = oc.reduced_vertex_vrep(n)

@@ -671,15 +671,16 @@ def test_dd_work_on_the_n5_census_is_pinned(monkeypatch):
     assert found == N5_DD_CANDIDATES
 
 
-# the same work on the DD behind facet_census(5): the tangent cone at its
-# base vertex (code 10), 31 constraints in dimension 15, whose rays are
-# the 210 facets through that vertex
-N5_TANGENT_STEPS = [7, 18, 23, 32, 46, 43, 64, 87, 117, 99, 172, 218, 205,
-                    319, 297, 327]
-N5_TANGENT_CANDIDATES = {"count": 3122, "planes": 0}
+# the same work on the DD behind facet_census(5): the cone of facets
+# through its base face, the star triangle of codes 9, 10 and 12, taken
+# in the 13-dimensional subspace where the triangle's differences vanish,
+# on the 29 constraints of the other codes; its rays are the 70 facets
+# through the triangle
+N5_FACE_STEPS = [7, 17, 16, 14, 19, 27, 33, 35, 39, 51, 60, 64, 84, 76, 74]
+N5_FACE_CANDIDATES = {"count": 480, "planes": 0}
 # the table entries of two or more bits that its adjacency tests fill in,
-# of the 11,856 such entries in the 48 tables its steps build
-N5_TANGENT_FILLED = 3667
+# of the 10,621 such entries in the 43 tables its steps build
+N5_FACE_FILLED = 1222
 
 
 def test_dd_on_the_n5_census_tangent_cone_is_pinned(monkeypatch):
@@ -695,12 +696,12 @@ def test_dd_on_the_n5_census_tangent_cone_is_pinned(monkeypatch):
     steps, found, built = _counted_dd_work(monkeypatch)
     omega3_census.facet_census(5, allow_large=True)
     ((m, cons, rays),) = calls
-    assert (m, len(cons), len(rays)) == (15, 31, 210)
-    assert steps == N5_TANGENT_STEPS
-    assert found == N5_TANGENT_CANDIDATES
-    assert len(built) == 48
+    assert (m, len(cons), len(rays)) == (13, 29, 70)
+    assert steps == N5_FACE_STEPS
+    assert found == N5_FACE_CANDIDATES
+    assert len(built) == 43
     assert sum(table[v] is not None for table in built
-               for v in range(256) if v & (v - 1)) == N5_TANGENT_FILLED
+               for v in range(256) if v & (v - 1)) == N5_FACE_FILLED
     assert rays == _reference_dd(m, cons)
 
 

@@ -303,7 +303,7 @@ def test_find_clique_takes_its_clauses_from_to_2cnf():
 def test_hull_masks_are_read_by_the_hull_and_the_census_alone():
     # the hull's tight masks are private to polyhedra, where a VRep keeps
     # them for is_face's closure.  The polytope's facets come from
-    # facet_census's tangent-cone route alone, so the full hull of all
+    # facet_census's face-cone route alone, so the full hull of all
     # 2^n vertices stays an independent check of the census
     assert _callers("_hull_with_masks") == {
         "polyhedra.py:convex_hull_facets", "polyhedra.py:VRep._facets"}
@@ -331,7 +331,7 @@ def test_the_hull_command_and_the_edge_count_read_the_census():
 
 def test_double_description_runs_for_the_hull_and_the_census_alone():
     # two routes reach the DD kernel: the hull of a point set, and the
-    # tangent cone at one vertex behind the census
+    # cone of facets through one triangle face behind the census
     assert _callers("_dd_extreme_rays") == {
         "polyhedra.py:_hull_with_masks", "omega3_census.py:_census_facets"}
 
